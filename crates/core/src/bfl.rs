@@ -15,7 +15,7 @@ use crate::index::{
     ReachFilter,
 };
 use crate::interval::SpanningForest;
-use reach_graph::topo::topological_levels;
+use reach_graph::topo::dag_levels;
 use reach_graph::{Dag, DiGraph, VertexId};
 use std::sync::Arc;
 
@@ -66,13 +66,14 @@ impl BflFilter {
             }
             lin[ui * words + bucket_of[ui] / 64] |= 1 << (bucket_of[ui] % 64);
         }
+        let (level_fwd, level_bwd) = dag_levels(dag);
         BflFilter {
             lout,
             lin,
             words,
-            forest: SpanningForest::build(g),
-            level_fwd: topological_levels(g).expect("DAG input"),
-            level_bwd: topological_levels(&g.reverse()).expect("DAG input"),
+            forest: SpanningForest::build(dag),
+            level_fwd,
+            level_bwd,
         }
     }
 
@@ -242,6 +243,19 @@ mod tests {
             unknown
         };
         assert!(count_unknown(512) <= count_unknown(64));
+    }
+
+    #[test]
+    fn forest_decides_tree_descendants_on_a_condensed_dag() {
+        // Condensed ids are reverse-topological; the forest must still
+        // hold the whole path, so its interval proves head -> tail.
+        let edges: Vec<(u32, u32)> = (0..29).map(|i| (i, i + 1)).collect();
+        let c = reach_graph::Condensation::new(&DiGraph::from_edges(30, &edges));
+        let f = BflFilter::build(c.dag(), 64, 3);
+        let head = c.component_of(VertexId(0));
+        let tail = c.component_of(VertexId(29));
+        assert!(f.forest.contains(head, tail));
+        assert_eq!(f.certain(head, tail), Certainty::Reachable);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub struct DualLabeling {
 impl DualLabeling {
     /// Builds the index for a DAG.
     pub fn build(dag: &Dag) -> Self {
-        let forest = SpanningForest::build(dag.graph());
+        let forest = SpanningForest::build(dag);
         let links: Vec<(VertexId, VertexId)> = forest.non_tree_edges().to_vec();
         let t = links.len();
         let stride = t.div_ceil(64).max(1);

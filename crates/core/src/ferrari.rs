@@ -85,7 +85,7 @@ impl FerrariFilter {
             budget >= 1,
             "Ferrari needs a budget of at least one interval"
         );
-        let forest = SpanningForest::build(dag.graph());
+        let forest = SpanningForest::build(dag);
         let n = dag.num_vertices();
         let post: Vec<u32> = (0..n).map(|i| forest.end(VertexId::new(i))).collect();
         let mut intervals: Vec<Vec<FerrariInterval>> = vec![Vec::new(); n];

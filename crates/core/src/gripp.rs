@@ -35,7 +35,7 @@ struct Scratch {
 impl Gripp {
     /// Builds the index for an arbitrary digraph.
     pub fn build(g: &DiGraph) -> Self {
-        let forest = SpanningForest::build(g);
+        let forest = SpanningForest::build_general(g);
         let mut hops: Vec<(u32, VertexId)> = forest
             .non_tree_edges()
             .iter()

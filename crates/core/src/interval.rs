@@ -7,7 +7,7 @@
 //! `Qr(s,t)` can be processed by checking if b_t ∈ [a_s, b_s]."*
 
 use rand::Rng;
-use reach_graph::{DiGraph, VertexId};
+use reach_graph::{Dag, DiGraph, VertexId};
 
 /// A spanning forest of a digraph: each vertex's discovery parent in a
 /// DFS from the unvisited-vertex roots, plus its post-order interval.
@@ -16,6 +16,11 @@ use reach_graph::{DiGraph, VertexId};
 /// underlying graph that were not used for discovery are reported as
 /// [`non_tree_edges`](Self::non_tree_edges) and are exactly what the
 /// different tree-cover techniques handle differently.
+///
+/// On a DAG the roots are taken in topological order, so every root is
+/// a source and each tree reaches as deep as the DAG lets it. Rooting
+/// in id order instead would make every vertex of a condensation (whose
+/// ids are reverse-topological) a singleton tree.
 #[derive(Debug, Clone)]
 pub struct SpanningForest {
     parent: Vec<Option<VertexId>>,
@@ -27,20 +32,34 @@ pub struct SpanningForest {
 }
 
 impl SpanningForest {
-    /// Builds a deterministic spanning forest: roots and children are
-    /// visited in ascending id order.
-    pub fn build(g: &DiGraph) -> Self {
-        Self::build_inner(g, None::<&mut rand::rngs::SmallRng>)
+    /// Builds a deterministic spanning forest of a DAG: roots are tried
+    /// in the DAG's topological order, children in ascending id order.
+    pub fn build(dag: &Dag) -> Self {
+        Self::build_inner(
+            dag.graph(),
+            dag.topo_order(),
+            None::<&mut rand::rngs::SmallRng>,
+        )
+    }
+
+    /// Builds a deterministic spanning forest of a general digraph,
+    /// which has no topological order: roots and children are tried in
+    /// ascending id order.
+    pub fn build_general(g: &DiGraph) -> Self {
+        let roots: Vec<VertexId> = g.vertices().collect();
+        Self::build_inner(g, &roots, None::<&mut rand::rngs::SmallRng>)
     }
 
     /// Builds a randomized spanning forest: root order and child order
     /// are shuffled. Repeated calls give the independent random trees
     /// GRAIL-style techniques need.
     pub fn build_random<R: Rng>(g: &DiGraph, rng: &mut R) -> Self {
-        Self::build_inner(g, Some(rng))
+        let mut roots: Vec<VertexId> = g.vertices().collect();
+        shuffle(&mut roots, rng);
+        Self::build_inner(g, &roots, Some(rng))
     }
 
-    fn build_inner<R: Rng>(g: &DiGraph, mut rng: Option<&mut R>) -> Self {
+    fn build_inner<R: Rng>(g: &DiGraph, roots: &[VertexId], mut rng: Option<&mut R>) -> Self {
         let n = g.num_vertices();
         let mut parent: Vec<Option<VertexId>> = vec![None; n];
         let mut visited = vec![false; n];
@@ -49,62 +68,38 @@ impl SpanningForest {
         let mut non_tree = Vec::new();
         let mut counter = 0u32;
 
-        let mut roots: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
-        if let Some(rng) = rng.as_deref_mut() {
-            shuffle(&mut roots, rng);
-        }
+        // Iterative DFS over one flat stack of (vertex, the rest of its
+        // out-list, post-order counter at entry — the eventual a_v - 1)
+        // frames. A randomized forest shuffles each out-list on entry
+        // into its own stretch of `arena` (every vertex is entered once,
+        // so m slots suffice), which draws the RNG in discovery order.
+        let mut arena = vec![VertexId(0); if rng.is_some() { g.num_edges() } else { 0 }];
+        let mut free: &mut [VertexId] = &mut arena;
+        let mut stack: Vec<(VertexId, &[VertexId], u32)> = Vec::new();
 
-        // Iterative DFS; each frame remembers the shuffled neighbor
-        // list and a cursor, and the post-order counter at entry (the
-        // eventual a_v).
-        struct Frame {
-            v: VertexId,
-            neighbors: Vec<VertexId>,
-            cursor: usize,
-            entry_counter: u32,
-        }
-        let mut stack: Vec<Frame> = Vec::new();
-
-        for root in roots {
+        for &root in roots {
             if visited[root.index()] {
                 continue;
             }
             visited[root.index()] = true;
-            let mut neighbors = g.out_neighbors(root).to_vec();
-            if let Some(rng) = rng.as_deref_mut() {
-                shuffle(&mut neighbors, rng);
-            }
-            stack.push(Frame {
-                v: root,
-                neighbors,
-                cursor: 0,
-                entry_counter: counter,
-            });
-            while let Some(top) = stack.last_mut() {
-                if top.cursor < top.neighbors.len() {
-                    let w = top.neighbors[top.cursor];
-                    let v = top.v;
-                    top.cursor += 1;
+            let list = out_list(g, root, &mut free, rng.as_deref_mut());
+            stack.push((root, list, counter));
+            while let Some((v, rest, entry)) = stack.last_mut() {
+                let v = *v;
+                if let Some((&w, tail)) = rest.split_first() {
+                    *rest = tail;
                     if visited[w.index()] {
                         non_tree.push((v, w));
                     } else {
                         visited[w.index()] = true;
                         parent[w.index()] = Some(v);
-                        let mut nb = g.out_neighbors(w).to_vec();
-                        if let Some(rng) = rng.as_deref_mut() {
-                            shuffle(&mut nb, rng);
-                        }
-                        stack.push(Frame {
-                            v: w,
-                            neighbors: nb,
-                            cursor: 0,
-                            entry_counter: counter,
-                        });
+                        let list = out_list(g, w, &mut free, rng.as_deref_mut());
+                        stack.push((w, list, counter));
                     }
                 } else {
                     counter += 1;
-                    start[top.v.index()] = top.entry_counter + 1;
-                    end[top.v.index()] = counter;
+                    start[v.index()] = *entry + 1;
+                    end[v.index()] = counter;
                     stack.pop();
                 }
             }
@@ -154,6 +149,25 @@ impl SpanningForest {
     }
 }
 
+/// The out-list of `v` a DFS frame walks: the CSR slice itself, or,
+/// given an RNG, a shuffled copy carved off the front of `free`.
+fn out_list<'a, R: Rng>(
+    g: &'a DiGraph,
+    v: VertexId,
+    free: &mut &'a mut [VertexId],
+    rng: Option<&mut R>,
+) -> &'a [VertexId] {
+    let list = g.out_neighbors(v);
+    let Some(rng) = rng else {
+        return list;
+    };
+    let (copy, rest) = std::mem::take(free).split_at_mut(list.len());
+    *free = rest;
+    copy.copy_from_slice(list);
+    shuffle(copy, rng);
+    copy
+}
+
 fn shuffle<T, R: Rng>(items: &mut [T], rng: &mut R) {
     for i in (1..items.len()).rev() {
         items.swap(i, rng.random_range(0..=i));
@@ -165,15 +179,19 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use reach_graph::fixtures;
+    use reach_graph::{fixtures, Condensation};
 
-    fn tree() -> DiGraph {
+    fn tree() -> Dag {
         //       0
         //      / \
         //     1   2
         //    / \
         //   3   4
-        DiGraph::from_edges(5, &[(0, 1), (0, 2), (1, 3), (1, 4)])
+        Dag::new(DiGraph::from_edges(5, &[(0, 1), (0, 2), (1, 3), (1, 4)])).unwrap()
+    }
+
+    fn figure1() -> Dag {
+        Dag::new(fixtures::figure1a()).unwrap()
     }
 
     #[test]
@@ -184,8 +202,7 @@ mod tests {
 
     #[test]
     fn containment_matches_ancestry() {
-        let g = tree();
-        let f = SpanningForest::build(&g);
+        let f = SpanningForest::build(&tree());
         let anc = |u: u32, v: u32| f.contains(VertexId(u), VertexId(v));
         assert!(anc(0, 3) && anc(0, 4) && anc(1, 3) && anc(1, 4));
         assert!(anc(0, 0) && anc(3, 3));
@@ -194,7 +211,7 @@ mod tests {
 
     #[test]
     fn post_order_numbers_are_a_permutation() {
-        let f = SpanningForest::build(&fixtures::figure1a());
+        let f = SpanningForest::build(&figure1());
         let mut ends: Vec<u32> = (0..f.num_vertices())
             .map(|i| f.end(VertexId::new(i)))
             .collect();
@@ -205,7 +222,7 @@ mod tests {
 
     #[test]
     fn non_tree_edges_complete_the_edge_set() {
-        let g = fixtures::figure1a();
+        let g = figure1();
         let f = SpanningForest::build(&g);
         let tree_edges = g.edges().filter(|&(u, v)| f.parent(v) == Some(u)).count();
         assert_eq!(tree_edges + f.non_tree_edges().len(), g.num_edges());
@@ -214,7 +231,7 @@ mod tests {
     #[test]
     fn tree_descendants_are_reachable() {
         // tree containment is a sound positive filter on the graph
-        let g = fixtures::figure1a();
+        let g = figure1();
         let f = SpanningForest::build(&g);
         let mut vm = reach_graph::traverse::VisitMap::new(g.num_vertices());
         for u in g.vertices() {
@@ -223,6 +240,37 @@ mod tests {
                     assert!(reach_graph::traverse::bfs_reaches(&g, u, v, &mut vm));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn condensed_path_is_one_tree() {
+        // Condensed ids are reverse-topological (the sink is component
+        // 0); rooting in topological order still yields a single tree.
+        let n = 50u32;
+        let edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+        let c = Condensation::new(&DiGraph::from_edges(n as usize, &edges));
+        let f = SpanningForest::build(c.dag());
+        let roots = c
+            .dag()
+            .vertices()
+            .filter(|&v| f.parent(v).is_none())
+            .count();
+        assert_eq!(roots, 1);
+        assert!(f.non_tree_edges().is_empty());
+        let head = c.component_of(VertexId(0));
+        let tail = c.component_of(VertexId(n - 1));
+        assert!(f.contains(head, tail));
+    }
+
+    #[test]
+    fn dag_roots_are_exactly_the_sources() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let g = reach_graph::generators::random_digraph(300, 700, &mut rng);
+        let dag = Condensation::new(&g).dag().clone();
+        let f = SpanningForest::build(&dag);
+        for v in dag.vertices() {
+            assert_eq!(f.parent(v).is_none(), dag.in_degree(v) == 0, "{v:?}");
         }
     }
 
@@ -255,9 +303,40 @@ mod tests {
     }
 
     #[test]
+    fn random_forests_keep_their_rng_sequence() {
+        // GRAIL's labels depend on the exact order of RNG draws; these
+        // post-order numbers pin it across changes to the DFS.
+        let mut rng = SmallRng::seed_from_u64(3);
+        let dag = reach_graph::generators::random_dag(40, 110, &mut rng);
+        let mut rng = SmallRng::seed_from_u64(7);
+        let expect: [(&[u32], usize); 2] = [
+            (
+                &[
+                    29, 28, 40, 38, 36, 26, 39, 33, 24, 31, 37, 27, 35, 21, 32, 25, 30, 23, 14, 17,
+                    20, 15, 13, 11, 19, 7, 12, 10, 22, 18, 6, 34, 9, 5, 16, 4, 8, 3, 2, 1,
+                ],
+                78,
+            ),
+            (
+                &[
+                    34, 33, 40, 28, 35, 24, 32, 38, 23, 39, 1, 27, 31, 20, 36, 13, 37, 22, 29, 16,
+                    19, 26, 25, 15, 18, 8, 12, 11, 21, 17, 7, 30, 9, 6, 14, 5, 10, 4, 3, 2,
+                ],
+                72,
+            ),
+        ];
+        for (ends, non_tree) in expect {
+            let f = SpanningForest::build_random(dag.graph(), &mut rng);
+            let got: Vec<u32> = dag.vertices().map(|v| f.end(v)).collect();
+            assert_eq!(got, ends);
+            assert_eq!(f.non_tree_edges().len(), non_tree);
+        }
+    }
+
+    #[test]
     fn cyclic_graph_gets_a_forest_too() {
         let g = DiGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
-        let f = SpanningForest::build(&g);
+        let f = SpanningForest::build_general(&g);
         assert_eq!(f.non_tree_edges().len(), 1);
         assert!(f.contains(VertexId(0), VertexId(2)));
     }

@@ -17,7 +17,7 @@ use crate::index::{
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use reach_graph::topo::topological_levels;
+use reach_graph::topo::dag_levels;
 use reach_graph::{Dag, DiGraph, VertexId};
 use std::sync::Arc;
 
@@ -119,8 +119,7 @@ impl IpFilter {
             let merged = kmin_merge(hash[u.index()], &others, k);
             in_label[u.index()] = merged;
         }
-        let level_fwd = topological_levels(g).expect("DAG input");
-        let level_bwd = topological_levels(&g.reverse()).expect("DAG input");
+        let (level_fwd, level_bwd) = dag_levels(dag);
         IpFilter {
             hash,
             out_label,

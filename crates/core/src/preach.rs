@@ -14,7 +14,7 @@ use crate::index::{
     ReachFilter, ReachIndex,
 };
 use crate::interval::SpanningForest;
-use reach_graph::topo::topological_levels;
+use reach_graph::topo::dag_levels;
 use reach_graph::traverse::{Side, VisitMap};
 use reach_graph::{Dag, DiGraph, ScratchPool, VertexId};
 use std::sync::Arc;
@@ -34,7 +34,7 @@ impl PreachFilter {
     /// Builds the certificates for a DAG.
     pub fn build(dag: &Dag) -> Self {
         let g = dag.graph();
-        let forest = SpanningForest::build(g);
+        let forest = SpanningForest::build(dag);
         let mut min_post: Vec<u32> = (0..g.num_vertices())
             .map(|i| forest.end(VertexId::new(i)))
             .collect();
@@ -43,10 +43,11 @@ impl PreachFilter {
                 min_post[u.index()] = min_post[u.index()].min(min_post[v.index()]);
             }
         }
+        let (level_fwd, level_bwd) = dag_levels(dag);
         PreachFilter {
             forest,
-            level_fwd: topological_levels(g).expect("DAG input"),
-            level_bwd: topological_levels(&g.reverse()).expect("DAG input"),
+            level_fwd,
+            level_bwd,
             min_post,
         }
     }

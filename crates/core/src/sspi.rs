@@ -35,7 +35,7 @@ struct Scratch {
 impl TreeSspi {
     /// Builds the index for a DAG.
     pub fn build(dag: &Dag) -> Self {
-        let forest = SpanningForest::build(dag.graph());
+        let forest = SpanningForest::build(dag);
         let n = dag.num_vertices();
         let mut tails_by_head: Vec<Vec<VertexId>> = vec![Vec::new(); n];
         for &(u, v) in forest.non_tree_edges() {

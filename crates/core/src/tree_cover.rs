@@ -51,7 +51,7 @@ impl TreeCover {
     /// Builds the index for a DAG: spanning forest intervals plus one
     /// reverse-topological inheritance sweep.
     pub fn build(dag: &Dag) -> Self {
-        let forest = SpanningForest::build(dag.graph());
+        let forest = SpanningForest::build(dag);
         let n = dag.num_vertices();
         let post: Vec<u32> = (0..n).map(|i| forest.end(VertexId::new(i))).collect();
         let mut intervals: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];

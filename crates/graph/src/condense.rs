@@ -67,15 +67,17 @@ impl Condensation {
         let scc_time = start.elapsed();
         let assemble_start = Instant::now();
         let nc = scc.num_components();
-        let mut b = DiGraphBuilder::with_capacity(nc, g.num_edges());
-        for (u, v) in g.edges() {
-            let cu = scc.component_of(u);
-            let cv = scc.component_of(v);
-            if cu != cv {
-                b.add_edge(VertexId(cu), VertexId(cv));
+        let comp = scc.components();
+        let mut edges = Vec::with_capacity(g.num_edges());
+        for (u, &cu) in comp.iter().enumerate() {
+            for &v in g.out_neighbors(VertexId::new(u)) {
+                let cv = comp[v.index()];
+                if cu != cv {
+                    edges.push((cu, cv));
+                }
             }
         }
-        let graph = b.build();
+        let graph = DiGraphBuilder::from_edge_list(nc, edges).build();
         let order: Vec<VertexId> = (0..nc as u32).rev().map(VertexId).collect();
         let dag = Dag::from_parts(graph, order);
         let timing = CondenseTiming {

@@ -71,11 +71,92 @@ impl DiGraphBuilder {
         Ok(())
     }
 
-    /// Freezes the builder into a CSR [`DiGraph`].
-    pub fn build(mut self) -> DiGraph {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        DiGraph::from_sorted_edges(self.num_vertices, &self.edges)
+    /// Wraps an edge list whose endpoints are already known to lie in
+    /// `0..n` (the condensation relabels edges it read from a valid CSR).
+    pub(crate) fn from_edge_list(n: usize, edges: Vec<(u32, u32)>) -> Self {
+        debug_assert!(edges.iter().all(|&(u, v)| (u.max(v) as usize) < n));
+        DiGraphBuilder {
+            num_vertices: n,
+            edges,
+        }
+    }
+
+    /// Freezes the builder into a CSR [`DiGraph`] in O(n + m) plus the
+    /// per-vertex sorts: a counting sort buckets targets by source,
+    /// each out-list is sorted and deduplicated in place, and one
+    /// ascending scan over the out-lists fills the in-lists already
+    /// sorted.
+    ///
+    /// # Panics
+    /// Panics if more than `u32::MAX` edges were added (the CSR
+    /// offsets are `u32`); the edge-list readers reject such inputs.
+    pub fn build(self) -> DiGraph {
+        assert!(
+            self.edges.len() <= u32::MAX as usize,
+            "CSR offsets are u32: too many edges"
+        );
+        let n = self.num_vertices;
+        let mut out_offsets = vec![0u32; n + 1];
+        for &(u, _) in &self.edges {
+            out_offsets[u as usize + 1] += 1;
+        }
+        prefix_sum(&mut out_offsets);
+        let mut out_targets = vec![VertexId(0); self.edges.len()];
+        let mut cursor = out_offsets.clone();
+        for &(u, v) in &self.edges {
+            let c = &mut cursor[u as usize];
+            out_targets[*c as usize] = VertexId(v);
+            *c += 1;
+        }
+        drop(self.edges);
+
+        // Sort and deduplicate each bucket, compacting towards the front.
+        let mut write = 0usize;
+        let mut lo = 0usize;
+        for u in 0..n {
+            let hi = out_offsets[u + 1] as usize;
+            out_targets[lo..hi].sort_unstable();
+            out_offsets[u] = write as u32;
+            for i in lo..hi {
+                if i == lo || out_targets[i] != out_targets[i - 1] {
+                    out_targets[write] = out_targets[i];
+                    write += 1;
+                }
+            }
+            lo = hi;
+        }
+        out_offsets[n] = write as u32;
+        out_targets.truncate(write);
+
+        let mut in_offsets = vec![0u32; n + 1];
+        for &v in &out_targets {
+            in_offsets[v.index() + 1] += 1;
+        }
+        prefix_sum(&mut in_offsets);
+        let mut in_sources = vec![VertexId(0); write];
+        let mut cursor = in_offsets.clone();
+        // Sources are scanned in ascending order, so in-lists come out sorted.
+        for u in 0..n {
+            let (lo, hi) = (out_offsets[u] as usize, out_offsets[u + 1] as usize);
+            for &v in &out_targets[lo..hi] {
+                let c = &mut cursor[v.index()];
+                in_sources[*c as usize] = VertexId::new(u);
+                *c += 1;
+            }
+        }
+        DiGraph {
+            out_offsets,
+            out_targets,
+            in_offsets,
+            in_sources,
+        }
+    }
+}
+
+/// Turns per-slot counts stored at `offsets[i + 1]` into offsets.
+fn prefix_sum(offsets: &mut [u32]) {
+    for i in 1..offsets.len() {
+        offsets[i] += offsets[i - 1];
     }
 }
 
@@ -111,41 +192,6 @@ impl DiGraph {
             b.add_edge(VertexId(u), VertexId(v));
         }
         b.build()
-    }
-
-    fn from_sorted_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let m = edges.len();
-        let mut out_offsets = vec![0u32; n + 1];
-        let mut in_offsets = vec![0u32; n + 1];
-        for &(u, v) in edges {
-            out_offsets[u as usize + 1] += 1;
-            in_offsets[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut out_targets = vec![VertexId(0); m];
-        let mut in_sources = vec![VertexId(0); m];
-        let mut out_cursor = out_offsets.clone();
-        let mut in_cursor = in_offsets.clone();
-        // `edges` is sorted by (u, v), so out-lists come out sorted; the
-        // in-lists come out sorted too because sources are scanned in
-        // ascending order.
-        for &(u, v) in edges {
-            let o = &mut out_cursor[u as usize];
-            out_targets[*o as usize] = VertexId(v);
-            *o += 1;
-            let i = &mut in_cursor[v as usize];
-            in_sources[*i as usize] = VertexId(u);
-            *i += 1;
-        }
-        DiGraph {
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_sources,
-        }
     }
 
     /// Number of vertices.

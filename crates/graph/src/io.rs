@@ -10,12 +10,38 @@
 //! This is the interchange format used by most published reachability
 //! index implementations, which makes it easy to feed real datasets to
 //! the bench harness.
+//!
+//! Lines are separated by `\n`; blank lines and lines whose first
+//! non-whitespace character is `#` are skipped; tokens are separated by
+//! any Unicode whitespace (so `\r\n` endings and tabs are fine); numbers
+//! are decimal `u32`s with an optional leading `+`. Errors carry the
+//! 1-based line number of the offending line (0 for a missing header).
+//!
+//! The readers are single-pass byte scanners whose allocations are
+//! bounded by the input size, never by a number the input declares:
+//!
+//! * the header's vertex count may be at most
+//!   [`max_declared_vertices`]`(text.len())` = 8 · bytes + 2²⁰, since a
+//!   larger count would make the CSR offset arrays outgrow the file;
+//! * at most `u32::MAX` edge lines are accepted, the range of the CSR
+//!   offsets.
 
 use crate::digraph::{DiGraph, DiGraphBuilder};
 use crate::error::GraphError;
-use crate::labeled::{Label, LabeledGraph, LabeledGraphBuilder};
+use crate::labeled::{Label, LabeledGraph, LabeledGraphBuilder, MAX_LABELS};
 use crate::vertex::VertexId;
 use std::fmt::Write as _;
+
+/// The largest vertex count a header may declare in an input of
+/// `bytes` bytes: 8 · bytes + 2²⁰. Isolated vertices cost no text, so
+/// the bound leaves generous room for them while keeping the vertex
+/// tables within a small multiple of the input size.
+pub fn max_declared_vertices(bytes: usize) -> usize {
+    bytes.saturating_mul(8).saturating_add(1 << 20)
+}
+
+/// The most edge lines one input may hold (the CSR offsets are `u32`).
+const MAX_EDGE_LINES: usize = u32::MAX as usize;
 
 fn parse_err(line: usize, message: impl Into<String>) -> GraphError {
     GraphError::Parse {
@@ -24,16 +50,182 @@ fn parse_err(line: usize, message: impl Into<String>) -> GraphError {
     }
 }
 
-fn significant_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
-    text.lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
-}
-
 fn parse_u32(tok: &str, line: usize, what: &str) -> Result<u32, GraphError> {
     tok.parse::<u32>()
         .map_err(|_| parse_err(line, format!("invalid {what}: {tok:?}")))
+}
+
+/// The byte length of the leading character of `s` if it is Unicode
+/// whitespace. Kept out of line: edge lists are almost always ASCII.
+#[cold]
+fn unicode_space(s: &str) -> Option<usize> {
+    s.chars()
+        .next()
+        .filter(|c| c.is_whitespace())
+        .map(char::len_utf8)
+}
+
+/// A cursor over the significant lines of an edge list. It scans the
+/// bytes once; non-ASCII bytes are decoded only to test for Unicode
+/// whitespace.
+struct Lines<'a> {
+    text: &'a str,
+    pos: usize,
+    /// 1-based number of the line `pos` is on.
+    line: usize,
+}
+
+impl<'a> Lines<'a> {
+    fn new(text: &'a str) -> Self {
+        Lines {
+            text,
+            pos: 0,
+            line: 1,
+        }
+    }
+
+    /// The byte length of the whitespace character at `pos`, if there
+    /// is one (`\n` ends the line and does not count). Only non-ASCII
+    /// bytes are decoded, to test for Unicode whitespace.
+    fn space_at(&self, pos: usize) -> Option<usize> {
+        match *self.text.as_bytes().get(pos)? {
+            b' ' | b'\t' | b'\r' | 0x0b | 0x0c => Some(1),
+            b if b < 0x80 => None,
+            _ => unicode_space(&self.text[pos..]),
+        }
+    }
+
+    fn skip_spaces(&mut self) {
+        while let Some(len) = self.space_at(self.pos) {
+            self.pos += len;
+        }
+    }
+
+    /// Moves past the end of the current line.
+    fn skip_line(&mut self) {
+        match self.text.as_bytes()[self.pos..]
+            .iter()
+            .position(|&b| b == b'\n')
+        {
+            Some(i) => {
+                self.pos += i + 1;
+                self.line += 1;
+            }
+            None => self.pos = self.text.len(),
+        }
+    }
+
+    /// Advances to the first token of the next line that is neither
+    /// blank nor a comment and returns its line number, or `None` at
+    /// the end of the input.
+    fn next_line(&mut self) -> Option<usize> {
+        loop {
+            self.skip_spaces();
+            match self.text.as_bytes().get(self.pos) {
+                None => return None,
+                Some(b'\n' | b'#') => self.skip_line(),
+                Some(_) => return Some(self.line),
+            }
+        }
+    }
+
+    /// The next token on the current line, or `None` at its end.
+    fn token(&mut self) -> Option<&'a str> {
+        self.skip_spaces();
+        let start = self.pos;
+        let bytes = self.text.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            if b == b'\n' || self.space_at(self.pos).is_some() {
+                break;
+            }
+            self.pos += match b {
+                0x00..=0x7f => 1,
+                0xc0..=0xdf => 2,
+                0xe0..=0xef => 3,
+                _ => 4,
+            };
+        }
+        (self.pos > start).then(|| &self.text[start..self.pos])
+    }
+
+    /// The rest of the current line without surrounding whitespace;
+    /// moves past the line.
+    fn rest_of_line(&mut self) -> &'a str {
+        let start = self.pos;
+        self.skip_line();
+        self.text[start..self.pos].trim()
+    }
+
+    /// Parses the next token of line `lno` as a `u32`.
+    ///
+    /// The common case, a run of at most nine ASCII digits ending the
+    /// token, is read in place; anything else (a `+` sign, ten digits,
+    /// junk) goes through [`token`] and `str::parse`.
+    ///
+    /// [`token`]: Self::token
+    fn number(&mut self, lno: usize, what: &str) -> Result<u32, GraphError> {
+        self.skip_spaces();
+        let bytes = self.text.as_bytes();
+        let mut end = self.pos;
+        let mut value = 0u32;
+        while end - self.pos < 9 {
+            match bytes.get(end) {
+                Some(&b @ b'0'..=b'9') => value = value * 10 + u32::from(b - b'0'),
+                _ => break,
+            }
+            end += 1;
+        }
+        let ends_token = match bytes.get(end) {
+            None | Some(b'\n' | b' ') => true,
+            Some(_) => self.space_at(end).is_some(),
+        };
+        if end > self.pos && ends_token {
+            self.pos = end;
+            return Ok(value);
+        }
+        let tok = self
+            .token()
+            .ok_or_else(|| parse_err(lno, format!("missing {what}")))?;
+        parse_u32(tok, lno, what)
+    }
+
+    /// Ends edge line `lno`, which must hold no further token.
+    fn end_edge_line(&mut self, lno: usize) -> Result<(), GraphError> {
+        if self.text.as_bytes().get(self.pos) == Some(&b'\n') {
+            self.pos += 1;
+            self.line += 1;
+            return Ok(());
+        }
+        if self.token().is_some() {
+            return Err(parse_err(lno, "trailing tokens on edge line"));
+        }
+        self.skip_line();
+        Ok(())
+    }
+}
+
+/// Checks a header's vertex count against [`max_declared_vertices`].
+fn vertex_count(n: u32, text: &str, lno: usize) -> Result<usize, GraphError> {
+    let limit = max_declared_vertices(text.len());
+    if n as usize > limit {
+        return Err(parse_err(
+            lno,
+            format!(
+                "vertex count {n} exceeds {limit}, the limit for a {}-byte input",
+                text.len()
+            ),
+        ));
+    }
+    Ok(n as usize)
+}
+
+/// Counts one more edge line, rejecting inputs the CSR offsets cannot hold.
+fn count_edge(m: &mut usize, lno: usize) -> Result<(), GraphError> {
+    *m += 1;
+    if *m > MAX_EDGE_LINES {
+        return Err(parse_err(lno, format!("more than {MAX_EDGE_LINES} edges")));
+    }
+    Ok(())
 }
 
 /// Serializes a plain digraph to the edge-list format.
@@ -48,29 +240,22 @@ pub fn write_digraph(g: &DiGraph) -> String {
 
 /// Parses a plain digraph from the edge-list format.
 pub fn read_digraph(text: &str) -> Result<DiGraph, GraphError> {
-    let mut lines = significant_lines(text);
-    let (lno, header) = lines
-        .next()
+    let mut lines = Lines::new(text);
+    let lno = lines
+        .next_line()
         .ok_or_else(|| parse_err(0, "missing header line"))?;
-    let n = parse_u32(header, lno, "vertex count")? as usize;
-    let mut b = DiGraphBuilder::new(n);
-    for (lno, line) in lines {
-        let mut toks = line.split_whitespace();
-        let u = parse_u32(
-            toks.next()
-                .ok_or_else(|| parse_err(lno, "missing source"))?,
-            lno,
-            "source",
-        )?;
-        let v = parse_u32(
-            toks.next()
-                .ok_or_else(|| parse_err(lno, "missing target"))?,
-            lno,
-            "target",
-        )?;
-        if toks.next().is_some() {
-            return Err(parse_err(lno, "trailing tokens on edge line"));
-        }
+    let n = parse_u32(lines.rest_of_line(), lno, "vertex count")?;
+    let n = vertex_count(n, text, lno)?;
+    // The shortest edge line, `0 1\n`, has four bytes; real edge lists
+    // average over eight, so this rarely reallocates and never
+    // reserves more than the text's own size.
+    let mut b = DiGraphBuilder::with_capacity(n, text.len() / 8);
+    let mut m = 0;
+    while let Some(lno) = lines.next_line() {
+        let u = lines.number(lno, "source")?;
+        let v = lines.number(lno, "target")?;
+        lines.end_edge_line(lno)?;
+        count_edge(&mut m, lno)?;
         b.try_add_edge(VertexId(u), VertexId(v))
             .map_err(|e| parse_err(lno, e.to_string()))?;
     }
@@ -87,51 +272,28 @@ pub fn write_labeled(g: &LabeledGraph) -> String {
     out
 }
 
-/// Parses a labeled digraph from the edge-list format.
+/// Parses a labeled digraph from the edge-list format. Header tokens
+/// after the label count are ignored.
 pub fn read_labeled(text: &str) -> Result<LabeledGraph, GraphError> {
-    let mut lines = significant_lines(text);
-    let (lno, header) = lines
-        .next()
+    let mut lines = Lines::new(text);
+    let lno = lines
+        .next_line()
         .ok_or_else(|| parse_err(0, "missing header line"))?;
-    let mut toks = header.split_whitespace();
-    let n = parse_u32(
-        toks.next()
-            .ok_or_else(|| parse_err(lno, "missing vertex count"))?,
-        lno,
-        "vertex count",
-    )? as usize;
-    let k = parse_u32(
-        toks.next()
-            .ok_or_else(|| parse_err(lno, "missing label count"))?,
-        lno,
-        "label count",
-    )? as usize;
-    if k > crate::labeled::MAX_LABELS {
+    let n = lines.number(lno, "vertex count")?;
+    let k = lines.number(lno, "label count")? as usize;
+    lines.skip_line();
+    if k > MAX_LABELS {
         return Err(parse_err(lno, format!("label alphabet {k} exceeds 64")));
     }
-    let mut b = LabeledGraphBuilder::new(n, k);
-    for (lno, line) in lines {
-        let mut toks = line.split_whitespace();
-        let u = parse_u32(
-            toks.next()
-                .ok_or_else(|| parse_err(lno, "missing source"))?,
-            lno,
-            "source",
-        )?;
-        let l = parse_u32(
-            toks.next().ok_or_else(|| parse_err(lno, "missing label"))?,
-            lno,
-            "label",
-        )?;
-        let v = parse_u32(
-            toks.next()
-                .ok_or_else(|| parse_err(lno, "missing target"))?,
-            lno,
-            "target",
-        )?;
-        if toks.next().is_some() {
-            return Err(parse_err(lno, "trailing tokens on edge line"));
-        }
+    let n = vertex_count(n, text, lno)?;
+    let mut b = LabeledGraphBuilder::with_capacity(n, k, text.len() / 12);
+    let mut m = 0;
+    while let Some(lno) = lines.next_line() {
+        let u = lines.number(lno, "source")?;
+        let l = lines.number(lno, "label")?;
+        let v = lines.number(lno, "target")?;
+        lines.end_edge_line(lno)?;
+        count_edge(&mut m, lno)?;
         let l = Label::try_new(l).map_err(|e| parse_err(lno, e.to_string()))?;
         b.try_add_edge(VertexId(u), l, VertexId(v))
             .map_err(|e| parse_err(lno, e.to_string()))?;
@@ -177,6 +339,22 @@ mod tests {
         assert!(read_labeled("2\n0 0 1").is_err(), "missing label count");
         assert!(read_labeled("2 2\n0 9 1").is_err(), "label out of alphabet");
         assert!(read_labeled("2 100\n").is_err(), "alphabet too large");
+    }
+
+    #[test]
+    fn huge_declared_vertex_count_is_rejected_before_allocating() {
+        for text in ["4294967295", "4294967295\n0 1\n"] {
+            match read_digraph(text) {
+                Err(GraphError::Parse { line: 1, message }) => {
+                    assert!(message.contains("exceeds"), "{message}")
+                }
+                other => panic!("expected a header error, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            read_labeled("4294967295 3\n"),
+            Err(GraphError::Parse { line: 1, .. })
+        ));
     }
 
     #[test]

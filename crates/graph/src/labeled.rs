@@ -185,6 +185,16 @@ impl LabeledGraphBuilder {
         }
     }
 
+    /// Creates a builder with a capacity hint for the edge list.
+    ///
+    /// # Panics
+    /// Panics if `k > 64`.
+    pub fn with_capacity(n: usize, k: usize, m: usize) -> Self {
+        let mut b = Self::new(n, k);
+        b.edges.reserve(m);
+        b
+    }
+
     /// Adds a fresh vertex and returns its id.
     pub fn add_vertex(&mut self) -> VertexId {
         let v = VertexId::new(self.num_vertices);

@@ -53,56 +53,54 @@ impl SccDecomposition {
 /// (explicit stack, so deep graphs cannot overflow the call stack).
 pub fn tarjan_scc(g: &DiGraph) -> SccDecomposition {
     const UNVISITED: u32 = u32::MAX;
+    const UNASSIGNED: u32 = u32::MAX;
     let n = g.num_vertices();
     let mut index = vec![UNVISITED; n];
     let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut comp_of = vec![0u32; n];
+    // A visited vertex stays on the Tarjan stack until its component is
+    // assigned, so `comp_of` doubles as the on-stack flag.
+    let mut comp_of = vec![UNASSIGNED; n];
     let mut stack: Vec<u32> = Vec::new();
     let mut next_index = 0u32;
     let mut num_components = 0u32;
 
-    // Each frame is (vertex, cursor into its out-neighbor list).
-    let mut call: Vec<(u32, u32)> = Vec::new();
+    // Each frame is (vertex, the rest of its out-neighbor list).
+    let mut call: Vec<(u32, &[VertexId])> = Vec::new();
 
     for root in 0..n as u32 {
         if index[root as usize] != UNVISITED {
             continue;
         }
-        call.push((root, 0));
         index[root as usize] = next_index;
         lowlink[root as usize] = next_index;
         next_index += 1;
         stack.push(root);
-        on_stack[root as usize] = true;
+        call.push((root, g.out_neighbors(VertexId(root))));
 
-        while let Some(&mut (v, ref mut cursor)) = call.last_mut() {
-            let neighbors = g.out_neighbors(VertexId(v));
-            if (*cursor as usize) < neighbors.len() {
-                let w = neighbors[*cursor as usize].0;
-                *cursor += 1;
-                if index[w as usize] == UNVISITED {
-                    index[w as usize] = next_index;
-                    lowlink[w as usize] = next_index;
+        while let Some((v, rest)) = call.last_mut() {
+            let v = *v as usize;
+            if let Some((&w, tail)) = rest.split_first() {
+                *rest = tail;
+                let w = w.index();
+                if index[w] == UNVISITED {
+                    index[w] = next_index;
+                    lowlink[w] = next_index;
                     next_index += 1;
-                    stack.push(w);
-                    on_stack[w as usize] = true;
-                    call.push((w, 0));
-                } else if on_stack[w as usize] {
-                    lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
+                    stack.push(w as u32);
+                    call.push((w as u32, g.out_neighbors(VertexId::new(w))));
+                } else if comp_of[w] == UNASSIGNED {
+                    lowlink[v] = lowlink[v].min(index[w]);
                 }
             } else {
                 call.pop();
                 if let Some(&(parent, _)) = call.last() {
-                    lowlink[parent as usize] = lowlink[parent as usize].min(lowlink[v as usize]);
+                    lowlink[parent as usize] = lowlink[parent as usize].min(lowlink[v]);
                 }
-                if lowlink[v as usize] == index[v as usize] {
+                if lowlink[v] == index[v] {
                     // v is the root of a component: pop it off the Tarjan stack.
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w as usize] = false;
+                    while let Some(w) = stack.pop() {
                         comp_of[w as usize] = num_components;
-                        if w == v {
+                        if w as usize == v {
                             break;
                         }
                     }

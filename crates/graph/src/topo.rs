@@ -1,6 +1,6 @@
 //! Topological sorting and level utilities for DAGs.
 
-use crate::digraph::DiGraph;
+use crate::digraph::{Dag, DiGraph};
 use crate::vertex::VertexId;
 
 /// Kahn's algorithm. Returns the vertices in a topological order, or
@@ -69,6 +69,32 @@ pub fn topological_levels(g: &DiGraph) -> Option<Vec<u32>> {
     Some(level)
 }
 
+/// Forward and backward longest-path levels of a DAG, read off its
+/// stored topological order in two sweeps (no re-sort, no reverse copy).
+///
+/// The forward level is [`topological_levels`] of the graph; the
+/// backward level is the same on the reversed graph (sinks get 0). BFL,
+/// IP and PReaCH use both as negative filters: `s` cannot reach `t != s`
+/// if `fwd(s) >= fwd(t)` or `bwd(s) <= bwd(t)`.
+pub fn dag_levels(dag: &Dag) -> (Vec<u32>, Vec<u32>) {
+    let n = dag.num_vertices();
+    let mut fwd = vec![0u32; n];
+    for &u in dag.topo_order() {
+        let next = fwd[u.index()] + 1;
+        for &v in dag.out_neighbors(u) {
+            fwd[v.index()] = fwd[v.index()].max(next);
+        }
+    }
+    let mut bwd = vec![0u32; n];
+    for &u in dag.topo_order().iter().rev() {
+        let next = bwd[u.index()] + 1;
+        for &v in dag.in_neighbors(u) {
+            bwd[v.index()] = bwd[v.index()].max(next);
+        }
+    }
+    (fwd, bwd)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,6 +146,19 @@ mod tests {
         let g = DiGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)]);
         let level = topological_levels(&g).unwrap();
         assert_eq!(level, vec![0, 1, 1, 2]);
+    }
+
+    #[test]
+    fn dag_levels_match_levels_of_graph_and_reverse() {
+        let g = DiGraph::from_edges(6, &[(0, 1), (0, 2), (1, 3), (2, 3), (0, 3), (4, 3), (3, 5)]);
+        let (fwd, bwd) = dag_levels(&Dag::new(g.clone()).unwrap());
+        assert_eq!(Some(fwd), topological_levels(&g));
+        assert_eq!(Some(bwd), topological_levels(&g.reverse()));
+        // a condensation stores the reverse of its id order
+        let c = crate::Condensation::new(&g);
+        let (fwd, bwd) = dag_levels(c.dag());
+        assert_eq!(Some(fwd), topological_levels(c.dag()));
+        assert_eq!(Some(bwd), topological_levels(&c.dag().reverse()));
     }
 
     #[test]

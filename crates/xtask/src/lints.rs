@@ -12,7 +12,9 @@
 //! 2. **panic-free-server** — `unwrap`/`expect`/`panic!`-family
 //!    macros are banned from `crates/server/src` request paths; a
 //!    worker panic would poison the queue mutex and take down every
-//!    subsequent request.
+//!    subsequent request.  **panic-free-parser** applies the same
+//!    ban to the edge-list parser (`crates/graph/src/io.rs`): a
+//!    malformed file must come back as `GraphError::Parse`.
 //! 3. **unsafe-whitelist** — the token `unsafe` may appear only in
 //!    `crates/graph/src/scratch.rs`; every crate root must carry
 //!    `#![forbid(unsafe_code)]` (or `deny` for the graph crate,
@@ -65,6 +67,8 @@ pub struct LintConfig {
     pub interior_mutability_allow: &'static [&'static str],
     /// Directories whose `.rs` files must be panic-free outside tests.
     pub panic_free_roots: &'static [&'static str],
+    /// Parser source files that must be panic-free outside tests.
+    pub panic_free_parsers: &'static [&'static str],
     /// The only files allowed to contain the `unsafe` token.
     pub unsafe_allow: &'static [&'static str],
     /// Crate directories under `crates/` whose root source must carry
@@ -99,6 +103,7 @@ impl LintConfig {
             ],
             interior_mutability_allow: &["crates/graph/src/scratch.rs"],
             panic_free_roots: &["crates/server/src"],
+            panic_free_parsers: &["crates/graph/src/io.rs"],
             unsafe_allow: &["crates/graph/src/scratch.rs"],
             registries: &[
                 RegistryRule {
@@ -180,8 +185,17 @@ fn lint_interior_mutability(root: &Path, cfg: &LintConfig, out: &mut Vec<LintVio
 }
 
 // ---------------------------------------------------------------
-// rule 2: panic-free server request paths
+// rule 2: panic-free server request paths and parsers
 // ---------------------------------------------------------------
+
+const PANIC_PATTERNS: &[(&str, Boundary)] = &[
+    (".unwrap()", Boundary::None),
+    (".expect(", Boundary::None),
+    ("panic!(", Boundary::Before),
+    ("unreachable!(", Boundary::Before),
+    ("todo!(", Boundary::Before),
+    ("unimplemented!(", Boundary::Before),
+];
 
 fn lint_panic_free(root: &Path, cfg: &LintConfig, out: &mut Vec<LintViolation>) {
     for dir in cfg.panic_free_roots {
@@ -189,19 +203,21 @@ fn lint_panic_free(root: &Path, cfg: &LintConfig, out: &mut Vec<LintViolation>) 
             scan_tokens(
                 &file,
                 "panic-free-server",
-                &[
-                    (".unwrap()", Boundary::None),
-                    (".expect(", Boundary::None),
-                    ("panic!(", Boundary::Before),
-                    ("unreachable!(", Boundary::Before),
-                    ("todo!(", Boundary::Before),
-                    ("unimplemented!(", Boundary::Before),
-                ],
+                PANIC_PATTERNS,
                 "a panic on a request path poisons the queue mutex and kills the worker; \
                  return an error response instead",
                 out,
             );
         }
+    }
+    for file in cfg.panic_free_parsers {
+        scan_tokens(
+            &root.join(file),
+            "panic-free-parser",
+            PANIC_PATTERNS,
+            "malformed input must come back as GraphError::Parse, not abort the loader",
+            out,
+        );
     }
 }
 
@@ -516,6 +532,24 @@ mod tests {
                 .any(|v| v.rule == "panic-free-server" && v.line == 1),
             "unwrap not flagged: {hits:?}"
         );
+    }
+
+    #[test]
+    fn parser_unwrap_outside_tests_is_flagged() {
+        let root = scratch_root("parserunwrap");
+        write(
+            &root,
+            "crates/graph/src/io.rs",
+            "pub fn n(tok: &str) -> u32 {\n    tok.parse().expect(\"number\")\n}\n\
+             #[cfg(test)]\nmod tests {\n    fn t() { \"1\".parse::<u32>().unwrap(); }\n}\n",
+        );
+        let cfg = LintConfig::workspace();
+        let hits: Vec<_> = run_lints(&root, &cfg)
+            .into_iter()
+            .filter(|v| v.rule == "panic-free-parser")
+            .collect();
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].line, 2);
     }
 
     #[test]
