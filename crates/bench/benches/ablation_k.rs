@@ -37,7 +37,7 @@ fn bench_ablation_k(c: &mut Criterion) {
     };
 
     for k in [1, 2, 4, 8] {
-        let idx = build_grail(&dag, k, 7);
+        let idx = build_grail(&dag, k, 7, 1);
         run(&mut group, format!("GRAIL/k={k}"), &idx);
     }
     for budget in [1, 2, 4, 8] {

@@ -23,12 +23,14 @@ fn bench_ablation_order(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
     group.bench_function("TOL/degree", |b| {
-        b.iter(|| black_box(Tol::build(dag.graph(), OrderStrategy::DegreeDescending)))
+        b.iter(|| black_box(Tol::build(dag.graph(), OrderStrategy::DegreeDescending, 1)))
     });
     group.bench_function("TOL/by-id", |b| {
-        b.iter(|| black_box(Tol::build(dag.graph(), OrderStrategy::ById)))
+        b.iter(|| black_box(Tol::build(dag.graph(), OrderStrategy::ById, 1)))
     });
-    group.bench_function("TFL/topological", |b| b.iter(|| black_box(build_tfl(&dag))));
+    group.bench_function("TFL/topological", |b| {
+        b.iter(|| black_box(build_tfl(&dag, 1)))
+    });
     group.bench_function("PLL/degree+pruning", |b| {
         b.iter(|| black_box(Pll::build(dag.graph())))
     });
@@ -41,13 +43,13 @@ fn bench_ablation_order(c: &mut Criterion) {
     let variants: Vec<(&str, Box<dyn ReachIndex>)> = vec![
         (
             "TOL/degree",
-            Box::new(Tol::build(dag.graph(), OrderStrategy::DegreeDescending)),
+            Box::new(Tol::build(dag.graph(), OrderStrategy::DegreeDescending, 1)),
         ),
         (
             "TOL/by-id",
-            Box::new(Tol::build(dag.graph(), OrderStrategy::ById)),
+            Box::new(Tol::build(dag.graph(), OrderStrategy::ById, 1)),
         ),
-        ("TFL/topological", Box::new(build_tfl(&dag))),
+        ("TFL/topological", Box::new(build_tfl(&dag, 1))),
         ("PLL/degree+pruning", Box::new(Pll::build(dag.graph()))),
     ];
     for (name, idx) in &variants {

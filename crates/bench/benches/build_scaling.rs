@@ -5,8 +5,9 @@
 //! runs the full-size configuration).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use reach_bench::registry::build_plain;
 use reach_bench::workloads::Shape;
+use reach_core::pipeline::{build_plain, BuildOpts};
+use reach_graph::PreparedGraph;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -16,12 +17,17 @@ fn bench_build_scaling(c: &mut Criterion) {
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(4));
+    let opts = BuildOpts::default();
     for n in [10_000usize, 40_000] {
         let g = Arc::new(Shape::PowerLaw.generate(n, 5));
         group.throughput(Throughput::Elements(g.num_edges() as u64));
         for name in ["BFL", "IP", "GRAIL", "Feline", "PReaCH"] {
             group.bench_with_input(BenchmarkId::new(name, n), &g, |b, g| {
-                b.iter(|| black_box(build_plain(name, g)))
+                b.iter(|| {
+                    // a fresh prepared graph: every build pays for its condensation
+                    let prepared = PreparedGraph::new_shared(Arc::clone(g));
+                    black_box(build_plain(name, &prepared, &opts))
+                })
             });
         }
     }

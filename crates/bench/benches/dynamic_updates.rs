@@ -40,7 +40,7 @@ fn bench_dynamic(c: &mut Criterion) {
         b.iter_batched(
             || {
                 (
-                    Tol::build(&base, OrderStrategy::DegreeDescending),
+                    Tol::build(&base, OrderStrategy::DegreeDescending, 1),
                     SmallRng::seed_from_u64(1),
                 )
             },

@@ -2,8 +2,9 @@
 //! empirical "build time"; §5's "construction cost … is high" claim).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use reach_bench::registry::{build_lcr, lcr_feasible, lcr_names};
 use reach_bench::workloads::Shape;
+use reach_core::pipeline::BuildOpts;
+use reach_labeled::pipeline::{build_lcr, lcr_feasible, lcr_names};
 use reach_labeled::rlc::RlcIndex;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -20,7 +21,9 @@ fn bench_lcr_build(c: &mut Criterion) {
         if !lcr_feasible(name, n) {
             continue;
         }
-        group.bench_function(name, |b| b.iter(|| black_box(build_lcr(name, &g))));
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(build_lcr(name, &g, &BuildOpts::default())))
+        });
     }
     group.finish();
 }

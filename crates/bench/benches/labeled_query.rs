@@ -4,10 +4,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use reach_bench::registry::{build_lcr, lcr_feasible, lcr_names};
 use reach_bench::workloads::Shape;
+use reach_core::pipeline::BuildOpts;
 use reach_graph::{Label, LabelSet, VertexId};
 use reach_labeled::online::{lcr_bfs, rlc_bfs};
+use reach_labeled::pipeline::{build_lcr, lcr_feasible, lcr_names};
 use reach_labeled::rlc::RlcIndex;
 use reach_labeled::RlcIndexApi;
 use std::hint::black_box;
@@ -45,7 +46,7 @@ fn bench_lcr_query(c: &mut Criterion) {
         if !lcr_feasible(name, n) {
             continue;
         }
-        let idx = build_lcr(name, &g);
+        let idx = build_lcr(name, &g, &BuildOpts::default()).expect("registry name");
         group.bench_function(name, |b| {
             b.iter(|| {
                 for &(s, t, allowed) in &queries {

@@ -3,8 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use reach_bench::queries::query_mix;
-use reach_bench::registry::{build_plain, plain_feasible, plain_names};
 use reach_bench::workloads::Shape;
+use reach_core::pipeline::{build_plain, plain_feasible, plain_names, BuildOpts};
+use reach_graph::PreparedGraph;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -17,11 +18,12 @@ fn bench_plain_query(c: &mut Criterion) {
     group
         .sample_size(20)
         .measurement_time(Duration::from_secs(3));
+    let prepared = PreparedGraph::new_shared(Arc::clone(&g));
     for name in plain_names() {
         if !plain_feasible(name, n, g.num_edges()) {
             continue;
         }
-        let idx = build_plain(name, &g);
+        let (idx, _) = build_plain(name, &prepared, &BuildOpts::default()).expect("registry name");
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut hits = 0usize;

@@ -5,12 +5,14 @@
 //! cargo run -p reach-bench --bin figure1
 //! ```
 
-use reach_bench::registry::{build_lcr, build_plain, lcr_names, plain_names};
+use reach_core::pipeline::{build_plain, plain_names, BuildOpts};
 use reach_graph::fixtures::{
     self, label_name, vertex_name, A, B, D, FOLLOWS, FRIEND_OF, G, H, L, M, WORKS_FOR,
 };
 use reach_graph::LabelSet;
+use reach_graph::PreparedGraph;
 use reach_labeled::online::rlc_bfs;
+use reach_labeled::pipeline::{build_lcr, lcr_names};
 use reach_labeled::rlc::RlcIndex;
 use reach_labeled::zou::single_source_gtc;
 use reach_labeled::RlcIndexApi;
@@ -38,8 +40,9 @@ fn main() {
     println!("\n§2.1  Qr(A,G) on the plain graph:");
     assert!(plain.has_edge(A, D) && plain.has_edge(D, H) && plain.has_edge(H, G));
     println!("  witness path (A, D, H, G) exists in the fixture ✓");
+    let prepared = PreparedGraph::new_shared(Arc::clone(&plain));
     for name in plain_names() {
-        let idx = build_plain(name, &plain);
+        let (idx, _) = build_plain(name, &prepared, &BuildOpts::default()).expect("registry name");
         assert!(idx.query(A, G), "{name}");
     }
     println!("  all {} plain indexes answer true ✓", plain_names().len());
@@ -48,7 +51,7 @@ fn main() {
     println!("\n§2.2  Qr(A, G, (friendOf ∪ follows)*):");
     let constraint = LabelSet::from_labels([FRIEND_OF, FOLLOWS]);
     for name in lcr_names() {
-        let idx = build_lcr(name, &labeled);
+        let idx = build_lcr(name, &labeled, &BuildOpts::default()).expect("registry name");
         assert!(!idx.query(A, G, constraint), "{name}");
     }
     println!("  all {} LCR indexes answer false ✓", lcr_names().len());

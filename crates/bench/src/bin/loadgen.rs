@@ -37,8 +37,8 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use reach_bench::registry::BuildOpts;
 use reach_bench::workloads::Shape;
+use reach_core::pipeline::BuildOpts;
 use reach_core::IndexService;
 use reach_graph::PreparedGraph;
 use reach_server::{Client, ServerConfig, Services};

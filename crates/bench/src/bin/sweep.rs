@@ -13,9 +13,9 @@
 //! ```
 
 use reach_bench::queries::query_mix;
-use reach_bench::registry::{build_plain_with_report, BuildOpts};
 use reach_bench::report::{fmt_bytes, fmt_duration, timed, Table};
 use reach_bench::workloads::Shape;
+use reach_core::pipeline::{build_plain, BuildOpts};
 use reach_core::tol::{OrderStrategy, Tol};
 use reach_core::ReachIndex;
 use reach_graph::PreparedGraph;
@@ -46,7 +46,7 @@ fn sweep_spec(
     opts: &BuildOpts,
     mix: &reach_bench::queries::QueryMix,
 ) {
-    let (idx, report) = build_plain_with_report(name, prepared, opts);
+    let (idx, report) = build_plain(name, prepared, opts).expect("registry name");
     let (hits, query_time) = count_hits(idx.as_ref(), mix);
     assert_eq!(hits, mix.positives);
     table.row([
@@ -183,7 +183,7 @@ fn main() {
         sweep_raw(
             &mut table,
             format!("TOL order={name}"),
-            || Tol::build(&graph, strategy),
+            || Tol::build(&graph, strategy, 1),
             &mix,
         );
     }
@@ -194,7 +194,7 @@ fn main() {
     sweep_raw(
         &mut table,
         "TFL (topological order)".to_string(),
-        || reach_core::tol::build_tfl(&dag),
+        || reach_core::tol::build_tfl(&dag, 1),
         &mix,
     );
     println!("{}", table.render());

@@ -8,9 +8,11 @@
 //! ```
 
 use reach_bench::queries::query_mix;
-use reach_bench::registry::{build_plain_with_report, plain_feasible, plain_names, BuildOpts};
 use reach_bench::report::{fmt_bytes, fmt_duration, timed, Table};
 use reach_bench::workloads::Shape;
+use reach_core::pipeline::{
+    build_plain, plain_feasible, plain_names, plain_native_meta, BuildOpts,
+};
 use reach_core::{Completeness, Dynamism, Framework, InputClass};
 use reach_graph::PreparedGraph;
 use std::sync::Arc;
@@ -38,7 +40,7 @@ fn print_matrix() {
         if name.starts_with("online") {
             continue;
         }
-        let m = reach_bench::registry::plain_native_meta(name);
+        let m = plain_native_meta(name);
         table.row([
             format!("{} {}", m.name, m.citation),
             framework_name(m.framework).to_string(),
@@ -104,7 +106,7 @@ fn empirical(n: usize) {
                 ]);
                 continue;
             }
-            let (idx, report) = build_plain_with_report(name, &prepared, &opts);
+            let (idx, report) = build_plain(name, &prepared, &opts).expect("registry name");
             let (hits, q) = timed(|| {
                 let mut hits = 0usize;
                 for &(s, t) in &mix.pairs {

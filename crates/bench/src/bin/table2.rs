@@ -9,12 +9,13 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use reach_bench::registry::{build_lcr, lcr_feasible, lcr_names};
 use reach_bench::report::{fmt_bytes, fmt_duration, timed, Table};
 use reach_bench::workloads::Shape;
 use reach_core::index::{Completeness, Dynamism, InputClass};
+use reach_core::pipeline::BuildOpts;
 use reach_graph::{fixtures, Label, LabelSet, VertexId};
 use reach_labeled::online::{lcr_bfs, rlc_bfs};
+use reach_labeled::pipeline::{build_lcr, lcr_feasible, lcr_names};
 use reach_labeled::rlc::RlcIndex;
 use reach_labeled::{ConstraintClass, LcrFramework, RlcIndexApi};
 use std::sync::Arc;
@@ -41,7 +42,11 @@ fn print_matrix() {
     let mut metas: Vec<reach_labeled::LabeledIndexMeta> = lcr_names()
         .iter()
         .filter(|&&n| n != "GTC")
-        .map(|name| build_lcr(name, &g).meta())
+        .map(|name| {
+            build_lcr(name, &g, &BuildOpts::default())
+                .expect("registry name")
+                .meta()
+        })
         .collect();
     metas.push(RlcIndex::build(&g, 2).meta());
     for m in metas {
@@ -148,7 +153,8 @@ fn empirical(n: usize) {
                 ]);
                 continue;
             }
-            let (idx, build) = timed(|| build_lcr(name, &g));
+            let (idx, build) =
+                timed(|| build_lcr(name, &g, &BuildOpts::default()).expect("registry name"));
             let (answers, q) = timed(|| {
                 queries
                     .iter()

@@ -21,9 +21,9 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use reach_bench::registry::{build_plain_with_report, plain_names, BuildOpts};
 use reach_bench::report::{fmt_duration, timed, Table};
 use reach_bench::workloads::Shape;
+use reach_core::pipeline::{build_plain, BuildOpts};
 use reach_core::QueryEngine;
 use reach_graph::{PreparedGraph, VertexId};
 use std::sync::Arc;
@@ -91,13 +91,6 @@ fn parse_args(args: &[String]) -> Config {
             .map(String::from)
             .to_vec();
     }
-    let known = plain_names();
-    for name in &cfg.indexes {
-        assert!(
-            known.contains(&name.as_str()),
-            "unknown plain index {name:?}"
-        );
-    }
     cfg
 }
 
@@ -154,7 +147,7 @@ fn main() {
     let mut index_reports: Vec<String> = Vec::new();
 
     for name in &cfg.indexes {
-        let (idx, build) = build_plain_with_report(name, &prepared, &opts);
+        let (idx, build) = build_plain(name, &prepared, &opts).unwrap_or_else(|e| panic!("{e}"));
 
         // baseline: the classic sequential one-query-at-a-time loop
         let (reference, base_time) =

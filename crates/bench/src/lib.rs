@@ -5,8 +5,6 @@
 //! qualitative claims, over synthetic workloads (see DESIGN.md §4 for
 //! the experiment-by-experiment index).
 //!
-//! * [`registry`] — uniform construction of every plain and every
-//!   path-constrained index behind trait objects;
 //! * [`workloads`] — the named graph shapes the comparisons run on;
 //! * [`queries`] — query mixes with a controlled reachable share
 //!   (§5's argument revolves around unreachable-heavy mixes);
@@ -15,6 +13,5 @@
 #![forbid(unsafe_code)]
 
 pub mod queries;
-pub mod registry;
 pub mod report;
 pub mod workloads;

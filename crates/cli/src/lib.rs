@@ -20,13 +20,13 @@
 #![forbid(unsafe_code)]
 
 use reach_bench::queries::query_mix;
-use reach_bench::registry::{
-    build_lcr, build_plain_with_report, lcr_names, plain_feasible, plain_names, plain_native_meta,
-    BuildOpts,
-};
 use reach_bench::report::{fmt_build_report, fmt_bytes, fmt_duration, timed, Table};
 use reach_bench::workloads::{Shape, ALL_SHAPES};
+use reach_core::pipeline::{
+    build_plain, plain_feasible, plain_names, plain_native_meta, plain_spec, BuildOpts,
+};
 use reach_graph::{io, DiGraph, GraphError, LabeledGraph, PreparedGraph, VertexId};
+use reach_labeled::pipeline::{build_lcr, lcr_names};
 use reach_labeled::rlc::RlcIndex;
 use reach_labeled::{ConstraintKind, RlcIndexApi};
 use std::fmt;
@@ -84,6 +84,11 @@ impl std::error::Error for CliError {
 
 fn err(msg: impl Into<String>) -> CliError {
     CliError::Usage(msg.into())
+}
+
+/// A registry's unknown-name error, pointing at the list of names.
+fn unknown_index(e: impl fmt::Display) -> CliError {
+    err(format!("{e} (see `reach indexes`)"))
 }
 
 impl From<std::io::Error> for CliError {
@@ -511,11 +516,6 @@ fn cmd_query(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         LoadedGraph::Labeled(lg) => Arc::new(lg.to_digraph()),
     };
     let name = flags.indexes.first().map(String::as_str).unwrap_or("BFL");
-    if !plain_names().contains(&name) {
-        return Err(err(format!(
-            "unknown plain index {name:?} (see `reach indexes`)"
-        )));
-    }
     let pairs = match &flags.batch {
         Some(file) => {
             if !pairs_tokens.is_empty() {
@@ -526,7 +526,8 @@ fn cmd_query(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         None => parse_pairs(pairs_tokens, g.num_vertices())?,
     };
     let prepared = PreparedGraph::new_shared(g);
-    let (idx, report) = build_plain_with_report(name, &prepared, &BuildOpts::default());
+    let (idx, report) =
+        build_plain(name, &prepared, &BuildOpts::default()).map_err(unknown_index)?;
     writeln!(out, "built {}", fmt_build_report(&report))?;
     if flags.batch.is_some() {
         let engine = reach_core::QueryEngine::new(flags.threads);
@@ -574,10 +575,8 @@ fn cmd_lcr(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     match ast.classify() {
         ConstraintKind::Alternation(allowed) => {
             let name = flags.indexes.first().map(String::as_str).unwrap_or("P2H+");
-            if !lcr_names().contains(&name) {
-                return Err(err(format!("unknown LCR index {name:?}")));
-            }
-            let (idx, build) = timed(|| build_lcr(name, &g));
+            let (idx, build) = timed(|| build_lcr(name, &g, &BuildOpts::default()));
+            let idx = idx.map_err(unknown_index)?;
             writeln!(
                 out,
                 "constraint is an alternation {allowed:?}; built {name} in {}",
@@ -696,7 +695,7 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let prepared = PreparedGraph::new_shared(g);
     let plain = Arc::new(
         IndexService::build(&index, prepared, &BuildOpts::default(), threads)
-            .map_err(|e| err(format!("{e} (see `reach indexes`)")))?,
+            .map_err(unknown_index)?,
     );
     writeln!(out, "built {}", fmt_build_report(plain.report()))?;
     let lcr = match lcr {
@@ -708,8 +707,7 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 )));
             };
             let svc = Arc::new(
-                LcrService::build(&name, lg, &BuildOpts::default())
-                    .map_err(|e| err(format!("{e} (see `reach indexes`)")))?,
+                LcrService::build(&name, lg, &BuildOpts::default()).map_err(unknown_index)?,
             );
             writeln!(
                 out,
@@ -829,9 +827,9 @@ fn cmd_verify(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 )?;
                 continue;
             }
-            if let Some(outcome) = reach_core::audit::audit_plain(name, &prepared, &opts, &cfg) {
-                report(out, outcome)?;
-            }
+            let outcome = reach_core::audit::audit_plain(name, &prepared, &opts, &cfg)
+                .map_err(unknown_index)?;
+            report(out, outcome)?;
         } else if lcr_known.contains(&name) {
             let Some(lg) = &labeled else {
                 writeln!(out, "{name}: skipped ({path} is a plain graph)")?;
@@ -845,9 +843,8 @@ fn cmd_verify(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 )?;
                 continue;
             }
-            if let Some(outcome) = reach_labeled::audit_lcr(name, lg, &opts, &cfg) {
-                report(out, outcome)?;
-            }
+            let outcome = reach_labeled::audit_lcr(name, lg, &opts, &cfg).map_err(unknown_index)?;
+            report(out, outcome)?;
         } else {
             return Err(err(format!("unknown index {name:?} (see `reach indexes`)")));
         }
@@ -877,12 +874,6 @@ fn cmd_bench(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     } else {
         flags.indexes.iter().map(String::as_str).collect()
     };
-    let known = plain_names();
-    for name in &names {
-        if !known.contains(name) {
-            return Err(err(format!("unknown plain index {name:?}")));
-        }
-    }
     let mix = query_mix(&g, flags.queries, flags.positive, 7);
     writeln!(
         out,
@@ -908,7 +899,8 @@ fn cmd_bench(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "query avg",
     ]);
     for name in names {
-        if !plain_feasible(name, g.num_vertices(), g.num_edges()) {
+        // an unknown name falls through to build_plain's typed error
+        if plain_spec(name).is_some_and(|s| !(s.feasible)(g.num_vertices(), g.num_edges())) {
             table.row([
                 name.to_string(),
                 "(infeasible at this size)".into(),
@@ -921,7 +913,7 @@ fn cmd_bench(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             ]);
             continue;
         }
-        let (idx, report) = build_plain_with_report(name, &prepared, &opts);
+        let (idx, report) = build_plain(name, &prepared, &opts).map_err(unknown_index)?;
         let (hits, q) = timed(|| mix.pairs.iter().filter(|&&(s, t)| idx.query(s, t)).count());
         assert_eq!(hits, mix.positives, "{name} answered a query wrongly");
         table.row([
@@ -1076,7 +1068,42 @@ mod tests {
         assert!(run_to_string(&["query", "/nonexistent", "--index", "BFL", "0", "1"]).is_err());
         let path = tmp("g6.el");
         run_to_string(&["gen", "sparse-dag", "50", "--out", &path]).unwrap();
-        assert!(run_to_string(&["query", &path, "--index", "NotAnIndex", "0", "1"]).is_err());
+        // unknown index names come back as errors naming the index, on
+        // every by-name build path
+        for args in [
+            vec!["query", &path, "--index", "NotAnIndex", "0", "1"],
+            vec!["bench", &path, "--index", "BFL", "--index", "NotAnIndex"],
+        ] {
+            let e = run_to_string(&args).unwrap_err();
+            assert!(matches!(e, CliError::Usage(_)), "{e}");
+            assert!(e.to_string().contains("\"NotAnIndex\""), "{e}");
+        }
+        let labeled = tmp("g6l.el");
+        run_to_string(&[
+            "gen",
+            "sparse-dag",
+            "50",
+            "--labels",
+            "2",
+            "--out",
+            &labeled,
+        ])
+        .unwrap();
+        let e = run_to_string(&[
+            "lcr",
+            &labeled,
+            "--index",
+            "NotAnIndex",
+            "--constraint",
+            "(0|1)*",
+            "0",
+            "1",
+        ])
+        .unwrap_err();
+        assert!(
+            e.to_string().contains("unknown LCR index \"NotAnIndex\""),
+            "{e}"
+        );
         assert!(
             run_to_string(&["query", &path, "--index", "BFL", "0"]).is_err(),
             "odd pair"
@@ -1342,9 +1369,25 @@ mod tests {
         // --lcr on a plain graph
         let e = run_to_string(&["serve", &path, "--lcr", "P2H+", "--port", "0"]).unwrap_err();
         assert!(e.to_string().contains("labeled"), "{e}");
-        // unknown index
+        // unknown index, plain and LCR
         let e = run_to_string(&["serve", &path, "--index", "Nope", "--port", "0"]).unwrap_err();
-        assert!(e.to_string().contains("Nope"), "{e}");
+        assert!(
+            e.to_string().contains("unknown plain index \"Nope\""),
+            "{e}"
+        );
+        let labeled = tmp("serve2l.el");
+        run_to_string(&[
+            "gen",
+            "sparse-dag",
+            "30",
+            "--labels",
+            "2",
+            "--out",
+            &labeled,
+        ])
+        .unwrap();
+        let e = run_to_string(&["serve", &labeled, "--lcr", "Nope", "--port", "0"]).unwrap_err();
+        assert!(e.to_string().contains("unknown LCR index \"Nope\""), "{e}");
         // zero workers, missing graph, unknown flag
         assert!(run_to_string(&["serve", &path, "--workers", "0"]).is_err());
         assert!(run_to_string(&["serve"]).is_err());

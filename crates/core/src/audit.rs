@@ -15,7 +15,7 @@
 //! `tests/verify_differential.rs` runs it across the registry.
 
 use crate::index::ReachIndex;
-use crate::pipeline::{BuildOpts, PlainSpec};
+use crate::pipeline::{build_plain, BuildOpts, UnknownIndex};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use reach_graph::traverse::{self, VisitMap};
@@ -170,25 +170,16 @@ pub fn audit_index(idx: &dyn ReachIndex, g: &DiGraph, cfg: &AuditConfig) -> Audi
     }
 }
 
-/// Builds `spec` over `prepared` and audits the result.
-pub fn audit_plain_spec(
-    spec: &PlainSpec,
-    prepared: &PreparedGraph,
-    opts: &BuildOpts,
-    cfg: &AuditConfig,
-) -> AuditOutcome {
-    let idx = (spec.build)(prepared, opts);
-    audit_index(idx.as_ref(), prepared.graph(), cfg)
-}
-
-/// [`audit_plain_spec`] by registry name; `None` for unknown names.
+/// Builds the named registry index over `prepared` and audits the
+/// result.
 pub fn audit_plain(
     name: &str,
     prepared: &PreparedGraph,
     opts: &BuildOpts,
     cfg: &AuditConfig,
-) -> Option<AuditOutcome> {
-    crate::pipeline::plain_spec(name).map(|spec| audit_plain_spec(spec, prepared, opts, cfg))
+) -> Result<AuditOutcome, UnknownIndex> {
+    let (idx, _) = build_plain(name, prepared, opts)?;
+    Ok(audit_index(idx.as_ref(), prepared.graph(), cfg))
 }
 
 fn overflow_note(index: &'static str, rule: &'static str, count: usize, out: &mut Vec<Violation>) {
@@ -499,7 +490,7 @@ mod tests {
             &BuildOpts::default(),
             &AuditConfig::default()
         )
-        .is_none());
+        .is_err());
     }
 
     #[test]

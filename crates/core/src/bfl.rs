@@ -16,8 +16,7 @@ use crate::index::{
 };
 use crate::interval::SpanningForest;
 use reach_graph::topo::dag_levels;
-use reach_graph::{Dag, DiGraph, VertexId};
-use std::sync::Arc;
+use reach_graph::{Dag, VertexId};
 
 fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E3779B97F4A7C15);
@@ -156,14 +155,9 @@ pub type Bfl = GuidedSearch<BflFilter>;
 
 /// Builds BFL with `bits`-bucket Bloom labels.
 pub fn build_bfl(dag: &Dag, bits: usize, seed: u64) -> Bfl {
-    build_bfl_shared(dag.shared_graph(), dag, bits, seed)
-}
-
-/// Builds BFL over an explicitly shared graph.
-pub fn build_bfl_shared(graph: Arc<DiGraph>, dag: &Dag, bits: usize, seed: u64) -> Bfl {
     let filter = BflFilter::build(dag, bits, seed);
     GuidedSearch::new(
-        graph,
+        dag.shared_graph(),
         filter,
         IndexMeta {
             name: "BFL",
@@ -250,7 +244,7 @@ mod tests {
         // Condensed ids are reverse-topological; the forest must still
         // hold the whole path, so its interval proves head -> tail.
         let edges: Vec<(u32, u32)> = (0..29).map(|i| (i, i + 1)).collect();
-        let c = reach_graph::Condensation::new(&DiGraph::from_edges(30, &edges));
+        let c = reach_graph::Condensation::new(&reach_graph::DiGraph::from_edges(30, &edges));
         let f = BflFilter::build(c.dag(), 64, 3);
         let head = c.component_of(VertexId(0));
         let tail = c.component_of(VertexId(29));

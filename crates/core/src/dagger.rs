@@ -15,8 +15,6 @@ use crate::grail::GrailFilter;
 use crate::index::{
     Certainty, Completeness, Dynamism, Framework, IndexMeta, InputClass, ReachIndex,
 };
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use reach_graph::traverse::{Side, VisitMap};
 use reach_graph::{Dag, DiGraphBuilder, ScratchPool, VertexId};
 
@@ -40,8 +38,7 @@ struct Scratch {
 impl DynamicGrail {
     /// Builds the index from a DAG snapshot with `k` labelings.
     pub fn build(dag: &Dag, k: usize, seed: u64) -> Self {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let filter = GrailFilter::build(dag, k, &mut rng);
+        let filter = GrailFilter::build(dag, k, seed, 1);
         DynamicGrail {
             out_adj: dag
                 .vertices()
@@ -122,8 +119,7 @@ impl DynamicGrail {
         }
         match Dag::new(b.build()) {
             Ok(dag) => {
-                let mut rng = SmallRng::seed_from_u64(self.seed);
-                self.labelings = GrailFilter::build(&dag, self.k, &mut rng).into_labelings();
+                self.labelings = GrailFilter::build(&dag, self.k, self.seed, 1).into_labelings();
                 true
             }
             Err(_) => false,
@@ -202,7 +198,8 @@ impl ReachIndex for DynamicGrail {
 mod tests {
     use super::*;
     use crate::tc::TransitiveClosure;
-    use rand::Rng;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use reach_graph::fixtures;
     use reach_graph::generators::random_dag;
     use reach_graph::DiGraph;

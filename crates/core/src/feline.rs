@@ -15,7 +15,6 @@ use crate::index::{
 use reach_graph::{Dag, DiGraph, VertexId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 /// The two-coordinate dominance filter.
 #[derive(Debug, Clone)]
@@ -114,14 +113,9 @@ pub type Feline = GuidedSearch<FelineFilter>;
 
 /// Builds Feline over a DAG.
 pub fn build_feline(dag: &Dag) -> Feline {
-    build_feline_shared(dag.shared_graph(), dag)
-}
-
-/// Builds Feline over an explicitly shared graph.
-pub fn build_feline_shared(graph: Arc<DiGraph>, dag: &Dag) -> Feline {
     let filter = FelineFilter::build(dag);
     GuidedSearch::new(
-        graph,
+        dag.shared_graph(),
         filter,
         IndexMeta {
             name: "Feline",

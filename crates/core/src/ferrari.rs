@@ -19,7 +19,6 @@ use crate::index::{
 use crate::interval::SpanningForest;
 use reach_graph::traverse::VisitMap;
 use reach_graph::{Dag, DiGraph, VertexId};
-use std::sync::Arc;
 
 /// One Ferrari interval: `[start, end]` plus whether it is exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -260,14 +259,9 @@ pub type Ferrari = GuidedSearch<FerrariFilter>;
 
 /// Builds Ferrari with at most `budget` intervals per vertex.
 pub fn build_ferrari(dag: &Dag, budget: usize) -> Ferrari {
-    build_ferrari_shared(dag.shared_graph(), dag, budget)
-}
-
-/// Builds Ferrari over an explicitly shared graph.
-pub fn build_ferrari_shared(graph: Arc<DiGraph>, dag: &Dag, budget: usize) -> Ferrari {
     let filter = FerrariFilter::build(dag, budget);
     GuidedSearch::new(
-        graph,
+        dag.shared_graph(),
         filter,
         IndexMeta {
             name: "Ferrari",

@@ -26,22 +26,12 @@ pub struct Condensed<I> {
 }
 
 impl<I: ReachIndex> Condensed<I> {
-    /// Condenses `g` and builds the inner index on the SCC DAG via
-    /// `build` (which receives the condensation DAG).
-    pub fn build(g: &DiGraph, build: impl FnOnce(&Dag) -> I) -> Self {
-        Self::from_condensation(Arc::new(Condensation::new(g)), build)
-    }
-
-    /// Builds the inner index on an existing (shared) condensation.
-    pub fn from_condensation(cond: Arc<Condensation>, build: impl FnOnce(&Dag) -> I) -> Self {
+    /// Builds the inner index on a [`PreparedGraph`]'s memoized
+    /// condensation DAG — no per-index Tarjan run.
+    pub fn from_prepared(prepared: &PreparedGraph, build: impl FnOnce(&Dag) -> I) -> Self {
+        let cond = Arc::clone(prepared.condensation());
         let inner = build(cond.dag());
         Condensed { cond, inner }
-    }
-
-    /// Builds the inner index on a [`PreparedGraph`]'s memoized
-    /// condensation — the pipeline path: no per-index Tarjan run.
-    pub fn from_prepared(prepared: &PreparedGraph, build: impl FnOnce(&Dag) -> I) -> Self {
-        Self::from_condensation(Arc::clone(prepared.condensation()), build)
     }
 
     /// The inner DAG index.
@@ -142,7 +132,7 @@ mod tests {
     fn condensed_tc_handles_cycles() {
         // {0,1,2} cycle -> 3 -> {4,5} cycle, 6 isolated
         let g = DiGraph::from_edges(7, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 4)]);
-        let idx = Condensed::build(&g, TransitiveClosure::build_dag);
+        let idx = Condensed::from_prepared(&PreparedGraph::new(g), TransitiveClosure::build_dag);
         assert!(idx.query(VertexId(0), VertexId(5)));
         assert!(idx.query(VertexId(1), VertexId(0)), "same SCC");
         assert!(idx.query(VertexId(4), VertexId(5)));
@@ -154,7 +144,7 @@ mod tests {
     #[test]
     fn meta_reports_general_input() {
         let g = DiGraph::from_edges(2, &[(0, 1)]);
-        let idx = Condensed::build(&g, TransitiveClosure::build_dag);
+        let idx = Condensed::from_prepared(&PreparedGraph::new(g), TransitiveClosure::build_dag);
         assert_eq!(idx.meta().input, InputClass::General);
     }
 
@@ -168,7 +158,10 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         for trial in 0..5 {
             let g = random_digraph(60, 150, &mut rng);
-            let idx = Condensed::build(&g, TransitiveClosure::build_dag);
+            let idx = Condensed::from_prepared(
+                &PreparedGraph::new(g.clone()),
+                TransitiveClosure::build_dag,
+            );
             let mut vm = VisitMap::new(g.num_vertices());
             for s in g.vertices() {
                 for t in g.vertices() {

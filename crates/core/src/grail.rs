@@ -15,10 +15,10 @@ use crate::index::{
     ReachFilter,
 };
 use crate::interval::SpanningForest;
+use crate::parallel;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use reach_graph::{Dag, DiGraph, VertexId};
-use std::sync::Arc;
 
 /// The pruning filter: `k` independent `(low, rank)` labelings.
 #[derive(Debug, Clone)]
@@ -27,9 +27,12 @@ pub struct GrailFilter {
     labelings: Vec<Vec<(u32, u32)>>,
 }
 
-/// Computes one GRAIL labeling from a random DFS post-order.
-fn one_labeling<R: Rng>(dag: &Dag, rng: &mut R) -> Vec<(u32, u32)> {
-    let forest = SpanningForest::build_random(dag.graph(), rng);
+/// Computes GRAIL labeling `i` from a random DFS post-order. Its RNG
+/// depends only on `(seed, i)`, so a labeling comes out the same
+/// whichever thread builds it.
+fn one_labeling(dag: &Dag, seed: u64, i: usize) -> Vec<(u32, u32)> {
+    let mut rng = SmallRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let forest = SpanningForest::build_random(dag.graph(), &mut rng);
     let n = dag.num_vertices();
     let mut label: Vec<(u32, u32)> = (0..n)
         .map(|i| {
@@ -49,11 +52,18 @@ fn one_labeling<R: Rng>(dag: &Dag, rng: &mut R) -> Vec<(u32, u32)> {
 }
 
 impl GrailFilter {
-    /// Builds `k` independent labelings seeded from `rng`.
-    pub fn build<R: Rng>(dag: &Dag, k: usize, rng: &mut R) -> Self {
+    /// Builds `k` independent labelings, split over `threads` threads
+    /// (see [`crate::parallel`]). The filter is the same at every
+    /// thread count.
+    pub fn build(dag: &Dag, k: usize, seed: u64, threads: usize) -> Self {
         assert!(k >= 1, "GRAIL needs at least one labeling");
+        let labelings = parallel::map_chunks(k, threads, |range| {
+            range
+                .map(|i| one_labeling(dag, seed, i))
+                .collect::<Vec<_>>()
+        });
         GrailFilter {
-            labelings: (0..k).map(|_| one_labeling(dag, rng)).collect(),
+            labelings: labelings.into_iter().flatten().collect(),
         }
     }
 
@@ -66,13 +76,6 @@ impl GrailFilter {
     /// dynamic DAGGER wrapper).
     pub(crate) fn into_labelings(self) -> Vec<Vec<(u32, u32)>> {
         self.labelings
-    }
-
-    /// Assembles a filter from prebuilt labelings (used by the
-    /// parallel builder).
-    pub(crate) fn from_labelings(labelings: Vec<Vec<(u32, u32)>>) -> Self {
-        assert!(!labelings.is_empty());
-        GrailFilter { labelings }
     }
 }
 
@@ -156,32 +159,11 @@ impl ReachFilter for GrailFilter {
 /// GRAIL as an exact oracle: the filter plus guided DFS.
 pub type Grail = GuidedSearch<GrailFilter>;
 
-/// Builds GRAIL with `k` random labelings.
-pub fn build_grail(dag: &Dag, k: usize, seed: u64) -> Grail {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let filter = GrailFilter::build(dag, k, &mut rng);
+/// Builds GRAIL with `k` random labelings on `threads` threads.
+pub fn build_grail(dag: &Dag, k: usize, seed: u64, threads: usize) -> Grail {
     GuidedSearch::new(
         dag.shared_graph(),
-        filter,
-        IndexMeta {
-            name: "GRAIL",
-            citation: "[50]",
-            framework: Framework::TreeCover,
-            completeness: Completeness::Partial,
-            input: InputClass::Dag,
-            dynamism: Dynamism::Static,
-        },
-    )
-}
-
-/// Builds GRAIL over an explicitly shared graph (avoids a clone when
-/// the caller already holds an `Arc`).
-pub fn build_grail_shared(graph: Arc<DiGraph>, dag: &Dag, k: usize, seed: u64) -> Grail {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let filter = GrailFilter::build(dag, k, &mut rng);
-    GuidedSearch::new(
-        graph,
-        filter,
+        GrailFilter::build(dag, k, seed, threads),
         IndexMeta {
             name: "GRAIL",
             citation: "[50]",
@@ -205,7 +187,7 @@ mod tests {
     fn filter_has_no_false_negatives() {
         let mut rng = SmallRng::seed_from_u64(31);
         let dag = random_dag(100, 260, &mut rng);
-        let filter = GrailFilter::build(&dag, 3, &mut rng);
+        let filter = GrailFilter::build(&dag, 3, 31, 1);
         let tc = TransitiveClosure::build_dag(&dag);
         for s in dag.vertices() {
             for t in dag.vertices() {
@@ -225,7 +207,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(32);
         for k in [1, 2, 5] {
             let dag = random_dag(80, 200, &mut rng);
-            let grail = build_grail(&dag, k, 99);
+            let grail = build_grail(&dag, k, 99, 1);
             let tc = TransitiveClosure::build_dag(&dag);
             for s in dag.vertices() {
                 for t in dag.vertices() {
@@ -236,9 +218,24 @@ mod tests {
     }
 
     #[test]
+    fn identical_at_every_thread_count() {
+        let mut rng = SmallRng::seed_from_u64(36);
+        let dag = random_dag(120, 300, &mut rng);
+        let one = build_grail(&dag, 5, 9, 1);
+        let eight = build_grail(&dag, 5, 9, 8);
+        assert_eq!(one.filter().labelings, eight.filter().labelings);
+        let tc = TransitiveClosure::build_dag(&dag);
+        for s in dag.vertices() {
+            for t in dag.vertices() {
+                assert_eq!(eight.query(s, t), tc.reaches(s, t), "at {s:?}->{t:?}");
+            }
+        }
+    }
+
+    #[test]
     fn figure1_queries() {
         let dag = Dag::new(fixtures::figure1a()).unwrap();
-        let grail = build_grail(&dag, 2, 7);
+        let grail = build_grail(&dag, 2, 7, 1);
         assert!(grail.query(fixtures::A, fixtures::G));
         assert!(!grail.query(fixtures::M, fixtures::G));
     }
@@ -249,11 +246,11 @@ mod tests {
         // at least as often (each labeling is an independent chance).
         let mut rng = SmallRng::seed_from_u64(33);
         let dag = random_dag(60, 150, &mut rng);
-        let f1 = GrailFilter::build(&dag, 1, &mut SmallRng::seed_from_u64(1));
+        let f1 = GrailFilter::build(&dag, 1, 1, 1);
         let f4 = GrailFilter {
             labelings: {
                 let mut ls = f1.labelings.clone();
-                ls.extend(GrailFilter::build(&dag, 3, &mut SmallRng::seed_from_u64(2)).labelings);
+                ls.extend(GrailFilter::build(&dag, 3, 2, 1).labelings);
                 ls
             },
         };
@@ -277,8 +274,8 @@ mod tests {
     fn size_scales_with_k() {
         let mut rng = SmallRng::seed_from_u64(34);
         let dag = random_dag(50, 120, &mut rng);
-        let f2 = GrailFilter::build(&dag, 2, &mut rng);
-        let f5 = GrailFilter::build(&dag, 5, &mut rng);
+        let f2 = GrailFilter::build(&dag, 2, 34, 1);
+        let f5 = GrailFilter::build(&dag, 5, 35, 1);
         assert_eq!(f2.size_entries(), 2 * 50);
         assert_eq!(f5.size_entries(), 5 * 50);
         assert!(f5.size_bytes() > f2.size_bytes());

@@ -11,7 +11,8 @@
 
 use crate::audit::Violation;
 use crate::index::{Completeness, Dynamism, Framework, IndexMeta, InputClass, ReachIndex};
-use reach_graph::traverse::{Side, VisitMap};
+use crate::parallel;
+use reach_graph::traverse::{backward_closure_with, forward_closure_with, Side, VisitMap};
 use reach_graph::{Dag, DiGraph, ScratchPool, VertexId};
 use std::sync::Arc;
 
@@ -35,15 +36,14 @@ struct Scratch {
 }
 
 impl Hl {
-    /// Builds the oracle with `k` landmarks chosen by descending degree.
-    pub fn build(dag: &Dag, k: usize) -> Self {
-        Self::build_shared(dag.shared_graph(), k)
-    }
-
-    /// Builds the oracle over an explicitly shared graph (acyclicity
-    /// is not actually required by the construction, but the technique
-    /// is classified as DAG-input in the survey).
-    pub fn build_shared(graph: Arc<DiGraph>, k: usize) -> Self {
+    /// Builds the oracle with `k` landmarks chosen by descending
+    /// degree. The landmarks' closures are independent, so they are
+    /// split over `threads` threads (see [`crate::parallel`]); the
+    /// oracle is the same at every thread count. Acyclicity is not
+    /// actually required by the construction, but the technique is
+    /// classified as DAG-input in the survey.
+    pub fn build(dag: &Dag, k: usize, threads: usize) -> Self {
+        let graph = dag.shared_graph();
         let n = graph.num_vertices();
         let k = k.min(n);
         let words = n.div_ceil(64).max(1);
@@ -54,54 +54,33 @@ impl Hl {
         for &lm in &landmarks {
             is_landmark[lm.index()] = true;
         }
-        let mut fwd = vec![0u64; k * words];
-        let mut bwd = vec![0u64; k * words];
-        // one visit map + closure buffer reused across every landmark,
-        // instead of a fresh `vec![false; n]` per traversal
-        let mut visit = VisitMap::new(n);
-        let mut closure = Vec::new();
-        for (i, &lm) in landmarks.iter().enumerate() {
-            reach_graph::traverse::forward_closure_with(&graph, lm, &mut visit, &mut closure);
-            for &v in &closure {
-                fwd[i * words + v.index() / 64] |= 1 << (v.index() % 64);
+        let rows = parallel::map_chunks(k, threads, |range| {
+            let mut fwd = vec![0u64; range.len() * words];
+            let mut bwd = vec![0u64; range.len() * words];
+            // one visit map + closure buffer reused across the chunk's
+            // landmarks, instead of a fresh `vec![false; n]` per traversal
+            let mut visit = VisitMap::new(n);
+            let mut closure = Vec::new();
+            for (row, &lm) in landmarks[range].iter().enumerate() {
+                forward_closure_with(&graph, lm, &mut visit, &mut closure);
+                for &v in &closure {
+                    fwd[row * words + v.index() / 64] |= 1 << (v.index() % 64);
+                }
+                backward_closure_with(&graph, lm, &mut visit, &mut closure);
+                for &v in &closure {
+                    bwd[row * words + v.index() / 64] |= 1 << (v.index() % 64);
+                }
             }
-            reach_graph::traverse::backward_closure_with(&graph, lm, &mut visit, &mut closure);
-            for &v in &closure {
-                bwd[i * words + v.index() / 64] |= 1 << (v.index() % 64);
-            }
-        }
+            (fwd, bwd)
+        });
+        let (fwd, bwd): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
         Hl {
             graph,
             landmarks,
             is_landmark,
             words,
-            fwd,
-            bwd,
-            scratch: ScratchPool::new(),
-        }
-    }
-
-    /// Assembles an oracle from precomputed landmark reach sets (used
-    /// by the parallel builder).
-    pub(crate) fn from_parts(
-        graph: Arc<DiGraph>,
-        landmarks: Vec<VertexId>,
-        words: usize,
-        fwd: Vec<u64>,
-        bwd: Vec<u64>,
-    ) -> Self {
-        let n = graph.num_vertices();
-        let mut is_landmark = vec![false; n];
-        for &lm in &landmarks {
-            is_landmark[lm.index()] = true;
-        }
-        Hl {
-            graph,
-            landmarks,
-            is_landmark,
-            words,
-            fwd,
-            bwd,
+            fwd: fwd.concat(),
+            bwd: bwd.concat(),
             scratch: ScratchPool::new(),
         }
     }
@@ -213,14 +192,10 @@ impl ReachIndex for Hl {
                 (
                     &self.fwd,
                     "forward",
-                    reach_graph::traverse::forward_closure_with
+                    forward_closure_with
                         as fn(&DiGraph, VertexId, &mut VisitMap, &mut Vec<VertexId>),
                 ),
-                (
-                    &self.bwd,
-                    "backward",
-                    reach_graph::traverse::backward_closure_with,
-                ),
+                (&self.bwd, "backward", backward_closure_with),
             ] {
                 closure_of(graph, lm, &mut visit, &mut closure);
                 let mut expected = vec![false; n];
@@ -256,7 +231,7 @@ mod tests {
     use reach_graph::generators::{power_law_dag, random_dag};
 
     fn check(dag: &Dag, k: usize) {
-        let idx = Hl::build(dag, k);
+        let idx = Hl::build(dag, k, 1);
         let tc = TransitiveClosure::build_dag(dag);
         for s in dag.vertices() {
             for t in dag.vertices() {
@@ -288,6 +263,32 @@ mod tests {
     }
 
     #[test]
+    fn rows_are_the_true_closures_at_every_thread_count() {
+        use reach_graph::traverse::{backward_closure, forward_closure};
+        let mut rng = SmallRng::seed_from_u64(184);
+        let dag = power_law_dag(150, 3, &mut rng);
+        let one = Hl::build(&dag, 12, 1);
+        let eight = Hl::build(&dag, 12, 8);
+        assert_eq!(one.landmarks, eight.landmarks);
+        assert_eq!(one.fwd, eight.fwd);
+        assert_eq!(one.bwd, eight.bwd);
+        for (i, &lm) in eight.landmarks.iter().enumerate() {
+            for (table, closure) in [
+                (&eight.fwd, forward_closure(dag.graph(), lm)),
+                (&eight.bwd, backward_closure(dag.graph(), lm)),
+            ] {
+                for v in dag.vertices() {
+                    assert_eq!(
+                        Hl::bit(table, i, eight.words, v),
+                        closure.contains(&v),
+                        "landmark {lm:?} row at {v:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn zero_landmarks_degenerates_to_search() {
         let mut rng = SmallRng::seed_from_u64(183);
         check(&random_dag(40, 100, &mut rng), 0);
@@ -297,7 +298,7 @@ mod tests {
     fn landmark_endpoint_pairs_use_lookup_only() {
         // s itself a landmark: every s-t path "touches a landmark" at s
         let dag = Dag::new(fixtures::figure1a()).unwrap();
-        let idx = Hl::build(&dag, 9); // all vertices are landmarks
+        let idx = Hl::build(&dag, 9, 1); // all vertices are landmarks
         assert_eq!(idx.num_landmarks(), 9);
         let tc = TransitiveClosure::build_dag(&dag);
         for s in dag.vertices() {

@@ -18,8 +18,7 @@ use crate::index::{
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use reach_graph::topo::dag_levels;
-use reach_graph::{Dag, DiGraph, VertexId};
-use std::sync::Arc;
+use reach_graph::{Dag, VertexId};
 
 /// One k-min-wise label: the `k` smallest permutation hashes of a
 /// closure, sorted ascending. `exact` means the closure had fewer than
@@ -197,14 +196,9 @@ pub type Ip = GuidedSearch<IpFilter>;
 
 /// Builds IP with `k`-min-wise labels.
 pub fn build_ip(dag: &Dag, k: usize, seed: u64) -> Ip {
-    build_ip_shared(dag.shared_graph(), dag, k, seed)
-}
-
-/// Builds IP over an explicitly shared graph.
-pub fn build_ip_shared(graph: Arc<DiGraph>, dag: &Dag, k: usize, seed: u64) -> Ip {
     let filter = IpFilter::build(dag, k, seed);
     GuidedSearch::new(
-        graph,
+        dag.shared_graph(),
         filter,
         IndexMeta {
             name: "IP",

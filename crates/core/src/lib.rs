@@ -58,7 +58,7 @@ pub use index::{
     Certainty, Completeness, Dynamism, FilterGuarantees, Framework, IndexMeta, InputClass,
     ReachFilter, ReachIndex,
 };
-pub use pipeline::{BuildOpts, BuildReport, BuilderSpec, PlainSpec};
+pub use pipeline::{BuildOpts, BuildReport, BuilderSpec, PlainSpec, UnknownIndex};
 pub use query_engine::QueryEngine;
-pub use service::{IndexService, UnknownIndex};
+pub use service::IndexService;
 pub use tc::TransitiveClosure;

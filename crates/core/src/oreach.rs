@@ -20,7 +20,6 @@ use crate::index::{
     ReachFilter,
 };
 use reach_graph::{Dag, DiGraph, VertexId};
-use std::sync::Arc;
 
 /// The supportive-vertex filter.
 #[derive(Debug, Clone)]
@@ -154,14 +153,9 @@ pub type OReach = GuidedSearch<OReachFilter>;
 
 /// Builds O'Reach with `k` supportive vertices.
 pub fn build_oreach(dag: &Dag, k: usize) -> OReach {
-    build_oreach_shared(dag.shared_graph(), dag, k)
-}
-
-/// Builds O'Reach over an explicitly shared graph.
-pub fn build_oreach_shared(graph: Arc<DiGraph>, dag: &Dag, k: usize) -> OReach {
     let filter = OReachFilter::build(dag, k);
     GuidedSearch::new(
-        graph,
+        dag.shared_graph(),
         filter,
         IndexMeta {
             name: "O'Reach",

@@ -1,33 +1,31 @@
-//! Parallel index construction — the survey's closing open challenge
-//! (§5: *"the parallel computation of indexes (e.g., parallel 2-hop
-//! indexing \[22\]) is also worth exploring"*).
+//! Work splitting for parallel index construction and batch queries —
+//! the survey's closing open challenge (§5: *"the parallel computation
+//! of indexes (e.g., parallel 2-hop indexing \[22\]) is also worth
+//! exploring"*).
 //!
-//! Three construction problems here are embarrassingly parallel and
-//! get scoped-thread implementations producing *bit-identical* results
-//! to their sequential counterparts:
+//! Three construction problems are embarrassingly parallel, and each
+//! family's one builder splits its independent units with
+//! [`map_chunks`]:
 //!
-//! * GRAIL's `k` labelings are mutually independent random DFS runs;
-//! * HL's per-landmark reach sets are independent BFS pairs;
-//! * TOL's canonical labels are per-hop-local restricted closures
-//!   (the same locality that enables its dynamic maintenance), so hop
-//!   BFSs can run concurrently and be merged — the simplest member of
-//!   the design space that \[22\] explores for *pruned* labelings,
-//!   where cross-hop pruning dependencies make parallelism hard.
+//! * GRAIL's `k` labelings ([`crate::grail::GrailFilter::build`]) are
+//!   independent random DFS runs, each seeded by `(seed, i)` alone;
+//! * HL's per-landmark reach sets ([`crate::hl::Hl::build`]) are
+//!   independent BFS pairs;
+//! * TOL's canonical labels ([`crate::tol::Tol::build_with_order`]) are
+//!   per-hop-local restricted closures (the same locality that enables
+//!   its dynamic maintenance), so hop BFSs run concurrently and are
+//!   merged in hop order — the simplest member of the design space
+//!   that \[22\] explores for *pruned* labelings, where cross-hop
+//!   pruning dependencies make parallelism hard.
+//!
+//! Every builder's output is identical at every thread count; only
+//! wall-clock time changes.
 
-use crate::grail::{Grail, GrailFilter};
-use crate::hl::Hl;
-use crate::index::{Completeness, Dynamism, Framework, IndexMeta, InputClass};
-use crate::tol::Tol;
-use crate::GuidedSearch;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use reach_graph::{Dag, DiGraph, VertexId};
+use std::ops::Range;
 
-/// Splits `0..total` into at most `threads` contiguous chunks.
-///
-/// Shared by the parallel builders here and by
-/// [`crate::query_engine::QueryEngine`]'s batch sharding.
-pub fn chunks(total: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
+/// Splits `0..total` into at most `threads` contiguous chunks of
+/// near-equal length — the split [`map_chunks`] runs.
+pub fn chunks(total: usize, threads: usize) -> Vec<Range<usize>> {
     let threads = threads.clamp(1, total.max(1));
     let per = total.div_ceil(threads);
     (0..total)
@@ -36,329 +34,36 @@ pub fn chunks(total: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
         .collect()
 }
 
-/// Builds GRAIL's `k` labelings on `threads` worker threads.
-///
-/// Each labeling is seeded independently from `seed`, so the result is
-/// deterministic and independent of the thread count.
-pub fn build_grail_parallel(dag: &Dag, k: usize, seed: u64, threads: usize) -> Grail {
-    assert!(k >= 1);
-    let mut labelings: Vec<Vec<(u32, u32)>> = Vec::with_capacity(k);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..k)
-            .map(|i| {
-                scope.spawn(move || {
-                    let mut rng =
-                        SmallRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15));
-                    GrailFilter::build(dag, 1, &mut rng)
-                        .into_labelings()
-                        .remove(0)
-                })
-            })
-            .collect();
-        let _ = threads; // labelings are the natural work unit
-        for h in handles {
-            labelings.push(h.join().expect("labeling worker panicked"));
-        }
-    });
-    GuidedSearch::new(
-        dag.shared_graph(),
-        GrailFilter::from_labelings(labelings),
-        IndexMeta {
-            name: "GRAIL",
-            citation: "[50]",
-            framework: Framework::TreeCover,
-            completeness: Completeness::Partial,
-            input: InputClass::Dag,
-            dynamism: Dynamism::Static,
-        },
-    )
-}
-
-/// Builds the HL landmark oracle with per-landmark BFS pairs running
-/// on `threads` worker threads.
-pub fn build_hl_parallel(dag: &Dag, k: usize, threads: usize) -> Hl {
-    let graph = dag.shared_graph();
-    let n = graph.num_vertices();
-    let k = k.min(n);
-    let mut by_degree: Vec<VertexId> = graph.vertices().collect();
-    by_degree.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v.0));
-    let landmarks: Vec<VertexId> = by_degree.into_iter().take(k).collect();
-    let words = n.div_ceil(64).max(1);
-
-    let mut fwd = vec![0u64; k * words];
-    let mut bwd = vec![0u64; k * words];
-    std::thread::scope(|scope| {
-        let fwd_chunks = fwd.chunks_mut(words.max(1));
-        let bwd_chunks = bwd.chunks_mut(words.max(1));
-        let mut pending = Vec::new();
-        for (chunk_ids, (frows, brows)) in chunks(k, threads)
-            .into_iter()
-            .zip(zip_rows(fwd_chunks, bwd_chunks, k, threads))
-        {
-            let graph = &graph;
-            let landmarks = &landmarks;
-            pending.push(scope.spawn(move || {
-                // per-worker scratch reused across this chunk's landmarks
-                let mut visit = reach_graph::traverse::VisitMap::new(graph.num_vertices());
-                let mut closure = Vec::new();
-                for ((i, frow), brow) in chunk_ids.clone().zip(frows).zip(brows) {
-                    let lm = landmarks[i];
-                    reach_graph::traverse::forward_closure_with(
-                        graph,
-                        lm,
-                        &mut visit,
-                        &mut closure,
-                    );
-                    for &v in &closure {
-                        frow[v.index() / 64] |= 1 << (v.index() % 64);
-                    }
-                    reach_graph::traverse::backward_closure_with(
-                        graph,
-                        lm,
-                        &mut visit,
-                        &mut closure,
-                    );
-                    for &v in &closure {
-                        brow[v.index() / 64] |= 1 << (v.index() % 64);
-                    }
-                }
-            }));
-        }
-        for h in pending {
-            h.join().expect("landmark worker panicked");
-        }
-    });
-    Hl::from_parts(graph, landmarks, words, fwd, bwd)
-}
-
-/// Groups per-row mutable chunks into per-thread batches matching
-/// [`chunks`]' ranges.
-#[allow(clippy::type_complexity)]
-fn zip_rows<'a>(
-    fwd: std::slice::ChunksMut<'a, u64>,
-    bwd: std::slice::ChunksMut<'a, u64>,
+/// Runs `work` on each of [`chunks`]`(total, threads)` and returns the
+/// results in chunk order. Used by the parallel builders and by
+/// [`crate::query_engine::QueryEngine`]'s batch sharding. A single chunk runs inline on the calling
+/// thread; otherwise each chunk gets its own scoped thread. A panic in
+/// a worker resumes on the caller.
+pub fn map_chunks<T: Send>(
     total: usize,
     threads: usize,
-) -> Vec<(Vec<&'a mut [u64]>, Vec<&'a mut [u64]>)> {
+    work: impl Fn(Range<usize>) -> T + Sync,
+) -> Vec<T> {
     let ranges = chunks(total, threads);
-    let mut fwd_rows: Vec<&mut [u64]> = fwd.collect();
-    let mut bwd_rows: Vec<&mut [u64]> = bwd.collect();
-    let mut out = Vec::with_capacity(ranges.len());
-    for range in ranges.iter().rev() {
-        let f = fwd_rows.split_off(range.start);
-        let b = bwd_rows.split_off(range.start);
-        out.push((f, b));
+    if ranges.len() <= 1 {
+        return ranges.into_iter().map(work).collect();
     }
-    out.reverse();
-    out
-}
-
-/// Builds TOL's canonical labels with hop BFSs distributed over
-/// `threads` workers, then merges the per-hop results. Identical
-/// output to [`Tol::build_with_order`].
-pub fn build_tol_parallel(g: &DiGraph, order: &[VertexId], threads: usize) -> Tol {
-    let n = g.num_vertices();
-    assert_eq!(order.len(), n);
-    let mut rank_of = vec![0u32; n];
-    for (r, &v) in order.iter().enumerate() {
-        rank_of[v.index()] = r as u32;
-    }
-    // each worker computes, for its hop range, the restricted closures
-    // as (hop rank, member) pair lists
-    let mut fwd_pairs: Vec<Vec<(u32, u32)>> = Vec::new();
-    let mut bwd_pairs: Vec<Vec<(u32, u32)>> = Vec::new();
+    let work = &work;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks(n, threads)
+        let handles: Vec<_> = ranges
             .into_iter()
-            .map(|range| {
-                let rank_of = &rank_of;
-                let order = &order;
-                scope.spawn(move || {
-                    let mut fwd = Vec::new();
-                    let mut bwd = Vec::new();
-                    let mut seen = vec![false; n];
-                    for r in range {
-                        restricted_closure(
-                            g, order[r], r as u32, rank_of, true, &mut seen, &mut fwd,
-                        );
-                        restricted_closure(
-                            g, order[r], r as u32, rank_of, false, &mut seen, &mut bwd,
-                        );
-                    }
-                    (fwd, bwd)
-                })
-            })
+            .map(|range| scope.spawn(move || work(range)))
             .collect();
-        for h in handles {
-            let (f, b) = h.join().expect("hop worker panicked");
-            fwd_pairs.push(f);
-            bwd_pairs.push(b);
-        }
-    });
-    // merge: per-vertex sorted rank lists (workers produce ascending ranks)
-    let mut lin: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut lout: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for batch in fwd_pairs {
-        for (r, x) in batch {
-            lin[x as usize].push(r);
-        }
-    }
-    for batch in bwd_pairs {
-        for (r, x) in batch {
-            lout[x as usize].push(r);
-        }
-    }
-    for l in lin.iter_mut().chain(lout.iter_mut()) {
-        l.sort_unstable();
-    }
-    Tol::from_parts(
-        g,
-        order.to_vec(),
-        rank_of,
-        lin,
-        lout,
-        IndexMeta {
-            name: "TOL",
-            citation: "[55]",
-            framework: Framework::TwoHop,
-            completeness: Completeness::Complete,
-            input: InputClass::Dag,
-            dynamism: Dynamism::InsertDelete,
-        },
-    )
-}
-
-/// One restricted BFS (see [`crate::tol`]), appending `(rank, member)`
-/// pairs instead of mutating shared label tables.
-fn restricted_closure(
-    g: &DiGraph,
-    w: VertexId,
-    r: u32,
-    rank_of: &[u32],
-    forward: bool,
-    seen: &mut [bool],
-    out: &mut Vec<(u32, u32)>,
-) {
-    let mut queue = vec![w];
-    seen[w.index()] = true;
-    let mut head = 0;
-    while head < queue.len() {
-        let x = queue[head];
-        head += 1;
-        out.push((r, x.0));
-        if x == w || rank_of[x.index()] >= r {
-            let adj = if forward {
-                g.out_neighbors(x)
-            } else {
-                g.in_neighbors(x)
-            };
-            for &y in adj {
-                if !seen[y.index()] {
-                    seen[y.index()] = true;
-                    queue.push(y);
-                }
-            }
-        }
-    }
-    for &x in &queue {
-        seen[x.index()] = false;
-    }
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::{ReachFilter, ReachIndex};
-    use crate::tc::TransitiveClosure;
-    use crate::tol::OrderStrategy;
-    use rand::Rng;
-    use reach_graph::generators::{power_law_dag, random_dag, random_digraph};
-
-    #[test]
-    fn parallel_grail_is_exact() {
-        let mut rng = SmallRng::seed_from_u64(301);
-        let dag = random_dag(80, 200, &mut rng);
-        let idx = build_grail_parallel(&dag, 4, 9, 4);
-        let tc = TransitiveClosure::build_dag(&dag);
-        for s in dag.vertices() {
-            for t in dag.vertices() {
-                assert_eq!(idx.query(s, t), tc.reaches(s, t));
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_grail_is_deterministic_across_thread_counts() {
-        let mut rng = SmallRng::seed_from_u64(302);
-        let dag = random_dag(60, 150, &mut rng);
-        let a = build_grail_parallel(&dag, 3, 5, 1);
-        let b = build_grail_parallel(&dag, 3, 5, 8);
-        for s in dag.vertices() {
-            for t in dag.vertices() {
-                assert_eq!(
-                    a.filter().certain(s, t),
-                    b.filter().certain(s, t),
-                    "verdicts must not depend on thread count"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_hl_matches_sequential() {
-        let mut rng = SmallRng::seed_from_u64(303);
-        let dag = power_law_dag(150, 3, &mut rng);
-        let par = build_hl_parallel(&dag, 12, 4);
-        let seq = Hl::build(&dag, 12);
-        for s in dag.vertices() {
-            for t in dag.vertices() {
-                assert_eq!(par.query(s, t), seq.query(s, t));
-            }
-        }
-        assert_eq!(par.size_entries(), seq.size_entries());
-    }
-
-    #[test]
-    fn parallel_tol_matches_sequential_exactly() {
-        let mut rng = SmallRng::seed_from_u64(304);
-        let g = random_digraph(70, 200, &mut rng);
-        let seq = Tol::build(&g, OrderStrategy::DegreeDescending);
-        let mut order: Vec<VertexId> = g.vertices().collect();
-        order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v.0));
-        let par = build_tol_parallel(&g, &order, 4);
-        for x in g.vertices() {
-            assert_eq!(par.lin(x), seq.lin(x), "lin({x:?})");
-            assert_eq!(par.lout(x), seq.lout(x), "lout({x:?})");
-        }
-    }
-
-    #[test]
-    fn parallel_tol_supports_updates_after_build() {
-        let mut rng = SmallRng::seed_from_u64(305);
-        let g = random_digraph(30, 60, &mut rng);
-        let mut order: Vec<VertexId> = g.vertices().collect();
-        order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v.0));
-        let mut tol = build_tol_parallel(&g, &order, 3);
-        let mut edges: Vec<(u32, u32)> = g.edges().map(|(a, b)| (a.0, b.0)).collect();
-        for _ in 0..10 {
-            let u = rng.random_range(0..30u32);
-            let mut v = rng.random_range(0..29u32);
-            if v >= u {
-                v += 1;
-            }
-            tol.insert_edge(VertexId(u), VertexId(v));
-            if !edges.contains(&(u, v)) {
-                edges.push((u, v));
-            }
-        }
-        let now = DiGraph::from_edges(30, &edges);
-        let tc = TransitiveClosure::build(&now);
-        for s in now.vertices() {
-            for t in now.vertices() {
-                assert_eq!(tol.query(s, t), tc.reaches(s, t));
-            }
-        }
-    }
 
     #[test]
     fn chunking_covers_everything() {
@@ -370,5 +75,23 @@ mod tests {
                 assert_eq!(pair[0].end, pair[1].start, "contiguous");
             }
         }
+    }
+
+    #[test]
+    fn map_chunks_keeps_chunk_order_at_every_thread_count() {
+        for threads in [1, 2, 3, 8] {
+            let got: Vec<usize> = map_chunks(10, threads, |r| r.collect::<Vec<_>>())
+                .into_iter()
+                .flatten()
+                .collect();
+            assert_eq!(got, (0..10).collect::<Vec<_>>(), "threads={threads}");
+        }
+        assert!(map_chunks(0, 4, |r| r.len()).is_empty());
+    }
+
+    #[test]
+    fn one_chunk_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        assert_eq!(map_chunks(5, 1, |_| std::thread::current().id()), [caller]);
     }
 }

@@ -13,22 +13,22 @@
 //! per-phase wall time (condense / order / label) and the index's
 //! size, which the CLI `build` path and the bench report layer print.
 
-use crate::bfl::build_bfl_shared;
+use crate::bfl::build_bfl;
 use crate::chain_cover::ChainCover;
 use crate::dagger::DynamicGrail;
 use crate::dbl::Dbl;
 use crate::dual_labeling::DualLabeling;
-use crate::feline::build_feline_shared;
-use crate::ferrari::build_ferrari_shared;
+use crate::feline::build_feline;
+use crate::ferrari::build_ferrari;
 use crate::general::Condensed;
-use crate::grail::build_grail_shared;
+use crate::grail::build_grail;
 use crate::gripp::Gripp;
 use crate::hl::Hl;
 use crate::hop2::Hop2;
 use crate::index::{IndexMeta, ReachIndex};
-use crate::ip::build_ip_shared;
+use crate::ip::build_ip;
 use crate::online::{OnlineSearch, Strategy};
-use crate::oreach::build_oreach_shared;
+use crate::oreach::build_oreach;
 use crate::pll::Pll;
 use crate::preach::Preach;
 use crate::sspi::TreeSspi;
@@ -37,6 +37,7 @@ use crate::tol::{build_dl, build_tfl, OrderStrategy, Tol};
 use crate::tree_cover::TreeCover;
 use reach_graph::condense::CondenseTiming;
 use reach_graph::{fixtures, Dag, PreparedGraph};
+use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -158,6 +159,13 @@ fn fig_dag() -> Dag {
     Dag::new(fixtures::figure1a()).expect("figure 1 is acyclic")
 }
 
+/// The thread count every registry build splits its work over: the
+/// host's available parallelism. Builders that split work (GRAIL, HL
+/// and the TOL family) produce the same index at every thread count.
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Every plain technique, in Table-1 order. DAG-only techniques are
 /// lifted to general graphs with [`Condensed`] over the prepared
 /// graph's shared condensation, exactly as §3.1 prescribes.
@@ -196,27 +204,21 @@ pub static PLAIN_REGISTRY: &[PlainSpec] = &[
     },
     BuilderSpec {
         name: "GRAIL",
-        meta: || {
-            let dag = fig_dag();
-            build_grail_shared(dag.shared_graph(), &dag, defaults::GRAIL_K, defaults::SEED).meta()
-        },
+        meta: || build_grail(&fig_dag(), defaults::GRAIL_K, defaults::SEED, 1).meta(),
         feasible: |_, _| true,
         build: |p, o| {
             Box::new(Condensed::from_prepared(p, |dag| {
-                build_grail_shared(dag.shared_graph(), dag, o.grail_k, o.seed)
+                build_grail(dag, o.grail_k, o.seed, host_threads())
             }))
         },
     },
     BuilderSpec {
         name: "Ferrari",
-        meta: || {
-            let dag = fig_dag();
-            build_ferrari_shared(dag.shared_graph(), &dag, defaults::FERRARI_BUDGET).meta()
-        },
+        meta: || build_ferrari(&fig_dag(), defaults::FERRARI_BUDGET).meta(),
         feasible: |_, _| true,
         build: |p, o| {
             Box::new(Condensed::from_prepared(p, |dag| {
-                build_ferrari_shared(dag.shared_graph(), dag, o.ferrari_budget)
+                build_ferrari(dag, o.ferrari_budget)
             }))
         },
     },
@@ -244,21 +246,31 @@ pub static PLAIN_REGISTRY: &[PlainSpec] = &[
     },
     BuilderSpec {
         name: "TFL",
-        meta: || build_tfl(&fig_dag()).meta(),
+        meta: || build_tfl(&fig_dag(), 1).meta(),
         feasible: |_, _| true,
-        build: |p, _| Box::new(Condensed::from_prepared(p, build_tfl)),
+        build: |p, _| {
+            Box::new(Condensed::from_prepared(p, |dag| {
+                build_tfl(dag, host_threads())
+            }))
+        },
     },
     BuilderSpec {
         name: "DL",
-        meta: || build_dl(&fixtures::figure1a()).meta(),
+        meta: || build_dl(&fixtures::figure1a(), 1).meta(),
         feasible: |_, _| true,
-        build: |p, _| Box::new(build_dl(p.graph())),
+        build: |p, _| Box::new(build_dl(p.graph(), host_threads())),
     },
     BuilderSpec {
         name: "TOL",
-        meta: || Tol::build(&fixtures::figure1a(), OrderStrategy::DegreeDescending).meta(),
+        meta: || Tol::build(&fixtures::figure1a(), OrderStrategy::DegreeDescending, 1).meta(),
         feasible: |_, _| true,
-        build: |p, _| Box::new(Tol::build(p.graph(), OrderStrategy::DegreeDescending)),
+        build: |p, _| {
+            Box::new(Tol::build(
+                p.graph(),
+                OrderStrategy::DegreeDescending,
+                host_threads(),
+            ))
+        },
     },
     BuilderSpec {
         name: "DBL",
@@ -268,65 +280,49 @@ pub static PLAIN_REGISTRY: &[PlainSpec] = &[
     },
     BuilderSpec {
         name: "O'Reach",
-        meta: || {
-            let dag = fig_dag();
-            build_oreach_shared(dag.shared_graph(), &dag, defaults::OREACH_K).meta()
-        },
+        meta: || build_oreach(&fig_dag(), defaults::OREACH_K).meta(),
         feasible: |_, _| true,
         build: |p, o| {
             Box::new(Condensed::from_prepared(p, |dag| {
-                build_oreach_shared(dag.shared_graph(), dag, o.oreach_k)
+                build_oreach(dag, o.oreach_k)
             }))
         },
     },
     BuilderSpec {
         name: "IP",
-        meta: || {
-            let dag = fig_dag();
-            build_ip_shared(dag.shared_graph(), &dag, defaults::IP_K, defaults::SEED).meta()
-        },
+        meta: || build_ip(&fig_dag(), defaults::IP_K, defaults::SEED).meta(),
         feasible: |_, _| true,
         build: |p, o| {
             Box::new(Condensed::from_prepared(p, |dag| {
-                build_ip_shared(dag.shared_graph(), dag, o.ip_k, o.seed)
+                build_ip(dag, o.ip_k, o.seed)
             }))
         },
     },
     BuilderSpec {
         name: "BFL",
-        meta: || {
-            let dag = fig_dag();
-            build_bfl_shared(dag.shared_graph(), &dag, defaults::BFL_BITS, defaults::SEED).meta()
-        },
+        meta: || build_bfl(&fig_dag(), defaults::BFL_BITS, defaults::SEED).meta(),
         feasible: |_, _| true,
         build: |p, o| {
             Box::new(Condensed::from_prepared(p, |dag| {
-                build_bfl_shared(dag.shared_graph(), dag, o.bfl_bits, o.seed)
+                build_bfl(dag, o.bfl_bits, o.seed)
             }))
         },
     },
     BuilderSpec {
         name: "HL",
-        meta: || Hl::build(&fig_dag(), defaults::LANDMARKS).meta(),
+        meta: || Hl::build(&fig_dag(), defaults::LANDMARKS, 1).meta(),
         feasible: |_, _| true,
         build: |p, o| {
             Box::new(Condensed::from_prepared(p, |dag| {
-                Hl::build(dag, o.landmarks)
+                Hl::build(dag, o.landmarks, host_threads())
             }))
         },
     },
     BuilderSpec {
         name: "Feline",
-        meta: || {
-            let dag = fig_dag();
-            build_feline_shared(dag.shared_graph(), &dag).meta()
-        },
+        meta: || build_feline(&fig_dag()).meta(),
         feasible: |_, _| true,
-        build: |p, _| {
-            Box::new(Condensed::from_prepared(p, |dag| {
-                build_feline_shared(dag.shared_graph(), dag)
-            }))
-        },
+        build: |p, _| Box::new(Condensed::from_prepared(p, build_feline)),
     },
     BuilderSpec {
         name: "PReaCH",
@@ -383,27 +379,33 @@ pub fn plain_native_meta(name: &str) -> IndexMeta {
     (spec.meta)()
 }
 
-/// Builds the named plain index over shared prepared artifacts.
-/// Panics on an unknown name.
-pub fn build_plain_prepared(
-    name: &str,
-    prepared: &PreparedGraph,
-    opts: &BuildOpts,
-) -> Box<dyn ReachIndex> {
-    let spec = plain_spec(name).unwrap_or_else(|| panic!("unknown plain index {name:?}"));
-    (spec.build)(prepared, opts)
+/// The requested technique is not in the plain-index registry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownIndex {
+    /// The name that failed to resolve.
+    pub name: String,
 }
 
-/// Builds through `spec` and reports per-phase wall time and size.
+impl fmt::Display for UnknownIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "unknown plain index {:?}", self.name)
+    }
+}
+
+impl std::error::Error for UnknownIndex {}
+
+/// Builds the named plain index over shared prepared artifacts and
+/// reports per-phase wall time and size.
 ///
 /// Condense/order time is attributed to the build that actually forced
 /// the shared condensation; builds that reuse it report zero for both
 /// phases (see [`BuildReport::reused_condensation`]).
-pub fn build_with_report(
-    spec: &PlainSpec,
+pub fn build_plain(
+    name: &str,
     prepared: &PreparedGraph,
     opts: &BuildOpts,
-) -> (Box<dyn ReachIndex>, BuildReport) {
+) -> Result<(Box<dyn ReachIndex>, BuildReport), UnknownIndex> {
+    let spec = plain_spec(name).ok_or_else(|| UnknownIndex { name: name.into() })?;
     let runs_before = prepared.condensation_runs();
     let start = Instant::now();
     let idx = (spec.build)(prepared, opts);
@@ -422,17 +424,7 @@ pub fn build_with_report(
         size_bytes: idx.size_bytes(),
         size_entries: idx.size_entries(),
     };
-    (idx, report)
-}
-
-/// [`build_with_report`] by name. Panics on an unknown name.
-pub fn build_plain_with_report(
-    name: &str,
-    prepared: &PreparedGraph,
-    opts: &BuildOpts,
-) -> (Box<dyn ReachIndex>, BuildReport) {
-    let spec = plain_spec(name).unwrap_or_else(|| panic!("unknown plain index {name:?}"));
-    build_with_report(spec, prepared, opts)
+    Ok((idx, report))
 }
 
 #[cfg(test)]
@@ -481,17 +473,23 @@ mod tests {
         let g = DiGraph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
         let prepared = PreparedGraph::new(g);
         let opts = BuildOpts::default();
-        let (_, first) = build_plain_with_report("Tree cover", &prepared, &opts);
-        let (_, second) = build_plain_with_report("GRAIL", &prepared, &opts);
+        let (_, first) = build_plain("Tree cover", &prepared, &opts).unwrap();
+        let (_, second) = build_plain("GRAIL", &prepared, &opts).unwrap();
         assert!(!first.reused_condensation());
         assert!(second.reused_condensation());
         assert!(second.total >= second.label);
     }
 
     #[test]
-    fn unknown_names_are_infeasible() {
+    fn unknown_names_are_infeasible_and_a_typed_build_error() {
         assert!(!plain_feasible("no such index", 10, 10));
         assert!(plain_spec("no such index").is_none());
+        let prepared = PreparedGraph::new(fixtures::figure1a());
+        let Err(e) = build_plain("no such index", &prepared, &BuildOpts::default()) else {
+            panic!("an unknown name must not build");
+        };
+        assert_eq!(e.name, "no such index");
+        assert_eq!(prepared.condensation_runs(), 0, "nothing was built");
     }
 
     #[test]

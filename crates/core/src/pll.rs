@@ -264,7 +264,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(105);
         let g = power_law_dag(300, 3, &mut rng).into_graph();
         let pll = Pll::build(&g);
-        let dl = crate::tol::build_dl(&g);
+        let dl = crate::tol::build_dl(&g, 1);
         assert!(
             pll.size_entries() <= dl.size_entries(),
             "pll {} > dl {}",

@@ -102,13 +102,8 @@ pub struct Preach {
 impl Preach {
     /// Builds PReaCH over a DAG.
     pub fn build(dag: &Dag) -> Self {
-        Self::build_shared(dag.shared_graph(), dag)
-    }
-
-    /// Builds PReaCH over an explicitly shared graph.
-    pub fn build_shared(graph: Arc<DiGraph>, dag: &Dag) -> Self {
         Preach {
-            graph,
+            graph: dag.shared_graph(),
             filter: PreachFilter::build(dag),
             scratch: ScratchPool::new(),
         }

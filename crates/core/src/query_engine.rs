@@ -3,11 +3,11 @@
 //! The survey's experiments measure per-query latency; real deployments
 //! care about *throughput* — answering a large batch of `(s, t)` pairs
 //! as fast as possible. [`QueryEngine`] shards a pair list into
-//! contiguous chunks (via [`crate::parallel::chunks`], the same
+//! contiguous chunks (via [`crate::parallel::map_chunks`], the same
 //! splitter the parallel builders use), evaluates each chunk with
-//! [`ReachIndex::query_batch`] on its own scoped thread, and writes
-//! answers into disjoint slices of the output — so results are in
-//! input order and bit-identical for every thread count.
+//! [`ReachIndex::query_batch`] on its own scoped thread, and scatters
+//! the answers back to input positions — so results are in input order
+//! and bit-identical for every thread count.
 //!
 //! This is what the `ReachIndex: Send + Sync` bound buys: one shared
 //! `&dyn ReachIndex` serves all workers with no cloning and no locks
@@ -15,7 +15,7 @@
 //! [`reach_graph::ScratchPool`]).
 
 use crate::index::ReachIndex;
-use crate::parallel::chunks;
+use crate::parallel::map_chunks;
 use reach_graph::VertexId;
 
 /// A batch-query executor with a fixed worker-thread count.
@@ -58,27 +58,16 @@ impl QueryEngine {
         }
         let mut order: Vec<u32> = (0..pairs.len() as u32).collect();
         order.sort_by_key(|&i| pairs[i as usize].0 .0);
-        let ranges = chunks(pairs.len(), self.threads);
-        let mut out = vec![false; pairs.len()];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|range| {
-                    let idxs = &order[range.clone()];
-                    scope.spawn(move || {
-                        let shard: Vec<(VertexId, VertexId)> =
-                            idxs.iter().map(|&i| pairs[i as usize]).collect();
-                        index.query_batch(&shard)
-                    })
-                })
-                .collect();
-            for (range, handle) in ranges.iter().zip(handles) {
-                let answers = handle.join().expect("query worker panicked");
-                for (&i, a) in order[range.clone()].iter().zip(answers) {
-                    out[i as usize] = a;
-                }
-            }
+        // shards come back in chunk order, i.e. in `order`
+        let shards = map_chunks(pairs.len(), self.threads, |range| {
+            let shard: Vec<(VertexId, VertexId)> =
+                order[range].iter().map(|&i| pairs[i as usize]).collect();
+            index.query_batch(&shard)
         });
+        let mut out = vec![false; pairs.len()];
+        for (&i, answer) in order.iter().zip(shards.into_iter().flatten()) {
+            out[i as usize] = answer;
+        }
         out
     }
 }

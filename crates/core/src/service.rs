@@ -10,26 +10,11 @@
 //! startup and answers from it until shutdown.
 
 use crate::index::ReachIndex;
-use crate::pipeline::{build_plain_with_report, plain_spec, BuildOpts, BuildReport};
+use crate::pipeline::{build_plain, BuildOpts, BuildReport, UnknownIndex};
 use crate::query_engine::QueryEngine;
 use reach_graph::{PreparedGraph, VertexId};
 use std::fmt;
 use std::sync::Arc;
-
-/// The requested technique is not in the plain-index registry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownIndex {
-    /// The name that failed to resolve.
-    pub name: String,
-}
-
-impl fmt::Display for UnknownIndex {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown plain index {:?}", self.name)
-    }
-}
-
-impl std::error::Error for UnknownIndex {}
 
 /// A built plain-reachability index plus everything needed to serve
 /// queries from it: the graph it was built over, the build report, and
@@ -50,10 +35,7 @@ impl IndexService {
         opts: &BuildOpts,
         threads: usize,
     ) -> Result<Self, UnknownIndex> {
-        if plain_spec(name).is_none() {
-            return Err(UnknownIndex { name: name.into() });
-        }
-        let (index, report) = build_plain_with_report(name, &prepared, opts);
+        let (index, report) = build_plain(name, &prepared, opts)?;
         Ok(IndexService {
             prepared,
             index,

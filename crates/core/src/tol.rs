@@ -19,6 +19,7 @@
 
 use crate::audit::Violation;
 use crate::index::{Completeness, Dynamism, Framework, IndexMeta, InputClass, ReachIndex};
+use crate::parallel;
 use reach_graph::{Dag, DiGraph, VertexId};
 
 /// The vertex total order a TOL instance is built with.
@@ -41,7 +42,7 @@ pub enum OrderStrategy {
 /// use reach_graph::{DiGraph, VertexId};
 ///
 /// let g = DiGraph::from_edges(3, &[(0, 1)]);
-/// let mut tol = Tol::build(&g, OrderStrategy::DegreeDescending);
+/// let mut tol = Tol::build(&g, OrderStrategy::DegreeDescending, 1);
 /// assert!(!tol.query(VertexId(0), VertexId(2)));
 ///
 /// tol.insert_edge(VertexId(1), VertexId(2));
@@ -80,10 +81,64 @@ fn order_ranks(g: &DiGraph, strategy: OrderStrategy) -> Vec<VertexId> {
     }
 }
 
+/// Runs the restricted BFS of every hop rank in `hops`, forward then
+/// backward, and passes each `(direction, hop rank, member)` fact to
+/// `emit`.
+fn restricted_closures(
+    g: &DiGraph,
+    order: &[VertexId],
+    rank_of: &[u32],
+    hops: impl Iterator<Item = u32>,
+    mut emit: impl FnMut(bool, u32, u32),
+) {
+    let mut seen = vec![false; g.num_vertices()];
+    let mut queue: Vec<VertexId> = Vec::new();
+    for r in hops {
+        let w = order[r as usize];
+        for forward in [true, false] {
+            queue.clear();
+            queue.push(w);
+            seen[w.index()] = true;
+            let mut head = 0;
+            while head < queue.len() {
+                let x = queue[head];
+                head += 1;
+                emit(forward, r, x.0);
+                // interior restriction: only lower-priority vertices may
+                // be passed through (the hop itself always expands)
+                if x == w || rank_of[x.index()] > r {
+                    let adj = if forward {
+                        g.out_neighbors(x)
+                    } else {
+                        g.in_neighbors(x)
+                    };
+                    for &y in adj {
+                        if !seen[y.index()] {
+                            seen[y.index()] = true;
+                            queue.push(y);
+                        }
+                    }
+                }
+            }
+            for &x in &queue {
+                seen[x.index()] = false;
+            }
+        }
+    }
+}
+
 impl Tol {
     /// Builds a TOL index over `g` with an explicit vertex order
-    /// (`order[0]` is the highest-priority hop).
-    pub fn build_with_order(g: &DiGraph, order: &[VertexId], meta: IndexMeta) -> Self {
+    /// (`order[0]` is the highest-priority hop). Hops are independent
+    /// (each labels exactly its restricted closure), so they are split
+    /// over `threads` threads (see [`crate::parallel`]); the labels are
+    /// the same at every thread count.
+    pub fn build_with_order(
+        g: &DiGraph,
+        order: &[VertexId],
+        meta: IndexMeta,
+        threads: usize,
+    ) -> Self {
         assert_eq!(
             order.len(),
             g.num_vertices(),
@@ -94,49 +149,43 @@ impl Tol {
         for (r, &v) in order.iter().enumerate() {
             rank_of[v.index()] = r as u32;
         }
-        // Initial construction appends (hop, member) facts and sorts
-        // once per vertex — ~3× faster than the sorted-insertion path,
-        // which only the incremental updates need.
+        // Initial construction appends (hop, member) facts — ~3× faster
+        // than the sorted-insertion path, which only the incremental
+        // updates need. Hops are visited in ascending rank, so every
+        // label list comes out sorted.
         let mut lin: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut lout: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut seen = vec![false; n];
-        let mut queue: Vec<VertexId> = Vec::new();
-        for r in 0..n as u32 {
-            let w = order[r as usize];
-            for forward in [true, false] {
-                queue.clear();
-                queue.push(w);
-                seen[w.index()] = true;
-                let mut head = 0;
-                while head < queue.len() {
-                    let x = queue[head];
-                    head += 1;
-                    if forward {
-                        lin[x.index()].push(r);
-                    } else {
-                        lout[x.index()].push(r);
-                    }
-                    if x == w || rank_of[x.index()] > r {
-                        let adj = if forward {
-                            g.out_neighbors(x)
-                        } else {
-                            g.in_neighbors(x)
-                        };
-                        for &y in adj {
-                            if !seen[y.index()] {
-                                seen[y.index()] = true;
-                                queue.push(y);
-                            }
-                        }
-                    }
+        let mut label = |forward: bool, r: u32, x: u32| {
+            let labels = if forward { &mut lin } else { &mut lout };
+            labels[x as usize].push(r);
+        };
+        let workers = threads.clamp(1, n.max(1));
+        if workers <= 1 {
+            restricted_closures(g, order, &rank_of, 0..n as u32, &mut label);
+        } else {
+            // Closures shrink steeply with rank, so hops are dealt out
+            // round-robin (worker w runs hops w, w + workers, …) rather
+            // than in contiguous ranges. Each worker buffers its facts;
+            // replaying them hop by hop in rank order keeps every label
+            // list sorted.
+            let mut dealt = parallel::map_chunks(workers, workers, |w| {
+                let (mut fwd, mut bwd) = (Vec::new(), Vec::new());
+                let hops = (w.start as u32..n as u32).step_by(workers);
+                restricted_closures(g, order, &rank_of, hops, |forward, r, x| {
+                    if forward { &mut fwd } else { &mut bwd }.push((r, x))
+                });
+                (fwd.into_iter().peekable(), bwd.into_iter().peekable())
+            });
+            for r in 0..n as u32 {
+                let (fwd, bwd) = &mut dealt[r as usize % workers];
+                while let Some((_, x)) = fwd.next_if(|&(hop, _)| hop == r) {
+                    label(true, r, x);
                 }
-                for &x in &queue {
-                    seen[x.index()] = false;
+                while let Some((_, x)) = bwd.next_if(|&(hop, _)| hop == r) {
+                    label(false, r, x);
                 }
             }
         }
-        // ranks were appended in ascending hop order, so the label
-        // lists are already sorted
         Tol {
             out_adj: g.vertices().map(|v| g.out_neighbors(v).to_vec()).collect(),
             in_adj: g.vertices().map(|v| g.in_neighbors(v).to_vec()).collect(),
@@ -149,8 +198,9 @@ impl Tol {
     }
 
     /// Builds TOL over a general graph with the given order strategy
-    /// (not `Topological`, which needs [`build_tfl`]).
-    pub fn build(g: &DiGraph, strategy: OrderStrategy) -> Self {
+    /// (not `Topological`, which needs [`build_tfl`]) on `threads`
+    /// threads.
+    pub fn build(g: &DiGraph, strategy: OrderStrategy, threads: usize) -> Self {
         assert!(
             strategy != OrderStrategy::Topological,
             "use build_tfl for the topological instantiation"
@@ -167,6 +217,7 @@ impl Tol {
                 input: InputClass::Dag,
                 dynamism: Dynamism::InsertDelete,
             },
+            threads,
         )
     }
 
@@ -306,28 +357,6 @@ impl Tol {
         }
     }
 
-    /// Assembles an index from prebuilt labels (used by the parallel
-    /// builder; the labels must be the canonical restricted closures
-    /// of `order`).
-    pub(crate) fn from_parts(
-        g: &DiGraph,
-        vertex_at: Vec<VertexId>,
-        rank_of: Vec<u32>,
-        lin: Vec<Vec<u32>>,
-        lout: Vec<Vec<u32>>,
-        meta: IndexMeta,
-    ) -> Self {
-        Tol {
-            out_adj: g.vertices().map(|v| g.out_neighbors(v).to_vec()).collect(),
-            in_adj: g.vertices().map(|v| g.in_neighbors(v).to_vec()).collect(),
-            rank_of,
-            vertex_at,
-            lin,
-            lout,
-            meta,
-        }
-    }
-
     /// The rank (priority position) of `v` in the total order.
     pub fn rank_of(&self, v: VertexId) -> u32 {
         self.rank_of[v.index()]
@@ -411,8 +440,9 @@ impl ReachIndex for Tol {
     }
 }
 
-/// Builds TFL \[13\]: TOL instantiated with the topological order of a DAG.
-pub fn build_tfl(dag: &Dag) -> Tol {
+/// Builds TFL \[13\]: TOL instantiated with the topological order of a
+/// DAG, on `threads` threads.
+pub fn build_tfl(dag: &Dag, threads: usize) -> Tol {
     Tol::build_with_order(
         dag.graph(),
         dag.topo_order(),
@@ -424,12 +454,13 @@ pub fn build_tfl(dag: &Dag) -> Tol {
             input: InputClass::Dag,
             dynamism: Dynamism::Static,
         },
+        threads,
     )
 }
 
 /// Builds DL \[25\]: TOL instantiated with the degree-descending order,
-/// directly on a general graph.
-pub fn build_dl(g: &DiGraph) -> Tol {
+/// directly on a general graph, on `threads` threads.
+pub fn build_dl(g: &DiGraph, threads: usize) -> Tol {
     let order = order_ranks(g, OrderStrategy::DegreeDescending);
     Tol::build_with_order(
         g,
@@ -442,6 +473,7 @@ pub fn build_dl(g: &DiGraph) -> Tol {
             input: InputClass::General,
             dynamism: Dynamism::Static,
         },
+        threads,
     )
 }
 
@@ -466,7 +498,7 @@ mod tests {
     #[test]
     fn tfl_exact_on_figure1() {
         let dag = Dag::new(fixtures::figure1a()).unwrap();
-        let tfl = build_tfl(&dag);
+        let tfl = build_tfl(&dag, 1);
         check_exact(dag.graph(), &tfl);
         assert!(tfl.query(fixtures::A, fixtures::G));
     }
@@ -476,7 +508,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(91);
         for _ in 0..4 {
             let g = random_digraph(50, 140, &mut rng);
-            check_exact(&g, &build_dl(&g));
+            check_exact(&g, &build_dl(&g, 1));
         }
     }
 
@@ -484,12 +516,41 @@ mod tests {
     fn all_orders_give_exact_indexes() {
         let mut rng = SmallRng::seed_from_u64(92);
         let dag = random_dag(70, 180, &mut rng);
-        check_exact(dag.graph(), &build_tfl(&dag));
+        check_exact(dag.graph(), &build_tfl(&dag, 1));
         check_exact(
             dag.graph(),
-            &Tol::build(dag.graph(), OrderStrategy::DegreeDescending),
+            &Tol::build(dag.graph(), OrderStrategy::DegreeDescending, 1),
         );
-        check_exact(dag.graph(), &Tol::build(dag.graph(), OrderStrategy::ById));
+        check_exact(
+            dag.graph(),
+            &Tol::build(dag.graph(), OrderStrategy::ById, 1),
+        );
+    }
+
+    #[test]
+    fn labels_match_incremental_hops_at_every_thread_count() {
+        let mut rng = SmallRng::seed_from_u64(97);
+        let g = random_digraph(70, 200, &mut rng);
+        let one = build_dl(&g, 1);
+        let eight = build_dl(&g, 8);
+        // reference: the update path's sorted-insertion BFS, hop by hop
+        let n = g.num_vertices();
+        let mut reference = Tol {
+            lin: vec![Vec::new(); n],
+            lout: vec![Vec::new(); n],
+            ..one.clone()
+        };
+        for r in 0..n as u32 {
+            reference.restricted_bfs(r, true);
+            reference.restricted_bfs(r, false);
+        }
+        for x in g.vertices() {
+            assert_eq!(one.lin(x), reference.lin(x), "lin({x:?})");
+            assert_eq!(one.lout(x), reference.lout(x), "lout({x:?})");
+            assert_eq!(eight.lin(x), one.lin(x), "lin({x:?}) at 8 threads");
+            assert_eq!(eight.lout(x), one.lout(x), "lout({x:?}) at 8 threads");
+        }
+        assert_eq!(eight.check_invariants(&g), Vec::new());
     }
 
     #[test]
@@ -497,7 +558,7 @@ mod tests {
         // w ∈ lin(x) implies w reaches x; w ∈ lout(x) implies x reaches w
         let mut rng = SmallRng::seed_from_u64(93);
         let g = random_digraph(40, 100, &mut rng);
-        let tol = build_dl(&g);
+        let tol = build_dl(&g, 1);
         let tc = TransitiveClosure::build(&g);
         for x in g.vertices() {
             for &r in tol.lin(x) {
@@ -512,7 +573,7 @@ mod tests {
     #[test]
     fn every_vertex_labels_itself() {
         let g = fixtures::figure1a();
-        let tol = build_dl(&g);
+        let tol = build_dl(&g, 1);
         for v in g.vertices() {
             let r = tol.rank_of(v);
             assert!(tol.lin(v).contains(&r));
@@ -524,7 +585,7 @@ mod tests {
     fn insertions_match_rebuild() {
         let mut rng = SmallRng::seed_from_u64(94);
         let g = random_digraph(30, 40, &mut rng);
-        let mut tol = build_dl(&g);
+        let mut tol = build_dl(&g, 1);
         let mut edges: Vec<(u32, u32)> = g.edges().map(|(a, b)| (a.0, b.0)).collect();
         for _ in 0..25 {
             let u = rng.random_range(0..30u32);
@@ -545,7 +606,7 @@ mod tests {
     fn deletions_match_rebuild() {
         let mut rng = SmallRng::seed_from_u64(95);
         let g = random_digraph(25, 90, &mut rng);
-        let mut tol = build_dl(&g);
+        let mut tol = build_dl(&g, 1);
         let mut edges: Vec<(u32, u32)> = g.edges().map(|(a, b)| (a.0, b.0)).collect();
         for _ in 0..30 {
             if edges.is_empty() {
@@ -563,7 +624,7 @@ mod tests {
     fn mixed_update_workload_matches_rebuild() {
         let mut rng = SmallRng::seed_from_u64(96);
         let g = random_digraph(20, 40, &mut rng);
-        let mut tol = Tol::build(&g, OrderStrategy::ById);
+        let mut tol = Tol::build(&g, OrderStrategy::ById, 1);
         let mut edges: Vec<(u32, u32)> = g.edges().map(|(a, b)| (a.0, b.0)).collect();
         for _ in 0..40 {
             if rng.random_bool(0.5) || edges.is_empty() {
@@ -589,7 +650,7 @@ mod tests {
     #[test]
     fn duplicate_insert_and_missing_delete_are_noops() {
         let g = fixtures::figure1a();
-        let mut tol = build_dl(&g);
+        let mut tol = build_dl(&g, 1);
         let before = tol.size_entries();
         tol.insert_edge(fixtures::A, fixtures::D); // already present
         assert_eq!(tol.size_entries(), before);
@@ -608,7 +669,7 @@ mod tests {
     #[test]
     fn insert_into_empty_graph() {
         let g = DiGraph::from_edges(5, &[]);
-        let mut tol = Tol::build(&g, OrderStrategy::ById);
+        let mut tol = Tol::build(&g, OrderStrategy::ById, 1);
         tol.insert_edge(VertexId(0), VertexId(1));
         tol.insert_edge(VertexId(1), VertexId(2));
         assert!(tol.query(VertexId(0), VertexId(2)));

@@ -1,5 +1,5 @@
-//! Shared build artifacts: compute condensation, reverse graph, and
-//! stats at most once per input graph.
+//! Shared build artifacts: compute condensation and stats at most once
+//! per input graph.
 //!
 //! §5 of the survey compares the whole taxonomy on construction cost,
 //! yet a naive sweep over all ~24 plain techniques re-runs SCC
@@ -25,8 +25,6 @@ use std::sync::{Arc, OnceLock};
 /// * [`condensation`](Self::condensation) — SCC decomposition,
 ///   vertex → component map, and the condensed [`Dag`] with topo
 ///   order/ranks (the §3.1 general-graph reduction);
-/// * [`reverse`](Self::reverse) — the edge-reversed graph, for indexes
-///   that label "who reaches v";
 /// * [`stats`](Self::stats) — the degree/SCC/depth summary printed by
 ///   the bench harness.
 ///
@@ -50,7 +48,6 @@ use std::sync::{Arc, OnceLock};
 pub struct PreparedGraph {
     graph: Arc<DiGraph>,
     condensation: OnceLock<(Arc<Condensation>, CondenseTiming)>,
-    reverse: OnceLock<Arc<DiGraph>>,
     stats: OnceLock<GraphStats>,
     condensation_runs: AtomicUsize,
 }
@@ -66,7 +63,6 @@ impl PreparedGraph {
         Arc::new(PreparedGraph {
             graph,
             condensation: OnceLock::new(),
-            reverse: OnceLock::new(),
             stats: OnceLock::new(),
             condensation_runs: AtomicUsize::new(0),
         })
@@ -114,29 +110,10 @@ impl PreparedGraph {
         self.condensation_cell().1
     }
 
-    /// Condensation cost attributable to *this* build: the real timing
-    /// the first time it is requested, zero once the artifact is
-    /// already shared. `BuildReport` uses this so only one index in a
-    /// sweep is charged for condensing.
-    pub fn take_condense_cost(&self) -> CondenseTiming {
-        let before = self.condensation.get().is_some();
-        let timing = self.condense_timing();
-        if before {
-            CondenseTiming::default()
-        } else {
-            timing
-        }
-    }
-
     /// How many times the condensation has actually been computed for
     /// this graph — 0 before first use, and never more than 1.
     pub fn condensation_runs(&self) -> usize {
         self.condensation_runs.load(Ordering::Relaxed)
-    }
-
-    /// The edge-reversed input graph (memoized).
-    pub fn reverse(&self) -> &Arc<DiGraph> {
-        self.reverse.get_or_init(|| Arc::new(self.graph.reverse()))
     }
 
     /// Structural statistics of the input graph (memoized; reuses the
@@ -150,7 +127,6 @@ impl PreparedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vertex::VertexId;
 
     fn figure_eight() -> DiGraph {
         DiGraph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])
@@ -175,7 +151,6 @@ mod tests {
             prepared.condensation(),
             prepared.condensation()
         ));
-        assert!(Arc::ptr_eq(prepared.reverse(), prepared.reverse()));
     }
 
     #[test]
@@ -194,18 +169,8 @@ mod tests {
     }
 
     #[test]
-    fn first_build_is_charged_for_condensing_later_builds_are_not() {
-        let g = DiGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
-        let prepared = PreparedGraph::new(g);
-        let _first = prepared.take_condense_cost();
-        let second = prepared.take_condense_cost();
-        assert_eq!(second, CondenseTiming::default());
-    }
-
-    #[test]
-    fn reverse_and_stats_agree_with_graph() {
+    fn stats_agree_with_graph() {
         let prepared = PreparedGraph::new(figure_eight());
-        assert!(prepared.reverse().has_edge(VertexId(1), VertexId(0)));
         assert_eq!(prepared.stats().num_vertices, 6);
         assert_eq!(prepared.stats().num_sccs, 2);
     }

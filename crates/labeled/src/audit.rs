@@ -11,7 +11,7 @@
 
 use crate::lcr::LcrIndex;
 use crate::online::lcr_bfs;
-use crate::pipeline::{lcr_spec, LcrSpec};
+use crate::pipeline::{build_lcr, UnknownLcrIndex};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use reach_core::audit::{AuditConfig, AuditOutcome, Violation};
@@ -116,25 +116,15 @@ pub fn audit_lcr_index(idx: &dyn LcrIndex, g: &LabeledGraph, cfg: &AuditConfig) 
     }
 }
 
-/// Builds `spec` over `g` and audits the result.
-pub fn audit_lcr_spec(
-    spec: &LcrSpec,
-    g: &Arc<LabeledGraph>,
-    opts: &BuildOpts,
-    cfg: &AuditConfig,
-) -> AuditOutcome {
-    let idx = (spec.build)(g, opts);
-    audit_lcr_index(idx.as_ref(), g, cfg)
-}
-
-/// [`audit_lcr_spec`] by registry name; `None` for unknown names.
+/// Builds the named registry index over `g` and audits the result.
 pub fn audit_lcr(
     name: &str,
     g: &Arc<LabeledGraph>,
     opts: &BuildOpts,
     cfg: &AuditConfig,
-) -> Option<AuditOutcome> {
-    lcr_spec(name).map(|spec| audit_lcr_spec(spec, g, opts, cfg))
+) -> Result<AuditOutcome, UnknownLcrIndex> {
+    let idx = build_lcr(name, g, opts)?;
+    Ok(audit_lcr_index(idx.as_ref(), g, cfg))
 }
 
 fn overflow_note(index: &'static str, rule: &'static str, count: usize, out: &mut Vec<Violation>) {
@@ -283,6 +273,6 @@ mod tests {
             &BuildOpts::default(),
             &AuditConfig::default()
         )
-        .is_none());
+        .is_err());
     }
 }

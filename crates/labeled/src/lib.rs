@@ -38,10 +38,10 @@ pub mod spls;
 pub mod witness;
 pub mod zou;
 
-pub use audit::{audit_lcr, audit_lcr_index, audit_lcr_spec};
+pub use audit::{audit_lcr, audit_lcr_index};
 pub use constraint::{parse, Ast, ConstraintKind, Nfa};
 pub use lcr::{ConstraintClass, LabeledIndexMeta, LcrFramework, LcrIndex, RlcIndexApi};
-pub use pipeline::LcrSpec;
-pub use service::{LcrService, UnknownLcrIndex};
+pub use pipeline::{LcrSpec, UnknownLcrIndex};
+pub use service::LcrService;
 pub use spls::SplsSet;
 pub use witness::Witness;

@@ -14,6 +14,7 @@ use crate::p2h::P2hPlus;
 use crate::zou::ZouIndex;
 use reach_core::pipeline::{defaults, BuildOpts, BuilderSpec};
 use reach_graph::{fixtures, LabeledGraph};
+use std::fmt;
 use std::sync::Arc;
 
 /// The LCR instantiation of the registry entry type.
@@ -85,10 +86,29 @@ pub fn lcr_feasible(name: &str, n: usize) -> bool {
     lcr_spec(name).is_some_and(|s| (s.feasible)(n, 0))
 }
 
-/// Builds the named LCR index. Panics on an unknown name.
-pub fn build_lcr(name: &str, graph: &Arc<LabeledGraph>, opts: &BuildOpts) -> Box<dyn LcrIndex> {
-    let spec = lcr_spec(name).unwrap_or_else(|| panic!("unknown LCR index {name:?}"));
-    (spec.build)(graph, opts)
+/// The requested technique is not in the LCR registry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownLcrIndex {
+    /// The name that failed to resolve.
+    pub name: String,
+}
+
+impl fmt::Display for UnknownLcrIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "unknown LCR index {:?}", self.name)
+    }
+}
+
+impl std::error::Error for UnknownLcrIndex {}
+
+/// Builds the named LCR index.
+pub fn build_lcr(
+    name: &str,
+    graph: &Arc<LabeledGraph>,
+    opts: &BuildOpts,
+) -> Result<Box<dyn LcrIndex>, UnknownLcrIndex> {
+    let spec = lcr_spec(name).ok_or_else(|| UnknownLcrIndex { name: name.into() })?;
+    Ok((spec.build)(graph, opts))
 }
 
 #[cfg(test)]
@@ -113,9 +133,13 @@ mod tests {
     }
 
     #[test]
-    fn unknown_names_are_infeasible() {
+    fn unknown_names_are_infeasible_and_a_typed_build_error() {
         assert!(!lcr_feasible("no such index", 10));
         assert!(lcr_spec("no such index").is_none());
+        let Err(e) = build_lcr("no such index", &fig(), &BuildOpts::default()) else {
+            panic!("an unknown name must not build");
+        };
+        assert_eq!(e.name, "no such index");
     }
 
     #[test]

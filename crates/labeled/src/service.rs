@@ -6,27 +6,12 @@
 //! without ever rebuilding.
 
 use crate::lcr::LcrIndex;
-use crate::pipeline::{build_lcr, lcr_spec};
+use crate::pipeline::{build_lcr, UnknownLcrIndex};
 use reach_core::pipeline::BuildOpts;
 use reach_graph::{LabelSet, LabeledGraph, VertexId};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The requested technique is not in the LCR registry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownLcrIndex {
-    /// The name that failed to resolve.
-    pub name: String,
-}
-
-impl fmt::Display for UnknownLcrIndex {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown LCR index {:?}", self.name)
-    }
-}
-
-impl std::error::Error for UnknownLcrIndex {}
 
 /// A built LCR index plus the graph it serves and its build cost.
 pub struct LcrService {
@@ -43,15 +28,12 @@ impl LcrService {
         graph: Arc<LabeledGraph>,
         opts: &BuildOpts,
     ) -> Result<Self, UnknownLcrIndex> {
-        let Some(spec) = lcr_spec(name) else {
-            return Err(UnknownLcrIndex { name: name.into() });
-        };
         let start = Instant::now();
-        let index = build_lcr(spec.name, &graph, opts);
+        let index = build_lcr(name, &graph, opts)?;
         Ok(LcrService {
             graph,
+            name: index.meta().name,
             index,
-            name: spec.name,
             build_time: start.elapsed(),
         })
     }

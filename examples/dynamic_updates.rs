@@ -28,7 +28,7 @@ fn main() {
 
     // ---- plain dynamic indexes --------------------------------------
     let g0 = random_digraph(n, 600, &mut rng);
-    let mut tol = Tol::build(&g0, OrderStrategy::DegreeDescending);
+    let mut tol = Tol::build(&g0, OrderStrategy::DegreeDescending, 1);
     let mut dbl = Dbl::build(&g0);
 
     let mut edges: Vec<(u32, u32)> = g0.edges().map(|(a, b)| (a.0, b.0)).collect();

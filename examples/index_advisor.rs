@@ -13,9 +13,10 @@
 //! makes the whole taxonomy mechanically comparable.
 
 use reach_bench::queries::query_mix;
-use reach_bench::registry::{build_plain, plain_feasible, plain_names};
 use reach_bench::report::{fmt_bytes, fmt_duration, timed, Table};
 use reach_bench::workloads::Shape;
+use reachability::graph::PreparedGraph;
+use reachability::plain::pipeline::{build_plain, plain_feasible, plain_names, BuildOpts};
 use reachability::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -75,7 +76,11 @@ fn main() {
         if name.starts_with("online") || !plain_feasible(name, n, graph.num_edges()) {
             continue;
         }
-        let (idx, build) = timed(|| build_plain(name, &graph));
+        // a prepared graph per candidate: each build pays for its condensation
+        let prepared = PreparedGraph::new_shared(Arc::clone(&graph));
+        let (idx, report) =
+            build_plain(name, &prepared, &BuildOpts::default()).expect("registry name");
+        let build = report.total;
         let meta = idx.meta();
         if !admissible(&meta, &req) {
             rejected.push((name.to_string(), "static index, workload needs inserts"));

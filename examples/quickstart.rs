@@ -23,7 +23,7 @@ fn main() {
     // A complete tree-cover index: answers by lookup only.
     let tree_cover = reachability::plain::tree_cover::TreeCover::build(&dag);
     // A partial index: GRAIL's no-false-negative filter + guided DFS.
-    let grail = reachability::plain::grail::build_grail(&dag, 2, 42);
+    let grail = reachability::plain::grail::build_grail(&dag, 2, 42, 1);
     // A 2-hop labeling on the general graph.
     let pll = reachability::plain::pll::Pll::build(dag.graph());
 

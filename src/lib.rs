@@ -30,7 +30,7 @@
 //! assert!(tree_cover.query(fixtures::A, fixtures::G)); // Qr(A,G) = true
 //!
 //! // a partial index: no-false-negative filter + guided traversal
-//! let grail = reachability::plain::grail::build_grail(&dag, 2, 42);
+//! let grail = reachability::plain::grail::build_grail(&dag, 2, 42, 1);
 //! assert!(grail.query(fixtures::A, fixtures::G));
 //! assert!(!grail.query(fixtures::G, fixtures::A));
 //!

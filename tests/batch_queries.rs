@@ -13,11 +13,11 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use reach_bench::registry::{build_plain, plain_feasible, plain_names};
 use reachability::graph::traverse;
+use reachability::graph::PreparedGraph;
+use reachability::plain::pipeline::{build_plain, plain_feasible, plain_names, BuildOpts};
 use reachability::plain::QueryEngine;
 use reachability::prelude::*;
-use std::sync::Arc;
 
 const CASES: u64 = 48;
 
@@ -132,13 +132,14 @@ fn query_batch_matches_per_pair_query_for_every_registry_index() {
     for case in 0..12 {
         let mut rng = SmallRng::seed_from_u64(0xBA7C_0000 + case);
         let (n, edges) = random_digraph(&mut rng);
-        let g = Arc::new(DiGraph::from_edges(n, &edges));
+        let prepared = PreparedGraph::new(DiGraph::from_edges(n, &edges));
+        let g = prepared.graph();
         let pairs = random_pairs(n, &mut rng);
         for name in plain_names() {
             if !plain_feasible(name, g.num_vertices(), g.num_edges()) {
                 continue;
             }
-            let idx = build_plain(name, &g);
+            let (idx, _) = build_plain(name, &prepared, &BuildOpts::default()).unwrap();
             let batch = idx.query_batch(&pairs);
             for (i, &(s, t)) in pairs.iter().enumerate() {
                 assert_eq!(
@@ -156,13 +157,14 @@ fn query_engine_is_identical_for_one_and_eight_threads() {
     for case in 0..12 {
         let mut rng = SmallRng::seed_from_u64(0xE291_0000 + case);
         let (n, edges) = random_digraph(&mut rng);
-        let g = Arc::new(DiGraph::from_edges(n, &edges));
+        let prepared = PreparedGraph::new(DiGraph::from_edges(n, &edges));
+        let g = prepared.graph();
         let pairs = random_pairs(n, &mut rng);
         for name in ["online-BFS", "online-BiBFS", "GRAIL", "BFL", "PLL"] {
             if !plain_feasible(name, g.num_vertices(), g.num_edges()) {
                 continue;
             }
-            let idx = build_plain(name, &g);
+            let (idx, _) = build_plain(name, &prepared, &BuildOpts::default()).unwrap();
             let one = QueryEngine::new(1).run(idx.as_ref(), &pairs);
             let eight = QueryEngine::new(8).run(idx.as_ref(), &pairs);
             assert_eq!(

@@ -14,7 +14,7 @@ use reachability::prelude::*;
 fn dl_and_pll_answer_identically_on_every_shape() {
     for shape in ALL_SHAPES {
         let g = shape.generate(80, 13);
-        let dl = build_dl(&g);
+        let dl = build_dl(&g, 1);
         let pll = Pll::build(&g);
         for s in g.vertices() {
             for t in g.vertices() {
@@ -35,7 +35,7 @@ fn pll_labels_are_never_larger_than_canonical_dl_labels() {
     let mut sizes = Vec::new();
     for shape in [Shape::Sparse, Shape::PowerLaw, Shape::Dense] {
         let g = shape.generate(300, 17);
-        let dl = build_dl(&g);
+        let dl = build_dl(&g, 1);
         let pll = Pll::build(&g);
         assert!(
             pll.size_entries() <= dl.size_entries(),
@@ -57,7 +57,7 @@ fn pll_labels_are_never_larger_than_canonical_dl_labels() {
 fn both_share_the_degree_order() {
     let mut rng = SmallRng::seed_from_u64(19);
     let g = reachability::graph::generators::random_digraph(60, 200, &mut rng);
-    let dl = build_dl(&g);
+    let dl = build_dl(&g, 1);
     let pll = Pll::build(&g);
     for v in g.vertices() {
         assert_eq!(dl.rank_of(v), pll.rank_of(v), "order mismatch at {v:?}");

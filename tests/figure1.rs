@@ -2,13 +2,15 @@
 //! verified against every implemented index (the claim-by-claim list
 //! is DESIGN.md §4, rows "Figure 1(a)" and "Figure 1(b)").
 
-use reach_bench::registry::{build_lcr, build_plain, lcr_names, plain_names};
 use reachability::graph::fixtures::{
     self, A, B, C, D, FOLLOWS, FRIEND_OF, G, H, K, L, M, WORKS_FOR,
 };
+use reachability::graph::PreparedGraph;
 use reachability::labeled::online::{lcr_bfs, rlc_bfs};
+use reachability::labeled::pipeline::{build_lcr, lcr_names};
 use reachability::labeled::rlc::RlcIndex;
 use reachability::labeled::zou::single_source_gtc;
+use reachability::plain::pipeline::{build_plain, plain_names, BuildOpts};
 use reachability::prelude::*;
 use std::sync::Arc;
 
@@ -17,8 +19,9 @@ fn qr_a_g_is_true_for_every_plain_index() {
     // §2.1: "Qr(A,G) = true because of an s-t path (A, D, H, G)"
     let g = Arc::new(fixtures::figure1a());
     assert!(g.has_edge(A, D) && g.has_edge(D, H) && g.has_edge(H, G));
+    let prepared = PreparedGraph::new_shared(g);
     for name in plain_names() {
-        let idx = build_plain(name, &g);
+        let (idx, _) = build_plain(name, &prepared, &BuildOpts::default()).unwrap();
         assert!(idx.query(A, G), "{name}: Qr(A,G) must be true");
     }
 }
@@ -31,7 +34,7 @@ fn alternation_example_is_false_for_every_lcr_index() {
     let constraint = LabelSet::from_labels([FRIEND_OF, FOLLOWS]);
     assert!(!lcr_bfs(&g, A, G, constraint));
     for name in lcr_names() {
-        let idx = build_lcr(name, &g);
+        let idx = build_lcr(name, &g, &BuildOpts::default()).unwrap();
         assert!(!idx.query(A, G, constraint), "{name}");
         assert!(idx.query(A, G, LabelSet::full(3)), "{name}: unconstrained");
     }
@@ -97,8 +100,9 @@ fn mr_example_and_rlc_query() {
 fn figure1_reachability_matrix_is_consistent_across_all_indexes() {
     let g = Arc::new(fixtures::figure1a());
     let tc = TransitiveClosure::build(&g);
+    let prepared = PreparedGraph::new_shared(Arc::clone(&g));
     for name in plain_names() {
-        let idx = build_plain(name, &g);
+        let (idx, _) = build_plain(name, &prepared, &BuildOpts::default()).unwrap();
         for s in g.vertices() {
             for t in g.vertices() {
                 assert_eq!(idx.query(s, t), tc.reaches(s, t), "{name} at {s:?}->{t:?}");
@@ -111,7 +115,7 @@ fn figure1_reachability_matrix_is_consistent_across_all_indexes() {
 fn figure1_lcr_matrix_is_consistent_across_all_indexes() {
     let g = Arc::new(fixtures::figure1b());
     for name in lcr_names() {
-        let idx = build_lcr(name, &g);
+        let idx = build_lcr(name, &g, &BuildOpts::default()).unwrap();
         for s in g.vertices() {
             for t in g.vertices() {
                 for mask in 0..8u64 {

@@ -50,13 +50,12 @@ fn real_filters_expand_fewer_vertices_than_dfs() {
     let mix = query_mix(&shared, 400, 0.5, 3);
 
     let baseline = GuidedSearch::new(shared.clone(), Oblivious, oblivious_meta());
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(9);
     let candidates: Vec<(&str, GuidedSearch<Box<dyn ReachFilter>>)> = vec![
         (
             "GRAIL",
             GuidedSearch::new(
                 shared.clone(),
-                Box::new(GrailFilter::build(&dag, 3, &mut rng)) as Box<dyn ReachFilter>,
+                Box::new(GrailFilter::build(&dag, 3, 9, 1)) as Box<dyn ReachFilter>,
                 oblivious_meta(),
             ),
         ),
@@ -103,7 +102,7 @@ fn definite_positive_filters_short_circuit() {
     // expansions
     let mut rng = rand::rngs::SmallRng::seed_from_u64(10);
     let dag = reachability::graph::generators::random_tree_plus_edges(500, 5, &mut rng);
-    let idx = grail::build_grail(&dag, 2, 3);
+    let idx = grail::build_grail(&dag, 2, 3, 1);
     let ferrari = ferrari::build_ferrari(&dag, 8);
     let mut zero_expansion_hits = 0;
     for s in dag.vertices().step_by(7) {

@@ -5,11 +5,12 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use reach_bench::registry::{build_lcr, lcr_feasible, lcr_names};
 use reach_bench::workloads::Shape;
 use reachability::labeled::online::{lcr_bfs, rlc_bfs, rpq_bfs};
+use reachability::labeled::pipeline::{build_lcr, lcr_feasible, lcr_names};
 use reachability::labeled::rlc::RlcIndex;
 use reachability::labeled::{parse, Nfa};
+use reachability::plain::BuildOpts;
 use reachability::prelude::*;
 use std::sync::Arc;
 
@@ -19,7 +20,7 @@ fn check_lcr_shape(shape: Shape, n: usize, k: usize, seed: u64) {
         if !lcr_feasible(name, n) {
             continue;
         }
-        let idx = build_lcr(name, &g);
+        let idx = build_lcr(name, &g, &BuildOpts::default()).unwrap();
         for s in g.vertices() {
             for t in g.vertices() {
                 for mask in 0..(1u64 << k) {
@@ -133,7 +134,7 @@ fn lcr_indexes_handle_degenerate_graphs() {
     ] {
         let g = Arc::new(LabeledGraph::from_edges(3, 3, &edges));
         for name in lcr_names() {
-            let idx = build_lcr(name, &g);
+            let idx = build_lcr(name, &g, &BuildOpts::default()).unwrap();
             for s in g.vertices() {
                 for t in g.vertices() {
                     for mask in 0..8u64 {

@@ -2,22 +2,28 @@
 //! closure on every graph shape the workload generators produce —
 //! the central cross-index invariant of the workspace.
 
-use reach_bench::registry::{
-    build_plain, build_plain_prepared, plain_feasible, plain_names, BuildOpts,
-};
 use reach_bench::workloads::Shape;
-use reach_graph::PreparedGraph;
+use reachability::graph::PreparedGraph;
+use reachability::plain::pipeline::{build_plain, plain_feasible, plain_names, BuildOpts};
 use reachability::prelude::*;
 use std::sync::Arc;
+
+/// Builds registry entry `name` over `prepared` with default options.
+fn build(name: &str, prepared: &PreparedGraph) -> Box<dyn ReachIndex> {
+    build_plain(name, prepared, &BuildOpts::default())
+        .expect("registry name")
+        .0
+}
 
 fn check_shape(shape: Shape, n: usize, seed: u64) {
     let g = Arc::new(shape.generate(n, seed));
     let tc = TransitiveClosure::build(&g);
+    let prepared = PreparedGraph::new_shared(Arc::clone(&g));
     for name in plain_names() {
         if !plain_feasible(name, g.num_vertices(), g.num_edges()) {
             continue;
         }
-        let idx = build_plain(name, &g);
+        let idx = build(name, &prepared);
         for s in g.vertices() {
             for t in g.vertices() {
                 assert_eq!(
@@ -67,59 +73,15 @@ fn all_indexes_agree_on_edge_cases() {
     for edges in [vec![], vec![(0u32, 1u32)], vec![(0, 1), (1, 2), (2, 0)]] {
         let g = Arc::new(DiGraph::from_edges(3, &edges));
         let tc = TransitiveClosure::build(&g);
+        let prepared = PreparedGraph::new_shared(Arc::clone(&g));
         for name in plain_names() {
-            let idx = build_plain(name, &g);
+            let idx = build(name, &prepared);
             for s in g.vertices() {
                 for t in g.vertices() {
                     assert_eq!(idx.query(s, t), tc.reaches(s, t), "{name} on {edges:?}");
                 }
             }
         }
-    }
-}
-
-/// Pipeline builds (shared [`PreparedGraph`]) must answer identically
-/// to legacy standalone builds, for every registry entry.
-fn check_pipeline_matches_legacy(g: &Arc<DiGraph>, what: &str) {
-    let prepared = PreparedGraph::new_shared(Arc::clone(g));
-    let opts = BuildOpts::default();
-    for name in plain_names() {
-        if !plain_feasible(name, g.num_vertices(), g.num_edges()) {
-            continue;
-        }
-        let legacy = build_plain(name, g);
-        let piped = build_plain_prepared(name, &prepared, &opts);
-        for s in g.vertices() {
-            for t in g.vertices() {
-                assert_eq!(
-                    piped.query(s, t),
-                    legacy.query(s, t),
-                    "{name} pipeline vs legacy on {what} at {s:?}->{t:?}"
-                );
-            }
-        }
-    }
-    assert!(
-        prepared.condensation_runs() <= 1,
-        "the pipeline sweep over {what} must condense at most once"
-    );
-}
-
-#[test]
-fn pipeline_matches_legacy_on_figure1() {
-    let g = Arc::new(reach_graph::fixtures::figure1a());
-    check_pipeline_matches_legacy(&g, "figure-1a");
-}
-
-#[test]
-fn pipeline_matches_legacy_on_random_graphs() {
-    for (shape, n, seed) in [
-        (Shape::Sparse, 60, 11),
-        (Shape::Cyclic, 50, 12),
-        (Shape::PowerLaw, 55, 13),
-    ] {
-        let g = Arc::new(shape.generate(n, seed));
-        check_pipeline_matches_legacy(&g, shape.name());
     }
 }
 
@@ -147,12 +109,12 @@ fn two_builds_on_one_prepared_graph_share_the_condensation() {
 
 #[test]
 fn sizes_are_reported_consistently() {
-    let g = Arc::new(Shape::Sparse.generate(120, 9));
+    let prepared = PreparedGraph::new(Shape::Sparse.generate(120, 9));
     for name in plain_names() {
-        if !plain_feasible(name, 120, g.num_edges()) {
+        if !plain_feasible(name, 120, prepared.num_edges()) {
             continue;
         }
-        let idx = build_plain(name, &g);
+        let idx = build(name, &prepared);
         if name.starts_with("online") {
             assert_eq!(idx.size_bytes(), 0, "{name}");
         } else {

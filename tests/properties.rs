@@ -76,7 +76,7 @@ fn no_false_negative_filters_never_reject_reachable_pairs() {
         let filters: Vec<(&str, Box<dyn ReachFilter>)> = vec![
             (
                 "GRAIL",
-                Box::new(grail::GrailFilter::build(&dag, 2, &mut rng)),
+                Box::new(grail::GrailFilter::build(&dag, 2, seed, 1)),
             ),
             ("Ferrari", Box::new(ferrari::FerrariFilter::build(&dag, 2))),
             ("IP", Box::new(ip::IpFilter::build(&dag, 3, seed))),
@@ -113,9 +113,12 @@ fn complete_indexes_equal_the_transitive_closure() {
         let g = DiGraph::from_edges(n, &edges);
         let tc = TransitiveClosure::build(&g);
         let pll = reachability::plain::pll::Pll::build(&g);
-        let dl = reachability::plain::tol::build_dl(&g);
+        let dl = reachability::plain::tol::build_dl(&g, 1);
         let gripp = reachability::plain::gripp::Gripp::build(&g);
-        let cond_tree = Condensed::build(&g, reachability::plain::tree_cover::TreeCover::build);
+        let cond_tree = Condensed::from_prepared(
+            &reachability::graph::PreparedGraph::new(g.clone()),
+            reachability::plain::tree_cover::TreeCover::build,
+        );
         for s in g.vertices() {
             for t in g.vertices() {
                 let expect = tc.reaches(s, t);
@@ -245,6 +248,7 @@ fn tol_updates_match_rebuild() {
         let mut tol = reachability::plain::tol::Tol::build(
             &g,
             reachability::plain::tol::OrderStrategy::DegreeDescending,
+            1,
         );
         let mut current: Vec<(u32, u32)> = g.edges().map(|(a, b)| (a.0, b.0)).collect();
         for (op, x, y) in script {

@@ -3,9 +3,10 @@
 //! techniques: any index built on a reduced graph answers exactly the
 //! queries of the original.
 
-use reach_bench::registry::{build_plain, plain_feasible, plain_names};
 use reach_bench::workloads::Shape;
 use reachability::graph::reduction::{equivalence_reduction, transitive_reduction};
+use reachability::graph::PreparedGraph;
+use reachability::plain::pipeline::{build_plain, plain_feasible, plain_names, BuildOpts};
 use reachability::prelude::*;
 use std::sync::Arc;
 
@@ -19,11 +20,12 @@ fn transitive_reduction_composes_with_every_index() {
         "dense DAGs have shortcuts"
     );
     let tc = TransitiveClosure::build(&g);
+    let prepared = PreparedGraph::new_shared(reduced);
     for name in plain_names() {
         if !plain_feasible(name, 60, g.num_edges()) {
             continue;
         }
-        let idx = build_plain(name, &reduced);
+        let (idx, _) = build_plain(name, &prepared, &BuildOpts::default()).unwrap();
         for s in g.vertices() {
             for t in g.vertices() {
                 assert_eq!(
@@ -48,8 +50,9 @@ fn equivalence_reduction_composes_with_every_index() {
     let tc = TransitiveClosure::build(&g);
     let reduced = Arc::new(er.graph.clone());
     let reduced_tc = TransitiveClosure::build(&reduced);
+    let prepared = PreparedGraph::new_shared(Arc::clone(&reduced));
     for name in ["GRAIL", "BFL", "PLL", "Feline"] {
-        let idx = build_plain(name, &reduced);
+        let (idx, _) = build_plain(name, &prepared, &BuildOpts::default()).unwrap();
         for s in g.vertices() {
             for t in g.vertices() {
                 let (cs, ct) = (er.class_of[s.index()], er.class_of[t.index()]);
@@ -79,11 +82,12 @@ fn reductions_preserve_index_size_ordering() {
     // the point of reducing first: indexes get smaller, answers don't change
     let g = Shape::Dense.generate(300, 13);
     let dag = Dag::new(g.clone()).unwrap();
-    let reduced = Arc::new(transitive_reduction(&dag));
-    let original = Arc::new(g);
+    let reduced = PreparedGraph::new(transitive_reduction(&dag));
+    let original = PreparedGraph::new(g);
+    let opts = BuildOpts::default();
     for name in ["Tree cover", "PLL", "TFL"] {
-        let full = build_plain(name, &original);
-        let slim = build_plain(name, &reduced);
+        let (full, _) = build_plain(name, &original, &opts).unwrap();
+        let (slim, _) = build_plain(name, &reduced, &opts).unwrap();
         assert!(
             slim.size_entries() <= full.size_entries(),
             "{name}: reduction should not grow the index ({} > {})",

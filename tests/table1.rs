@@ -2,7 +2,7 @@
 //! survey's **Table 1** row by row (with the substitutions documented
 //! in DESIGN.md §2).
 
-use reach_bench::registry::plain_native_meta;
+use reachability::plain::pipeline::{plain_names, plain_native_meta};
 use reachability::prelude::*;
 
 /// One expected row: (technique, framework, index type, input, dynamic).
@@ -59,7 +59,7 @@ fn matrix_matches_the_papers_table_1() {
 #[test]
 fn every_registered_technique_has_a_table_row() {
     let expected: Vec<&str> = expected_rows().iter().map(|r| r.0).collect();
-    for name in reach_bench::registry::plain_names() {
+    for name in plain_names() {
         if name.starts_with("online") {
             continue; // §2.3 baselines, not Table-1 rows
         }
@@ -76,14 +76,10 @@ fn partial_indexes_expose_filter_guarantees() {
     // machine-checkable; verify the flagship filters advertise it.
     use reachability::plain::{bfl, feline, ferrari, grail, ip, oreach};
     let dag = Dag::new(reachability::graph::fixtures::figure1a()).unwrap();
-    let mut rng = {
-        use rand::SeedableRng;
-        rand::rngs::SmallRng::seed_from_u64(1)
-    };
     let filters: Vec<(&str, FilterGuarantees)> = vec![
         (
             "GRAIL",
-            grail::GrailFilter::build(&dag, 2, &mut rng).guarantees(),
+            grail::GrailFilter::build(&dag, 2, 1, 1).guarantees(),
         ),
         (
             "Ferrari",

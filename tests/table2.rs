@@ -1,10 +1,11 @@
 //! Integration test: the implemented classification matrix matches the
 //! survey's **Table 2** row by row.
 
-use reach_bench::registry::build_lcr;
 use reachability::graph::fixtures;
+use reachability::labeled::pipeline::build_lcr;
 use reachability::labeled::rlc::RlcIndex;
 use reachability::labeled::RlcIndexApi;
+use reachability::plain::BuildOpts;
 use reachability::prelude::*;
 use std::sync::Arc;
 
@@ -68,7 +69,7 @@ fn matrix_matches_the_papers_table_2() {
         let m = if name == "RLC index" {
             RlcIndex::build(&g, 2).meta()
         } else {
-            build_lcr(name, &g).meta()
+            build_lcr(name, &g, &BuildOpts::default()).unwrap().meta()
         };
         assert_eq!(m.name, name);
         assert_eq!(m.framework, framework, "{name}: framework column");
@@ -91,7 +92,7 @@ fn no_index_supports_both_constraint_classes() {
         let m = if name == "RLC index" {
             RlcIndex::build(&g, 2).meta()
         } else {
-            build_lcr(name, &g).meta()
+            build_lcr(name, &g, &BuildOpts::default()).unwrap().meta()
         };
         match m.constraint {
             ConstraintClass::Alternation => alternation += 1,

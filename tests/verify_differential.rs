@@ -15,14 +15,12 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use reach_bench::registry::{
-    build_lcr, build_plain_prepared, lcr_feasible, lcr_names, plain_feasible, plain_names,
-    BuildOpts,
-};
 use reach_core::audit::{audit_plain, AuditConfig};
 use reach_labeled::{audit_lcr, Nfa};
 use reachability::graph::generators::{random_digraph, random_labeled_digraph, LabelDistribution};
 use reachability::graph::PreparedGraph;
+use reachability::labeled::pipeline::{build_lcr, lcr_feasible, lcr_names};
+use reachability::plain::pipeline::{build_plain, plain_feasible, plain_names, BuildOpts};
 use reachability::prelude::*;
 use std::sync::Arc;
 
@@ -37,7 +35,7 @@ fn every_plain_index_matches_transitive_closure_on_cyclic_graphs() {
             if !plain_feasible(name, g.num_vertices(), g.num_edges()) {
                 continue;
             }
-            let idx = build_plain_prepared(name, &prepared, &BuildOpts::default());
+            let (idx, _) = build_plain(name, &prepared, &BuildOpts::default()).unwrap();
             for s in g.vertices() {
                 for t in g.vertices() {
                     assert_eq!(
@@ -80,7 +78,7 @@ fn every_lcr_index_matches_the_automaton_guided_bfs() {
             if !lcr_feasible(name, g.num_vertices()) {
                 continue;
             }
-            let idx = build_lcr(name, &g);
+            let idx = build_lcr(name, &g, &BuildOpts::default()).unwrap();
             for &mask in &masks {
                 match alternation_expr(mask) {
                     Some(expr) => {
