@@ -3,18 +3,24 @@
 //!
 //! ```text
 //! cargo run --release -p reach-bench --bin claims -- [--baseline] [--speedup]
-//!     [--scaling [--full]] [--negatives] [--labeled-cost]   (default: all)
+//!     [--scaling [--full]] [--negatives] [--labeled-cost] [--parallel]
+//!     [--dynamic]   (default: all)
 //! ```
 
-use reach_bench::queries::query_mix;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use reach_bench::queries::{query_mix, random_pair};
 use reach_bench::report::{fmt_bytes, fmt_duration, timed, Table};
 use reach_bench::workloads::Shape;
 use reach_core::pipeline::{build_plain, BuildOpts};
 use reach_core::ReachIndex;
-use reach_graph::traverse::{bfs_reaches_counted, VisitMap};
-use reach_graph::{DiGraph, PreparedGraph};
+use reach_graph::traverse::{bfs_reaches, bfs_reaches_counted, VisitMap};
+use reach_graph::{DiGraph, Label, LabelSet, LabeledGraph, PreparedGraph, VertexId};
+use reach_labeled::online::lcr_bfs;
 use reach_labeled::pipeline::build_lcr;
+use reach_labeled::LcrIndex;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Builds registry entry `name` over a prepared graph of its own, so
 /// a timed build includes the condensation.
@@ -235,6 +241,226 @@ fn parallel() {
     println!("thread-level parallelism, bounded by the core count above.\n");
 }
 
+/// One edge update of a dynamic-index stream.
+#[derive(Clone, Copy)]
+enum Update<E> {
+    Insert(E),
+    Delete(E),
+}
+
+/// A stream of `rounds` inserts of fresh random edges, each followed
+/// (when `deletes`) by the deletion of a random edge still present.
+/// `edges` starts as the base graph's edge list and ends as the graph
+/// the stream leaves behind, which the exactness check runs on.
+fn update_stream<E: Copy + PartialEq>(
+    edges: &mut Vec<E>,
+    rounds: usize,
+    deletes: bool,
+    rng: &mut SmallRng,
+    mut fresh: impl FnMut(&mut SmallRng) -> E,
+) -> Vec<Update<E>> {
+    let mut ops = Vec::with_capacity(2 * rounds);
+    for _ in 0..rounds {
+        let e = fresh(rng);
+        // the indexes ignore an insert of an edge they already hold
+        if !edges.contains(&e) {
+            edges.push(e);
+        }
+        ops.push(Update::Insert(e));
+        if deletes {
+            let i = rng.random_range(0..edges.len());
+            ops.push(Update::Delete(edges.swap_remove(i)));
+        }
+    }
+    ops
+}
+
+/// An exactness check for a plain dynamic index: its answer for a
+/// pair and BFS's over `edges`.
+fn bfs_oracle<I: ReachIndex>(
+    n: usize,
+    edges: &[(VertexId, VertexId)],
+) -> impl FnMut(&I, VertexId, VertexId) -> (bool, bool) {
+    let edges: Vec<(u32, u32)> = edges.iter().map(|&(u, v)| (u.0, v.0)).collect();
+    let g = DiGraph::from_edges(n, &edges);
+    let mut vm = VisitMap::new(n);
+    move |idx, s, t| (idx.query(s, t), bfs_reaches(&g, s, t, &mut vm))
+}
+
+/// The pairs a dynamic index is checked on after its stream: the
+/// endpoints of every update, then 2000 random pairs.
+fn check_pairs<E: Copy>(
+    n: usize,
+    ops: &[Update<E>],
+    endpoints: fn(E) -> (VertexId, VertexId),
+) -> Vec<(VertexId, VertexId)> {
+    let mut rng = SmallRng::seed_from_u64(0xC4EC);
+    let mut pairs: Vec<_> = ops
+        .iter()
+        .map(|&(Update::Insert(e) | Update::Delete(e))| endpoints(e))
+        .collect();
+    pairs.extend((0..2_000).map(|_| random_pair(n, &mut rng)));
+    pairs
+}
+
+/// Builds an index, applies `ops` to it timing each update, then
+/// checks it on `pairs`: `check` returns the index's answer and the
+/// oracle's. Appends the row (mean per insert and per delete) once
+/// every pair agreed.
+fn update_row<I, E: Copy>(
+    table: &mut Table,
+    [technique, workload]: [&str; 2],
+    build: impl FnOnce() -> I,
+    ops: &[Update<E>],
+    mut apply: impl FnMut(&mut I, Update<E>),
+    pairs: &[(VertexId, VertexId)],
+    mut check: impl FnMut(&I, VertexId, VertexId) -> (bool, bool),
+) {
+    let (mut idx, build) = timed(build);
+    let mut total = [Duration::ZERO; 2];
+    let mut count = [0u32; 2];
+    for &op in ops {
+        let kind = usize::from(matches!(op, Update::Delete(_)));
+        total[kind] += timed(|| apply(&mut idx, op)).1;
+        count[kind] += 1;
+    }
+    let mut reachable = 0;
+    for &(s, t) in pairs {
+        let (got, expect) = check(&idx, s, t);
+        assert_eq!(
+            got, expect,
+            "{technique} wrong on ({s:?}, {t:?}) after its updates"
+        );
+        reachable += usize::from(expect);
+    }
+    let mean = |k: usize| match count[k] {
+        0 => "-".to_string(),
+        c => fmt_duration(total[k] / c),
+    };
+    table.row([
+        technique.to_string(),
+        workload.to_string(),
+        fmt_duration(build),
+        ops.len().to_string(),
+        mean(0),
+        mean(1),
+        format!("{} ({reachable})", pairs.len()),
+    ]);
+}
+
+/// The "Dynamic" columns of Tables 1 and 2: the cost of one edge
+/// update for each maintainable index, with every index checked exact
+/// (outside the timed loop) on the graph its stream leaves behind.
+fn dynamic() {
+    use reach_core::dagger::DynamicGrail;
+    use reach_core::dbl::Dbl;
+    use reach_core::tol::{OrderStrategy, Tol};
+    use reach_graph::Dag;
+    use reach_labeled::dlcr::Dlcr;
+
+    println!("== Tables 1-2 \"Dynamic\": edge-update cost ==\n");
+    let n = 1_000;
+    // TOL recomputes every hop a deleted edge may have served, which on
+    // this one-big-SCC graph costs more than a rebuild: few rounds keep
+    // the report quick
+    let rounds = 16;
+    let mut table = Table::new([
+        "technique",
+        "workload",
+        "build",
+        "updates",
+        "per insert",
+        "per delete",
+        "checked pairs (reachable)",
+    ]);
+    let mut rng = SmallRng::seed_from_u64(1);
+    let fresh = |r: &mut SmallRng| random_pair(n, r);
+    let base = Shape::Cyclic.generate(n, 23);
+    let cyclic = format!("cyclic n={n}");
+
+    let mut edges: Vec<_> = base.edges().collect();
+    let ops = update_stream(&mut edges, rounds, true, &mut rng, fresh);
+    update_row(
+        &mut table,
+        ["TOL insert+delete", &cyclic],
+        || Tol::build(&base, OrderStrategy::DegreeDescending, 1),
+        &ops,
+        |idx, op| match op {
+            Update::Insert((u, v)) => idx.insert_edge(u, v),
+            Update::Delete((u, v)) => idx.delete_edge(u, v),
+        },
+        &check_pairs(n, &ops, |e| e),
+        bfs_oracle(n, &edges),
+    );
+
+    let mut edges: Vec<_> = base.edges().collect();
+    let ops = update_stream(&mut edges, rounds, false, &mut rng, fresh);
+    update_row(
+        &mut table,
+        ["DBL insert-only", &cyclic],
+        || Dbl::build(&base),
+        &ops,
+        |idx, op| match op {
+            Update::Insert((u, v)) => idx.insert_edge(u, v),
+            Update::Delete(_) => unreachable!("DBL's stream is insert-only"),
+        },
+        &check_pairs(n, &ops, |e| e),
+        bfs_oracle(n, &edges),
+    );
+
+    let dag = Dag::new(Shape::Sparse.generate(n, 24)).expect("sparse shape is acyclic");
+    let mut edges: Vec<_> = dag.graph().edges().collect();
+    // forward edges keep the stream acyclic
+    let ops = update_stream(&mut edges, rounds, true, &mut rng, |r| {
+        let (u, v) = random_pair(n, r);
+        (u.min(v), u.max(v))
+    });
+    update_row(
+        &mut table,
+        ["DAGGER forward-insert+delete", &format!("sparse-dag n={n}")],
+        || DynamicGrail::build(&dag, 2, 3),
+        &ops,
+        |idx, op| match op {
+            Update::Insert((u, v)) => idx.insert_edge(u, v),
+            Update::Delete((u, v)) => idx.delete_edge(u, v),
+        },
+        &check_pairs(n, &ops, |e| e),
+        bfs_oracle(n, &edges),
+    );
+
+    let (n, k) = (200, 3);
+    let labeled = Shape::Cyclic.generate_labeled(n, k, 25);
+    let mut edges: Vec<_> = labeled.edges().map(|(u, l, v)| (u.0, l.0, v.0)).collect();
+    let ops = update_stream(&mut edges, rounds, true, &mut rng, |r| {
+        let (u, v) = random_pair(n, r);
+        (u.0, r.random_range(0..k as u8), v.0)
+    });
+    let g = LabeledGraph::from_edges(n, k, &edges);
+    update_row(
+        &mut table,
+        [
+            "DLCR insert+delete",
+            &format!("labeled cyclic n={n} |L|={k}"),
+        ],
+        || Dlcr::build(&labeled),
+        &ops,
+        |idx, op| match op {
+            Update::Insert((u, l, v)) => idx.insert_edge(VertexId(u), Label(l), VertexId(v)),
+            Update::Delete((u, l, v)) => idx.delete_edge(VertexId(u), Label(l), VertexId(v)),
+        },
+        &check_pairs(n, &ops, |(u, _, v)| (VertexId(u), VertexId(v))),
+        |idx, s, t| {
+            let allowed = LabelSet(rng.random_range(1..1u64 << k));
+            (idx.query(s, t, allowed), lcr_bfs(&g, s, t, allowed))
+        },
+    );
+
+    println!("{}", table.render());
+    println!("Deletes remove an edge the graph still holds. Every index answered");
+    println!("the checked pairs exactly as BFS / label-BFS does on the graph its");
+    println!("update stream left behind (checked outside the timed loop).\n");
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
@@ -261,5 +487,8 @@ fn main() {
     }
     if all || explicit.contains(&"--parallel") {
         parallel();
+    }
+    if all || explicit.contains(&"--dynamic") {
+        dynamic();
     }
 }

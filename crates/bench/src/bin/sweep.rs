@@ -1,7 +1,7 @@
 //! Parameter sweeps for the design choices the surveyed techniques
 //! hinge on: the `k` of GRAIL/Ferrari/IP, the bit budget of BFL, the
-//! landmark counts of HL, and the vertex order of TOL. Complements the
-//! Criterion ablation benches with a human-readable report.
+//! landmark counts of HL, and the vertex order of TOL (with PLL, the
+//! degree order plus pruning, next to it).
 //!
 //! Every registry-driven configuration builds over one shared
 //! [`PreparedGraph`], so the whole sweep condenses the workload once
@@ -12,66 +12,39 @@
 //! cargo run --release -p reach-bench --bin sweep -- [--n 20000]
 //! ```
 
-use reach_bench::queries::query_mix;
-use reach_bench::report::{fmt_bytes, fmt_duration, timed, Table};
+use reach_bench::queries::{query_mix, QueryMix};
+use reach_bench::report::{fmt_bytes, fmt_duration, report_args, timed, Table};
 use reach_bench::workloads::Shape;
 use reach_core::pipeline::{build_plain, BuildOpts};
 use reach_core::tol::{OrderStrategy, Tol};
 use reach_core::ReachIndex;
 use reach_graph::PreparedGraph;
 use std::sync::Arc;
+use std::time::Duration;
 
-fn count_hits(
+/// A registry entry's knob: entry name, knob name, the values swept,
+/// and how a value is set in [`BuildOpts`].
+type Knob = (
+    &'static str,
+    &'static str,
+    &'static [usize],
+    fn(&mut BuildOpts, usize),
+);
+
+/// Runs the query mix on `idx`, checks its answers count against the
+/// mix, and appends a row with the build time, size and query speed.
+fn sweep_row(
+    table: &mut Table,
+    label: &str,
+    build: Duration,
     idx: &dyn ReachIndex,
-    mix: &reach_bench::queries::QueryMix,
-) -> (usize, std::time::Duration) {
-    timed(|| {
-        let mut hits = 0;
-        for &(s, t) in &mix.pairs {
-            if idx.query(s, t) {
-                hits += 1;
-            }
-        }
-        hits
-    })
-}
-
-/// Builds registry entry `name` under `opts` on the shared prepared
-/// graph and appends a row with its labeling time and query speed.
-fn sweep_spec(
-    table: &mut Table,
-    label: String,
-    name: &str,
-    prepared: &PreparedGraph,
-    opts: &BuildOpts,
-    mix: &reach_bench::queries::QueryMix,
+    mix: &QueryMix,
 ) {
-    let (idx, report) = build_plain(name, prepared, opts).expect("registry name");
-    let (hits, query_time) = count_hits(idx.as_ref(), mix);
-    assert_eq!(hits, mix.positives);
+    let (hits, query_time) = timed(|| mix.pairs.iter().filter(|&&(s, t)| idx.query(s, t)).count());
+    assert_eq!(hits, mix.positives, "{label} answered a query wrongly");
     table.row([
-        label,
-        fmt_duration(report.label),
-        idx.size_entries().to_string(),
-        fmt_bytes(idx.size_bytes()),
-        fmt_duration(query_time / mix.pairs.len() as u32),
-    ]);
-}
-
-/// A configuration outside the registry's knobs (TOL vertex orders),
-/// built directly.
-fn sweep_raw<I: ReachIndex>(
-    table: &mut Table,
-    label: String,
-    build: impl FnOnce() -> I,
-    mix: &reach_bench::queries::QueryMix,
-) {
-    let (idx, build_time) = timed(build);
-    let (hits, query_time) = count_hits(&idx, mix);
-    assert_eq!(hits, mix.positives);
-    table.row([
-        label,
-        fmt_duration(build_time),
+        label.to_string(),
+        fmt_duration(build),
         idx.size_entries().to_string(),
         fmt_bytes(idx.size_bytes()),
         fmt_duration(query_time / mix.pairs.len() as u32),
@@ -79,19 +52,7 @@ fn sweep_raw<I: ReachIndex>(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut n = 20_000usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--n" => {
-                i += 1;
-                n = args[i].parse().expect("--n takes a number");
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-        i += 1;
-    }
+    let (n, _) = report_args(20_000, None);
 
     let graph = Arc::new(Shape::Sparse.generate(n, 31));
     let prepared = PreparedGraph::new_shared(Arc::clone(&graph));
@@ -104,99 +65,43 @@ fn main() {
         mix.positives
     );
 
-    let defaults = BuildOpts::default();
     let mut table = Table::new(["configuration", "build", "entries", "bytes", "avg query"]);
-    for k in [1, 2, 4, 8] {
-        let opts = BuildOpts {
-            grail_k: k,
-            ..defaults.clone()
-        };
-        sweep_spec(
-            &mut table,
-            format!("GRAIL k={k}"),
-            "GRAIL",
-            &prepared,
-            &opts,
-            &mix,
-        );
+    // the build column of a registry configuration is its labeling
+    // phase alone
+    let knobs: [Knob; 5] = [
+        ("GRAIL", "k", &[1, 2, 4, 8], |o, v| o.grail_k = v),
+        ("Ferrari", "budget", &[1, 2, 4, 8], |o, v| {
+            o.ferrari_budget = v
+        }),
+        ("IP", "k", &[2, 8, 32], |o, v| o.ip_k = v),
+        ("BFL", "bits", &[64, 256, 1024], |o, v| o.bfl_bits = v),
+        ("HL", "landmarks", &[4, 16, 64], |o, v| o.landmarks = v),
+    ];
+    for (name, knob, values, set) in knobs {
+        for &value in values {
+            let mut opts = BuildOpts::default();
+            set(&mut opts, value);
+            let (idx, report) = build_plain(name, &prepared, &opts).expect("registry name");
+            let label = format!("{name} {knob}={value}");
+            sweep_row(&mut table, &label, report.label, idx.as_ref(), &mix);
+        }
     }
-    for budget in [1, 2, 4, 8] {
-        let opts = BuildOpts {
-            ferrari_budget: budget,
-            ..defaults.clone()
-        };
-        sweep_spec(
-            &mut table,
-            format!("Ferrari budget={budget}"),
-            "Ferrari",
-            &prepared,
-            &opts,
-            &mix,
-        );
-    }
-    for k in [2, 8, 32] {
-        let opts = BuildOpts {
-            ip_k: k,
-            ..defaults.clone()
-        };
-        sweep_spec(
-            &mut table,
-            format!("IP k={k}"),
-            "IP",
-            &prepared,
-            &opts,
-            &mix,
-        );
-    }
-    for bits in [64, 256, 1024] {
-        let opts = BuildOpts {
-            bfl_bits: bits,
-            ..defaults.clone()
-        };
-        sweep_spec(
-            &mut table,
-            format!("BFL bits={bits}"),
-            "BFL",
-            &prepared,
-            &opts,
-            &mix,
-        );
-    }
-    for landmarks in [4, 16, 64] {
-        let opts = BuildOpts {
-            landmarks,
-            ..defaults.clone()
-        };
-        sweep_spec(
-            &mut table,
-            format!("HL landmarks={landmarks}"),
-            "HL",
-            &prepared,
-            &opts,
-            &mix,
-        );
-    }
-    for (name, strategy) in [
-        ("degree", OrderStrategy::DegreeDescending),
-        ("by-id", OrderStrategy::ById),
+    // vertex orders sit outside the registry's knobs: built directly
+    for (label, strategy) in [
+        ("TOL order=degree", OrderStrategy::DegreeDescending),
+        ("TOL order=by-id", OrderStrategy::ById),
     ] {
-        sweep_raw(
-            &mut table,
-            format!("TOL order={name}"),
-            || Tol::build(&graph, strategy, 1),
-            &mix,
-        );
+        let (idx, build) = timed(|| Tol::build(&graph, strategy, 1));
+        sweep_row(&mut table, label, build, &idx, &mix);
     }
+    let (idx, build) = timed(|| reach_core::pll::Pll::build(&graph));
+    sweep_row(&mut table, "PLL (degree + pruning)", build, &idx, &mix);
     // TFL answers in the ID space of the DAG it is built on, so give
     // it the workload graph directly (it is a DAG), not the renumbered
     // condensation
     let dag = reach_graph::Dag::new_shared(Arc::clone(&graph)).expect("sweep workload is a DAG");
-    sweep_raw(
-        &mut table,
-        "TFL (topological order)".to_string(),
-        || reach_core::tol::build_tfl(&dag, 1),
-        &mix,
-    );
+    let (idx, build) = timed(|| reach_core::tol::build_tfl(&dag, 1));
+    sweep_row(&mut table, "TFL (topological order)", build, &idx, &mix);
     println!("{}", table.render());
     println!(
         "condensation runs over the whole sweep: {} (shared artifact)",

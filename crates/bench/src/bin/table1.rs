@@ -8,12 +8,12 @@
 //! ```
 
 use reach_bench::queries::query_mix;
-use reach_bench::report::{fmt_bytes, fmt_duration, timed, Table};
+use reach_bench::report::{fmt_bytes, fmt_duration, report_args, taxonomy_cells, timed, Table};
 use reach_bench::workloads::Shape;
 use reach_core::pipeline::{
     build_plain, plain_feasible, plain_names, plain_native_meta, BuildOpts,
 };
-use reach_core::{Completeness, Dynamism, Framework, InputClass};
+use reach_core::Framework;
 use reach_graph::PreparedGraph;
 use std::sync::Arc;
 
@@ -41,23 +41,15 @@ fn print_matrix() {
             continue;
         }
         let m = plain_native_meta(name);
-        table.row([
+        let named = [
             format!("{} {}", m.name, m.citation),
             framework_name(m.framework).to_string(),
-            match m.completeness {
-                Completeness::Complete => "Complete".to_string(),
-                Completeness::Partial => "Partial".to_string(),
-            },
-            match m.input {
-                InputClass::Dag => "DAG".to_string(),
-                InputClass::General => "General".to_string(),
-            },
-            match m.dynamism {
-                Dynamism::Static => "No".to_string(),
-                Dynamism::InsertOnly => "Insert".to_string(),
-                Dynamism::InsertDelete => "Yes".to_string(),
-            },
-        ]);
+        ];
+        table.row(
+            named
+                .into_iter()
+                .chain(taxonomy_cells(m.completeness, m.input, m.dynamism)),
+        );
     }
     println!("{}", table.render());
     println!("Substitutions vs. the paper's Table 1 (see DESIGN.md §2):");
@@ -94,16 +86,7 @@ fn empirical(n: usize) {
         ]);
         for name in plain_names() {
             if !plain_feasible(name, g.num_vertices(), g.num_edges()) {
-                table.row([
-                    name.to_string(),
-                    "(skipped: infeasible at this size)".into(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                ]);
+                table.row_padded([name, "(skipped: infeasible at this size)"]);
                 continue;
             }
             let (idx, report) = build_plain(name, &prepared, &opts).expect("registry name");
@@ -141,21 +124,7 @@ fn empirical(n: usize) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut run_empirical = false;
-    let mut n = 5_000usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--empirical" => run_empirical = true,
-            "--n" => {
-                i += 1;
-                n = args[i].parse().expect("--n takes a number");
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-        i += 1;
-    }
+    let (n, run_empirical) = report_args(5_000, Some("--empirical"));
     print_matrix();
     if run_empirical {
         empirical(n);

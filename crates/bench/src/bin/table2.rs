@@ -9,9 +9,9 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use reach_bench::report::{fmt_bytes, fmt_duration, timed, Table};
+use reach_bench::queries::random_pair;
+use reach_bench::report::{fmt_bytes, fmt_duration, report_args, taxonomy_cells, timed, Table};
 use reach_bench::workloads::Shape;
-use reach_core::index::{Completeness, Dynamism, InputClass};
 use reach_core::pipeline::BuildOpts;
 use reach_graph::{fixtures, Label, LabelSet, VertexId};
 use reach_labeled::online::{lcr_bfs, rlc_bfs};
@@ -19,6 +19,16 @@ use reach_labeled::pipeline::{build_lcr, lcr_feasible, lcr_names};
 use reach_labeled::rlc::RlcIndex;
 use reach_labeled::{ConstraintClass, LcrFramework, RlcIndexApi};
 use std::sync::Arc;
+
+/// The columns of both measured comparisons.
+const COLUMNS: [&str; 6] = [
+    "Technique",
+    "Build",
+    "Entries",
+    "Bytes",
+    "Query(total)",
+    "Query(avg)",
+];
 
 fn framework_name(f: LcrFramework) -> &'static str {
     match f {
@@ -50,27 +60,19 @@ fn print_matrix() {
         .collect();
     metas.push(RlcIndex::build(&g, 2).meta());
     for m in metas {
-        table.row([
+        let named = [
             format!("{} {}", m.name, m.citation),
             framework_name(m.framework).to_string(),
             match m.constraint {
                 ConstraintClass::Alternation => "Alternation".to_string(),
                 ConstraintClass::Concatenation => "Concatenation".to_string(),
             },
-            match m.completeness {
-                Completeness::Complete => "Complete".to_string(),
-                Completeness::Partial => "Partial".to_string(),
-            },
-            match m.input {
-                InputClass::Dag => "DAG".to_string(),
-                InputClass::General => "General".to_string(),
-            },
-            match m.dynamism {
-                Dynamism::Static => "No".to_string(),
-                Dynamism::InsertOnly => "Insert".to_string(),
-                Dynamism::InsertDelete => "Yes".to_string(),
-            },
-        ]);
+        ];
+        table.row(
+            named
+                .into_iter()
+                .chain(taxonomy_cells(m.completeness, m.input, m.dynamism)),
+        );
     }
     println!("{}", table.render());
 }
@@ -82,15 +84,10 @@ fn lcr_queries(
     seed: u64,
 ) -> Vec<(VertexId, VertexId, LabelSet)> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let n = g.num_vertices() as u32;
     let k = g.num_labels();
     (0..count)
         .map(|_| {
-            let s = VertexId(rng.random_range(0..n));
-            let mut t = VertexId(rng.random_range(0..n - 1));
-            if t >= s {
-                t = VertexId(t.0 + 1);
-            }
+            let (s, t) = random_pair(g.num_vertices(), &mut rng);
             // constraints with 1..k labels, biased toward small sets
             let size = 1 + rng.random_range(0..k);
             let mut set = LabelSet::EMPTY;
@@ -119,14 +116,7 @@ fn empirical(n: usize) {
             queries.len(),
             positives
         );
-        let mut table = Table::new([
-            "Technique",
-            "Build",
-            "Entries",
-            "Bytes",
-            "Query(total)",
-            "Query(avg)",
-        ]);
+        let mut table = Table::new(COLUMNS);
         // the online baseline first
         let (_, online_total) = timed(|| {
             for &(s, t, allowed) in &queries {
@@ -143,14 +133,7 @@ fn empirical(n: usize) {
         ]);
         for name in lcr_names() {
             if !lcr_feasible(name, n) {
-                table.row([
-                    name.to_string(),
-                    "(skipped: infeasible at this size)".into(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                ]);
+                table.row_padded([name, "(skipped: infeasible at this size)"]);
                 continue;
             }
             let (idx, build) =
@@ -185,28 +168,13 @@ fn empirical(n: usize) {
         })
         .collect();
     let pairs: Vec<(VertexId, VertexId)> = (0..units.len())
-        .map(|_| {
-            let s = VertexId(rng.random_range(0..n_rlc as u32));
-            let mut t = VertexId(rng.random_range(0..n_rlc as u32 - 1));
-            if t >= s {
-                t = VertexId(t.0 + 1);
-            }
-            (s, t)
-        })
+        .map(|_| random_pair(n_rlc, &mut rng))
         .collect();
     println!(
-        "\nRLC workload sparse-dag (n={}, |L|=4, {} concatenation queries, kmax=2)",
+        "\nRLC workload sparse-dag (n={}, |L|=4, {} concatenation queries, kmax ∈ {{1, 2}})",
         n_rlc,
         units.len()
     );
-    let (idx, build) = timed(|| RlcIndex::build(&g, 2));
-    let (answers, q) = timed(|| {
-        pairs
-            .iter()
-            .zip(&units)
-            .map(|(&(s, t), u)| idx.try_query(s, t, u).unwrap())
-            .collect::<Vec<bool>>()
-    });
     let (expected, online_total) = timed(|| {
         pairs
             .iter()
@@ -214,15 +182,7 @@ fn empirical(n: usize) {
             .map(|(&(s, t), u)| rlc_bfs(&g, s, t, u))
             .collect::<Vec<bool>>()
     });
-    assert_eq!(answers, expected, "RLC index answered a query wrongly");
-    let mut table = Table::new([
-        "Technique",
-        "Build",
-        "Entries",
-        "Bytes",
-        "Query(total)",
-        "Query(avg)",
-    ]);
+    let mut table = Table::new(COLUMNS);
     table.row([
         "online product-BFS".into(),
         "-".to_string(),
@@ -231,33 +191,34 @@ fn empirical(n: usize) {
         fmt_duration(online_total),
         fmt_duration(online_total / pairs.len() as u32),
     ]);
-    table.row([
-        "RLC index".to_string(),
-        fmt_duration(build),
-        idx.size_entries().to_string(),
-        fmt_bytes(idx.size_bytes()),
-        fmt_duration(q),
-        fmt_duration(q / pairs.len() as u32),
-    ]);
+    for kmax in [1, 2] {
+        let (idx, build) = timed(|| RlcIndex::build(&g, kmax));
+        // an index answers only units up to its kmax
+        let answerable: Vec<usize> = (0..units.len())
+            .filter(|&i| units[i].len() <= kmax)
+            .collect();
+        let (answers, q) = timed(|| {
+            answerable
+                .iter()
+                .map(|&i| idx.try_query(pairs[i].0, pairs[i].1, &units[i]).unwrap())
+                .collect::<Vec<bool>>()
+        });
+        let want: Vec<bool> = answerable.iter().map(|&i| expected[i]).collect();
+        assert_eq!(answers, want, "RLC kmax={kmax} answered a query wrongly");
+        table.row([
+            format!("RLC index kmax={kmax} ({} queries)", answerable.len()),
+            fmt_duration(build),
+            idx.size_entries().to_string(),
+            fmt_bytes(idx.size_bytes()),
+            fmt_duration(q),
+            fmt_duration(q / answerable.len().max(1) as u32),
+        ]);
+    }
     println!("{}", table.render());
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut run_empirical = false;
-    let mut n = 1_000usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--empirical" => run_empirical = true,
-            "--n" => {
-                i += 1;
-                n = args[i].parse().expect("--n takes a number");
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-        i += 1;
-    }
+    let (n, run_empirical) = report_args(1_000, Some("--empirical"));
     print_matrix();
     if run_empirical {
         empirical(n);

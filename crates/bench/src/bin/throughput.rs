@@ -4,10 +4,10 @@
 //! loop the survey's experiments measure.
 //!
 //! The workload has *source locality* (several targets per source, the
-//! shape of real query logs): that is what the batch overrides exploit
-//! — multi-source bit-parallel BFS packs 64 distinct sources into one
-//! traversal for the online baselines, and guided search answers a
-//! whole source group with one pruned DFS.
+//! shape of real query logs): that is what the online baselines' batch
+//! override exploits — multi-source bit-parallel BFS packs 64 distinct
+//! sources into one traversal. Guided-search indexes answer a batch
+//! pair by pair, so their gain comes from the threads alone.
 //!
 //! ```text
 //! cargo run --release -p reach-bench --bin throughput -- \

@@ -20,6 +20,13 @@ pub struct QueryMix {
     pub positives: usize,
 }
 
+/// A uniformly random pair of distinct vertices out of `n`.
+pub fn random_pair(n: usize, rng: &mut SmallRng) -> (VertexId, VertexId) {
+    let s = rng.random_range(0..n as u32);
+    let t = rng.random_range(0..n as u32 - 1);
+    (VertexId(s), VertexId(t + u32::from(t >= s)))
+}
+
 /// Samples `count` distinct-endpoint queries of which (approximately)
 /// `positive_share` are reachable. Classification uses BFS, so this is
 /// for setup, not timing. Gives up gracefully (returns fewer pairs) if
@@ -39,11 +46,7 @@ pub fn query_mix(g: &DiGraph, count: usize, positive_share: f64, seed: u64) -> Q
         if pos.len() >= want_pos && neg.len() >= want_neg {
             break;
         }
-        let s = VertexId(rng.random_range(0..n as u32));
-        let mut t = VertexId(rng.random_range(0..n as u32 - 1));
-        if t >= s {
-            t = VertexId(t.0 + 1);
-        }
+        let (s, t) = random_pair(n, &mut rng);
         if bfs_reaches(g, s, t, &mut visit) {
             if pos.len() < want_pos {
                 pos.push((s, t));

@@ -1,7 +1,7 @@
 //! Fixed-width table printing and timing helpers for the report
 //! binaries.
 
-use reach_core::BuildReport;
+use reach_core::{BuildReport, Completeness, Dynamism, InputClass};
 use std::time::{Duration, Instant};
 
 /// Runs `f`, returning its result and the elapsed wall-clock time.
@@ -9,6 +9,27 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed())
+}
+
+/// Parses a report binary's arguments: `--n N` (default `default_n`)
+/// and, when `flag` names one, that boolean flag. Panics on anything
+/// else.
+pub fn report_args(default_n: usize, flag: Option<&str>) -> (usize, bool) {
+    let mut args = std::env::args().skip(1);
+    let (mut n, mut set) = (default_n, false);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--n" => {
+                n = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--n takes a number")
+            }
+            a if Some(a) == flag => set = true,
+            other => panic!("unknown argument {other:?}"),
+        }
+    }
+    (n, set)
 }
 
 /// A simple aligned text table.
@@ -33,6 +54,14 @@ impl Table {
     pub fn row<S: Into<String>, I: IntoIterator<Item = S>>(&mut self, cells: I) {
         let row: Vec<String> = cells.into_iter().map(Into::into).collect();
         assert_eq!(row.len(), self.headers.len(), "row width mismatch");
+        self.rows.push(row);
+    }
+
+    /// Appends a row whose cells after `cells` are empty.
+    pub fn row_padded<S: Into<String>, I: IntoIterator<Item = S>>(&mut self, cells: I) {
+        let mut row: Vec<String> = cells.into_iter().map(Into::into).collect();
+        assert!(row.len() <= self.headers.len(), "row width mismatch");
+        row.resize(self.headers.len(), String::new());
         self.rows.push(row);
     }
 
@@ -73,6 +102,24 @@ impl Table {
         }
         out
     }
+}
+
+/// The "Index type", "Input" and "Dynamic" cells of Tables 1 and 2.
+pub fn taxonomy_cells(c: Completeness, input: InputClass, d: Dynamism) -> [String; 3] {
+    let kind = match c {
+        Completeness::Complete => "Complete",
+        Completeness::Partial => "Partial",
+    };
+    let input = match input {
+        InputClass::Dag => "DAG",
+        InputClass::General => "General",
+    };
+    let dynamic = match d {
+        Dynamism::Static => "No",
+        Dynamism::InsertOnly => "Insert",
+        Dynamism::InsertDelete => "Yes",
+    };
+    [kind, input, dynamic].map(String::from)
 }
 
 /// Human-readable duration (µs / ms / s).
@@ -130,9 +177,11 @@ mod tests {
         let mut t = Table::new(["name", "value"]);
         t.row(["a", "1"]);
         t.row(["long-name", "22"]);
+        t.row_padded(["padded"]);
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 5);
+        assert_eq!(lines[4], "padded");
         assert!(lines[0].starts_with("name"));
         assert!(lines[1].starts_with("---"));
         assert!(lines[3].starts_with("long-name"));

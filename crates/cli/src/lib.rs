@@ -1104,6 +1104,16 @@ mod tests {
             e.to_string().contains("unknown LCR index \"NotAnIndex\""),
             "{e}"
         );
+        // constraints nested past the parser's limit are a usage error,
+        // not a stack overflow
+        let parens = format!("{}0{}", "(".repeat(50_000), ")".repeat(50_000));
+        let stars = format!("0{}", "*".repeat(100_000));
+        for constraint in [parens, stars] {
+            let e = run_to_string(&["lcr", &labeled, "--constraint", &constraint, "1", "2"])
+                .unwrap_err();
+            assert!(matches!(e, CliError::Usage(_)), "{e}");
+            assert!(e.to_string().contains("nests deeper"), "{e}");
+        }
         assert!(
             run_to_string(&["query", &path, "--index", "BFL", "0"]).is_err(),
             "odd pair"

@@ -113,99 +113,11 @@ impl<F: ReachFilter> GuidedSearch<F> {
         }
         (false, stats)
     }
-
-    /// One traversal from `s` answering every pair in `group` (indexes
-    /// into `pairs`, all with source `s`, all undecided by the filter).
-    ///
-    /// Per-target `Unreachable` pruning is not sound when one
-    /// traversal serves many targets (a subtree empty of one target
-    /// may contain another), so this is a plain DFS that stops as soon
-    /// as every wanted target has been seen. The per-pair filter
-    /// lookups have already run by the time this is called.
-    fn query_multi_target(
-        &self,
-        s: VertexId,
-        group: &[usize],
-        pairs: &[(VertexId, VertexId)],
-        out: &mut [bool],
-    ) {
-        let scratch = &mut *self.scratch.checkout(|| self.fresh_scratch());
-        scratch.visit.reset();
-        // Backward marks tag the still-wanted targets. A vertex holds
-        // one stamp, so the tag is consumed when the traversal marks
-        // the vertex Forward — which is fine: hits are recorded first.
-        let mut remaining = 0usize;
-        for &i in group {
-            if scratch.visit.mark(pairs[i].1, Side::Backward) {
-                remaining += 1;
-            }
-        }
-        scratch.stack.clear();
-        scratch.stack.push(s);
-        scratch.visit.mark(s, Side::Forward);
-        let mut found = 0usize;
-        while let Some(u) = scratch.stack.pop() {
-            for &v in self.graph.out_neighbors(u) {
-                if scratch.visit.is_marked(v, Side::Backward) {
-                    for &i in group {
-                        if pairs[i].1 == v {
-                            out[i] = true;
-                        }
-                    }
-                    found += 1;
-                    scratch.visit.mark(v, Side::Forward);
-                    if found == remaining {
-                        return;
-                    }
-                    scratch.stack.push(v);
-                } else if scratch.visit.mark(v, Side::Forward) {
-                    scratch.stack.push(v);
-                }
-            }
-        }
-    }
 }
 
 impl<F: ReachFilter> ReachIndex for GuidedSearch<F> {
     fn query(&self, s: VertexId, t: VertexId) -> bool {
         self.query_counted(s, t).0
-    }
-
-    /// Batch evaluation: per-pair filter lookups first (they decide
-    /// most pairs on a good filter), then the undecided pairs are
-    /// grouped by source so each group costs one traversal instead of
-    /// one per pair.
-    fn query_batch(&self, pairs: &[(VertexId, VertexId)]) -> Vec<bool> {
-        let mut out = vec![false; pairs.len()];
-        let mut open: Vec<usize> = Vec::new();
-        for (i, &(s, t)) in pairs.iter().enumerate() {
-            if s == t {
-                out[i] = true;
-                continue;
-            }
-            match self.filter.certain(s, t) {
-                Certainty::Reachable => out[i] = true,
-                Certainty::Unreachable => {}
-                Certainty::Unknown => open.push(i),
-            }
-        }
-        open.sort_by_key(|&i| pairs[i].0 .0);
-        let mut k = 0;
-        while k < open.len() {
-            let s = pairs[open[k]].0;
-            let mut end = k;
-            while end < open.len() && pairs[open[end]].0 == s {
-                end += 1;
-            }
-            let group = &open[k..end];
-            if group.len() == 1 {
-                out[group[0]] = self.query(s, pairs[group[0]].1);
-            } else {
-                self.query_multi_target(s, group, pairs, &mut out);
-            }
-            k = end;
-        }
-        out
     }
 
     fn meta(&self) -> IndexMeta {
@@ -387,23 +299,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<GuidedSearch<Oblivious>>();
         assert_send_sync::<GuidedSearch<BlockVertex>>();
-    }
-
-    #[test]
-    fn query_batch_groups_same_source_pairs() {
-        let gs = GuidedSearch::new(graph(), Oblivious, meta());
-        let pairs = [
-            (VertexId(0), VertexId(3)),
-            (VertexId(0), VertexId(4)),
-            (VertexId(0), VertexId(0)),
-            (VertexId(3), VertexId(0)),
-            (VertexId(1), VertexId(3)),
-            (VertexId(1), VertexId(0)),
-            (VertexId(4), VertexId(2)),
-        ];
-        let batch = gs.query_batch(&pairs);
-        let per_pair: Vec<bool> = pairs.iter().map(|&(s, t)| gs.query(s, t)).collect();
-        assert_eq!(batch, per_pair);
     }
 
     #[test]

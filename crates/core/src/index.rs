@@ -89,10 +89,10 @@ pub trait ReachIndex: Send + Sync {
 
     /// Answers a batch of pairs, in order.
     ///
-    /// The default is the per-pair loop; traversal-backed indexes
-    /// override it with batch-aware evaluation (multi-source
-    /// bit-parallel BFS for the online baselines, same-source grouping
-    /// for guided search). Overrides must return exactly what the
+    /// The default is the per-pair loop, which is also how guided
+    /// search answers a batch (one lookup, then a pruned DFS, per
+    /// pair). The online baselines override it with multi-source
+    /// bit-parallel BFS. Overrides must return exactly what the
     /// per-pair loop would.
     fn query_batch(&self, pairs: &[(VertexId, VertexId)]) -> Vec<bool> {
         pairs.iter().map(|&(s, t)| self.query(s, t)).collect()

@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 
 /// Default parameters used when a technique needs one (GRAIL trees,
 /// Ferrari budget, IP permutations, BFL bits, landmark counts).
-/// The ablation benches sweep these; the tables use the defaults.
+/// The `sweep` report varies these; the tables use the defaults.
 pub mod defaults {
     /// GRAIL / DAGGER labelings.
     pub const GRAIL_K: usize = 3;

@@ -46,10 +46,9 @@ impl QueryEngine {
     ///
     /// Sharding is *locality-aware*: pair indices are sorted by source
     /// before being chunked, so all pairs sharing a source land in the
-    /// same shard and the batch overrides keep their amortization
-    /// (64-sources-per-word packing in the multi-source BFS,
-    /// one-traversal-per-source-group in guided search) instead of
-    /// re-traversing the same source in every shard. Answers are
+    /// same shard and the multi-source BFS override keeps its
+    /// 64-sources-per-word packing instead of re-traversing the same
+    /// source in every shard. Answers are
     /// scattered back to input positions, so the sort never shows in
     /// the output.
     pub fn run(&self, index: &dyn ReachIndex, pairs: &[(VertexId, VertexId)]) -> Vec<bool> {

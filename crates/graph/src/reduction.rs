@@ -20,7 +20,7 @@ use std::collections::HashMap;
 /// reaches `v`. Runs one reverse-topological sweep maintaining
 /// per-vertex descendant bitsets, so it is `O(n·m / 64)` time and
 /// `O(n² / 64)` space — intended for the moderate graph sizes used in
-/// ablation benches, not for million-vertex inputs.
+/// ablation sweeps, not for million-vertex inputs.
 pub fn transitive_reduction(dag: &Dag) -> DiGraph {
     let n = dag.num_vertices();
     let words = n.div_ceil(64);

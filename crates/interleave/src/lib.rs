@@ -2,7 +2,7 @@
 //!
 //! A vendored, dependency-free **bounded interleaving checker** — a
 //! miniature [loom](https://github.com/tokio-rs/loom) in the same
-//! spirit as the workspace's `rand`/`criterion` shims.  It
+//! spirit as the workspace's `rand` shim.  It
 //! exhaustively enumerates every thread schedule of a small,
 //! explicitly-modeled concurrent protocol and checks a safety
 //! invariant in every reachable state plus an acceptance condition in

@@ -119,11 +119,26 @@ fn tokenize(input: &str) -> Result<Vec<(usize, Token)>, ParseError> {
     Ok(out)
 }
 
+/// The deepest nesting [`parse`] accepts: open parentheses plus
+/// postfix operators along one path of the constraint. Parsing, NFA
+/// compilation and dropping an [`Ast`] all recurse along such a path,
+/// so unbounded nesting would overflow the stack.
+pub const MAX_NESTING: usize = 256;
+
+fn too_deep(position: usize) -> ParseError {
+    ParseError {
+        position,
+        message: format!("constraint nests deeper than {MAX_NESTING} levels"),
+    }
+}
+
 struct Parser<'a> {
     tokens: Vec<(usize, Token)>,
     pos: usize,
     alphabet: &'a [&'a str],
     input_len: usize,
+    /// Parentheses open at the current position.
+    open: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -144,48 +159,53 @@ impl<'a> Parser<'a> {
         t
     }
 
+    // Each rule returns its subtree with the subtree's nesting (parens
+    // plus postfix operators on its deepest path).
+
     // alt := concat ('∪' concat)*
-    fn alt(&mut self) -> Result<Ast, ParseError> {
-        let mut lhs = self.concat()?;
+    fn alt(&mut self) -> Result<(Ast, usize), ParseError> {
+        let (mut lhs, mut nesting) = self.concat()?;
         while self.peek() == Some(&Token::Union) {
             self.bump();
-            let rhs = self.concat()?;
+            let (rhs, n) = self.concat()?;
             lhs = Ast::Alt(Box::new(lhs), Box::new(rhs));
+            nesting = nesting.max(n);
         }
-        Ok(lhs)
+        Ok((lhs, nesting))
     }
 
     // concat := postfix ('·' postfix)*   (explicit dot required)
-    fn concat(&mut self) -> Result<Ast, ParseError> {
-        let mut lhs = self.postfix()?;
+    fn concat(&mut self) -> Result<(Ast, usize), ParseError> {
+        let (mut lhs, mut nesting) = self.postfix()?;
         while self.peek() == Some(&Token::Dot) {
             self.bump();
-            let rhs = self.postfix()?;
+            let (rhs, n) = self.postfix()?;
             lhs = Ast::Concat(Box::new(lhs), Box::new(rhs));
+            nesting = nesting.max(n);
         }
-        Ok(lhs)
+        Ok((lhs, nesting))
     }
 
     // postfix := atom ('*' | '+')*
-    fn postfix(&mut self) -> Result<Ast, ParseError> {
-        let mut node = self.atom()?;
+    fn postfix(&mut self) -> Result<(Ast, usize), ParseError> {
+        let (mut node, mut nesting) = self.atom()?;
         loop {
-            match self.peek() {
-                Some(Token::Star) => {
-                    self.bump();
-                    node = Ast::Star(Box::new(node));
-                }
-                Some(Token::Plus) => {
-                    self.bump();
-                    node = Ast::Plus(Box::new(node));
-                }
-                _ => return Ok(node),
+            let wrap = match self.peek() {
+                Some(Token::Star) => Ast::Star,
+                Some(Token::Plus) => Ast::Plus,
+                _ => return Ok((node, nesting)),
+            };
+            nesting += 1;
+            if self.open + nesting > MAX_NESTING {
+                return Err(too_deep(self.here()));
             }
+            self.bump();
+            node = wrap(Box::new(node));
         }
     }
 
     // atom := label | '(' alt ')'
-    fn atom(&mut self) -> Result<Ast, ParseError> {
+    fn atom(&mut self) -> Result<(Ast, usize), ParseError> {
         let position = self.here();
         match self.bump() {
             Some(Token::Name(name)) => {
@@ -202,16 +222,21 @@ impl<'a> Parser<'a> {
                         message: format!("unknown label {name:?}"),
                     })?;
                 Label::try_new(idx as u32)
-                    .map(Ast::Label)
+                    .map(|l| (Ast::Label(l), 0))
                     .map_err(|_| ParseError {
                         position,
                         message: format!("label index {idx} out of range"),
                     })
             }
             Some(Token::LParen) => {
-                let inner = self.alt()?;
+                if self.open == MAX_NESTING {
+                    return Err(too_deep(position));
+                }
+                self.open += 1;
+                let (inner, nesting) = self.alt()?;
+                self.open -= 1;
                 match self.bump() {
-                    Some(Token::RParen) => Ok(inner),
+                    Some(Token::RParen) => Ok((inner, nesting + 1)),
                     _ => Err(ParseError {
                         position: self.here(),
                         message: "expected ')'".into(),
@@ -252,8 +277,9 @@ pub fn parse(input: &str, alphabet: &[&str]) -> Result<Ast, ParseError> {
         pos: 0,
         alphabet,
         input_len: input.len(),
+        open: 0,
     };
-    let ast = p.alt()?;
+    let (ast, _) = p.alt()?;
     if p.pos != p.tokens.len() {
         return Err(ParseError {
             position: p.here(),
@@ -531,6 +557,24 @@ mod tests {
         assert!(parse("nope*", AB).is_err());
         assert!(parse("a $ b", AB).is_err());
         assert!(parse("99", AB).is_err(), "numeric label out of range");
+        // nesting past MAX_NESTING is an error, not a stack overflow
+        let parens = format!("{}0{}", "(".repeat(50_000), ")".repeat(50_000));
+        let stars = format!("0{}", "*".repeat(100_000));
+        for deep in [parens, stars] {
+            let err = parse(&deep, AB).unwrap_err();
+            assert!(err.message.contains("nests deeper"), "{err}");
+        }
+        // parens and postfix operators add up along one path
+        let mixed = |levels: usize| format!("{}a{}", "(".repeat(levels), ")*".repeat(levels));
+        assert!(parse(&mixed(MAX_NESTING / 2), AB).is_ok());
+        assert!(parse(&mixed(MAX_NESTING / 2 + 1), AB).is_err());
+        assert!(parse(&format!("a{}", "+".repeat(MAX_NESTING)), AB).is_ok());
+        let at_limit = format!("{}a{}", "(".repeat(MAX_NESTING), ")".repeat(MAX_NESTING));
+        assert!(parse(&at_limit, AB).is_ok());
+        let past = format!("({at_limit})");
+        assert!(parse(&past, AB).is_err());
+        // siblings do not add up
+        assert!(parse(&format!("{at_limit}·{at_limit}"), AB).is_ok());
     }
 
     #[test]

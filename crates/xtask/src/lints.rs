@@ -103,7 +103,7 @@ impl LintConfig {
             ],
             interior_mutability_allow: &["crates/graph/src/scratch.rs"],
             panic_free_roots: &["crates/server/src"],
-            panic_free_parsers: &["crates/graph/src/io.rs"],
+            panic_free_parsers: &["crates/graph/src/io.rs", "crates/labeled/src/constraint.rs"],
             unsafe_allow: &["crates/graph/src/scratch.rs"],
             registries: &[
                 RegistryRule {

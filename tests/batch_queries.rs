@@ -51,8 +51,8 @@ fn random_digraph(rng: &mut SmallRng) -> (usize, Vec<(u32, u32)>) {
     (n, edges)
 }
 
-/// A pair list with repeated sources, so the word-packing and
-/// source-grouping paths both get exercised.
+/// A pair list with repeated sources, so the multi-source BFS serves
+/// several targets from one source lane.
 fn random_pairs(n: usize, rng: &mut SmallRng) -> Vec<(VertexId, VertexId)> {
     let q = rng.random_range(0usize..80);
     (0..q)
