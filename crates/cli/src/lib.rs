@@ -25,7 +25,7 @@ use reach_bench::workloads::{Shape, ALL_SHAPES};
 use reach_core::pipeline::{
     build_plain, plain_feasible, plain_names, plain_native_meta, plain_spec, BuildOpts,
 };
-use reach_graph::{io, DiGraph, GraphError, LabeledGraph, PreparedGraph, VertexId};
+use reach_graph::{io, DiGraph, GraphError, LabelSet, LabeledGraph, PreparedGraph, VertexId};
 use reach_labeled::pipeline::{build_lcr, lcr_names};
 use reach_labeled::rlc::RlcIndex;
 use reach_labeled::{ConstraintKind, RlcIndexApi};
@@ -166,7 +166,7 @@ fn render_witness(w: &reach_labeled::Witness) -> String {
 }
 
 fn cmd_witness(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    use reach_labeled::witness::{lcr_witness, rlc_witness, rpq_witness};
+    use reach_labeled::{witness::rpq_witness, Ast, Nfa};
     let flags = parse_flags(args)?;
     let (path, pairs_tokens) = flags
         .rest
@@ -177,23 +177,16 @@ fn cmd_witness(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "{path} is a plain graph; witness needs a labeled one"
         )));
     };
-    let expr = flags.constraint.as_deref().unwrap_or("");
     let alphabet: Vec<&str> = flags.alphabet.iter().map(String::as_str).collect();
     let pairs = parse_pairs(pairs_tokens, g.num_vertices())?;
+    // no constraint: any path, i.e. (l1 ∪ … ∪ lk)* over the whole alphabet
+    let ast = match flags.constraint.as_deref().unwrap_or("") {
+        "" => Ast::Star(Box::new(Ast::Labels(LabelSet::full(g.num_labels())))),
+        expr => reach_labeled::parse(expr, &alphabet).map_err(|e| err(e.to_string()))?,
+    };
+    let nfa = Nfa::compile(&ast);
     for (s, t) in pairs {
-        let witness = if expr.is_empty() {
-            reach_labeled::witness::plain_witness(&g, s, t)
-        } else {
-            let ast = reach_labeled::parse(expr, &alphabet).map_err(|e| err(e.to_string()))?;
-            match ast.classify() {
-                ConstraintKind::Alternation(allowed) => lcr_witness(&g, s, t, allowed),
-                ConstraintKind::Concatenation(unit) => rlc_witness(&g, s, t, &unit),
-                ConstraintKind::General => {
-                    rpq_witness(&g, s, t, &reach_labeled::Nfa::compile(&ast))
-                }
-            }
-        };
-        match witness {
+        match rpq_witness(&g, s, t, &nfa) {
             Some(w) => writeln!(out, "{s} ⇝ {t}: {}", render_witness(&w))?,
             None => writeln!(out, "{s} ⇝ {t}: unreachable")?,
         }

@@ -153,21 +153,19 @@ impl ReachFilter for BflFilter {
 /// BFL as an exact oracle.
 pub type Bfl = GuidedSearch<BflFilter>;
 
+pub(crate) const META: IndexMeta = IndexMeta {
+    name: "BFL",
+    citation: "[41]",
+    framework: Framework::ApproximateTc,
+    completeness: Completeness::Partial,
+    input: InputClass::Dag,
+    dynamism: Dynamism::Static,
+};
+
 /// Builds BFL with `bits`-bucket Bloom labels.
 pub fn build_bfl(dag: &Dag, bits: usize, seed: u64) -> Bfl {
     let filter = BflFilter::build(dag, bits, seed);
-    GuidedSearch::new(
-        dag.shared_graph(),
-        filter,
-        IndexMeta {
-            name: "BFL",
-            citation: "[41]",
-            framework: Framework::ApproximateTc,
-            completeness: Completeness::Partial,
-            input: InputClass::Dag,
-            dynamism: Dynamism::Static,
-        },
-    )
+    GuidedSearch::new(dag.shared_graph(), filter, META)
 }
 
 #[cfg(test)]

@@ -109,6 +109,15 @@ impl ChainCover {
     }
 }
 
+pub(crate) const META: IndexMeta = IndexMeta {
+    name: "Chain cover",
+    citation: "[20,24,26]",
+    framework: Framework::TreeCover,
+    completeness: Completeness::Complete,
+    input: InputClass::Dag,
+    dynamism: Dynamism::Static,
+};
+
 impl ReachIndex for ChainCover {
     fn query(&self, s: VertexId, t: VertexId) -> bool {
         let c = self.chain_of[t.index()] as usize;
@@ -116,14 +125,7 @@ impl ReachIndex for ChainCover {
     }
 
     fn meta(&self) -> IndexMeta {
-        IndexMeta {
-            name: "Chain cover",
-            citation: "[20,24,26]",
-            framework: Framework::TreeCover,
-            completeness: Completeness::Complete,
-            input: InputClass::Dag,
-            dynamism: Dynamism::Static,
-        }
+        META
     }
 
     fn size_bytes(&self) -> usize {

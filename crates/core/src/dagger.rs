@@ -143,6 +143,15 @@ impl DynamicGrail {
     }
 }
 
+pub(crate) const META: IndexMeta = IndexMeta {
+    name: "DAGGER",
+    citation: "[51]",
+    framework: Framework::TreeCover,
+    completeness: Completeness::Partial,
+    input: InputClass::Dag,
+    dynamism: Dynamism::InsertDelete,
+};
+
 impl ReachIndex for DynamicGrail {
     fn query(&self, s: VertexId, t: VertexId) -> bool {
         if s == t {
@@ -175,14 +184,7 @@ impl ReachIndex for DynamicGrail {
     }
 
     fn meta(&self) -> IndexMeta {
-        IndexMeta {
-            name: "DAGGER",
-            citation: "[51]",
-            framework: Framework::TreeCover,
-            completeness: Completeness::Partial,
-            input: InputClass::Dag,
-            dynamism: Dynamism::InsertDelete,
-        }
+        META
     }
 
     fn size_bytes(&self) -> usize {

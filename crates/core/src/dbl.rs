@@ -276,6 +276,15 @@ impl Dbl {
     }
 }
 
+pub(crate) const META: IndexMeta = IndexMeta {
+    name: "DBL",
+    citation: "[29]",
+    framework: Framework::TwoHop,
+    completeness: Completeness::Partial,
+    input: InputClass::General,
+    dynamism: Dynamism::InsertOnly,
+};
+
 impl ReachIndex for Dbl {
     fn query(&self, s: VertexId, t: VertexId) -> bool {
         match self.lookup(s, t) {
@@ -311,14 +320,7 @@ impl ReachIndex for Dbl {
     }
 
     fn meta(&self) -> IndexMeta {
-        IndexMeta {
-            name: "DBL",
-            citation: "[29]",
-            framework: Framework::TwoHop,
-            completeness: Completeness::Partial,
-            input: InputClass::General,
-            dynamism: Dynamism::InsertOnly,
-        }
+        META
     }
 
     fn size_bytes(&self) -> usize {

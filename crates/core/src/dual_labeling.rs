@@ -86,6 +86,15 @@ impl DualLabeling {
     }
 }
 
+pub(crate) const META: IndexMeta = IndexMeta {
+    name: "Dual labeling",
+    citation: "[17]",
+    framework: Framework::TreeCover,
+    completeness: Completeness::Complete,
+    input: InputClass::Dag,
+    dynamism: Dynamism::Static,
+};
+
 impl ReachIndex for DualLabeling {
     fn query(&self, s: VertexId, t: VertexId) -> bool {
         if self.forest.contains(s, t) {
@@ -106,14 +115,7 @@ impl ReachIndex for DualLabeling {
     }
 
     fn meta(&self) -> IndexMeta {
-        IndexMeta {
-            name: "Dual labeling",
-            citation: "[17]",
-            framework: Framework::TreeCover,
-            completeness: Completeness::Complete,
-            input: InputClass::Dag,
-            dynamism: Dynamism::Static,
-        }
+        META
     }
 
     fn size_bytes(&self) -> usize {

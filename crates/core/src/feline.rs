@@ -111,21 +111,19 @@ impl ReachFilter for FelineFilter {
 /// Feline as an exact oracle.
 pub type Feline = GuidedSearch<FelineFilter>;
 
+pub(crate) const META: IndexMeta = IndexMeta {
+    name: "Feline",
+    citation: "[45]",
+    framework: Framework::Other,
+    completeness: Completeness::Partial,
+    input: InputClass::Dag,
+    dynamism: Dynamism::Static,
+};
+
 /// Builds Feline over a DAG.
 pub fn build_feline(dag: &Dag) -> Feline {
     let filter = FelineFilter::build(dag);
-    GuidedSearch::new(
-        dag.shared_graph(),
-        filter,
-        IndexMeta {
-            name: "Feline",
-            citation: "[45]",
-            framework: Framework::Other,
-            completeness: Completeness::Partial,
-            input: InputClass::Dag,
-            dynamism: Dynamism::Static,
-        },
-    )
+    GuidedSearch::new(dag.shared_graph(), filter, META)
 }
 
 #[cfg(test)]

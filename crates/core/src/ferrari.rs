@@ -257,21 +257,19 @@ impl ReachFilter for FerrariFilter {
 /// Ferrari as an exact oracle.
 pub type Ferrari = GuidedSearch<FerrariFilter>;
 
+pub(crate) const META: IndexMeta = IndexMeta {
+    name: "Ferrari",
+    citation: "[40]",
+    framework: Framework::TreeCover,
+    completeness: Completeness::Partial,
+    input: InputClass::Dag,
+    dynamism: Dynamism::Static,
+};
+
 /// Builds Ferrari with at most `budget` intervals per vertex.
 pub fn build_ferrari(dag: &Dag, budget: usize) -> Ferrari {
     let filter = FerrariFilter::build(dag, budget);
-    GuidedSearch::new(
-        dag.shared_graph(),
-        filter,
-        IndexMeta {
-            name: "Ferrari",
-            citation: "[40]",
-            framework: Framework::TreeCover,
-            completeness: Completeness::Partial,
-            input: InputClass::Dag,
-            dynamism: Dynamism::Static,
-        },
-    )
+    GuidedSearch::new(dag.shared_graph(), filter, META)
 }
 
 #[cfg(test)]

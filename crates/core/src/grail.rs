@@ -159,19 +159,21 @@ impl ReachFilter for GrailFilter {
 /// GRAIL as an exact oracle: the filter plus guided DFS.
 pub type Grail = GuidedSearch<GrailFilter>;
 
+pub(crate) const META: IndexMeta = IndexMeta {
+    name: "GRAIL",
+    citation: "[50]",
+    framework: Framework::TreeCover,
+    completeness: Completeness::Partial,
+    input: InputClass::Dag,
+    dynamism: Dynamism::Static,
+};
+
 /// Builds GRAIL with `k` random labelings on `threads` threads.
 pub fn build_grail(dag: &Dag, k: usize, seed: u64, threads: usize) -> Grail {
     GuidedSearch::new(
         dag.shared_graph(),
         GrailFilter::build(dag, k, seed, threads),
-        IndexMeta {
-            name: "GRAIL",
-            citation: "[50]",
-            framework: Framework::TreeCover,
-            completeness: Completeness::Partial,
-            input: InputClass::Dag,
-            dynamism: Dynamism::Static,
-        },
+        META,
     )
 }
 

@@ -65,6 +65,15 @@ impl Gripp {
     }
 }
 
+pub(crate) const META: IndexMeta = IndexMeta {
+    name: "GRIPP",
+    citation: "[43]",
+    framework: Framework::TreeCover,
+    completeness: Completeness::Partial,
+    input: InputClass::General,
+    dynamism: Dynamism::Static,
+};
+
 impl ReachIndex for Gripp {
     fn query(&self, s: VertexId, t: VertexId) -> bool {
         if self.forest.contains(s, t) {
@@ -92,14 +101,7 @@ impl ReachIndex for Gripp {
     }
 
     fn meta(&self) -> IndexMeta {
-        IndexMeta {
-            name: "GRIPP",
-            citation: "[43]",
-            framework: Framework::TreeCover,
-            completeness: Completeness::Partial,
-            input: InputClass::General,
-            dynamism: Dynamism::Static,
-        }
+        META
     }
 
     fn size_bytes(&self) -> usize {

@@ -96,6 +96,15 @@ impl Hl {
     }
 }
 
+pub(crate) const META: IndexMeta = IndexMeta {
+    name: "HL",
+    citation: "[25]",
+    framework: Framework::Other,
+    completeness: Completeness::Complete,
+    input: InputClass::Dag,
+    dynamism: Dynamism::Static,
+};
+
 impl ReachIndex for Hl {
     fn query(&self, s: VertexId, t: VertexId) -> bool {
         if s == t {
@@ -135,14 +144,7 @@ impl ReachIndex for Hl {
     }
 
     fn meta(&self) -> IndexMeta {
-        IndexMeta {
-            name: "HL",
-            citation: "[25]",
-            framework: Framework::Other,
-            completeness: Completeness::Complete,
-            input: InputClass::Dag,
-            dynamism: Dynamism::Static,
-        }
+        META
     }
 
     fn size_bytes(&self) -> usize {

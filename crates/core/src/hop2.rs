@@ -115,20 +115,22 @@ impl Hop2 {
     }
 }
 
+pub(crate) const META: IndexMeta = IndexMeta {
+    name: "2-Hop",
+    citation: "[14]",
+    framework: Framework::TwoHop,
+    completeness: Completeness::Complete,
+    input: InputClass::General,
+    dynamism: Dynamism::Static,
+};
+
 impl ReachIndex for Hop2 {
     fn query(&self, s: VertexId, t: VertexId) -> bool {
         s == t || sorted_intersects(&self.lout[s.index()], &self.lin[t.index()])
     }
 
     fn meta(&self) -> IndexMeta {
-        IndexMeta {
-            name: "2-Hop",
-            citation: "[14]",
-            framework: Framework::TwoHop,
-            completeness: Completeness::Complete,
-            input: InputClass::General,
-            dynamism: Dynamism::Static,
-        }
+        META
     }
 
     fn size_bytes(&self) -> usize {

@@ -194,23 +194,21 @@ impl ReachFilter for IpFilter {
 /// IP as an exact oracle.
 pub type Ip = GuidedSearch<IpFilter>;
 
+pub(crate) const META: IndexMeta = IndexMeta {
+    name: "IP",
+    citation: "[46,47]",
+    framework: Framework::ApproximateTc,
+    completeness: Completeness::Partial,
+    input: InputClass::Dag,
+    // the paper's Table 1 lists IP as dynamic via DAGGER-based
+    // relabeling; this implementation is static (see DESIGN.md)
+    dynamism: Dynamism::Static,
+};
+
 /// Builds IP with `k`-min-wise labels.
 pub fn build_ip(dag: &Dag, k: usize, seed: u64) -> Ip {
     let filter = IpFilter::build(dag, k, seed);
-    GuidedSearch::new(
-        dag.shared_graph(),
-        filter,
-        IndexMeta {
-            name: "IP",
-            citation: "[46,47]",
-            framework: Framework::ApproximateTc,
-            completeness: Completeness::Partial,
-            input: InputClass::Dag,
-            // the paper's Table 1 lists IP as dynamic via DAGGER-based
-            // relabeling; this implementation is static (see DESIGN.md)
-            dynamism: Dynamism::Static,
-        },
-    )
+    GuidedSearch::new(dag.shared_graph(), filter, META)
 }
 
 #[cfg(test)]

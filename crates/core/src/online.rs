@@ -45,6 +45,25 @@ impl OnlineSearch {
     }
 }
 
+pub(crate) const BFS_META: IndexMeta = IndexMeta {
+    name: "online-BFS",
+    citation: "[50]",
+    framework: Framework::Other,
+    completeness: Completeness::Partial,
+    input: InputClass::General,
+    dynamism: Dynamism::InsertDelete,
+};
+
+pub(crate) const DFS_META: IndexMeta = IndexMeta {
+    name: "online-DFS",
+    ..BFS_META
+};
+
+pub(crate) const BIBFS_META: IndexMeta = IndexMeta {
+    name: "online-BiBFS",
+    ..BFS_META
+};
+
 impl ReachIndex for OnlineSearch {
     fn query(&self, s: VertexId, t: VertexId) -> bool {
         let visit = &mut *self
@@ -66,17 +85,10 @@ impl ReachIndex for OnlineSearch {
     }
 
     fn meta(&self) -> IndexMeta {
-        IndexMeta {
-            name: match self.strategy {
-                Strategy::Bfs => "online-BFS",
-                Strategy::Dfs => "online-DFS",
-                Strategy::BiBfs => "online-BiBFS",
-            },
-            citation: "[50]",
-            framework: Framework::Other,
-            completeness: Completeness::Partial,
-            input: InputClass::General,
-            dynamism: Dynamism::InsertDelete,
+        match self.strategy {
+            Strategy::Bfs => BFS_META,
+            Strategy::Dfs => DFS_META,
+            Strategy::BiBfs => BIBFS_META,
         }
     }
 

@@ -151,21 +151,19 @@ impl ReachFilter for OReachFilter {
 /// O'Reach as an exact oracle.
 pub type OReach = GuidedSearch<OReachFilter>;
 
+pub(crate) const META: IndexMeta = IndexMeta {
+    name: "O'Reach",
+    citation: "[18]",
+    framework: Framework::TwoHop,
+    completeness: Completeness::Partial,
+    input: InputClass::Dag,
+    dynamism: Dynamism::Static,
+};
+
 /// Builds O'Reach with `k` supportive vertices.
 pub fn build_oreach(dag: &Dag, k: usize) -> OReach {
     let filter = OReachFilter::build(dag, k);
-    GuidedSearch::new(
-        dag.shared_graph(),
-        filter,
-        IndexMeta {
-            name: "O'Reach",
-            citation: "[18]",
-            framework: Framework::TwoHop,
-            completeness: Completeness::Partial,
-            input: InputClass::Dag,
-            dynamism: Dynamism::Static,
-        },
-    )
+    GuidedSearch::new(dag.shared_graph(), filter, META)
 }
 
 #[cfg(test)]

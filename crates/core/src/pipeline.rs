@@ -36,7 +36,7 @@ use crate::tc::TransitiveClosure;
 use crate::tol::{build_dl, build_tfl, OrderStrategy, Tol};
 use crate::tree_cover::TreeCover;
 use reach_graph::condense::CondenseTiming;
-use reach_graph::{fixtures, Dag, PreparedGraph};
+use reach_graph::PreparedGraph;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -143,7 +143,7 @@ pub struct BuilderSpec<G: ?Sized, I: ?Sized, M = IndexMeta> {
     /// the technique itself assumes, not what the adapted artifact
     /// accepts (e.g. GRAIL is natively DAG-input even though the
     /// registry lifts it to general graphs).
-    pub meta: fn() -> M,
+    pub meta: M,
     /// Whether building on `n` vertices / `m` edges is practical. The
     /// quadratic/greedy baselines bow out on large inputs, which is
     /// itself one of the survey's observations.
@@ -154,10 +154,6 @@ pub struct BuilderSpec<G: ?Sized, I: ?Sized, M = IndexMeta> {
 
 /// The plain-index instantiation used by this crate's registry.
 pub type PlainSpec = BuilderSpec<PreparedGraph, dyn ReachIndex>;
-
-fn fig_dag() -> Dag {
-    Dag::new(fixtures::figure1a()).expect("figure 1 is acyclic")
-}
 
 /// The thread count every registry build splits its work over: the
 /// host's available parallelism. Builders that split work (GRAIL, HL
@@ -172,19 +168,19 @@ fn host_threads() -> usize {
 pub static PLAIN_REGISTRY: &[PlainSpec] = &[
     BuilderSpec {
         name: "Tree cover",
-        meta: || TreeCover::build(&fig_dag()).meta(),
+        meta: crate::tree_cover::META,
         feasible: |_, _| true,
         build: |p, _| Box::new(Condensed::from_prepared(p, TreeCover::build)),
     },
     BuilderSpec {
         name: "Tree+SSPI",
-        meta: || TreeSspi::build(&fig_dag()).meta(),
+        meta: crate::sspi::META,
         feasible: |_, _| true,
         build: |p, _| Box::new(Condensed::from_prepared(p, TreeSspi::build)),
     },
     BuilderSpec {
         name: "Dual labeling",
-        meta: || DualLabeling::build(&fig_dag()).meta(),
+        meta: crate::dual_labeling::META,
         // the link table is quadratic in the non-tree edge count; the
         // technique targets almost-tree data (§3.1)
         feasible: |n, m| m.saturating_sub(n) <= 4_000,
@@ -192,19 +188,19 @@ pub static PLAIN_REGISTRY: &[PlainSpec] = &[
     },
     BuilderSpec {
         name: "GRIPP",
-        meta: || Gripp::build(&fixtures::figure1a()).meta(),
+        meta: crate::gripp::META,
         feasible: |_, _| true,
         build: |p, _| Box::new(Gripp::build(p.graph())),
     },
     BuilderSpec {
         name: "Chain cover",
-        meta: || ChainCover::build(&fig_dag()).meta(),
+        meta: crate::chain_cover::META,
         feasible: |n, _| n <= 20_000,
         build: |p, _| Box::new(Condensed::from_prepared(p, ChainCover::build)),
     },
     BuilderSpec {
         name: "GRAIL",
-        meta: || build_grail(&fig_dag(), defaults::GRAIL_K, defaults::SEED, 1).meta(),
+        meta: crate::grail::META,
         feasible: |_, _| true,
         build: |p, o| {
             Box::new(Condensed::from_prepared(p, |dag| {
@@ -214,7 +210,7 @@ pub static PLAIN_REGISTRY: &[PlainSpec] = &[
     },
     BuilderSpec {
         name: "Ferrari",
-        meta: || build_ferrari(&fig_dag(), defaults::FERRARI_BUDGET).meta(),
+        meta: crate::ferrari::META,
         feasible: |_, _| true,
         build: |p, o| {
             Box::new(Condensed::from_prepared(p, |dag| {
@@ -224,7 +220,7 @@ pub static PLAIN_REGISTRY: &[PlainSpec] = &[
     },
     BuilderSpec {
         name: "DAGGER",
-        meta: || DynamicGrail::build(&fig_dag(), defaults::GRAIL_K, defaults::SEED).meta(),
+        meta: crate::dagger::META,
         feasible: |_, _| true,
         build: |p, o| {
             Box::new(Condensed::from_prepared(p, |dag| {
@@ -234,19 +230,19 @@ pub static PLAIN_REGISTRY: &[PlainSpec] = &[
     },
     BuilderSpec {
         name: "2-Hop",
-        meta: || Hop2::build(&fixtures::figure1a()).meta(),
+        meta: crate::hop2::META,
         feasible: |n, _| n <= 400,
         build: |p, _| Box::new(Hop2::build(p.graph())),
     },
     BuilderSpec {
         name: "PLL",
-        meta: || Pll::build(&fixtures::figure1a()).meta(),
+        meta: crate::pll::META,
         feasible: |_, _| true,
         build: |p, _| Box::new(Pll::build(p.graph())),
     },
     BuilderSpec {
         name: "TFL",
-        meta: || build_tfl(&fig_dag(), 1).meta(),
+        meta: crate::tol::TFL_META,
         feasible: |_, _| true,
         build: |p, _| {
             Box::new(Condensed::from_prepared(p, |dag| {
@@ -256,13 +252,13 @@ pub static PLAIN_REGISTRY: &[PlainSpec] = &[
     },
     BuilderSpec {
         name: "DL",
-        meta: || build_dl(&fixtures::figure1a(), 1).meta(),
+        meta: crate::tol::DL_META,
         feasible: |_, _| true,
         build: |p, _| Box::new(build_dl(p.graph(), host_threads())),
     },
     BuilderSpec {
         name: "TOL",
-        meta: || Tol::build(&fixtures::figure1a(), OrderStrategy::DegreeDescending, 1).meta(),
+        meta: crate::tol::TOL_META,
         feasible: |_, _| true,
         build: |p, _| {
             Box::new(Tol::build(
@@ -274,13 +270,13 @@ pub static PLAIN_REGISTRY: &[PlainSpec] = &[
     },
     BuilderSpec {
         name: "DBL",
-        meta: || Dbl::build(&fixtures::figure1a()).meta(),
+        meta: crate::dbl::META,
         feasible: |_, _| true,
         build: |p, _| Box::new(Dbl::build(p.graph())),
     },
     BuilderSpec {
         name: "O'Reach",
-        meta: || build_oreach(&fig_dag(), defaults::OREACH_K).meta(),
+        meta: crate::oreach::META,
         feasible: |_, _| true,
         build: |p, o| {
             Box::new(Condensed::from_prepared(p, |dag| {
@@ -290,7 +286,7 @@ pub static PLAIN_REGISTRY: &[PlainSpec] = &[
     },
     BuilderSpec {
         name: "IP",
-        meta: || build_ip(&fig_dag(), defaults::IP_K, defaults::SEED).meta(),
+        meta: crate::ip::META,
         feasible: |_, _| true,
         build: |p, o| {
             Box::new(Condensed::from_prepared(p, |dag| {
@@ -300,7 +296,7 @@ pub static PLAIN_REGISTRY: &[PlainSpec] = &[
     },
     BuilderSpec {
         name: "BFL",
-        meta: || build_bfl(&fig_dag(), defaults::BFL_BITS, defaults::SEED).meta(),
+        meta: crate::bfl::META,
         feasible: |_, _| true,
         build: |p, o| {
             Box::new(Condensed::from_prepared(p, |dag| {
@@ -310,7 +306,7 @@ pub static PLAIN_REGISTRY: &[PlainSpec] = &[
     },
     BuilderSpec {
         name: "HL",
-        meta: || Hl::build(&fig_dag(), defaults::LANDMARKS, 1).meta(),
+        meta: crate::hl::META,
         feasible: |_, _| true,
         build: |p, o| {
             Box::new(Condensed::from_prepared(p, |dag| {
@@ -320,37 +316,37 @@ pub static PLAIN_REGISTRY: &[PlainSpec] = &[
     },
     BuilderSpec {
         name: "Feline",
-        meta: || build_feline(&fig_dag()).meta(),
+        meta: crate::feline::META,
         feasible: |_, _| true,
         build: |p, _| Box::new(Condensed::from_prepared(p, build_feline)),
     },
     BuilderSpec {
         name: "PReaCH",
-        meta: || Preach::build(&fig_dag()).meta(),
+        meta: crate::preach::META,
         feasible: |_, _| true,
         build: |p, _| Box::new(Condensed::from_prepared(p, Preach::build)),
     },
     BuilderSpec {
         name: "TC",
-        meta: || TransitiveClosure::build(&fixtures::figure1a()).meta(),
+        meta: crate::tc::META,
         feasible: |n, _| n <= 20_000,
         build: |p, _| Box::new(TransitiveClosure::build(p.graph())),
     },
     BuilderSpec {
         name: "online-BFS",
-        meta: || OnlineSearch::new(Arc::new(fixtures::figure1a()), Strategy::Bfs).meta(),
+        meta: crate::online::BFS_META,
         feasible: |_, _| true,
         build: |p, _| Box::new(OnlineSearch::new(Arc::clone(p.graph()), Strategy::Bfs)),
     },
     BuilderSpec {
         name: "online-DFS",
-        meta: || OnlineSearch::new(Arc::new(fixtures::figure1a()), Strategy::Dfs).meta(),
+        meta: crate::online::DFS_META,
         feasible: |_, _| true,
         build: |p, _| Box::new(OnlineSearch::new(Arc::clone(p.graph()), Strategy::Dfs)),
     },
     BuilderSpec {
         name: "online-BiBFS",
-        meta: || OnlineSearch::new(Arc::new(fixtures::figure1a()), Strategy::BiBfs).meta(),
+        meta: crate::online::BIBFS_META,
         feasible: |_, _| true,
         build: |p, _| Box::new(OnlineSearch::new(Arc::clone(p.graph()), Strategy::BiBfs)),
     },
@@ -376,7 +372,7 @@ pub fn plain_feasible(name: &str, n: usize, m: usize) -> bool {
 /// Table-1 view). Panics on an unknown name.
 pub fn plain_native_meta(name: &str) -> IndexMeta {
     let spec = plain_spec(name).unwrap_or_else(|| panic!("unknown plain index {name:?}"));
-    (spec.meta)()
+    spec.meta
 }
 
 /// The requested technique is not in the plain-index registry.
@@ -430,7 +426,7 @@ pub fn build_plain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach_graph::DiGraph;
+    use reach_graph::{fixtures, DiGraph};
 
     #[test]
     fn registry_names_are_unique_and_nonempty() {
@@ -445,8 +441,21 @@ mod tests {
 
     #[test]
     fn every_spec_meta_matches_built_index_name() {
+        // the registry's metadata is what the built index reports, up to
+        // the input class that the general-graph lift widens
+        let prepared = PreparedGraph::new(fixtures::figure1a());
         for spec in PLAIN_REGISTRY {
-            assert_eq!((spec.meta)().name, spec.name);
+            assert_eq!(spec.meta.name, spec.name);
+            let built = (spec.build)(&prepared, &BuildOpts::default()).meta();
+            assert_eq!(
+                built,
+                IndexMeta {
+                    input: built.input,
+                    ..spec.meta
+                },
+                "{}",
+                spec.name
+            );
         }
     }
 

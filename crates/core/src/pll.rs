@@ -136,20 +136,22 @@ impl Pll {
     }
 }
 
+pub(crate) const META: IndexMeta = IndexMeta {
+    name: "PLL",
+    citation: "[49]",
+    framework: Framework::TwoHop,
+    completeness: Completeness::Complete,
+    input: InputClass::General,
+    dynamism: Dynamism::Static,
+};
+
 impl ReachIndex for Pll {
     fn query(&self, s: VertexId, t: VertexId) -> bool {
         s == t || sorted_intersects(&self.lout[s.index()], &self.lin[t.index()])
     }
 
     fn meta(&self) -> IndexMeta {
-        IndexMeta {
-            name: "PLL",
-            citation: "[49]",
-            framework: Framework::TwoHop,
-            completeness: Completeness::Complete,
-            input: InputClass::General,
-            dynamism: Dynamism::Static,
-        }
+        META
     }
 
     fn size_bytes(&self) -> usize {

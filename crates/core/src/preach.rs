@@ -115,6 +115,15 @@ impl Preach {
     }
 }
 
+pub(crate) const META: IndexMeta = IndexMeta {
+    name: "PReaCH",
+    citation: "[31]",
+    framework: Framework::Other,
+    completeness: Completeness::Partial,
+    input: InputClass::Dag,
+    dynamism: Dynamism::Static,
+};
+
 impl ReachIndex for Preach {
     fn query(&self, s: VertexId, t: VertexId) -> bool {
         match self.filter.certain(s, t) {
@@ -174,14 +183,7 @@ impl ReachIndex for Preach {
     }
 
     fn meta(&self) -> IndexMeta {
-        IndexMeta {
-            name: "PReaCH",
-            citation: "[31]",
-            framework: Framework::Other,
-            completeness: Completeness::Partial,
-            input: InputClass::Dag,
-            dynamism: Dynamism::Static,
-        }
+        META
     }
 
     fn size_bytes(&self) -> usize {

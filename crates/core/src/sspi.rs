@@ -55,6 +55,15 @@ impl TreeSspi {
     }
 }
 
+pub(crate) const META: IndexMeta = IndexMeta {
+    name: "Tree+SSPI",
+    citation: "[9]",
+    framework: Framework::TreeCover,
+    completeness: Completeness::Partial,
+    input: InputClass::Dag,
+    dynamism: Dynamism::Static,
+};
+
 impl ReachIndex for TreeSspi {
     fn query(&self, s: VertexId, t: VertexId) -> bool {
         if self.forest.contains(s, t) {
@@ -97,14 +106,7 @@ impl ReachIndex for TreeSspi {
     }
 
     fn meta(&self) -> IndexMeta {
-        IndexMeta {
-            name: "Tree+SSPI",
-            citation: "[9]",
-            framework: Framework::TreeCover,
-            completeness: Completeness::Partial,
-            input: InputClass::Dag,
-            dynamism: Dynamism::Static,
-        }
+        META
     }
 
     fn size_bytes(&self) -> usize {

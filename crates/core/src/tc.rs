@@ -108,20 +108,22 @@ impl TransitiveClosure {
     }
 }
 
+pub(crate) const META: IndexMeta = IndexMeta {
+    name: "TC",
+    citation: "[2]",
+    framework: Framework::TransitiveClosure,
+    completeness: Completeness::Complete,
+    input: InputClass::General,
+    dynamism: Dynamism::Static,
+};
+
 impl ReachIndex for TransitiveClosure {
     fn query(&self, s: VertexId, t: VertexId) -> bool {
         self.reaches(s, t)
     }
 
     fn meta(&self) -> IndexMeta {
-        IndexMeta {
-            name: "TC",
-            citation: "[2]",
-            framework: Framework::TransitiveClosure,
-            completeness: Completeness::Complete,
-            input: InputClass::General,
-            dynamism: Dynamism::Static,
-        }
+        META
     }
 
     fn size_bytes(&self) -> usize {

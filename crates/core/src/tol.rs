@@ -127,6 +127,33 @@ fn restricted_closures(
     }
 }
 
+pub(crate) const TOL_META: IndexMeta = IndexMeta {
+    name: "TOL",
+    citation: "[55]",
+    framework: Framework::TwoHop,
+    completeness: Completeness::Complete,
+    input: InputClass::Dag,
+    dynamism: Dynamism::InsertDelete,
+};
+
+pub(crate) const TFL_META: IndexMeta = IndexMeta {
+    name: "TFL",
+    citation: "[13]",
+    framework: Framework::TwoHop,
+    completeness: Completeness::Complete,
+    input: InputClass::Dag,
+    dynamism: Dynamism::Static,
+};
+
+pub(crate) const DL_META: IndexMeta = IndexMeta {
+    name: "DL",
+    citation: "[25]",
+    framework: Framework::TwoHop,
+    completeness: Completeness::Complete,
+    input: InputClass::General,
+    dynamism: Dynamism::Static,
+};
+
 impl Tol {
     /// Builds a TOL index over `g` with an explicit vertex order
     /// (`order[0]` is the highest-priority hop). Hops are independent
@@ -206,19 +233,7 @@ impl Tol {
             "use build_tfl for the topological instantiation"
         );
         let order = order_ranks(g, strategy);
-        Tol::build_with_order(
-            g,
-            &order,
-            IndexMeta {
-                name: "TOL",
-                citation: "[55]",
-                framework: Framework::TwoHop,
-                completeness: Completeness::Complete,
-                input: InputClass::Dag,
-                dynamism: Dynamism::InsertDelete,
-            },
-            threads,
-        )
+        Tol::build_with_order(g, &order, TOL_META, threads)
     }
 
     /// (Re)runs hop `r`'s restricted BFS, labeling everything visited.
@@ -443,38 +458,14 @@ impl ReachIndex for Tol {
 /// Builds TFL \[13\]: TOL instantiated with the topological order of a
 /// DAG, on `threads` threads.
 pub fn build_tfl(dag: &Dag, threads: usize) -> Tol {
-    Tol::build_with_order(
-        dag.graph(),
-        dag.topo_order(),
-        IndexMeta {
-            name: "TFL",
-            citation: "[13]",
-            framework: Framework::TwoHop,
-            completeness: Completeness::Complete,
-            input: InputClass::Dag,
-            dynamism: Dynamism::Static,
-        },
-        threads,
-    )
+    Tol::build_with_order(dag.graph(), dag.topo_order(), TFL_META, threads)
 }
 
 /// Builds DL \[25\]: TOL instantiated with the degree-descending order,
 /// directly on a general graph, on `threads` threads.
 pub fn build_dl(g: &DiGraph, threads: usize) -> Tol {
     let order = order_ranks(g, OrderStrategy::DegreeDescending);
-    Tol::build_with_order(
-        g,
-        &order,
-        IndexMeta {
-            name: "DL",
-            citation: "[25]",
-            framework: Framework::TwoHop,
-            completeness: Completeness::Complete,
-            input: InputClass::General,
-            dynamism: Dynamism::Static,
-        },
-        threads,
-    )
+    Tol::build_with_order(g, &order, DL_META, threads)
 }
 
 #[cfg(test)]

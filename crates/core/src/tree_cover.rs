@@ -74,6 +74,15 @@ impl TreeCover {
     }
 }
 
+pub(crate) const META: IndexMeta = IndexMeta {
+    name: "Tree cover",
+    citation: "[2]",
+    framework: Framework::TreeCover,
+    completeness: Completeness::Complete,
+    input: InputClass::Dag,
+    dynamism: Dynamism::Static,
+};
+
 impl ReachIndex for TreeCover {
     fn query(&self, s: VertexId, t: VertexId) -> bool {
         let b = self.post[t.index()];
@@ -87,14 +96,7 @@ impl ReachIndex for TreeCover {
     }
 
     fn meta(&self) -> IndexMeta {
-        IndexMeta {
-            name: "Tree cover",
-            citation: "[2]",
-            framework: Framework::TreeCover,
-            completeness: Completeness::Complete,
-            input: InputClass::Dag,
-            dynamism: Dynamism::Static,
-        }
+        META
     }
 
     fn size_bytes(&self) -> usize {

@@ -139,6 +139,16 @@ impl ChenIndex {
     }
 }
 
+pub(crate) const META: LabeledIndexMeta = LabeledIndexMeta {
+    name: "Chen et al.",
+    citation: "[12]",
+    framework: LcrFramework::TreeCover,
+    constraint: ConstraintClass::Alternation,
+    completeness: Completeness::Complete,
+    input: InputClass::General,
+    dynamism: Dynamism::Static,
+};
+
 impl LcrIndex for ChenIndex {
     fn query(&self, s: VertexId, t: VertexId, allowed: LabelSet) -> bool {
         if s == t {
@@ -170,15 +180,7 @@ impl LcrIndex for ChenIndex {
     }
 
     fn meta(&self) -> LabeledIndexMeta {
-        LabeledIndexMeta {
-            name: "Chen et al.",
-            citation: "[12]",
-            framework: LcrFramework::TreeCover,
-            constraint: ConstraintClass::Alternation,
-            completeness: Completeness::Complete,
-            input: InputClass::General,
-            dynamism: Dynamism::Static,
-        }
+        META
     }
 
     fn size_bytes(&self) -> usize {

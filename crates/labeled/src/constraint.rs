@@ -1,24 +1,28 @@
 //! The path-constraint grammar of §2.2 and its compilation.
 //!
 //! `α ::= l | α·α | α∪α | α+ | α*` — regular expressions over edge
-//! labels. The module provides the AST, a parser (accepting both the
-//! paper's symbols `·`, `∪`, and the ASCII forms `.`, `|`), a
-//! classifier that recognizes the two indexable fragments of Table 2
-//! (alternation `(l1∪l2∪…)*` and concatenation `(l1·l2·…)*`), and a
-//! Thompson NFA for the general automaton-guided evaluation of §2.3.
+//! labels. The module provides a normalized n-ary AST, a parser
+//! (accepting both the paper's symbols `·`, `∪`, and the ASCII forms
+//! `.`, `|`), a classifier that recognizes the two indexable fragments
+//! of Table 2 (alternation `(l1∪l2∪…)*` and concatenation
+//! `(l1·l2·…)*`), and a label-set NFA for the general automaton-guided
+//! evaluation of §2.3, whose ε-moves are edges of the product graph.
 
-use reach_graph::{Label, LabelSet};
+use reach_graph::{Label, LabelSet, LabeledGraph, VertexId};
 use std::fmt;
 
-/// Abstract syntax of a path constraint.
+/// Abstract syntax of a path constraint, as normalized by [`parse`]:
+/// a chain has at least two terms and no term of its own kind (nested
+/// chains are spliced in), and an alternation of label sets alone is
+/// their union. Tree depth is therefore the constraint's nesting depth.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Ast {
-    /// A single edge label.
-    Label(Label),
-    /// Concatenation `α·β`.
-    Concat(Box<Ast>, Box<Ast>),
-    /// Alternation `α∪β`.
-    Alt(Box<Ast>, Box<Ast>),
+    /// One edge whose label is in the set (`l`, or `l1∪l2∪…`).
+    Labels(LabelSet),
+    /// Concatenation `α1·α2·…`.
+    Concat(Vec<Ast>),
+    /// Alternation `α1∪α2∪…`.
+    Alt(Vec<Ast>),
     /// Kleene star `α*`.
     Star(Box<Ast>),
     /// Kleene plus `α+`.
@@ -65,48 +69,24 @@ enum Token {
 }
 
 fn tokenize(input: &str) -> Result<Vec<(usize, Token)>, ParseError> {
+    let is_name = |c: char| c.is_alphanumeric() || c == '_';
     let mut out = Vec::new();
     let mut chars = input.char_indices().peekable();
-    while let Some(&(pos, c)) = chars.peek() {
-        match c {
-            ' ' | '\t' | '\n' => {
-                chars.next();
-            }
-            '·' | '.' => {
-                chars.next();
-                out.push((pos, Token::Dot));
-            }
-            '∪' | '|' => {
-                chars.next();
-                out.push((pos, Token::Union));
-            }
-            '*' => {
-                chars.next();
-                out.push((pos, Token::Star));
-            }
-            '+' => {
-                chars.next();
-                out.push((pos, Token::Plus));
-            }
-            '(' => {
-                chars.next();
-                out.push((pos, Token::LParen));
-            }
-            ')' => {
-                chars.next();
-                out.push((pos, Token::RParen));
-            }
-            c if c.is_alphanumeric() || c == '_' => {
-                let mut name = String::new();
-                while let Some(&(_, c)) = chars.peek() {
-                    if c.is_alphanumeric() || c == '_' {
-                        name.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
+    while let Some((pos, c)) = chars.next() {
+        let token = match c {
+            ' ' | '\t' | '\n' => continue,
+            '·' | '.' => Token::Dot,
+            '∪' | '|' => Token::Union,
+            '*' => Token::Star,
+            '+' => Token::Plus,
+            '(' => Token::LParen,
+            ')' => Token::RParen,
+            c if is_name(c) => {
+                let mut name = c.to_string();
+                while let Some((_, c)) = chars.next_if(|&(_, c)| is_name(c)) {
+                    name.push(c);
                 }
-                out.push((pos, Token::Name(name)));
+                Token::Name(name)
             }
             other => {
                 return Err(ParseError {
@@ -114,15 +94,16 @@ fn tokenize(input: &str) -> Result<Vec<(usize, Token)>, ParseError> {
                     message: format!("unexpected character {other:?}"),
                 })
             }
-        }
+        };
+        out.push((pos, token));
     }
     Ok(out)
 }
 
 /// The deepest nesting [`parse`] accepts: open parentheses plus
 /// postfix operators along one path of the constraint. Parsing, NFA
-/// compilation and dropping an [`Ast`] all recurse along such a path,
-/// so unbounded nesting would overflow the stack.
+/// compilation and dropping an [`Ast`] all recurse along such a path
+/// (never along a chain), so unbounded nesting would overflow the stack.
 pub const MAX_NESTING: usize = 256;
 
 fn too_deep(position: usize) -> ParseError {
@@ -160,30 +141,60 @@ impl<'a> Parser<'a> {
     }
 
     // Each rule returns its subtree with the subtree's nesting (parens
-    // plus postfix operators on its deepest path).
+    // plus postfix operators on its deepest path). Chains are read in
+    // a loop and built flat.
 
     // alt := concat ('∪' concat)*
     fn alt(&mut self) -> Result<(Ast, usize), ParseError> {
-        let (mut lhs, mut nesting) = self.concat()?;
-        while self.peek() == Some(&Token::Union) {
-            self.bump();
-            let (rhs, n) = self.concat()?;
-            lhs = Ast::Alt(Box::new(lhs), Box::new(rhs));
+        let mut terms = Vec::new();
+        let mut nesting = 0;
+        loop {
+            let (term, n) = self.concat()?;
             nesting = nesting.max(n);
+            match term {
+                Ast::Alt(inner) => terms.extend(inner),
+                term => terms.push(term),
+            }
+            if self.peek() != Some(&Token::Union) {
+                break;
+            }
+            self.bump();
         }
-        Ok((lhs, nesting))
+        let union = terms
+            .iter()
+            .try_fold(LabelSet::EMPTY, |acc, term| match term {
+                Ast::Labels(set) => Some(acc.union(*set)),
+                _ => None,
+            });
+        let ast = match union {
+            Some(set) => Ast::Labels(set),
+            None if terms.len() == 1 => terms.swap_remove(0),
+            None => Ast::Alt(terms),
+        };
+        Ok((ast, nesting))
     }
 
     // concat := postfix ('·' postfix)*   (explicit dot required)
     fn concat(&mut self) -> Result<(Ast, usize), ParseError> {
-        let (mut lhs, mut nesting) = self.postfix()?;
-        while self.peek() == Some(&Token::Dot) {
-            self.bump();
-            let (rhs, n) = self.postfix()?;
-            lhs = Ast::Concat(Box::new(lhs), Box::new(rhs));
+        let mut terms = Vec::new();
+        let mut nesting = 0;
+        loop {
+            let (term, n) = self.postfix()?;
             nesting = nesting.max(n);
+            match term {
+                Ast::Concat(inner) => terms.extend(inner),
+                term => terms.push(term),
+            }
+            if self.peek() != Some(&Token::Dot) {
+                break;
+            }
+            self.bump();
         }
-        Ok((lhs, nesting))
+        let ast = match terms.len() {
+            1 => terms.swap_remove(0),
+            _ => Ast::Concat(terms),
+        };
+        Ok((ast, nesting))
     }
 
     // postfix := atom ('*' | '+')*
@@ -222,7 +233,7 @@ impl<'a> Parser<'a> {
                         message: format!("unknown label {name:?}"),
                     })?;
                 Label::try_new(idx as u32)
-                    .map(|l| (Ast::Label(l), 0))
+                    .map(|l| (Ast::Labels(LabelSet::singleton(l)), 0))
                     .map_err(|_| ParseError {
                         position,
                         message: format!("label index {idx} out of range"),
@@ -251,8 +262,9 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parses a path constraint. Label names are resolved against
-/// `alphabet` (index = label id); bare numbers are accepted directly.
+/// Parses a path constraint into its normalized [`Ast`]. Label names
+/// are resolved against `alphabet` (index = label id); bare numbers
+/// are accepted directly.
 ///
 /// ```
 /// use reach_labeled::{parse, ConstraintKind};
@@ -291,178 +303,165 @@ pub fn parse(input: &str, alphabet: &[&str]) -> Result<Ast, ParseError> {
 
 impl Ast {
     /// Classifies the constraint into Table 2's indexable fragments.
+    ///
+    /// `(L)+` stays [`ConstraintKind::General`]: it differs from `(L)*`
+    /// only at `s = t`, where it needs a cycle and an LCR index answers `true`.
     pub fn classify(&self) -> ConstraintKind {
-        if let Ast::Star(inner) = self {
-            if let Some(labels) = inner.as_label_alternation() {
-                return ConstraintKind::Alternation(labels);
-            }
-            if let Some(seq) = inner.as_label_concatenation() {
-                return ConstraintKind::Concatenation(seq);
-            }
-        }
-        ConstraintKind::General
-    }
-
-    /// `l1 ∪ l2 ∪ …` of bare labels, as a set.
-    fn as_label_alternation(&self) -> Option<LabelSet> {
-        match self {
-            Ast::Label(l) => Some(LabelSet::singleton(*l)),
-            Ast::Alt(a, b) => Some(a.as_label_alternation()?.union(b.as_label_alternation()?)),
+        let Ast::Star(inner) = self else {
+            return ConstraintKind::General;
+        };
+        let single = |term: &Ast| match term {
+            Ast::Labels(set) if set.len() == 1 => set.iter().next(),
             _ => None,
-        }
-    }
-
-    /// `l1 · l2 · …` of bare labels, as a sequence.
-    fn as_label_concatenation(&self) -> Option<Vec<Label>> {
-        match self {
-            Ast::Label(l) => Some(vec![*l]),
-            Ast::Concat(a, b) => {
-                let mut seq = a.as_label_concatenation()?;
-                seq.extend(b.as_label_concatenation()?);
-                Some(seq)
-            }
-            _ => None,
+        };
+        match &**inner {
+            Ast::Labels(set) => ConstraintKind::Alternation(*set),
+            Ast::Concat(terms) => terms
+                .iter()
+                .map(single)
+                .collect::<Option<Vec<Label>>>()
+                .map_or(ConstraintKind::General, ConstraintKind::Concatenation),
+            _ => ConstraintKind::General,
         }
     }
 }
 
-/// A Thompson NFA over edge labels, for automaton-guided traversal.
+/// A nondeterministic automaton over edge labels: each move reads one
+/// label from a set, or nothing (an ε-move). State 0 is the start and
+/// state 1 the only accept state.
 #[derive(Debug, Clone)]
 pub struct Nfa {
-    /// `transitions[state]`: `(label, target)`; `None` label = ε.
-    transitions: Vec<Vec<(Option<Label>, u32)>>,
-    start: u32,
-    accept: u32,
+    /// `moves[state]`: `(Some(labels), target)`, or `(None, target)`
+    /// for an ε-move.
+    moves: Vec<Vec<(Option<LabelSet>, u32)>>,
 }
 
+const START: u32 = 0;
+const ACCEPT: u32 = 1;
+
 impl Nfa {
-    /// Compiles an AST with Thompson's construction.
+    /// Compiles an AST. A label set is one move; a chain of `k` terms
+    /// adds `k − 1` states, `*` adds one and `+` two.
     pub fn compile(ast: &Ast) -> Self {
         let mut nfa = Nfa {
-            transitions: Vec::new(),
-            start: 0,
-            accept: 0,
+            moves: vec![Vec::new(), Vec::new()],
         };
-        let (s, a) = nfa.build(ast);
-        nfa.start = s;
-        nfa.accept = a;
+        nfa.build(ast, START, ACCEPT);
         nfa
     }
 
     fn new_state(&mut self) -> u32 {
-        self.transitions.push(Vec::new());
-        (self.transitions.len() - 1) as u32
+        self.moves.push(Vec::new());
+        (self.moves.len() - 1) as u32
     }
 
-    fn edge(&mut self, from: u32, label: Option<Label>, to: u32) {
-        self.transitions[from as usize].push((label, to));
+    fn edge(&mut self, from: u32, on: Option<LabelSet>, to: u32) {
+        self.moves[from as usize].push((on, to));
     }
 
-    fn build(&mut self, ast: &Ast) -> (u32, u32) {
+    /// Adds moves spelling `ast` from `from` to `to`. They leave only
+    /// `from` and fresh states and enter only fresh states and `to`, so
+    /// sibling terms may share both ends; a loop gets a fresh hub state,
+    /// so it never feeds back into a state its siblings leave from.
+    fn build(&mut self, ast: &Ast, from: u32, to: u32) {
         match ast {
-            Ast::Label(l) => {
-                let s = self.new_state();
-                let a = self.new_state();
-                self.edge(s, Some(*l), a);
-                (s, a)
+            Ast::Labels(set) => self.edge(from, Some(*set), to),
+            Ast::Concat(terms) => {
+                let mut at = from;
+                for (i, term) in terms.iter().enumerate() {
+                    let next = if i + 1 == terms.len() {
+                        to
+                    } else {
+                        self.new_state()
+                    };
+                    self.build(term, at, next);
+                    at = next;
+                }
             }
-            Ast::Concat(x, y) => {
-                let (sx, ax) = self.build(x);
-                let (sy, ay) = self.build(y);
-                self.edge(ax, None, sy);
-                (sx, ay)
-            }
-            Ast::Alt(x, y) => {
-                let s = self.new_state();
-                let a = self.new_state();
-                let (sx, ax) = self.build(x);
-                let (sy, ay) = self.build(y);
-                self.edge(s, None, sx);
-                self.edge(s, None, sy);
-                self.edge(ax, None, a);
-                self.edge(ay, None, a);
-                (s, a)
+            Ast::Alt(terms) => {
+                for term in terms {
+                    self.build(term, from, to);
+                }
             }
             Ast::Star(x) => {
-                let s = self.new_state();
-                let a = self.new_state();
-                let (sx, ax) = self.build(x);
-                self.edge(s, None, sx);
-                self.edge(s, None, a);
-                self.edge(ax, None, sx);
-                self.edge(ax, None, a);
-                (s, a)
+                let hub = self.new_state();
+                self.edge(from, None, hub);
+                self.build(x, hub, hub);
+                self.edge(hub, None, to);
             }
             Ast::Plus(x) => {
-                let (sx, ax) = self.build(x);
-                let a = self.new_state();
-                self.edge(ax, None, sx);
-                self.edge(ax, None, a);
-                (sx, a)
+                let (entry, exit) = (self.new_state(), self.new_state());
+                self.edge(from, None, entry);
+                self.build(x, entry, exit);
+                self.edge(exit, None, entry);
+                self.edge(exit, None, to);
             }
         }
     }
 
     /// Number of NFA states.
     pub fn num_states(&self) -> usize {
-        self.transitions.len()
+        self.moves.len()
     }
 
     /// The start state.
     pub fn start(&self) -> u32 {
-        self.start
+        START
     }
 
-    /// Whether `state` is the accept state.
-    pub fn is_accept(&self, state: u32) -> bool {
-        state == self.accept
+    /// The accept state.
+    pub fn accept(&self) -> u32 {
+        ACCEPT
     }
 
-    /// ε-closure of a state set (deduplicated, sorted).
-    pub fn epsilon_closure(&self, states: &mut Vec<u32>) {
-        let mut seen = vec![false; self.transitions.len()];
-        for &s in states.iter() {
-            seen[s as usize] = true;
-        }
-        let mut head = 0;
-        while head < states.len() {
-            let s = states[head];
-            head += 1;
-            for &(label, to) in &self.transitions[s as usize] {
-                if label.is_none() && !seen[to as usize] {
-                    seen[to as usize] = true;
-                    states.push(to);
+    /// Successors of `(v, q)` in the product graph `g × NFA`: an ε-move
+    /// stays at `v` (label `None`); a label move follows each out-edge
+    /// of `v` whose label it reads. A constraint holds for `s`–`t`
+    /// exactly when `(t, accept)` is reachable from `(s, start)`.
+    pub fn product_successors<'a>(
+        &'a self,
+        g: &'a LabeledGraph,
+        v: VertexId,
+        q: u32,
+    ) -> impl Iterator<Item = (VertexId, u32, Option<Label>)> + 'a {
+        self.moves[q as usize].iter().flat_map(move |&(on, to)| {
+            let stay = on.is_none().then_some((v, to, None));
+            let step = on.into_iter().flat_map(move |set| {
+                g.out_edges(v)
+                    .filter(move |&(_, l)| set.contains(l))
+                    .map(move |(w, l)| (w, to, Some(l)))
+            });
+            stay.into_iter().chain(step)
+        })
+    }
+
+    /// Whether the label word is in the NFA's language: product
+    /// reachability over the word's positions (used by tests and the
+    /// examples).
+    pub fn accepts(&self, word: &[Label]) -> bool {
+        let ns = self.moves.len();
+        let mut seen = vec![false; (word.len() + 1) * ns];
+        let mut stack = vec![(0usize, START)];
+        while let Some((i, q)) = stack.pop() {
+            let slot = i * ns + q as usize;
+            if seen[slot] {
+                continue;
+            }
+            seen[slot] = true;
+            if i == word.len() && q == ACCEPT {
+                return true;
+            }
+            for &(on, to) in &self.moves[q as usize] {
+                match on {
+                    None => stack.push((i, to)),
+                    Some(set) if word.get(i).is_some_and(|&l| set.contains(l)) => {
+                        stack.push((i + 1, to))
+                    }
+                    Some(_) => {}
                 }
             }
         }
-        states.sort_unstable();
-    }
-
-    /// The states reachable from `state` by consuming `label`
-    /// (before ε-closure).
-    pub fn step(&self, state: u32, label: Label) -> impl Iterator<Item = u32> + '_ {
-        self.transitions[state as usize]
-            .iter()
-            .filter(move |&&(l, _)| l == Some(label))
-            .map(|&(_, to)| to)
-    }
-
-    /// Whether the label word is in the NFA's language (used by tests
-    /// and the online evaluator).
-    pub fn accepts(&self, word: &[Label]) -> bool {
-        let mut current = vec![self.start];
-        self.epsilon_closure(&mut current);
-        for &l in word {
-            let mut next: Vec<u32> = current.iter().flat_map(|&s| self.step(s, l)).collect();
-            next.sort_unstable();
-            next.dedup();
-            self.epsilon_closure(&mut next);
-            current = next;
-            if current.is_empty() {
-                return false;
-            }
-        }
-        current.iter().any(|&s| self.is_accept(s))
+        false
     }
 }
 
@@ -513,6 +512,17 @@ mod tests {
         let a = parse("(a . b)*", AB).unwrap();
         let b = parse("(a · b)*", AB).unwrap();
         assert_eq!(a, b);
+        // nested and re-associated chains normalize to one flat tree
+        let abc = parse("(a | b | c)*", AB).unwrap();
+        for same in ["((a|b)|c)*", "(a|(b|c))*", "(c ∪ (b ∪ a))*"] {
+            assert_eq!(parse(same, AB).unwrap(), abc, "{same}");
+        }
+        let seq = parse("((a . b) . c)*", AB).unwrap();
+        assert_eq!(parse("(a·(b·c))*", AB).unwrap(), seq);
+        assert_eq!(
+            parse("a|a", AB).unwrap(),
+            Ast::Labels(LabelSet::singleton(l(0)))
+        );
     }
 
     #[test]
@@ -539,6 +549,10 @@ mod tests {
             parse("a*·b", AB).unwrap().classify(),
             ConstraintKind::General
         );
+        // `(L)+` rejects the empty path at s = t, unlike `(L)*`
+        for plus in ["a+", "(a ∪ b)+", "((a|b)|c)+"] {
+            assert_eq!(parse(plus, AB).unwrap().classify(), ConstraintKind::General);
+        }
     }
 
     #[test]
@@ -581,14 +595,55 @@ mod tests {
     fn precedence_star_binds_tighter_than_concat_than_alt() {
         // a ∪ b·c* == a ∪ (b·(c*))
         let ast = parse("a ∪ b·c*", AB).unwrap();
-        let expect = Ast::Alt(
-            Box::new(Ast::Label(l(0))),
-            Box::new(Ast::Concat(
-                Box::new(Ast::Label(l(1))),
-                Box::new(Ast::Star(Box::new(Ast::Label(l(2))))),
-            )),
-        );
+        let label = |i| Ast::Labels(LabelSet::singleton(l(i)));
+        let expect = Ast::Alt(vec![
+            label(0),
+            Ast::Concat(vec![label(1), Ast::Star(Box::new(label(2)))]),
+        ]);
         assert_eq!(ast, expect);
+        // nested forms classify and answer as their flat equivalents
+        let all = LabelSet::from_labels([l(0), l(1), l(2)]);
+        for expr in ["((a|b)|c)*", "(a|(b|c))*"] {
+            let ast = parse(expr, AB).unwrap();
+            assert_eq!(ast.classify(), ConstraintKind::Alternation(all), "{expr}");
+            assert!(Nfa::compile(&ast).accepts(&[l(2), l(0), l(1)]), "{expr}");
+        }
+        let ast = parse("(a·(b·c))*", AB).unwrap();
+        assert_eq!(
+            ast.classify(),
+            ConstraintKind::Concatenation(vec![l(0), l(1), l(2)])
+        );
+        let nfa = Nfa::compile(&ast);
+        assert!(nfa.accepts(&[l(0), l(1), l(2), l(0), l(1), l(2)]));
+        assert!(!nfa.accepts(&[l(0), l(1)]));
+        let ast = parse("(a·(b|c))*", AB).unwrap();
+        assert_eq!(ast.classify(), ConstraintKind::General);
+        let nfa = Nfa::compile(&ast);
+        assert!(nfa.accepts(&[l(0), l(2), l(0), l(1)]) && !nfa.accepts(&[l(0), l(0)]));
+        let ast = parse("a|a", AB).unwrap();
+        assert_eq!(ast.classify(), ConstraintKind::General);
+        let nfa = Nfa::compile(&ast);
+        assert_eq!(nfa.num_states(), 2);
+        assert!(nfa.accepts(&[l(0)]) && !nfa.accepts(&[]) && !nfa.accepts(&[l(0), l(0)]));
+    }
+
+    #[test]
+    fn million_term_chains_run_on_a_small_stack() {
+        let n = 1_000_000;
+        let concat = format!("({})*", vec!["0·1"; n / 2].join("·"));
+        let labels = vec!["0"; n].join("|");
+        let alt = vec!["0·1"; n].join("∪");
+        let worker = std::thread::Builder::new().stack_size(64 * 1024);
+        let run = move || {
+            for chain in [concat, labels, alt] {
+                let ast = parse(&chain, AB).unwrap();
+                let kind = ast.classify();
+                let nfa = Nfa::compile(&ast);
+                assert!(nfa.num_states() <= n + 2);
+                drop((ast, kind, nfa));
+            }
+        };
+        worker.spawn(run).unwrap().join().unwrap();
     }
 
     #[test]

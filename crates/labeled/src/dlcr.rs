@@ -165,21 +165,23 @@ impl Dlcr {
     }
 }
 
+pub(crate) const META: LabeledIndexMeta = LabeledIndexMeta {
+    name: "DLCR",
+    citation: "[10]",
+    framework: LcrFramework::TwoHop,
+    constraint: ConstraintClass::Alternation,
+    completeness: Completeness::Complete,
+    input: InputClass::General,
+    dynamism: Dynamism::InsertDelete,
+};
+
 impl LcrIndex for Dlcr {
     fn query(&self, s: VertexId, t: VertexId, allowed: LabelSet) -> bool {
         s == t || entries_join(&self.lout[s.index()], &self.lin[t.index()], allowed)
     }
 
     fn meta(&self) -> LabeledIndexMeta {
-        LabeledIndexMeta {
-            name: "DLCR",
-            citation: "[10]",
-            framework: LcrFramework::TwoHop,
-            constraint: ConstraintClass::Alternation,
-            completeness: Completeness::Complete,
-            input: InputClass::General,
-            dynamism: Dynamism::InsertDelete,
-        }
+        META
     }
 
     fn size_bytes(&self) -> usize {

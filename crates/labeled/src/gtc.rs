@@ -48,21 +48,23 @@ impl GtcIndex {
     }
 }
 
+pub(crate) const META: LabeledIndexMeta = LabeledIndexMeta {
+    name: "GTC",
+    citation: "[21,52]",
+    framework: LcrFramework::Gtc,
+    constraint: ConstraintClass::Alternation,
+    completeness: Completeness::Complete,
+    input: InputClass::General,
+    dynamism: Dynamism::Static,
+};
+
 impl LcrIndex for GtcIndex {
     fn query(&self, s: VertexId, t: VertexId, allowed: LabelSet) -> bool {
         s == t || self.rows[s.index()][t.index()].satisfies(allowed)
     }
 
     fn meta(&self) -> LabeledIndexMeta {
-        LabeledIndexMeta {
-            name: "GTC",
-            citation: "[21,52]",
-            framework: LcrFramework::Gtc,
-            constraint: ConstraintClass::Alternation,
-            completeness: Completeness::Complete,
-            input: InputClass::General,
-            dynamism: Dynamism::Static,
-        }
+        META
     }
 
     fn size_bytes(&self) -> usize {

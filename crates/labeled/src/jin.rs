@@ -141,6 +141,16 @@ impl JinIndex {
     }
 }
 
+pub(crate) const META: LabeledIndexMeta = LabeledIndexMeta {
+    name: "Jin et al.",
+    citation: "[21]",
+    framework: LcrFramework::TreeCover,
+    constraint: ConstraintClass::Alternation,
+    completeness: Completeness::Complete,
+    input: InputClass::General,
+    dynamism: Dynamism::Static,
+};
+
 impl LcrIndex for JinIndex {
     fn query(&self, s: VertexId, t: VertexId, allowed: LabelSet) -> bool {
         if s == t {
@@ -170,15 +180,7 @@ impl LcrIndex for JinIndex {
     }
 
     fn meta(&self) -> LabeledIndexMeta {
-        LabeledIndexMeta {
-            name: "Jin et al.",
-            citation: "[21]",
-            framework: LcrFramework::TreeCover,
-            constraint: ConstraintClass::Alternation,
-            completeness: Completeness::Complete,
-            input: InputClass::General,
-            dynamism: Dynamism::Static,
-        }
+        META
     }
 
     fn size_bytes(&self) -> usize {

@@ -110,6 +110,16 @@ fn reverse_labeled(g: &LabeledGraph) -> LabeledGraph {
     b.build()
 }
 
+pub(crate) const META: LabeledIndexMeta = LabeledIndexMeta {
+    name: "Landmark index",
+    citation: "[44]",
+    framework: LcrFramework::Gtc,
+    constraint: ConstraintClass::Alternation,
+    completeness: Completeness::Partial,
+    input: InputClass::General,
+    dynamism: Dynamism::Static,
+};
+
 impl LcrIndex for LandmarkIndex {
     fn query(&self, s: VertexId, t: VertexId, allowed: LabelSet) -> bool {
         if s == t {
@@ -158,15 +168,7 @@ impl LcrIndex for LandmarkIndex {
     }
 
     fn meta(&self) -> LabeledIndexMeta {
-        LabeledIndexMeta {
-            name: "Landmark index",
-            citation: "[44]",
-            framework: LcrFramework::Gtc,
-            constraint: ConstraintClass::Alternation,
-            completeness: Completeness::Partial,
-            input: InputClass::General,
-            dynamism: Dynamism::Static,
-        }
+        META
     }
 
     fn size_bytes(&self) -> usize {

@@ -7,7 +7,7 @@
 //!
 //! * the constraint language of §2.2 ([`constraint`]: the
 //!   `α ::= l | α·α | α∪α | α+ | α*` grammar, parser, classifier,
-//!   Thompson NFA) and the online baselines of §2.3 ([`online`]);
+//!   label-set NFA) and the online baselines of §2.3 ([`online`]);
 //! * the sufficient-path-label-set machinery of §4.1 ([`spls`]);
 //! * **alternation-based (LCR) indexes**: Jin et al. [`jin`],
 //!   Chen et al. [`chen`] (tree-cover family); Zou et al. [`zou`]

@@ -76,37 +76,27 @@ pub fn rlc_bfs(g: &LabeledGraph, s: VertexId, t: VertexId, unit: &[Label]) -> bo
 /// (§2.3: *"a finite automaton can be built according to the regular
 /// expression α … and then the traversal is guided by the FA"*).
 ///
-/// Runs over the product space (vertex, NFA state). Note that unlike
+/// Runs over the product space (vertex, NFA state), ε-moves included,
+/// from `(s, start)` to `(t, accept)`. Note that unlike
 /// [`lcr_bfs`]/[`rlc_bfs`], the empty path only counts if the
 /// automaton accepts ε.
 pub fn rpq_bfs(g: &LabeledGraph, s: VertexId, t: VertexId, nfa: &Nfa) -> bool {
     let ns = nfa.num_states();
-    let mut start_states = vec![nfa.start()];
-    nfa.epsilon_closure(&mut start_states);
-    if s == t && start_states.iter().any(|&q| nfa.is_accept(q)) {
-        return true;
-    }
+    let slot = |v: VertexId, q: u32| v.index() * ns + q as usize;
     let mut seen = vec![false; g.num_vertices() * ns];
-    let mut queue: Vec<(VertexId, u32)> = Vec::new();
-    for &q in &start_states {
-        seen[s.index() * ns + q as usize] = true;
-        queue.push((s, q));
-    }
+    seen[slot(s, nfa.start())] = true;
+    let mut queue = vec![(s, nfa.start())];
     let mut head = 0;
     while head < queue.len() {
         let (u, q) = queue[head];
         head += 1;
-        for (v, l) in g.out_edges(u) {
-            let mut targets: Vec<u32> = nfa.step(q, l).collect();
-            nfa.epsilon_closure(&mut targets);
-            for qq in targets {
-                if v == t && nfa.is_accept(qq) {
-                    return true;
-                }
-                if !seen[v.index() * ns + qq as usize] {
-                    seen[v.index() * ns + qq as usize] = true;
-                    queue.push((v, qq));
-                }
+        if u == t && q == nfa.accept() {
+            return true;
+        }
+        for (v, qq, _) in nfa.product_successors(g, u, q) {
+            if !seen[slot(v, qq)] {
+                seen[slot(v, qq)] = true;
+                queue.push((v, qq));
             }
         }
     }

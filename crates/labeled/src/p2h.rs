@@ -189,21 +189,23 @@ impl P2hPlus {
     }
 }
 
+pub(crate) const META: LabeledIndexMeta = LabeledIndexMeta {
+    name: "P2H+",
+    citation: "[33]",
+    framework: LcrFramework::TwoHop,
+    constraint: ConstraintClass::Alternation,
+    completeness: Completeness::Complete,
+    input: InputClass::General,
+    dynamism: Dynamism::Static,
+};
+
 impl LcrIndex for P2hPlus {
     fn query(&self, s: VertexId, t: VertexId, allowed: LabelSet) -> bool {
         s == t || entries_join(&self.lout[s.index()], &self.lin[t.index()], allowed)
     }
 
     fn meta(&self) -> LabeledIndexMeta {
-        LabeledIndexMeta {
-            name: "P2H+",
-            citation: "[33]",
-            framework: LcrFramework::TwoHop,
-            constraint: ConstraintClass::Alternation,
-            completeness: Completeness::Complete,
-            input: InputClass::General,
-            dynamism: Dynamism::Static,
-        }
+        META
     }
 
     fn size_bytes(&self) -> usize {

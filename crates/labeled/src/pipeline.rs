@@ -12,59 +12,55 @@ use crate::landmark::LandmarkIndex;
 use crate::lcr::{LabeledIndexMeta, LcrIndex};
 use crate::p2h::P2hPlus;
 use crate::zou::ZouIndex;
-use reach_core::pipeline::{defaults, BuildOpts, BuilderSpec};
-use reach_graph::{fixtures, LabeledGraph};
+use reach_core::pipeline::{BuildOpts, BuilderSpec};
+use reach_graph::LabeledGraph;
 use std::fmt;
 use std::sync::Arc;
 
 /// The LCR instantiation of the registry entry type.
 pub type LcrSpec = BuilderSpec<Arc<LabeledGraph>, dyn LcrIndex, LabeledIndexMeta>;
 
-fn fig() -> Arc<LabeledGraph> {
-    Arc::new(fixtures::figure1b())
-}
-
 /// Every alternation-based (LCR) technique, in Table-2 order.
 pub static LCR_REGISTRY: &[LcrSpec] = &[
     BuilderSpec {
         name: "Jin et al.",
-        meta: || JinIndex::build(&fig()).meta(),
+        meta: crate::jin::META,
         feasible: |n, _| n <= 5_000,
         build: |g, _| Box::new(JinIndex::build(g)),
     },
     BuilderSpec {
         name: "Chen et al.",
-        meta: || ChenIndex::build(&fig()).meta(),
+        meta: crate::chen::META,
         feasible: |_, _| true,
         build: |g, _| Box::new(ChenIndex::build(g)),
     },
     BuilderSpec {
         name: "Zou et al.",
-        meta: || ZouIndex::build(&fig()).meta(),
+        meta: crate::zou::META,
         feasible: |n, _| n <= 2_000,
         build: |g, _| Box::new(ZouIndex::build(g)),
     },
     BuilderSpec {
         name: "Landmark index",
-        meta: || LandmarkIndex::build(fig(), defaults::LANDMARKS).meta(),
+        meta: crate::landmark::META,
         feasible: |_, _| true,
         build: |g, o| Box::new(LandmarkIndex::build(Arc::clone(g), o.landmarks)),
     },
     BuilderSpec {
         name: "P2H+",
-        meta: || P2hPlus::build(&fig()).meta(),
+        meta: crate::p2h::META,
         feasible: |_, _| true,
         build: |g, _| Box::new(P2hPlus::build(g)),
     },
     BuilderSpec {
         name: "DLCR",
-        meta: || Dlcr::build(&fig()).meta(),
+        meta: crate::dlcr::META,
         feasible: |_, _| true,
         build: |g, _| Box::new(Dlcr::build(g)),
     },
     BuilderSpec {
         name: "GTC",
-        meta: || GtcIndex::build(&fig()).meta(),
+        meta: crate::gtc::META,
         feasible: |n, _| n <= 2_000,
         build: |g, _| Box::new(GtcIndex::build(g)),
     },
@@ -115,6 +111,10 @@ pub fn build_lcr(
 mod tests {
     use super::*;
 
+    fn fig() -> Arc<LabeledGraph> {
+        Arc::new(reach_graph::fixtures::figure1b())
+    }
+
     #[test]
     fn registry_names_are_unique() {
         let names = lcr_names();
@@ -128,7 +128,9 @@ mod tests {
     #[test]
     fn every_spec_meta_matches_built_index_name() {
         for spec in LCR_REGISTRY {
-            assert_eq!((spec.meta)().name, spec.name);
+            assert_eq!(spec.meta.name, spec.name);
+            let built = (spec.build)(&fig(), &BuildOpts::default());
+            assert_eq!(built.meta(), spec.meta, "{}", spec.name);
         }
     }
 

@@ -19,10 +19,6 @@ use reach_graph::{DiGraphBuilder, LabeledGraph, VertexId};
 /// A per-constraint RPQ index: PLL over the `G × NFA(α)` product.
 pub struct RpqIndex {
     nfa: Nfa,
-    num_states: usize,
-    /// start states (ε-closed) and whether ε itself is accepted
-    start_states: Vec<u32>,
-    accepts_empty: bool,
     pll: Pll,
 }
 
@@ -31,29 +27,17 @@ impl RpqIndex {
     pub fn build(g: &LabeledGraph, ast: &Ast) -> Self {
         let nfa = Nfa::compile(ast);
         let ns = nfa.num_states();
-        let n = g.num_vertices();
-        // product vertex (v, q) = v * ns + q; edges follow label steps
-        // with ε-closure folded into the targets
-        let mut b = DiGraphBuilder::new(n * ns);
-        for (u, l, v) in g.edges() {
+        // product vertex (v, q) = v * ns + q; its edges are the NFA's
+        // label moves along graph edges and its ε-moves in place
+        let mut b = DiGraphBuilder::new(g.num_vertices() * ns);
+        for v in g.vertices() {
             for q in 0..ns as u32 {
-                let mut targets: Vec<u32> = nfa.step(q, l).collect();
-                nfa.epsilon_closure(&mut targets);
-                for qq in targets {
-                    b.add_edge(
-                        VertexId((u.index() * ns) as u32 + q),
-                        VertexId((v.index() * ns) as u32 + qq),
-                    );
+                for (w, qq, _) in nfa.product_successors(g, v, q) {
+                    b.add_edge(product(&nfa, v, q), product(&nfa, w, qq));
                 }
             }
         }
-        let mut start_states = vec![nfa.start()];
-        nfa.epsilon_closure(&mut start_states);
-        let accepts_empty = start_states.iter().any(|&q| nfa.is_accept(q));
         RpqIndex {
-            num_states: ns,
-            start_states,
-            accepts_empty,
             pll: Pll::build(&b.build()),
             nfa,
         }
@@ -62,23 +46,9 @@ impl RpqIndex {
     /// Whether an `s`–`t` path satisfying the constraint exists
     /// (the empty path counts only if the constraint accepts ε).
     pub fn query(&self, s: VertexId, t: VertexId) -> bool {
-        if s == t && self.accepts_empty {
-            return true;
-        }
-        let ns = self.num_states;
-        for &qs in &self.start_states {
-            for qa in 0..ns as u32 {
-                if !self.nfa.is_accept(qa) {
-                    continue;
-                }
-                let from = VertexId((s.index() * ns) as u32 + qs);
-                let to = VertexId((t.index() * ns) as u32 + qa);
-                if from != to && self.pll.query(from, to) {
-                    return true;
-                }
-            }
-        }
-        false
+        let from = product(&self.nfa, s, self.nfa.start());
+        self.pll
+            .query(from, product(&self.nfa, t, self.nfa.accept()))
     }
 
     /// Size of the underlying product labeling (exposes the blow-up
@@ -89,8 +59,12 @@ impl RpqIndex {
 
     /// Number of NFA states the product was built over.
     pub fn num_states(&self) -> usize {
-        self.num_states
+        self.nfa.num_states()
     }
+}
+
+fn product(nfa: &Nfa, v: VertexId, q: u32) -> VertexId {
+    VertexId((v.index() * nfa.num_states()) as u32 + q)
 }
 
 #[cfg(test)]

@@ -2,12 +2,13 @@
 //!
 //! Reachability indexes answer *whether* an `s`–`t` path exists; real
 //! deployments (the survey's fraud-detection and biology use cases in
-//! §2.2) usually need to show *which* path. These helpers recover a
-//! shortest witness for each query class, so any index answer can be
+//! §2.2) usually need to show *which* path. [`rpq_witness`] recovers a
+//! shortest witness for any constraint, so any index answer can be
 //! explained or audited.
 
 use crate::constraint::Nfa;
 use reach_graph::{Label, LabelSet, LabeledGraph, VertexId};
+use std::collections::VecDeque;
 
 /// A witness path: the visited vertices and the labels of the edges
 /// between them (`labels.len() + 1 == vertices.len()`, both empty-free).
@@ -36,196 +37,58 @@ impl Witness {
     }
 }
 
-/// Shortest witness for a plain reachability query (`None` if `t` is
-/// unreachable from `s`; the empty witness for `s == t`).
-pub fn plain_witness(g: &LabeledGraph, s: VertexId, t: VertexId) -> Option<Witness> {
-    if s == t {
-        return Some(Witness {
-            vertices: vec![s],
-            labels: vec![],
-        });
-    }
-    lcr_witness(g, s, t, LabelSet::full(g.num_labels()))
-}
-
-/// Shortest witness for an alternation (LCR) query: a path using only
-/// labels in `allowed`.
-pub fn lcr_witness(
-    g: &LabeledGraph,
-    s: VertexId,
-    t: VertexId,
-    allowed: LabelSet,
-) -> Option<Witness> {
-    if s == t {
-        return Some(Witness {
-            vertices: vec![s],
-            labels: vec![],
-        });
-    }
-    let n = g.num_vertices();
-    // predecessor[v] = (prev vertex, label) on the BFS tree
-    let mut pred: Vec<Option<(VertexId, Label)>> = vec![None; n];
-    let mut seen = vec![false; n];
-    seen[s.index()] = true;
-    let mut queue = vec![s];
-    let mut head = 0;
-    while head < queue.len() {
-        let u = queue[head];
-        head += 1;
-        for (v, l) in g.out_edges(u) {
-            if !allowed.contains(l) || seen[v.index()] {
-                continue;
-            }
-            seen[v.index()] = true;
-            pred[v.index()] = Some((u, l));
-            if v == t {
-                return Some(unwind(&pred, s, t));
-            }
-            queue.push(v);
-        }
-    }
-    None
-}
-
-/// Shortest witness for a concatenation (RLC) query: a path whose
-/// label sequence is one or more full repetitions of `unit`.
-pub fn rlc_witness(g: &LabeledGraph, s: VertexId, t: VertexId, unit: &[Label]) -> Option<Witness> {
-    assert!(!unit.is_empty());
-    if s == t {
-        return Some(Witness {
-            vertices: vec![s],
-            labels: vec![],
-        });
-    }
-    let k = unit.len();
-    let n = g.num_vertices();
-    let mut pred: Vec<Option<(VertexId, usize, Label)>> = vec![None; n * k];
-    let mut seen = vec![false; n * k];
-    seen[s.index() * k] = true;
-    let mut queue = vec![(s, 0usize)];
-    let mut head = 0;
-    while head < queue.len() {
-        let (u, phase) = queue[head];
-        head += 1;
-        let want = unit[phase];
-        let next = (phase + 1) % k;
-        for (v, l) in g.out_edges(u) {
-            if l != want || seen[v.index() * k + next] {
-                continue;
-            }
-            seen[v.index() * k + next] = true;
-            pred[v.index() * k + next] = Some((u, phase, l));
-            if v == t && next == 0 {
-                return Some(unwind_phased(&pred, s, t, k));
-            }
-            queue.push((v, next));
-        }
-    }
-    None
-}
-
-/// Shortest witness for a general regular path query over `nfa`.
+/// Shortest witness for a regular path query over `nfa`: a path whose
+/// label word the automaton accepts, with the fewest edges. Every query
+/// class compiles to an automaton — plain reachability is `(l1∪…∪lk)*`
+/// over the whole alphabet — so this is the one witness search.
+///
+/// A 0-1 BFS over the product graph: ε-moves cost nothing and graph
+/// edges cost one, so `(t, accept)` is settled at its shortest length.
 pub fn rpq_witness(g: &LabeledGraph, s: VertexId, t: VertexId, nfa: &Nfa) -> Option<Witness> {
     let ns = nfa.num_states();
-    let mut start = vec![nfa.start()];
-    nfa.epsilon_closure(&mut start);
-    if s == t && start.iter().any(|&q| nfa.is_accept(q)) {
-        return Some(Witness {
-            vertices: vec![s],
-            labels: vec![],
-        });
-    }
-    let n = g.num_vertices();
-    let mut pred: Vec<Option<(VertexId, u32, Label)>> = vec![None; n * ns];
-    let mut seen = vec![false; n * ns];
-    let mut queue: Vec<(VertexId, u32)> = Vec::new();
-    for &q in &start {
-        seen[s.index() * ns + q as usize] = true;
-        queue.push((s, q));
-    }
-    let mut head = 0;
-    while head < queue.len() {
-        let (u, q) = queue[head];
-        head += 1;
-        for (v, l) in g.out_edges(u) {
-            let mut targets: Vec<u32> = nfa.step(q, l).collect();
-            nfa.epsilon_closure(&mut targets);
-            for qq in targets {
-                let slot = v.index() * ns + qq as usize;
-                if seen[slot] {
-                    continue;
+    let slot = |v: VertexId, q: u32| v.index() * ns + q as usize;
+    let mut dist = vec![u32::MAX; g.num_vertices() * ns];
+    let mut pred: Vec<Option<(VertexId, u32, Option<Label>)>> = vec![None; dist.len()];
+    dist[slot(s, nfa.start())] = 0;
+    let mut deque = VecDeque::from([(s, nfa.start())]);
+    while let Some((u, q)) = deque.pop_front() {
+        if u == t && q == nfa.accept() {
+            return Some(unwind(&pred, (u, q), ns));
+        }
+        let d = dist[slot(u, q)];
+        for (v, qq, label) in nfa.product_successors(g, u, q) {
+            let dv = d + u32::from(label.is_some());
+            if dv < dist[slot(v, qq)] {
+                dist[slot(v, qq)] = dv;
+                pred[slot(v, qq)] = Some((u, q, label));
+                if label.is_some() {
+                    deque.push_back((v, qq));
+                } else {
+                    deque.push_front((v, qq));
                 }
-                seen[slot] = true;
-                pred[slot] = Some((u, q, l));
-                if v == t && nfa.is_accept(qq) {
-                    return Some(unwind_nfa(&pred, s, v, qq, ns, &start));
-                }
-                queue.push((v, qq));
             }
         }
     }
     None
 }
 
-fn unwind(pred: &[Option<(VertexId, Label)>], s: VertexId, t: VertexId) -> Witness {
-    let mut vertices = vec![t];
-    let mut labels = Vec::new();
-    let mut cur = t;
-    while cur != s {
-        let (prev, l) = pred[cur.index()].expect("predecessor chain reaches s");
-        labels.push(l);
-        vertices.push(prev);
-        cur = prev;
-    }
-    vertices.reverse();
-    labels.reverse();
-    Witness { vertices, labels }
-}
-
-fn unwind_phased(
-    pred: &[Option<(VertexId, usize, Label)>],
-    s: VertexId,
-    t: VertexId,
-    k: usize,
-) -> Witness {
-    let mut vertices = vec![t];
-    let mut labels = Vec::new();
-    let mut cur = t;
-    let mut phase = 0usize; // t is reached at a unit boundary
-    while let Some((prev, prev_phase, l)) = pred[cur.index() * k + phase] {
-        labels.push(l);
-        vertices.push(prev);
-        cur = prev;
-        phase = prev_phase;
-    }
-    debug_assert!(cur == s && phase == 0, "chain roots at the source");
-    vertices.reverse();
-    labels.reverse();
-    Witness { vertices, labels }
-}
-
-fn unwind_nfa(
-    pred: &[Option<(VertexId, u32, Label)>],
-    s: VertexId,
-    t: VertexId,
-    accept_state: u32,
+/// Follows the predecessor chain from `end` back to the source (the
+/// one product vertex without a predecessor); ε-moves add no edge.
+fn unwind(
+    pred: &[Option<(VertexId, u32, Option<Label>)>],
+    end: (VertexId, u32),
     ns: usize,
-    start_states: &[u32],
 ) -> Witness {
-    let mut vertices = vec![t];
+    let (mut v, mut q) = end;
+    let mut vertices = vec![v];
     let mut labels = Vec::new();
-    let mut cur = t;
-    let mut state = accept_state;
-    while let Some((prev, prev_state, l)) = pred[cur.index() * ns + state as usize] {
-        labels.push(l);
-        vertices.push(prev);
-        cur = prev;
-        state = prev_state;
+    while let Some((u, p, label)) = pred[v.index() * ns + q as usize] {
+        if let Some(l) = label {
+            labels.push(l);
+            vertices.push(u);
+        }
+        (v, q) = (u, p);
     }
-    debug_assert!(
-        cur == s && start_states.contains(&state),
-        "chain roots at the source"
-    );
     vertices.reverse();
     labels.reverse();
     Witness { vertices, labels }
@@ -234,7 +97,7 @@ fn unwind_nfa(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraint::parse;
+    use crate::constraint::{parse, Ast};
     use crate::online::{lcr_bfs, rlc_bfs, rpq_bfs};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -254,48 +117,62 @@ mod tests {
         }
     }
 
+    /// The automaton of an unconstrained query: any label, any length.
+    fn any_path(g: &LabeledGraph) -> Nfa {
+        Nfa::compile(&Ast::Star(Box::new(Ast::Labels(LabelSet::full(
+            g.num_labels(),
+        )))))
+    }
+
+    fn compile(expr: &str) -> Nfa {
+        Nfa::compile(&parse(expr, &["friendOf", "follows", "worksFor"]).unwrap())
+    }
+
     #[test]
     fn plain_witness_on_figure1() {
         let g = fixtures::figure1b();
-        let w = plain_witness(&g, A, G).expect("A reaches G");
+        let any = any_path(&g);
+        let w = rpq_witness(&g, A, G, &any).expect("A reaches G");
         verify_witness(&g, A, G, &w);
         // the shortest A→G path is the paper's (A, D, H, G)
         assert_eq!(w.vertices, vec![A, D, H, G]);
-        assert!(plain_witness(&g, G, A).is_none());
-        assert_eq!(plain_witness(&g, A, A).unwrap().len(), 0);
+        assert!(rpq_witness(&g, G, A, &any).is_none());
+        assert_eq!(rpq_witness(&g, A, A, &any).unwrap().len(), 0);
     }
 
     #[test]
     fn lcr_witness_respects_the_constraint() {
         let g = fixtures::figure1b();
-        let allowed = LabelSet::from_labels([FRIEND_OF, FOLLOWS]);
+        let nfa = compile("(friendOf ∪ follows)*");
         assert!(
-            lcr_witness(&g, A, G, allowed).is_none(),
+            rpq_witness(&g, A, G, &nfa).is_none(),
             "the paper's false query"
         );
-        let w = lcr_witness(&g, A, H, allowed).expect("A→D→H avoids worksFor");
+        let w = rpq_witness(&g, A, H, &nfa).expect("A→D→H avoids worksFor");
         verify_witness(&g, A, H, &w);
-        assert!(w.label_set().is_subset_of(allowed));
+        assert!(w
+            .label_set()
+            .is_subset_of(LabelSet::from_labels([FRIEND_OF, FOLLOWS])));
     }
 
     #[test]
     fn rlc_witness_is_a_full_repetition() {
         let g = fixtures::figure1b();
         let unit = [WORKS_FOR, FRIEND_OF];
-        let w = rlc_witness(&g, L, B, &unit).expect("the paper's MR example");
+        let w = rpq_witness(&g, L, B, &compile("(worksFor · friendOf)*"))
+            .expect("the paper's MR example");
         verify_witness(&g, L, B, &w);
         assert_eq!(w.labels.len() % unit.len(), 0);
         for (i, &l) in w.labels.iter().enumerate() {
             assert_eq!(l, unit[i % unit.len()], "phase-aligned repetition");
         }
-        assert!(rlc_witness(&g, L, B, &[FRIEND_OF, WORKS_FOR]).is_none());
+        assert!(rpq_witness(&g, L, B, &compile("(friendOf · worksFor)*")).is_none());
     }
 
     #[test]
     fn rpq_witness_word_is_accepted() {
         let g = fixtures::figure1b();
-        let alphabet = ["friendOf", "follows", "worksFor"];
-        let nfa = Nfa::compile(&parse("follows · worksFor+", &alphabet).unwrap());
+        let nfa = compile("follows · worksFor+");
         for s in g.vertices() {
             for t in g.vertices() {
                 match rpq_witness(&g, s, t, &nfa) {
@@ -317,16 +194,18 @@ mod tests {
             let s = VertexId(rng.random_range(0..30));
             let t = VertexId(rng.random_range(0..30));
             let allowed = LabelSet(rng.random_range(0..8));
-            match lcr_witness(&g, s, t, allowed) {
+            let nfa = Nfa::compile(&Ast::Star(Box::new(Ast::Labels(allowed))));
+            match rpq_witness(&g, s, t, &nfa) {
                 Some(w) => {
                     verify_witness(&g, s, t, &w);
-                    assert!(w.label_set().is_subset_of(allowed) || w.is_empty());
+                    assert!(w.label_set().is_subset_of(allowed));
                     assert!(lcr_bfs(&g, s, t, allowed));
                 }
                 None => assert!(!lcr_bfs(&g, s, t, allowed)),
             }
             let unit = [Label(rng.random_range(0..3)), Label(rng.random_range(0..3))];
-            match rlc_witness(&g, s, t, &unit) {
+            let expr = format!("({} · {})*", unit[0].0, unit[1].0);
+            match rpq_witness(&g, s, t, &Nfa::compile(&parse(&expr, &[]).unwrap())) {
                 Some(w) => {
                     verify_witness(&g, s, t, &w);
                     assert!(rlc_bfs(&g, s, t, &unit));
@@ -344,7 +223,15 @@ mod tests {
             2,
             &[(0, 0, 1), (1, 0, 4), (0, 0, 2), (2, 0, 3), (3, 0, 4)],
         );
-        let w = plain_witness(&g, VertexId(0), VertexId(4)).unwrap();
+        let w = rpq_witness(&g, VertexId(0), VertexId(4), &any_path(&g)).unwrap();
         assert_eq!(w.len(), 2);
+        // ε-moves are free: `0*·0*·0*` still finds the two-edge path
+        let w = rpq_witness(
+            &g,
+            VertexId(0),
+            VertexId(4),
+            &Nfa::compile(&parse("0*·0*·0*", &[]).unwrap()),
+        );
+        assert_eq!(w.map(|w| w.len()), Some(2));
     }
 }

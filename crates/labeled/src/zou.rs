@@ -212,21 +212,23 @@ impl ZouIndex {
     }
 }
 
+pub(crate) const META: LabeledIndexMeta = LabeledIndexMeta {
+    name: "Zou et al.",
+    citation: "[48,56]",
+    framework: LcrFramework::Gtc,
+    constraint: ConstraintClass::Alternation,
+    completeness: Completeness::Complete,
+    input: InputClass::General,
+    dynamism: Dynamism::InsertDelete,
+};
+
 impl LcrIndex for ZouIndex {
     fn query(&self, s: VertexId, t: VertexId, allowed: LabelSet) -> bool {
         s == t || self.rows[s.index()][t.index()].satisfies(allowed)
     }
 
     fn meta(&self) -> LabeledIndexMeta {
-        LabeledIndexMeta {
-            name: "Zou et al.",
-            citation: "[48,56]",
-            framework: LcrFramework::Gtc,
-            constraint: ConstraintClass::Alternation,
-            completeness: Completeness::Complete,
-            input: InputClass::General,
-            dynamism: Dynamism::InsertDelete,
-        }
+        META
     }
 
     fn size_bytes(&self) -> usize {

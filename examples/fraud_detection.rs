@@ -109,12 +109,19 @@ fn main() {
 
     // every planted chain must be among the flagged pairs — and for an
     // investigator, the witness path explains each alert
+    let nfa = Nfa::compile(
+        &parse(
+            "(deposit · withdraw)*",
+            &["deposit", "withdraw", "transfer"],
+        )
+        .unwrap(),
+    );
     for &(src, dst) in &planted {
         assert!(
             flagged.contains(&(src, dst)),
             "planted chain {src}->{dst} missed"
         );
-        let w = reachability::labeled::witness::rlc_witness(&network, src, dst, &unit)
+        let w = reachability::labeled::witness::rpq_witness(&network, src, dst, &nfa)
             .expect("flagged pairs have witnesses");
         let hops: Vec<String> = w.vertices.iter().map(|v| v.to_string()).collect();
         println!(
@@ -126,13 +133,6 @@ fn main() {
 
     // cross-check a sample against the online evaluators, including
     // the general automaton route for the same constraint
-    let nfa = Nfa::compile(
-        &parse(
-            "(deposit · withdraw)*",
-            &["deposit", "withdraw", "transfer"],
-        )
-        .unwrap(),
-    );
     let mut checked = 0;
     for s in network.vertices().step_by(17) {
         for d in network.vertices().step_by(13) {

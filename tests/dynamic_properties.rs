@@ -11,6 +11,7 @@ use rand::{Rng, SeedableRng};
 use reachability::graph::traverse::{bfs_reaches, VisitMap};
 use reachability::labeled::dlcr::Dlcr;
 use reachability::labeled::online::lcr_bfs;
+use reachability::labeled::{Ast, Nfa};
 use reachability::plain::dagger::DynamicGrail;
 use reachability::plain::dbl::Dbl;
 use reachability::prelude::*;
@@ -184,10 +185,101 @@ fn dlcr_edit_scripts_match_rebuild() {
     }
 }
 
+/// End positions `j` such that `word[i..j]` spells a word of `ast`: a
+/// direct reading of the grammar, independent of the NFA.
+fn ends(ast: &Ast, word: &[Label], i: usize) -> Vec<usize> {
+    let mut out: Vec<usize> = match ast {
+        Ast::Labels(set) => word
+            .get(i)
+            .filter(|&&l| set.contains(l))
+            .map(|_| i + 1)
+            .into_iter()
+            .collect(),
+        Ast::Alt(terms) => terms.iter().flat_map(|x| ends(x, word, i)).collect(),
+        Ast::Concat(terms) => terms.iter().fold(vec![i], |at, x| {
+            at.iter().flat_map(|&j| ends(x, word, j)).collect()
+        }),
+        Ast::Star(x) | Ast::Plus(x) => {
+            let mut reached = if matches!(ast, Ast::Star(_)) {
+                vec![i]
+            } else {
+                vec![]
+            };
+            let mut frontier = vec![i];
+            while let Some(j) = frontier.pop() {
+                for k in ends(x, word, j) {
+                    if !reached.contains(&k) {
+                        reached.push(k);
+                        frontier.push(k);
+                    }
+                }
+            }
+            reached
+        }
+    };
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+fn matches(ast: &Ast, word: &[Label]) -> bool {
+    ends(ast, word, 0).contains(&word.len())
+}
+
+/// A random valid α over `a`, `b`, `c` (depth ≤ `depth`, ≤ 6 terms per
+/// chain) and the tree it spells, nested as written (not normalized).
+fn random_alpha(rng: &mut SmallRng, depth: u32) -> (String, Ast) {
+    let kind = if depth == 0 {
+        0
+    } else {
+        rng.random_range(0..5)
+    };
+    let group = |(text, ast): (String, Ast)| match ast {
+        Ast::Labels(_) => (text, ast),
+        _ => (format!("({text})"), ast),
+    };
+    match kind {
+        0 => {
+            let l = rng.random_range(0..3u8);
+            let name = ["a", "b", "c"][l as usize].to_string();
+            (name, Ast::Labels(LabelSet::singleton(Label(l))))
+        }
+        1 | 2 => {
+            let (texts, terms): (Vec<String>, Vec<Ast>) = (0..rng.random_range(2..=6))
+                .map(|_| group(random_alpha(rng, depth - 1)))
+                .unzip();
+            match kind {
+                1 => (
+                    texts.join(["·", "."][rng.random_range(0..2)]),
+                    Ast::Concat(terms),
+                ),
+                _ => (
+                    texts.join(["∪", "|"][rng.random_range(0..2)]),
+                    Ast::Alt(terms),
+                ),
+            }
+        }
+        _ => {
+            let (text, inner) = group(random_alpha(rng, depth - 1));
+            match kind {
+                3 => (format!("{text}*"), Ast::Star(Box::new(inner))),
+                _ => (format!("{text}+"), Ast::Plus(Box::new(inner))),
+            }
+        }
+    }
+}
+
+fn random_word(rng: &mut SmallRng) -> Vec<Label> {
+    (0..rng.random_range(0..=6))
+        .map(|_| Label(rng.random_range(0..3)))
+        .collect()
+}
+
 #[test]
 fn constraint_parser_is_total() {
     // printable-ish alphabet plus the grammar's own tokens: the parser
-    // must never panic, only parse or report a positioned error
+    // must never panic, only parse or report a positioned error; what
+    // parses must classify, compile and run without panicking too
     let pool: Vec<char> = ('!'..='~')
         .chain(['∪', '∘', '*', '(', ')', ' ', 'a', 'b', 'c', '⋅', 'λ', '∅'])
         .collect();
@@ -197,7 +289,46 @@ fn constraint_parser_is_total() {
         let input: String = (0..len)
             .map(|_| pool[rng.random_range(0..pool.len())])
             .collect();
-        let _ = reachability::labeled::parse(&input, &["a", "b", "c"]);
+        if let Ok(ast) = reachability::labeled::parse(&input, &["a", "b", "c"]) {
+            let _ = ast.classify();
+            let _ = Nfa::compile(&ast).accepts(&random_word(&mut rng));
+        }
+    }
+    // valid α: the parsed, normalized tree and its NFA accept exactly
+    // the words the written tree spells, and the classification agrees
+    for case in 0..256u64 {
+        let mut rng = SmallRng::seed_from_u64(0x9A26_0000 + case);
+        let (text, written) = random_alpha(&mut rng, 4);
+        let ast = reachability::labeled::parse(&text, &["a", "b", "c"])
+            .unwrap_or_else(|e| panic!("case {case}: {text}: {e}"));
+        let kind = ast.classify();
+        let nfa = Nfa::compile(&ast);
+        for _ in 0..16 {
+            let word = random_word(&mut rng);
+            let expect = matches(&written, &word);
+            assert_eq!(
+                matches(&ast, &word),
+                expect,
+                "case {case}: {text} on {word:?}"
+            );
+            assert_eq!(
+                nfa.accepts(&word),
+                expect,
+                "case {case}: {text} on {word:?}"
+            );
+            let in_fragment = match &kind {
+                ConstraintKind::Alternation(set) => word.iter().all(|&l| set.contains(l)),
+                ConstraintKind::Concatenation(unit) => {
+                    word.len().is_multiple_of(unit.len())
+                        && word.iter().zip(unit.iter().cycle()).all(|(a, b)| a == b)
+                }
+                ConstraintKind::General => expect,
+            };
+            assert_eq!(
+                in_fragment, expect,
+                "case {case}: {text} as {kind:?} on {word:?}"
+            );
+        }
     }
 }
 
