@@ -14,10 +14,15 @@
 //!     [--smoke] [--n N] [--queries Q] [--index NAME ...] [--out FILE]
 //! ```
 //!
-//! Emits a JSON report (default `BENCH_throughput.json`) with, per
-//! index, the per-pair baseline rate and the batch rate at every thread
-//! count, plus a `verdicts_identical` flag asserting byte-identical
-//! answers across all configurations.
+//! The thread sweep is the powers of two below the host's
+//! `available_parallelism`, plus that count itself: more threads than
+//! cores would measure oversubscription, not the engine.
+//!
+//! Emits a JSON report (default `BENCH_throughput.json`) with the host
+//! it ran on (`available_parallelism`, build profile, git revision) and,
+//! per index, the per-pair baseline rate and the batch rate at every
+//! thread count, plus a `verdicts_identical` flag asserting
+//! byte-identical answers across all configurations.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -35,7 +40,6 @@ struct Config {
     n: usize,
     queries: usize,
     indexes: Vec<String>,
-    thread_counts: Vec<usize>,
     out: String,
     smoke: bool,
 }
@@ -45,7 +49,6 @@ fn parse_args(args: &[String]) -> Config {
         n: 100_000,
         queries: 4096,
         indexes: Vec::new(),
-        thread_counts: vec![1, 2, 4, 8],
         out: "BENCH_throughput.json".to_string(),
         smoke: false,
     };
@@ -84,7 +87,6 @@ fn parse_args(args: &[String]) -> Config {
         if !explicit_q {
             cfg.queries = 512;
         }
-        cfg.thread_counts = vec![1, 2];
     }
     if cfg.indexes.is_empty() {
         cfg.indexes = ["online-BFS", "online-BiBFS", "GRAIL", "BFL"]
@@ -118,6 +120,27 @@ fn locality_workload(n: usize, queries: usize, seed: u64) -> Vec<(VertexId, Vert
     pairs
 }
 
+/// Powers of two below `cores`, then `cores` itself.
+fn thread_sweep(cores: usize) -> Vec<usize> {
+    let mut counts: Vec<usize> = std::iter::successors(Some(1usize), |t| t.checked_mul(2))
+        .take_while(|&t| t < cores)
+        .collect();
+    counts.push(cores);
+    counts
+}
+
+/// `git rev-parse --short HEAD`, or `"unknown"` outside a checkout.
+fn git_revision() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|rev| rev.trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 fn json_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x:.2}")
@@ -129,16 +152,23 @@ fn json_f64(x: f64) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cfg = parse_args(&args);
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let thread_counts = thread_sweep(cores);
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
 
     let graph = Arc::new(Shape::Sparse.generate(cfg.n, SEED));
     let pairs = locality_workload(graph.num_vertices(), cfg.queries, SEED ^ 0xBA7C4);
     println!(
-        "throughput workload: sparse-dag n={} m={} | {} queries, ~{} targets/source, threads {:?}",
+        "throughput workload: sparse-dag n={} m={} | {} queries, ~{} targets/source, threads {:?} ({cores} cores, {profile})",
         graph.num_vertices(),
         graph.num_edges(),
         pairs.len(),
         TARGETS_PER_SOURCE,
-        cfg.thread_counts,
+        thread_counts,
     );
 
     let prepared = PreparedGraph::new_shared(Arc::clone(&graph));
@@ -164,7 +194,7 @@ fn main() {
 
         let mut verdicts_identical = true;
         let mut batch_rows: Vec<String> = Vec::new();
-        for &threads in &cfg.thread_counts {
+        for &threads in &thread_counts {
             let engine = QueryEngine::new(threads);
             let (answers, batch_time) = timed(|| engine.run(idx.as_ref(), &pairs));
             if answers != reference {
@@ -203,13 +233,15 @@ fn main() {
     println!("\n{}", table.render());
 
     let json = format!(
-        "{{\n  \"workload\": {{\n    \"shape\": \"sparse-dag\",\n    \"n\": {},\n    \"m\": {},\n    \
+        "{{\n  \"host\": {{\n    \"available_parallelism\": {cores},\n    \
+         \"profile\": \"{profile}\",\n    \"git_revision\": \"{}\"\n  }},\n  \"workload\": {{\n    \"shape\": \"sparse-dag\",\n    \"n\": {},\n    \"m\": {},\n    \
          \"seed\": {SEED},\n    \"queries\": {},\n    \"targets_per_source\": {TARGETS_PER_SOURCE}\n  }},\n  \
          \"thread_counts\": [{}],\n  \"smoke\": {},\n  \"indexes\": [\n{}\n  ]\n}}\n",
+        git_revision(),
         graph.num_vertices(),
         graph.num_edges(),
         pairs.len(),
-        cfg.thread_counts
+        thread_counts
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()

@@ -612,12 +612,13 @@ fn cmd_lcr(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 /// `serve <graph> [--index NAME] [--lcr NAME] [--port N] [--workers K]
-/// [--threads N] [--queue N] [--port-file FILE]`
+/// [--threads N] [--port-file FILE]`
 ///
 /// Builds the chosen indexes once, then serves them over HTTP until a
 /// `POST /admin/shutdown` drains the worker pool. `--port 0` binds an
 /// ephemeral port; `--port-file` writes the bound address to a file so
-/// scripts (and CI) can discover it.
+/// scripts (and CI) can discover it. Connections beyond the default
+/// queue capacity of [`reach_server::ServerConfig`] get `429`.
 fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     use reach_core::IndexService;
     use reach_labeled::LcrService;
@@ -663,10 +664,6 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 if threads == 0 {
                     return Err(err("thread count must be at least 1"));
                 }
-            }
-            "--queue" => {
-                i += 1;
-                cfg.queue_capacity = parse_num(&value(args, i, "--queue")?, "queue capacity")?;
             }
             "--port-file" => {
                 i += 1;
@@ -1391,9 +1388,14 @@ mod tests {
         .unwrap();
         let e = run_to_string(&["serve", &labeled, "--lcr", "Nope", "--port", "0"]).unwrap_err();
         assert!(e.to_string().contains("unknown LCR index \"Nope\""), "{e}");
-        // zero workers, missing graph, unknown flag
+        // zero workers, missing graph, unknown flags (queue capacity is not one)
         assert!(run_to_string(&["serve", &path, "--workers", "0"]).is_err());
         assert!(run_to_string(&["serve"]).is_err());
         assert!(run_to_string(&["serve", &path, "--frob"]).is_err());
+        let e = run_to_string(&["serve", &path, "--queue", "4"]).unwrap_err();
+        assert!(
+            e.to_string().contains("unknown serve flag \"--queue\""),
+            "{e}"
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! A minimal blocking HTTP/1.1 client with keep-alive — just enough
-//! to drive the server from the load generator, the integration tests,
-//! and CI smoke checks without external dependencies.
+//! to drive the server from its integration tests and the CLI's
+//! `serve` round-trip test without external dependencies.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -70,12 +70,11 @@ pub fn read_request(
     reader: &mut BufReader<TcpStream>,
     max_body: usize,
 ) -> Result<Request, RecvError> {
-    let mut line = String::new();
-    let n = reader.read_line(&mut line)?;
-    if n == 0 {
+    let mut head_bytes = 0;
+    let line = read_head_line(reader, &mut head_bytes)?;
+    if line.is_empty() {
         return Err(RecvError::Closed);
     }
-    let mut head_bytes = n;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -98,14 +97,9 @@ pub fn read_request(
     // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close
     let mut keep_alive = version != "HTTP/1.0";
     loop {
-        let mut header = String::new();
-        let n = reader.read_line(&mut header)?;
-        if n == 0 {
+        let header = read_head_line(reader, &mut head_bytes)?;
+        if header.is_empty() {
             return Err(RecvError::Malformed("EOF inside header block".into()));
-        }
-        head_bytes += n;
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(RecvError::HeadTooLarge);
         }
         let header = header.trim_end();
         if header.is_empty() {
@@ -140,6 +134,28 @@ pub fn read_request(
         body,
         keep_alive,
     })
+}
+
+/// Reads one line of the head (through its `\n`, or up to EOF) and adds
+/// its length to `head_bytes`; an empty string means EOF.
+///
+/// The read stops one byte past the [`MAX_HEAD_BYTES`] left, so a line
+/// that never ends costs at most that much buffer before
+/// [`RecvError::HeadTooLarge`], and a head within the limit reads
+/// exactly as an unbounded `read_line` would.
+fn read_head_line(
+    reader: &mut BufReader<TcpStream>,
+    head_bytes: &mut usize,
+) -> Result<String, RecvError> {
+    let left = (MAX_HEAD_BYTES + 1).saturating_sub(*head_bytes) as u64;
+    let mut line = Vec::new();
+    *head_bytes += reader.take(left).read_until(b'\n', &mut line)?;
+    if *head_bytes > MAX_HEAD_BYTES {
+        return Err(RecvError::HeadTooLarge);
+    }
+    // a line that is not UTF-8 fails the way `read_line` fails on it
+    String::from_utf8(line)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e).into())
 }
 
 /// Canonical reason phrase for the statuses the server emits.
@@ -186,18 +202,34 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
-    /// Feeds `raw` to a loopback socket and parses it server-side.
+    /// Feeds `raw` to a loopback socket, closes it, and parses it
+    /// server-side.
     fn parse(raw: &str, max_body: usize) -> Result<Request, RecvError> {
+        parse_sent(raw, max_body, false)
+    }
+
+    /// Like [`parse`], but with `hold_open` the client keeps the socket
+    /// open until the server has returned, so a read that waits for more
+    /// bytes than `raw` holds ends in [`RecvError::Timeout`].
+    fn parse_sent(raw: &str, max_body: usize, hold_open: bool) -> Result<Request, RecvError> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let raw = raw.to_string();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
         let client = std::thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
             s.write_all(raw.as_bytes()).unwrap();
+            if hold_open {
+                let _ = done_rx.recv();
+            }
         });
         let (stream, _) = listener.accept().unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(2)))
+            .unwrap();
         let mut reader = BufReader::new(stream);
         let req = read_request(&mut reader, max_body);
+        let _ = done_tx.send(());
         client.join().unwrap();
         req
     }
@@ -249,6 +281,23 @@ mod tests {
             parse(&raw, 64).unwrap_err(),
             RecvError::HeadTooLarge
         ));
+        // a request line with no newline is cut off at the limit, not
+        // read to EOF and then rejected as malformed
+        let raw = "a".repeat(MAX_HEAD_BYTES + 1);
+        assert!(matches!(
+            parse(&raw, 64).unwrap_err(),
+            RecvError::HeadTooLarge
+        ));
+        // so is a header line, without waiting for the rest of it
+        let raw = format!("GET / HTTP/1.1\r\nX-Pad: {}", "a".repeat(MAX_HEAD_BYTES));
+        assert!(matches!(
+            parse_sent(&raw, 64, true).unwrap_err(),
+            RecvError::HeadTooLarge
+        ));
+        // a head of exactly the limit is still read
+        let pad = MAX_HEAD_BYTES - "GET / HTTP/1.1\r\nX-Pad: \r\n\r\n".len();
+        let raw = format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(pad));
+        assert_eq!(parse(&raw, 64).unwrap().path, "/");
     }
 
     #[test]
