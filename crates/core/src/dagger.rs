@@ -11,137 +11,15 @@
 //! soundness-first reading of DAGGER's design: the index never answers
 //! wrongly, it only degrades toward plain DFS between rebuilds.
 
+use crate::engine::GuidedSearch;
 use crate::grail::GrailFilter;
-use crate::index::{
-    Certainty, Completeness, Dynamism, Framework, IndexMeta, InputClass, ReachIndex,
-};
-use reach_graph::traverse::{Side, VisitMap};
-use reach_graph::{Dag, DiGraphBuilder, ScratchPool, VertexId};
+use crate::index::{Completeness, Dynamism, Framework, IndexMeta, InputClass};
+use reach_graph::{Dag, EditGraph, VertexId};
 
-/// The dynamic GRAIL index.
-pub struct DynamicGrail {
-    out_adj: Vec<Vec<VertexId>>,
-    in_adj: Vec<Vec<VertexId>>,
-    /// `k` labelings, each `n` entries of `(low, high)` with the
-    /// invariant: `s` reaches `t` ⇒ interval of `t` ⊆ interval of `s`.
-    labelings: Vec<Vec<(u32, u32)>>,
-    k: usize,
-    seed: u64,
-    scratch: ScratchPool<Scratch>,
-}
-
-struct Scratch {
-    visit: VisitMap,
-    stack: Vec<VertexId>,
-}
-
-impl DynamicGrail {
-    /// Builds the index from a DAG snapshot with `k` labelings.
-    pub fn build(dag: &Dag, k: usize, seed: u64) -> Self {
-        let filter = GrailFilter::build(dag, k, seed, 1);
-        DynamicGrail {
-            out_adj: dag
-                .vertices()
-                .map(|v| dag.out_neighbors(v).to_vec())
-                .collect(),
-            in_adj: dag
-                .vertices()
-                .map(|v| dag.in_neighbors(v).to_vec())
-                .collect(),
-            labelings: filter.into_labelings(),
-            k,
-            seed,
-            scratch: ScratchPool::new(),
-        }
-    }
-
-    /// Inserts `u -> v`, widening intervals backward from `u` until the
-    /// edge-wise containment invariant holds again.
-    pub fn insert_edge(&mut self, u: VertexId, v: VertexId) {
-        if self.out_adj[u.index()].contains(&v) {
-            return;
-        }
-        self.out_adj[u.index()].push(v);
-        self.in_adj[v.index()].push(u);
-        for li in 0..self.labelings.len() {
-            let mut queue = vec![u];
-            let mut head = 0;
-            while head < queue.len() {
-                let x = queue[head];
-                head += 1;
-                let mut widened = false;
-                // x must contain the intervals of all its out-neighbors
-                let (mut lo, mut hi) = self.labelings[li][x.index()];
-                for &y in &self.out_adj[x.index()] {
-                    let (ylo, yhi) = self.labelings[li][y.index()];
-                    if ylo < lo {
-                        lo = ylo;
-                        widened = true;
-                    }
-                    if yhi > hi {
-                        hi = yhi;
-                        widened = true;
-                    }
-                }
-                if widened || x == u {
-                    self.labelings[li][x.index()] = (lo, hi);
-                    if widened {
-                        for &p in &self.in_adj[x.index()] {
-                            queue.push(p);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Deletes `u -> v`. Labels are left as a (still sound)
-    /// over-approximation; call [`rebuild`](Self::rebuild) to
-    /// re-tighten once drift accumulates.
-    pub fn delete_edge(&mut self, u: VertexId, v: VertexId) {
-        if let Some(p) = self.out_adj[u.index()].iter().position(|&x| x == v) {
-            self.out_adj[u.index()].remove(p);
-            let q = self.in_adj[v.index()].iter().position(|&x| x == u).unwrap();
-            self.in_adj[v.index()].remove(q);
-        }
-    }
-
-    /// Recomputes tight labels from the current graph. Returns `false`
-    /// (leaving the sound wide labels in place) if updates have made
-    /// the graph cyclic.
-    pub fn rebuild(&mut self) -> bool {
-        let n = self.out_adj.len();
-        let mut b = DiGraphBuilder::with_capacity(n, self.out_adj.iter().map(Vec::len).sum());
-        for (ui, outs) in self.out_adj.iter().enumerate() {
-            for &v in outs {
-                b.add_edge(VertexId::new(ui), v);
-            }
-        }
-        match Dag::new(b.build()) {
-            Ok(dag) => {
-                self.labelings = GrailFilter::build(&dag, self.k, self.seed, 1).into_labelings();
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    fn certain(&self, s: VertexId, t: VertexId) -> Certainty {
-        for labeling in &self.labelings {
-            let (ls, hs) = labeling[s.index()];
-            let (lt, ht) = labeling[t.index()];
-            if !(ls <= lt && ht <= hs) {
-                return Certainty::Unreachable;
-            }
-        }
-        Certainty::Unknown
-    }
-
-    /// Number of labelings.
-    pub fn num_labelings(&self) -> usize {
-        self.labelings.len()
-    }
-}
+/// The dynamic GRAIL index: GRAIL's `k` interval labelings over an
+/// editable adjacency, queried by guided DFS. Each labeling keeps the
+/// invariant `s` reaches `t` ⇒ interval of `t` ⊆ interval of `s`.
+pub type DynamicGrail = GuidedSearch<GrailFilter, EditGraph>;
 
 pub(crate) const META: IndexMeta = IndexMeta {
     name: "DAGGER",
@@ -152,53 +30,55 @@ pub(crate) const META: IndexMeta = IndexMeta {
     dynamism: Dynamism::InsertDelete,
 };
 
-impl ReachIndex for DynamicGrail {
-    fn query(&self, s: VertexId, t: VertexId) -> bool {
-        if s == t {
-            return true;
-        }
-        if self.certain(s, t) == Certainty::Unreachable {
-            return false;
-        }
-        let scratch = &mut *self.scratch.checkout(|| Scratch {
-            visit: VisitMap::new(self.out_adj.len()),
-            stack: Vec::new(),
-        });
-        scratch.visit.reset();
-        scratch.stack.clear();
-        scratch.stack.push(s);
-        scratch.visit.mark(s, Side::Forward);
-        while let Some(x) = scratch.stack.pop() {
-            for &y in &self.out_adj[x.index()] {
-                if y == t {
-                    return true;
-                }
-                if scratch.visit.mark(y, Side::Forward)
-                    && self.certain(y, t) != Certainty::Unreachable
-                {
-                    scratch.stack.push(y);
-                }
+impl DynamicGrail {
+    /// Builds the index from a DAG snapshot with `k` labelings.
+    pub fn build(dag: &Dag, k: usize, seed: u64) -> Self {
+        GuidedSearch::new(
+            EditGraph::from_graph(dag.graph()),
+            GrailFilter::build(dag, k, seed, 1),
+            META,
+        )
+    }
+
+    /// Inserts `u -> v`, widening intervals backward from `v` until the
+    /// edge-wise containment invariant holds again.
+    pub fn insert_edge(&mut self, u: VertexId, v: VertexId) {
+        let (graph, filter) = self.parts_mut();
+        if graph.insert(u, v) {
+            for labeling in filter.labelings_mut() {
+                graph.spread(labeling, [v], false, |(lo, hi), (ylo, yhi)| {
+                    (lo.min(ylo), hi.max(yhi))
+                });
             }
         }
-        false
     }
 
-    fn meta(&self) -> IndexMeta {
-        META
+    /// Deletes `u -> v`. Labels are left as a (still sound)
+    /// over-approximation; call [`rebuild`](Self::rebuild) to
+    /// re-tighten once drift accumulates.
+    pub fn delete_edge(&mut self, u: VertexId, v: VertexId) {
+        self.parts_mut().0.remove(u, v);
     }
 
-    fn size_bytes(&self) -> usize {
-        self.labelings.iter().map(|l| 8 * l.len()).sum()
-    }
-
-    fn size_entries(&self) -> usize {
-        self.labelings.iter().map(Vec::len).sum()
+    /// Recomputes tight labels from the current graph. Returns `false`
+    /// (leaving the sound wide labels in place) if updates have made
+    /// the graph cyclic.
+    pub fn rebuild(&mut self) -> bool {
+        let (graph, filter) = self.parts_mut();
+        match Dag::new(graph.to_digraph()) {
+            Ok(dag) => {
+                *filter = GrailFilter::build(&dag, filter.num_labelings(), filter.seed(), 1);
+                true
+            }
+            Err(_) => false,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::ReachIndex;
     use crate::tc::TransitiveClosure;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};

@@ -15,266 +15,28 @@
 //! Queries undecided by both labels fall back to a pruned DFS over the
 //! index's own (mutable) adjacency.
 
-use crate::index::{Completeness, Dynamism, Framework, IndexMeta, InputClass, ReachIndex};
-use reach_graph::traverse::{Side, VisitMap};
-use reach_graph::{DiGraph, ScratchPool, VertexId};
+use crate::engine::GuidedSearch;
+use crate::index::{
+    Certainty, Completeness, Dynamism, FilterGuarantees, Framework, IndexMeta, InputClass,
+    ReachFilter,
+};
+use reach_graph::{DiGraph, EditGraph, VertexId};
+use std::ops::BitOr;
 
-/// The DBL index. Owns a mutable copy of the graph so that
-/// [`insert_edge`](Self::insert_edge) is self-contained.
-pub struct Dbl {
-    out_adj: Vec<Vec<VertexId>>,
-    in_adj: Vec<Vec<VertexId>>,
-    /// vertex -> landmark slot (u8::MAX if not a landmark)
-    landmark_slot: Vec<u8>,
+/// DBL's two label families, usable stand-alone as a filter.
+#[derive(Debug, Clone)]
+pub struct DblFilter {
+    /// `dl_in[v]` bit i: landmark i reaches v; `dl_out[v]` bit i: v
+    /// reaches landmark i.
     dl_in: Vec<u64>,
     dl_out: Vec<u64>,
     bl_in: Vec<u32>,
     bl_out: Vec<u32>,
-    scratch: ScratchPool<Scratch>,
 }
 
-struct Scratch {
-    stack: Vec<VertexId>,
-    visit: VisitMap,
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
-
-impl Dbl {
-    /// Builds the index: the 64 highest-degree vertices become
-    /// landmarks, BL sketches are computed to fixpoint.
-    pub fn build(g: &DiGraph) -> Self {
-        let n = g.num_vertices();
-        let mut by_degree: Vec<VertexId> = g.vertices().collect();
-        by_degree.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v.0));
-        let landmarks: Vec<VertexId> = by_degree.into_iter().take(64).collect();
-        let mut landmark_slot = vec![u8::MAX; n];
-        for (i, &v) in landmarks.iter().enumerate() {
-            landmark_slot[v.index()] = i as u8;
-        }
-
-        let mut dbl = Dbl {
-            out_adj: g.vertices().map(|v| g.out_neighbors(v).to_vec()).collect(),
-            in_adj: g.vertices().map(|v| g.in_neighbors(v).to_vec()).collect(),
-            landmark_slot,
-            dl_in: vec![0; n],
-            dl_out: vec![0; n],
-            bl_in: (0..n).map(|i| 1u32 << (splitmix(i as u64) % 32)).collect(),
-            bl_out: (0..n).map(|i| 1u32 << (splitmix(i as u64) % 32)).collect(),
-            scratch: ScratchPool::new(),
-        };
-        // landmark reach sets by BFS
-        for (i, &lm) in landmarks.iter().enumerate() {
-            dbl.mark_closure(lm, 1u64 << i, true);
-            dbl.mark_closure(lm, 1u64 << i, false);
-        }
-        // BL sketches to fixpoint (handles cycles)
-        dbl.bl_fixpoint();
-        dbl
-    }
-
-    fn mark_closure(&mut self, from: VertexId, bit: u64, forward: bool) {
-        let mut queue = vec![from];
-        let dl = if forward {
-            &mut self.dl_in
-        } else {
-            &mut self.dl_out
-        };
-        dl[from.index()] |= bit;
-        let mut head = 0;
-        while head < queue.len() {
-            let x = queue[head];
-            head += 1;
-            let adj = if forward {
-                &self.out_adj[x.index()]
-            } else {
-                &self.in_adj[x.index()]
-            };
-            let dl = if forward {
-                &mut self.dl_in
-            } else {
-                &mut self.dl_out
-            };
-            for &y in adj {
-                if dl[y.index()] & bit == 0 {
-                    dl[y.index()] |= bit;
-                    queue.push(y);
-                }
-            }
-        }
-    }
-
-    fn bl_fixpoint(&mut self) {
-        // worklist: bl_out flows backward over edges, bl_in forward
-        let n = self.out_adj.len();
-        let mut queue: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
-        let mut queued = vec![true; n];
-        let mut head = 0;
-        while head < queue.len() {
-            let x = queue[head];
-            head += 1;
-            queued[x.index()] = false;
-            let mut acc = self.bl_out[x.index()];
-            for &y in &self.out_adj[x.index()] {
-                acc |= self.bl_out[y.index()];
-            }
-            if acc != self.bl_out[x.index()] {
-                self.bl_out[x.index()] = acc;
-                for &p in &self.in_adj[x.index()] {
-                    if !queued[p.index()] {
-                        queued[p.index()] = true;
-                        queue.push(p);
-                    }
-                }
-            }
-        }
-        let mut queue: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
-        let mut queued = vec![true; n];
-        let mut head = 0;
-        while head < queue.len() {
-            let x = queue[head];
-            head += 1;
-            queued[x.index()] = false;
-            let mut acc = self.bl_in[x.index()];
-            for &y in &self.in_adj[x.index()] {
-                acc |= self.bl_in[y.index()];
-            }
-            if acc != self.bl_in[x.index()] {
-                self.bl_in[x.index()] = acc;
-                for &p in &self.out_adj[x.index()] {
-                    if !queued[p.index()] {
-                        queued[p.index()] = true;
-                        queue.push(p);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Inserts the edge `u -> v`, growing all four label families
-    /// monotonically (the insertion-only regime DBL targets).
-    pub fn insert_edge(&mut self, u: VertexId, v: VertexId) {
-        if self.out_adj[u.index()].contains(&v) {
-            return;
-        }
-        self.out_adj[u.index()].push(v);
-        self.in_adj[v.index()].push(u);
-        // landmarks reaching u now reach closure(v)
-        let bits = self.dl_in[u.index()];
-        if bits != 0 {
-            self.propagate_dl(v, bits, true);
-        }
-        let bits = self.dl_out[v.index()];
-        if bits != 0 {
-            self.propagate_dl(u, bits, false);
-        }
-        // BL: re-establish the edge-wise subset invariant
-        self.propagate_bl(u, self.bl_out[v.index()], true);
-        self.propagate_bl(v, self.bl_in[u.index()], false);
-    }
-
-    fn propagate_dl(&mut self, start: VertexId, bits: u64, forward: bool) {
-        let mut queue = vec![start];
-        {
-            let dl = if forward {
-                &mut self.dl_in
-            } else {
-                &mut self.dl_out
-            };
-            if dl[start.index()] | bits == dl[start.index()] {
-                return;
-            }
-            dl[start.index()] |= bits;
-        }
-        let mut head = 0;
-        while head < queue.len() {
-            let x = queue[head];
-            head += 1;
-            let adj = if forward {
-                &self.out_adj[x.index()]
-            } else {
-                &self.in_adj[x.index()]
-            };
-            let dl = if forward {
-                &mut self.dl_in
-            } else {
-                &mut self.dl_out
-            };
-            for &y in adj {
-                if dl[y.index()] | bits != dl[y.index()] {
-                    dl[y.index()] |= bits;
-                    queue.push(y);
-                }
-            }
-        }
-    }
-
-    fn propagate_bl(&mut self, start: VertexId, bits: u32, out_side: bool) {
-        let mut queue = vec![start];
-        {
-            let bl = if out_side {
-                &mut self.bl_out
-            } else {
-                &mut self.bl_in
-            };
-            if bl[start.index()] | bits == bl[start.index()] {
-                return;
-            }
-            bl[start.index()] |= bits;
-        }
-        let mut head = 0;
-        while head < queue.len() {
-            let x = queue[head];
-            head += 1;
-            // bl_out flows backward (predecessors absorb), bl_in forward
-            let adj = if out_side {
-                &self.in_adj[x.index()]
-            } else {
-                &self.out_adj[x.index()]
-            };
-            let bl = if out_side {
-                &mut self.bl_out
-            } else {
-                &mut self.bl_in
-            };
-            let grown = bl[x.index()];
-            for &y in adj {
-                if bl[y.index()] | grown != bl[y.index()] {
-                    bl[y.index()] |= grown;
-                    queue.push(y);
-                }
-            }
-        }
-    }
-
-    /// One label-only lookup: `Some(true)` / `Some(false)` are
-    /// definite, `None` means the labels cannot decide.
-    pub fn lookup(&self, s: VertexId, t: VertexId) -> Option<bool> {
-        if s == t {
-            return Some(true);
-        }
-        if self.dl_out[s.index()] & self.dl_in[t.index()] != 0 {
-            return Some(true);
-        }
-        if self.bl_out[t.index()] & !self.bl_out[s.index()] != 0 {
-            return Some(false);
-        }
-        if self.bl_in[s.index()] & !self.bl_in[t.index()] != 0 {
-            return Some(false);
-        }
-        None
-    }
-
-    /// Number of landmarks in use.
-    pub fn num_landmarks(&self) -> usize {
-        self.landmark_slot.iter().filter(|&&s| s != u8::MAX).count()
-    }
-}
+/// The DBL index: its labels over a mutable copy of the graph, so that
+/// [`insert_edge`](Dbl::insert_edge) is self-contained.
+pub type Dbl = GuidedSearch<DblFilter, EditGraph>;
 
 pub(crate) const META: IndexMeta = IndexMeta {
     name: "DBL",
@@ -285,42 +47,91 @@ pub(crate) const META: IndexMeta = IndexMeta {
     dynamism: Dynamism::InsertOnly,
 };
 
-impl ReachIndex for Dbl {
-    fn query(&self, s: VertexId, t: VertexId) -> bool {
-        match self.lookup(s, t) {
-            Some(answer) => answer,
-            None => {
-                // pruned DFS over the stored adjacency
-                let scratch = &mut *self.scratch.checkout(|| Scratch {
-                    stack: Vec::new(),
-                    visit: VisitMap::new(self.out_adj.len()),
-                });
-                scratch.stack.clear();
-                scratch.visit.reset();
-                scratch.stack.push(s);
-                scratch.visit.mark(s, Side::Forward);
-                while let Some(x) = scratch.stack.pop() {
-                    for &y in &self.out_adj[x.index()] {
-                        if y == t {
-                            return true;
-                        }
-                        if !scratch.visit.mark(y, Side::Forward) {
-                            continue;
-                        }
-                        match self.lookup(y, t) {
-                            Some(true) => return true,
-                            Some(false) => {}
-                            None => scratch.stack.push(y),
-                        }
-                    }
-                }
-                false
-            }
+fn splitmix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E3779B97F4A7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
+    x ^ (x >> 31)
+}
+
+impl Dbl {
+    /// Builds the index: the 64 highest-degree vertices become
+    /// landmarks, and the labels spread along the edges the way
+    /// [`insert_edge`](Self::insert_edge) spreads them.
+    pub fn build(g: &DiGraph) -> Self {
+        let n = g.num_vertices();
+        let mut by_degree: Vec<VertexId> = g.vertices().collect();
+        by_degree.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v.0));
+        let mut labels = DblFilter {
+            dl_in: vec![0; n],
+            dl_out: vec![0; n],
+            bl_in: (0..n).map(|i| 1u32 << (splitmix(i as u64) % 32)).collect(),
+            bl_out: (0..n).map(|i| 1u32 << (splitmix(i as u64) % 32)).collect(),
+        };
+        for (i, &lm) in by_degree.iter().take(64).enumerate() {
+            labels.dl_in[lm.index()] |= 1 << i;
+            labels.dl_out[lm.index()] |= 1 << i;
         }
+        // each label is a closure (landmarks reaching / reached, sketch
+        // bits below / above), so letting every vertex pass its label on
+        // gives the same labels in any order. Ascending ids for labels
+        // that flow forward and descending ids for the others mean that
+        // on a DAG with topological ids each vertex passes on a finished
+        // label.
+        let graph = EditGraph::from_graph(g);
+        let descending = || (0..n).rev().map(VertexId::new);
+        graph.spread(&mut labels.dl_in, g.vertices(), true, BitOr::bitor);
+        graph.spread(&mut labels.bl_in, g.vertices(), true, BitOr::bitor);
+        graph.spread(&mut labels.dl_out, descending(), false, BitOr::bitor);
+        graph.spread(&mut labels.bl_out, descending(), false, BitOr::bitor);
+        GuidedSearch::new(graph, labels, META)
     }
 
-    fn meta(&self) -> IndexMeta {
-        META
+    /// Inserts the edge `u -> v`, growing all four label families
+    /// monotonically (the insertion-only regime DBL targets).
+    pub fn insert_edge(&mut self, u: VertexId, v: VertexId) {
+        let (graph, labels) = self.parts_mut();
+        if !graph.insert(u, v) {
+            return;
+        }
+        // what reaches u (dl_in, bl_in) now reaches v and beyond, and
+        // what v reaches (dl_out, bl_out) is now reached from u and its
+        // ancestors
+        graph.spread(&mut labels.dl_in, [u], true, BitOr::bitor);
+        graph.spread(&mut labels.bl_in, [u], true, BitOr::bitor);
+        graph.spread(&mut labels.dl_out, [v], false, BitOr::bitor);
+        graph.spread(&mut labels.bl_out, [v], false, BitOr::bitor);
+    }
+}
+
+impl DblFilter {
+    /// Number of landmarks in use.
+    pub fn num_landmarks(&self) -> usize {
+        self.dl_in.len().min(64)
+    }
+}
+
+impl ReachFilter for DblFilter {
+    /// A common landmark is a definite positive; a BL sketch that is
+    /// not a subset where reachability demands one is a definite
+    /// negative.
+    fn certain(&self, s: VertexId, t: VertexId) -> Certainty {
+        if s == t || self.dl_out[s.index()] & self.dl_in[t.index()] != 0 {
+            return Certainty::Reachable;
+        }
+        if self.bl_out[t.index()] & !self.bl_out[s.index()] != 0
+            || self.bl_in[s.index()] & !self.bl_in[t.index()] != 0
+        {
+            return Certainty::Unreachable;
+        }
+        Certainty::Unknown
+    }
+
+    fn guarantees(&self) -> FilterGuarantees {
+        FilterGuarantees {
+            definite_positive: true,
+            definite_negative: true,
+        }
     }
 
     fn size_bytes(&self) -> usize {
@@ -336,11 +147,13 @@ impl ReachIndex for Dbl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::ReachIndex;
     use crate::tc::TransitiveClosure;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use reach_graph::fixtures;
     use reach_graph::generators::random_digraph;
+    use reach_graph::traverse::{backward_closure, forward_closure};
 
     fn check_exact(g: &DiGraph, dbl: &Dbl) {
         let tc = TransitiveClosure::build(g);
@@ -375,13 +188,41 @@ mod tests {
         let mut decided = 0;
         for s in g.vertices() {
             for t in g.vertices() {
-                if let Some(ans) = dbl.lookup(s, t) {
-                    decided += 1;
-                    assert_eq!(ans, tc.reaches(s, t), "lookup wrong at {s:?}->{t:?}");
-                }
+                let ans = match dbl.filter().certain(s, t) {
+                    Certainty::Reachable => true,
+                    Certainty::Unreachable => false,
+                    Certainty::Unknown => continue,
+                };
+                decided += 1;
+                assert_eq!(ans, tc.reaches(s, t), "lookup wrong at {s:?}->{t:?}");
             }
         }
         assert!(decided > 0, "labels should decide at least some pairs");
+
+        // the labels are the closures they stand for
+        let g = random_digraph(120, 300, &mut rng);
+        let labels = Dbl::build(&g).filter().clone();
+        let mut by_degree: Vec<VertexId> = g.vertices().collect();
+        by_degree.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v.0));
+        let own = |x: VertexId| 1u32 << (splitmix(x.0 as u64) % 32);
+        for v in g.vertices() {
+            let (fwd, bwd) = (forward_closure(&g, v), backward_closure(&g, v));
+            let landmarks_in = |closure: &[VertexId]| -> u64 {
+                (by_degree.iter().take(64).enumerate())
+                    .filter(|(_, lm)| closure.contains(lm))
+                    .map(|(i, _)| 1u64 << i)
+                    .sum()
+            };
+            assert_eq!(labels.dl_in[v.index()], landmarks_in(&bwd), "dl_in({v:?})");
+            assert_eq!(
+                labels.dl_out[v.index()],
+                landmarks_in(&fwd),
+                "dl_out({v:?})"
+            );
+            let sketch = |closure: &[VertexId]| closure.iter().fold(0, |acc, &x| acc | own(x));
+            assert_eq!(labels.bl_out[v.index()], sketch(&fwd), "bl_out({v:?})");
+            assert_eq!(labels.bl_in[v.index()], sketch(&bwd), "bl_in({v:?})");
+        }
     }
 
     #[test]
@@ -410,9 +251,9 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(124);
         let g = random_digraph(200, 600, &mut rng);
         let dbl = Dbl::build(&g);
-        assert_eq!(dbl.num_landmarks(), 64);
+        assert_eq!(dbl.filter().num_landmarks(), 64);
         let small = DiGraph::from_edges(5, &[(0, 1)]);
-        assert_eq!(Dbl::build(&small).num_landmarks(), 5);
+        assert_eq!(Dbl::build(&small).filter().num_landmarks(), 5);
     }
 
     #[test]

@@ -11,16 +11,17 @@
 //! precisely that loop.
 
 use crate::audit::{self, Violation};
-use crate::index::{Certainty, IndexMeta, ReachFilter, ReachIndex};
+use crate::index::{Certainty, FilterGuarantees, IndexMeta, ReachFilter, ReachIndex};
 use reach_graph::traverse::{Side, VisitMap};
-use reach_graph::{DiGraph, ScratchPool, VertexId};
+use reach_graph::{DiGraph, ScratchPool, Successors, VertexId};
 use std::sync::Arc;
 
 /// Work counters for one guided query, used by the `claims` harness to
 /// show how much traversal the filter prunes away.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Vertices whose out-neighbors were expanded.
+    /// Vertices whose out-neighbors (or, on the backward side of a
+    /// bidirectional search, in-neighbors) were expanded.
     pub expanded: usize,
     /// Index lookups performed.
     pub lookups: usize,
@@ -29,32 +30,85 @@ pub struct SearchStats {
 /// An exact reachability oracle built from a graph plus a pruning
 /// filter (a partial index in the survey's terminology).
 ///
+/// `G` is the adjacency the search walks: the shared CSR graph for the
+/// static indexes, or an [`EditGraph`](reach_graph::EditGraph) the
+/// dynamic ones edit in place. The traversal is fixed per index at
+/// construction: a pruned DFS ([`new`](Self::new)) or a pruned
+/// bidirectional BFS ([`bidirectional`](Self::bidirectional)).
+///
 /// `Send + Sync` (for `F: Send + Sync`, which [`ReachFilter`]
 /// requires): per-query scratch is checked out of a lock-free
 /// [`ScratchPool`], so one `Arc<GuidedSearch<_>>` serves any number of
 /// request threads and `query(&self, ..)` still allocates nothing in
 /// the steady state.
-pub struct GuidedSearch<F> {
-    graph: Arc<DiGraph>,
+pub struct GuidedSearch<F, G = Arc<DiGraph>> {
+    graph: G,
     filter: F,
     meta: IndexMeta,
+    /// Whether an undecided root lookup is followed by the pruned
+    /// bidirectional BFS rather than the pruned DFS.
+    bidirectional: bool,
     scratch: ScratchPool<Scratch>,
 }
 
 struct Scratch {
     visit: VisitMap,
+    /// The DFS stack, or the forward frontier of a bidirectional search.
     stack: Vec<VertexId>,
+    /// The backward frontier of a bidirectional search.
+    backward: Vec<VertexId>,
+    /// The frontier a bidirectional level is expanded into.
+    next: Vec<VertexId>,
 }
 
-impl<F: ReachFilter> GuidedSearch<F> {
-    /// Wraps `filter` over `graph`; `meta` describes the resulting
-    /// technique (the filter's own name and classification).
-    pub fn new(graph: Arc<DiGraph>, filter: F, meta: IndexMeta) -> Self {
+/// A filter that never decides. Guided search over it is plain DFS (or
+/// plain bidirectional BFS): the index-free baselines of §2.3.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Oblivious;
+
+impl ReachFilter for Oblivious {
+    #[inline]
+    fn certain(&self, _: VertexId, _: VertexId) -> Certainty {
+        Certainty::Unknown
+    }
+
+    fn guarantees(&self) -> FilterGuarantees {
+        FilterGuarantees {
+            definite_positive: false,
+            definite_negative: false,
+        }
+    }
+
+    fn size_bytes(&self) -> usize {
+        0
+    }
+
+    fn size_entries(&self) -> usize {
+        0
+    }
+}
+
+impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
+    /// Wraps `filter` over `graph` with a pruned DFS; `meta` describes
+    /// the resulting technique (the filter's own name and
+    /// classification).
+    pub fn new(graph: G, filter: F, meta: IndexMeta) -> Self {
         GuidedSearch {
             graph,
             filter,
             meta,
+            bidirectional: false,
             scratch: ScratchPool::new(),
+        }
+    }
+
+    /// Wraps `filter` over `graph` with a pruned bidirectional BFS: the
+    /// forward frontier probes `certain(v, t)`, the backward frontier
+    /// `certain(s, v)`, and the smaller frontier expands each level.
+    pub fn bidirectional(graph: G, filter: F, meta: IndexMeta) -> Self {
+        GuidedSearch {
+            bidirectional: true,
+            ..Self::new(graph, filter, meta)
         }
     }
 
@@ -62,6 +116,8 @@ impl<F: ReachFilter> GuidedSearch<F> {
         Scratch {
             visit: VisitMap::new(self.graph.num_vertices()),
             stack: Vec::new(),
+            backward: Vec::new(),
+            next: Vec::new(),
         }
     }
 
@@ -71,8 +127,13 @@ impl<F: ReachFilter> GuidedSearch<F> {
     }
 
     /// The graph the search runs on.
-    pub fn graph(&self) -> &Arc<DiGraph> {
+    pub fn graph(&self) -> &G {
         &self.graph
+    }
+
+    /// The graph and the filter, for indexes whose updates edit both.
+    pub(crate) fn parts_mut(&mut self) -> (&mut G, &mut F) {
+        (&mut self.graph, &mut self.filter)
     }
 
     /// [`ReachIndex::query`] with work counters.
@@ -89,33 +150,116 @@ impl<F: ReachFilter> GuidedSearch<F> {
         }
         let scratch = &mut *self.scratch.checkout(|| self.fresh_scratch());
         scratch.visit.reset();
-        scratch.stack.clear();
-        scratch.stack.push(s);
-        scratch.visit.mark(s, Side::Forward);
-        while let Some(u) = scratch.stack.pop() {
+        let found = if self.bidirectional {
+            self.bidirectional_bfs(s, t, scratch, &mut stats)
+        } else {
+            self.dfs(s, t, scratch, &mut stats)
+        };
+        (found, stats)
+    }
+
+    /// The pruned DFS from `s`: stops on a `Reachable` verdict and never
+    /// expands a vertex with an `Unreachable` one.
+    #[inline]
+    fn dfs(
+        &self,
+        s: VertexId,
+        t: VertexId,
+        scratch: &mut Scratch,
+        stats: &mut SearchStats,
+    ) -> bool {
+        let Scratch { visit, stack, .. } = scratch;
+        stack.clear();
+        stack.push(s);
+        visit.mark(s, Side::Forward);
+        while let Some(u) = stack.pop() {
             stats.expanded += 1;
             for &v in self.graph.out_neighbors(u) {
                 if v == t {
-                    return (true, stats);
+                    return true;
                 }
-                if !scratch.visit.mark(v, Side::Forward) {
+                if !visit.mark(v, Side::Forward) {
                     continue;
                 }
                 stats.lookups += 1;
                 match self.filter.certain(v, t) {
-                    Certainty::Reachable => return (true, stats),
+                    Certainty::Reachable => return true,
                     // no-false-negative verdict: v's subtree cannot
                     // contain t, skip it entirely
                     Certainty::Unreachable => {}
-                    Certainty::Unknown => scratch.stack.push(v),
+                    Certainty::Unknown => stack.push(v),
                 }
             }
         }
-        (false, stats)
+        false
+    }
+
+    /// The pruned bidirectional BFS: each level expands the smaller of
+    /// the forward frontier (from `s`, probing `certain(v, t)`) and the
+    /// backward frontier (from `t`, probing `certain(s, v)`), and the
+    /// search answers when the two meet.
+    #[inline]
+    fn bidirectional_bfs(
+        &self,
+        s: VertexId,
+        t: VertexId,
+        scratch: &mut Scratch,
+        stats: &mut SearchStats,
+    ) -> bool {
+        let Scratch {
+            visit,
+            stack: forward,
+            backward,
+            next,
+        } = scratch;
+        visit.mark(s, Side::Forward);
+        visit.mark(t, Side::Backward);
+        forward.clear();
+        forward.push(s);
+        backward.clear();
+        backward.push(t);
+        while !forward.is_empty() && !backward.is_empty() {
+            let ahead = forward.len() <= backward.len();
+            let (frontier, side, other) = if ahead {
+                (&mut *forward, Side::Forward, Side::Backward)
+            } else {
+                (&mut *backward, Side::Backward, Side::Forward)
+            };
+            next.clear();
+            for &u in frontier.iter() {
+                stats.expanded += 1;
+                let neighbors = if ahead {
+                    self.graph.out_neighbors(u)
+                } else {
+                    self.graph.in_neighbors(u)
+                };
+                for &v in neighbors {
+                    if visit.is_marked(v, other) {
+                        return true;
+                    }
+                    if !visit.mark(v, side) {
+                        continue;
+                    }
+                    stats.lookups += 1;
+                    let verdict = if ahead {
+                        self.filter.certain(v, t)
+                    } else {
+                        self.filter.certain(s, v)
+                    };
+                    match verdict {
+                        Certainty::Reachable => return true,
+                        Certainty::Unreachable => {}
+                        Certainty::Unknown => next.push(v),
+                    }
+                }
+            }
+            std::mem::swap(frontier, next);
+        }
+        false
     }
 }
 
-impl<F: ReachFilter> ReachIndex for GuidedSearch<F> {
+impl<F: ReachFilter, G: Successors + Send + Sync> ReachIndex for GuidedSearch<F, G> {
     fn query(&self, s: VertexId, t: VertexId) -> bool {
         self.query_counted(s, t).0
     }
@@ -142,6 +286,11 @@ impl<F: ReachFilter> ReachIndex for GuidedSearch<F> {
     fn check_invariants(&self, graph: &DiGraph) -> Vec<Violation> {
         let name = self.meta.name;
         let mut out = self.filter.check_invariants(graph);
+        // a filter shared by several indexes (GRAIL's intervals serve
+        // DAGGER too) reports under the index being audited
+        for v in &mut out {
+            v.index = name;
+        }
         let n = graph.num_vertices();
         if n != self.graph.num_vertices() {
             out.push(Violation {
@@ -192,18 +341,24 @@ impl<F: ReachFilter> ReachIndex for GuidedSearch<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::{Completeness, Dynamism, FilterGuarantees, Framework, InputClass};
+    use crate::index::{Completeness, Dynamism, Framework, InputClass};
+    use reach_graph::traverse::bfs_reaches;
 
-    /// A filter that knows nothing: guided search degenerates to DFS.
-    struct Oblivious;
-    impl ReachFilter for Oblivious {
-        fn certain(&self, _: VertexId, _: VertexId) -> Certainty {
-            Certainty::Unknown
+    /// A filter that answers `Unreachable` for one poisoned target
+    /// subtree root, to check pruning is actually applied.
+    struct BlockVertex(VertexId);
+    impl ReachFilter for BlockVertex {
+        fn certain(&self, s: VertexId, _: VertexId) -> Certainty {
+            if s == self.0 {
+                Certainty::Unreachable
+            } else {
+                Certainty::Unknown
+            }
         }
         fn guarantees(&self) -> FilterGuarantees {
             FilterGuarantees {
                 definite_positive: false,
-                definite_negative: false,
+                definite_negative: true,
             }
         }
         fn size_bytes(&self) -> usize {
@@ -214,12 +369,12 @@ mod tests {
         }
     }
 
-    /// A filter that answers `Unreachable` for one poisoned target
-    /// subtree root, to check pruning is actually applied.
-    struct BlockVertex(VertexId);
-    impl ReachFilter for BlockVertex {
-        fn certain(&self, s: VertexId, _: VertexId) -> Certainty {
-            if s == self.0 {
+    /// A filter that answers `Unreachable` whenever the target is one
+    /// poisoned vertex: only a backward probe `certain(s, v)` sees it.
+    struct BlockTarget(VertexId);
+    impl ReachFilter for BlockTarget {
+        fn certain(&self, _: VertexId, t: VertexId) -> Certainty {
+            if t == self.0 {
                 Certainty::Unreachable
             } else {
                 Certainty::Unknown
@@ -255,12 +410,63 @@ mod tests {
         Arc::new(DiGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (1, 4)]))
     }
 
+    /// Both traversals over `Oblivious` against the BFS oracle, every
+    /// pair of `g`.
+    fn assert_oblivious_modes_match_bfs(g: DiGraph) {
+        let g = Arc::new(g);
+        let dfs = GuidedSearch::new(Arc::clone(&g), Oblivious, meta());
+        let bibfs = GuidedSearch::bidirectional(Arc::clone(&g), Oblivious, meta());
+        let mut vm = VisitMap::new(g.num_vertices());
+        for s in g.vertices() {
+            for t in g.vertices() {
+                let expect = bfs_reaches(&g, s, t, &mut vm);
+                assert_eq!(dfs.query(s, t), expect, "DFS at {s:?}->{t:?}");
+                assert_eq!(bibfs.query(s, t), expect, "BiBFS at {s:?}->{t:?}");
+            }
+        }
+    }
+
     #[test]
-    fn oblivious_filter_is_plain_dfs() {
+    fn oblivious_filter_is_plain_dfs_and_bibfs() {
         let gs = GuidedSearch::new(graph(), Oblivious, meta());
         assert!(gs.query(VertexId(0), VertexId(3)));
         assert!(!gs.query(VertexId(3), VertexId(0)));
         assert!(gs.query(VertexId(2), VertexId(2)));
+        // chain, dead-end branch and an isolated vertex
+        assert_oblivious_modes_match_bfs(DiGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (1, 4)]));
+    }
+
+    #[test]
+    fn oblivious_modes_handle_cycles() {
+        let g = DiGraph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
+        let bibfs = GuidedSearch::bidirectional(Arc::new(g.clone()), Oblivious, meta());
+        assert!(bibfs.query(VertexId(1), VertexId(0)));
+        assert!(bibfs.query(VertexId(0), VertexId(3)));
+        assert!(!bibfs.query(VertexId(3), VertexId(0)));
+        assert_oblivious_modes_match_bfs(g);
+    }
+
+    #[test]
+    fn bidirectional_mode_probes_the_filter_on_both_sides() {
+        // forward side: certain(v, t) for each new out-neighbour
+        let chain = Arc::new(DiGraph::from_edges(
+            6,
+            &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+        ));
+        let gs = GuidedSearch::bidirectional(chain, BlockVertex(VertexId(1)), meta());
+        assert!(!gs.query(VertexId(0), VertexId(5)));
+        // backward side: once the forward frontier {1, 2} outgrows the
+        // backward one {5}, 5's in-neighbour 4 is probed as certain(0, 4)
+        let diamond = Arc::new(DiGraph::from_edges(
+            6,
+            &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5)],
+        ));
+        let open = GuidedSearch::bidirectional(Arc::clone(&diamond), Oblivious, meta());
+        assert!(open.query(VertexId(0), VertexId(5)));
+        let gs = GuidedSearch::bidirectional(diamond, BlockTarget(VertexId(4)), meta());
+        let (found, stats) = gs.query_counted(VertexId(0), VertexId(5));
+        assert!(!found, "the backward probe pruned vertex 4");
+        assert_eq!(stats.expanded, 2, "vertex 0 forward, vertex 5 backward");
     }
 
     #[test]

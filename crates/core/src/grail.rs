@@ -25,6 +25,8 @@ use reach_graph::{Dag, DiGraph, VertexId};
 pub struct GrailFilter {
     /// `k` labelings, each `n` entries of `(low, rank)`.
     labelings: Vec<Vec<(u32, u32)>>,
+    /// The seed the labelings were drawn with.
+    seed: u64,
 }
 
 /// Computes GRAIL labeling `i` from a random DFS post-order. Its RNG
@@ -64,6 +66,7 @@ impl GrailFilter {
         });
         GrailFilter {
             labelings: labelings.into_iter().flatten().collect(),
+            seed,
         }
     }
 
@@ -72,10 +75,14 @@ impl GrailFilter {
         self.labelings.len()
     }
 
-    /// Consumes the filter, exposing its raw labelings (used by the
-    /// dynamic DAGGER wrapper).
-    pub(crate) fn into_labelings(self) -> Vec<Vec<(u32, u32)>> {
-        self.labelings
+    /// The seed the labelings were drawn with.
+    pub(crate) fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// The raw labelings, for DAGGER's in-place widening.
+    pub(crate) fn labelings_mut(&mut self) -> &mut [Vec<(u32, u32)>] {
+        &mut self.labelings
     }
 }
 
@@ -255,6 +262,7 @@ mod tests {
                 ls.extend(GrailFilter::build(&dag, 3, 2, 1).labelings);
                 ls
             },
+            seed: 1,
         };
         let mut pruned1 = 0;
         let mut pruned4 = 0;

@@ -10,15 +10,17 @@
 //! decide every query exactly.
 
 use crate::audit::Violation;
-use crate::index::{Completeness, Dynamism, Framework, IndexMeta, InputClass, ReachIndex};
+use crate::engine::GuidedSearch;
+use crate::index::{
+    Certainty, Completeness, Dynamism, FilterGuarantees, Framework, IndexMeta, InputClass,
+    ReachFilter, ReachIndex,
+};
 use crate::parallel;
-use reach_graph::traverse::{backward_closure_with, forward_closure_with, Side, VisitMap};
-use reach_graph::{Dag, DiGraph, ScratchPool, VertexId};
-use std::sync::Arc;
+use reach_graph::traverse::{backward_closure_with, forward_closure_with, VisitMap};
+use reach_graph::{Dag, DiGraph, VertexId};
 
-/// The hierarchical-labeling oracle.
-pub struct Hl {
-    graph: Arc<DiGraph>,
+/// The landmarks' complete reach rows.
+pub struct HlFilter {
     /// landmark order: `landmarks[i]` owns bit row `i`
     landmarks: Vec<VertexId>,
     is_landmark: Vec<bool>,
@@ -27,12 +29,12 @@ pub struct Hl {
     fwd: Vec<u64>,
     /// `bwd[i]`: bitset of vertices reaching landmark i
     bwd: Vec<u64>,
-    scratch: ScratchPool<Scratch>,
 }
 
-struct Scratch {
-    visit: VisitMap,
-    stack: Vec<VertexId>,
+/// The hierarchical-labeling oracle: a landmark scan, then a guided
+/// DFS whose filter stops at every landmark.
+pub struct Hl {
+    search: GuidedSearch<HlFilter>,
 }
 
 impl Hl {
@@ -74,22 +76,25 @@ impl Hl {
             (fwd, bwd)
         });
         let (fwd, bwd): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
-        Hl {
-            graph,
+        let filter = HlFilter {
             landmarks,
             is_landmark,
             words,
             fwd: fwd.concat(),
             bwd: bwd.concat(),
-            scratch: ScratchPool::new(),
+        };
+        Hl {
+            search: GuidedSearch::new(graph, filter, META),
         }
     }
 
     /// Number of landmarks.
     pub fn num_landmarks(&self) -> usize {
-        self.landmarks.len()
+        self.search.filter().landmarks.len()
     }
+}
 
+impl HlFilter {
     #[inline]
     fn bit(table: &[u64], row: usize, words: usize, v: VertexId) -> bool {
         table[row * words + v.index() / 64] >> (v.index() % 64) & 1 == 1
@@ -105,46 +110,29 @@ pub(crate) const META: IndexMeta = IndexMeta {
     dynamism: Dynamism::Static,
 };
 
-impl ReachIndex for Hl {
-    fn query(&self, s: VertexId, t: VertexId) -> bool {
-        if s == t {
-            return true;
+impl ReachFilter for HlFilter {
+    /// A landmark's own forward row decides exactly; any other source
+    /// is `Unknown`. In [`Hl`]'s residual DFS every landmark comes out
+    /// `Unreachable` (the root scan already tried them all), so the
+    /// search never expands one, and a non-landmark costs one byte
+    /// check.
+    #[inline]
+    fn certain(&self, s: VertexId, t: VertexId) -> Certainty {
+        if !self.is_landmark[s.index()] {
+            return Certainty::Unknown;
         }
-        // landmark lookup: any landmark on some s-t path decides
-        for i in 0..self.landmarks.len() {
-            if Self::bit(&self.bwd, i, self.words, s) && Self::bit(&self.fwd, i, self.words, t) {
-                return true;
-            }
+        let row = self.landmarks.iter().position(|&lm| lm == s);
+        match row {
+            Some(i) if Self::bit(&self.fwd, i, self.words, t) => Certainty::Reachable,
+            _ => Certainty::Unreachable,
         }
-        // residual search: paths avoiding every landmark
-        if self.is_landmark[s.index()] || self.is_landmark[t.index()] {
-            // any path from/to a landmark endpoint touches a landmark,
-            // so the lookup above was already conclusive
-            return false;
-        }
-        let scratch = &mut *self.scratch.checkout(|| Scratch {
-            visit: VisitMap::new(self.graph.num_vertices()),
-            stack: Vec::new(),
-        });
-        scratch.visit.reset();
-        scratch.stack.clear();
-        scratch.stack.push(s);
-        scratch.visit.mark(s, Side::Forward);
-        while let Some(u) = scratch.stack.pop() {
-            for &v in self.graph.out_neighbors(u) {
-                if v == t {
-                    return true;
-                }
-                if !self.is_landmark[v.index()] && scratch.visit.mark(v, Side::Forward) {
-                    scratch.stack.push(v);
-                }
-            }
-        }
-        false
     }
 
-    fn meta(&self) -> IndexMeta {
-        META
+    fn guarantees(&self) -> FilterGuarantees {
+        FilterGuarantees {
+            definite_positive: true,
+            definite_negative: true,
+        }
     }
 
     fn size_bytes(&self) -> usize {
@@ -223,6 +211,46 @@ impl ReachIndex for Hl {
     }
 }
 
+impl ReachIndex for Hl {
+    fn query(&self, s: VertexId, t: VertexId) -> bool {
+        if s == t {
+            return true;
+        }
+        // landmark lookup: any landmark on some s-t path decides
+        let f = self.search.filter();
+        for i in 0..f.landmarks.len() {
+            if HlFilter::bit(&f.bwd, i, f.words, s) && HlFilter::bit(&f.fwd, i, f.words, t) {
+                return true;
+            }
+        }
+        // residual search: paths avoiding every landmark
+        if f.is_landmark[s.index()] || f.is_landmark[t.index()] {
+            // any path from/to a landmark endpoint touches a landmark,
+            // so the lookup above was already conclusive
+            return false;
+        }
+        self.search.query(s, t)
+    }
+
+    fn meta(&self) -> IndexMeta {
+        self.search.meta()
+    }
+
+    fn size_bytes(&self) -> usize {
+        self.search.size_bytes()
+    }
+
+    fn size_entries(&self) -> usize {
+        self.search.size_entries()
+    }
+
+    /// The landmark rows against their true closures, then every
+    /// definite verdict against BFS.
+    fn check_invariants(&self, graph: &DiGraph) -> Vec<Violation> {
+        self.search.check_invariants(graph)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,8 +297,8 @@ mod tests {
         use reach_graph::traverse::{backward_closure, forward_closure};
         let mut rng = SmallRng::seed_from_u64(184);
         let dag = power_law_dag(150, 3, &mut rng);
-        let one = Hl::build(&dag, 12, 1);
-        let eight = Hl::build(&dag, 12, 8);
+        let (one, eight) = (Hl::build(&dag, 12, 1), Hl::build(&dag, 12, 8));
+        let (one, eight) = (one.search.filter(), eight.search.filter());
         assert_eq!(one.landmarks, eight.landmarks);
         assert_eq!(one.fwd, eight.fwd);
         assert_eq!(one.bwd, eight.bwd);
@@ -281,7 +309,7 @@ mod tests {
             ] {
                 for v in dag.vertices() {
                     assert_eq!(
-                        Hl::bit(table, i, eight.words, v),
+                        HlFilter::bit(table, i, eight.words, v),
                         closure.contains(&v),
                         "landmark {lm:?} row at {v:?}"
                     );

@@ -5,6 +5,7 @@
 //! harness uses them to reproduce the survey's "an order of magnitude
 //! faster than using only graph traversal" observation.
 
+use crate::engine::{GuidedSearch, Oblivious};
 use crate::index::{Completeness, Dynamism, Framework, IndexMeta, InputClass, ReachIndex};
 use reach_graph::traverse::{self, VisitMap};
 use reach_graph::{DiGraph, ScratchPool, VertexId};
@@ -24,17 +25,25 @@ pub enum Strategy {
 /// An online-traversal "index": no precomputation, every query is a
 /// fresh traversal.
 pub struct OnlineSearch {
-    graph: Arc<DiGraph>,
     strategy: Strategy,
+    /// DFS and BiBFS are the guided-search loops over a filter that
+    /// never decides.
+    search: GuidedSearch<Oblivious>,
+    /// BFS scratch: BFS is the oracle traversal, not an engine mode.
     visit: ScratchPool<VisitMap>,
 }
 
 impl OnlineSearch {
     /// Wraps `graph` with the chosen traversal strategy.
     pub fn new(graph: Arc<DiGraph>, strategy: Strategy) -> Self {
+        let search = match strategy {
+            Strategy::Bfs => GuidedSearch::new(graph, Oblivious, BFS_META),
+            Strategy::Dfs => GuidedSearch::new(graph, Oblivious, DFS_META),
+            Strategy::BiBfs => GuidedSearch::bidirectional(graph, Oblivious, BIBFS_META),
+        };
         OnlineSearch {
-            graph,
             strategy,
+            search,
             visit: ScratchPool::new(),
         }
     }
@@ -66,14 +75,12 @@ pub(crate) const BIBFS_META: IndexMeta = IndexMeta {
 
 impl ReachIndex for OnlineSearch {
     fn query(&self, s: VertexId, t: VertexId) -> bool {
-        let visit = &mut *self
-            .visit
-            .checkout(|| VisitMap::new(self.graph.num_vertices()));
-        match self.strategy {
-            Strategy::Bfs => traverse::bfs_reaches(&self.graph, s, t, visit),
-            Strategy::Dfs => traverse::dfs_reaches(&self.graph, s, t, visit),
-            Strategy::BiBfs => traverse::bibfs_reaches(&self.graph, s, t, visit),
+        if self.strategy != Strategy::Bfs {
+            return self.search.query(s, t);
         }
+        let graph = self.search.graph();
+        let visit = &mut *self.visit.checkout(|| VisitMap::new(graph.num_vertices()));
+        traverse::bfs_reaches(graph, s, t, visit)
     }
 
     /// Batch evaluation via multi-source bit-parallel BFS: distinct
@@ -81,15 +88,11 @@ impl ReachIndex for OnlineSearch {
     /// them all. The strategy only affects per-pair evaluation order,
     /// never the verdicts, so all three share the kernel.
     fn query_batch(&self, pairs: &[(VertexId, VertexId)]) -> Vec<bool> {
-        traverse::batch_reaches(&self.graph, pairs)
+        traverse::batch_reaches(self.search.graph(), pairs)
     }
 
     fn meta(&self) -> IndexMeta {
-        match self.strategy {
-            Strategy::Bfs => BFS_META,
-            Strategy::Dfs => DFS_META,
-            Strategy::BiBfs => BIBFS_META,
-        }
+        self.search.meta()
     }
 
     fn size_bytes(&self) -> usize {

@@ -9,15 +9,14 @@
 //! frontier skips vertices provably unreachable from `s`, and a
 //! frontier meeting or a positive certificate terminates early.
 
+use crate::engine::GuidedSearch;
 use crate::index::{
     Certainty, Completeness, Dynamism, FilterGuarantees, Framework, IndexMeta, InputClass,
-    ReachFilter, ReachIndex,
+    ReachFilter,
 };
 use crate::interval::SpanningForest;
 use reach_graph::topo::dag_levels;
-use reach_graph::traverse::{Side, VisitMap};
-use reach_graph::{Dag, DiGraph, ScratchPool, VertexId};
-use std::sync::Arc;
+use reach_graph::{Dag, VertexId};
 
 /// The PReaCH certificate set, usable stand-alone as a filter.
 #[derive(Debug, Clone)]
@@ -25,8 +24,7 @@ pub struct PreachFilter {
     forest: SpanningForest,
     level_fwd: Vec<u32>,
     level_bwd: Vec<u32>,
-    /// min forward level reachable... rather: smallest DFS post-order
-    /// number in the forward closure (a GRAIL-style lower bound).
+    /// The smallest DFS post-order number in each vertex's forward closure.
     min_post: Vec<u32>,
 }
 
@@ -93,27 +91,7 @@ impl ReachFilter for PreachFilter {
 }
 
 /// The PReaCH oracle: certificates plus pruned bidirectional BFS.
-pub struct Preach {
-    graph: Arc<DiGraph>,
-    filter: PreachFilter,
-    scratch: ScratchPool<VisitMap>,
-}
-
-impl Preach {
-    /// Builds PReaCH over a DAG.
-    pub fn build(dag: &Dag) -> Self {
-        Preach {
-            graph: dag.shared_graph(),
-            filter: PreachFilter::build(dag),
-            scratch: ScratchPool::new(),
-        }
-    }
-
-    /// The certificate filter.
-    pub fn filter(&self) -> &PreachFilter {
-        &self.filter
-    }
-}
+pub type Preach = GuidedSearch<PreachFilter>;
 
 pub(crate) const META: IndexMeta = IndexMeta {
     name: "PReaCH",
@@ -124,80 +102,18 @@ pub(crate) const META: IndexMeta = IndexMeta {
     dynamism: Dynamism::Static,
 };
 
-impl ReachIndex for Preach {
-    fn query(&self, s: VertexId, t: VertexId) -> bool {
-        match self.filter.certain(s, t) {
-            Certainty::Reachable => return true,
-            Certainty::Unreachable => return false,
-            Certainty::Unknown => {}
-        }
-        let visit = &mut *self
-            .scratch
-            .checkout(|| VisitMap::new(self.graph.num_vertices()));
-        visit.reset();
-        visit.mark(s, Side::Forward);
-        visit.mark(t, Side::Backward);
-        // double-buffered frontiers, as in `bibfs_reaches`
-        let mut fwd = vec![s];
-        let mut bwd = vec![t];
-        let mut next = Vec::new();
-        while !fwd.is_empty() && !bwd.is_empty() {
-            if fwd.len() <= bwd.len() {
-                for &u in &fwd {
-                    for &v in self.graph.out_neighbors(u) {
-                        if visit.is_marked(v, Side::Backward) {
-                            return true;
-                        }
-                        if !visit.mark(v, Side::Forward) {
-                            continue;
-                        }
-                        match self.filter.certain(v, t) {
-                            Certainty::Reachable => return true,
-                            Certainty::Unreachable => {}
-                            Certainty::Unknown => next.push(v),
-                        }
-                    }
-                }
-                std::mem::swap(&mut fwd, &mut next);
-            } else {
-                for &u in &bwd {
-                    for &v in self.graph.in_neighbors(u) {
-                        if visit.is_marked(v, Side::Forward) {
-                            return true;
-                        }
-                        if !visit.mark(v, Side::Backward) {
-                            continue;
-                        }
-                        match self.filter.certain(s, v) {
-                            Certainty::Reachable => return true,
-                            Certainty::Unreachable => {}
-                            Certainty::Unknown => next.push(v),
-                        }
-                    }
-                }
-                std::mem::swap(&mut bwd, &mut next);
-            }
-            next.clear();
-        }
-        false
-    }
-
-    fn meta(&self) -> IndexMeta {
-        META
-    }
-
-    fn size_bytes(&self) -> usize {
-        self.filter.size_bytes()
-    }
-
-    fn size_entries(&self) -> usize {
-        self.filter.size_entries()
+impl Preach {
+    /// Builds PReaCH over a DAG: the certificates, searched from both
+    /// ends.
+    pub fn build(dag: &Dag) -> Self {
+        GuidedSearch::bidirectional(dag.shared_graph(), PreachFilter::build(dag), META)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::ReachIndex;
     use crate::tc::TransitiveClosure;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;

@@ -20,7 +20,8 @@
 use crate::audit::Violation;
 use crate::index::{Completeness, Dynamism, Framework, IndexMeta, InputClass, ReachIndex};
 use crate::parallel;
-use reach_graph::{Dag, DiGraph, VertexId};
+use reach_graph::traverse::{Side, VisitMap};
+use reach_graph::{Dag, DiGraph, EditGraph, VertexId};
 
 /// The vertex total order a TOL instance is built with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,9 +54,8 @@ pub enum OrderStrategy {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tol {
-    // dynamic adjacency: the index owns its graph so updates stay local
-    out_adj: Vec<Vec<VertexId>>,
-    in_adj: Vec<Vec<VertexId>>,
+    // the index owns its graph so updates stay local
+    graph: EditGraph,
     /// rank 0 = highest priority
     rank_of: Vec<u32>,
     vertex_at: Vec<VertexId>,
@@ -214,8 +214,7 @@ impl Tol {
             }
         }
         Tol {
-            out_adj: g.vertices().map(|v| g.out_neighbors(v).to_vec()).collect(),
-            in_adj: g.vertices().map(|v| g.in_neighbors(v).to_vec()).collect(),
+            graph: EditGraph::from_graph(g),
             rank_of,
             vertex_at: order.to_vec(),
             lin,
@@ -236,43 +235,6 @@ impl Tol {
         Tol::build_with_order(g, &order, TOL_META, threads)
     }
 
-    /// (Re)runs hop `r`'s restricted BFS, labeling everything visited.
-    fn restricted_bfs(&mut self, r: u32, forward: bool) {
-        let w = self.vertex_at[r as usize];
-        let mut queue = vec![w];
-        let mut seen = vec![false; self.rank_of.len()];
-        seen[w.index()] = true;
-        let mut head = 0;
-        while head < queue.len() {
-            let x = queue[head];
-            head += 1;
-            let labels = if forward {
-                &mut self.lin[x.index()]
-            } else {
-                &mut self.lout[x.index()]
-            };
-            if let Err(pos) = labels.binary_search(&r) {
-                labels.insert(pos, r);
-            }
-            // interior restriction: only lower-priority vertices may be
-            // passed through (the hop itself always expands)
-            if x != w && self.rank_of[x.index()] < r {
-                continue;
-            }
-            let adj = if forward {
-                &self.out_adj[x.index()]
-            } else {
-                &self.in_adj[x.index()]
-            };
-            for &y in adj {
-                if !seen[y.index()] {
-                    seen[y.index()] = true;
-                    queue.push(y);
-                }
-            }
-        }
-    }
-
     /// Removes every label entry contributed by hop `r`.
     fn clear_hop(&mut self, r: u32) {
         for labels in self.lin.iter_mut().chain(self.lout.iter_mut()) {
@@ -285,37 +247,38 @@ impl Tol {
     /// Inserts the edge `u -> v` and extends the labels of every hop
     /// whose restricted closure can grow through it.
     pub fn insert_edge(&mut self, u: VertexId, v: VertexId) {
-        if self.out_adj[u.index()].contains(&v) {
+        if !self.graph.insert(u, v) {
             return;
         }
-        self.out_adj[u.index()].push(v);
-        self.in_adj[v.index()].push(u);
+        let mut seen = VisitMap::new(self.rank_of.len());
         for r in self.affected_hops(u, true) {
-            self.extend_hop(r, v, true);
+            self.extend_hop(r, v, true, &mut seen);
         }
         for r in self.affected_hops(v, false) {
-            self.extend_hop(r, u, false);
+            self.extend_hop(r, u, false, &mut seen);
         }
     }
 
     /// Deletes the edge `u -> v` and recomputes the labels of every hop
     /// whose restricted closure may have shrunk.
     pub fn delete_edge(&mut self, u: VertexId, v: VertexId) {
-        let Some(pos) = self.out_adj[u.index()].iter().position(|&x| x == v) else {
+        if !self.graph.remove(u, v) {
             return;
-        };
-        // affected hops must be identified before the edge disappears
-        let fwd = self.affected_hops(u, true);
-        let bwd = self.affected_hops(v, false);
-        self.out_adj[u.index()].remove(pos);
-        let ipos = self.in_adj[v.index()].iter().position(|&x| x == u).unwrap();
-        self.in_adj[v.index()].remove(ipos);
-        for &r in fwd.iter().chain(bwd.iter()) {
+        }
+        // labels still describe the old graph, so they name the hops
+        // the deleted edge may have served
+        let mut hops = self.affected_hops(u, true);
+        hops.extend(self.affected_hops(v, false));
+        hops.sort_unstable();
+        hops.dedup();
+        for &r in &hops {
             self.clear_hop(r);
         }
-        for r in fwd.into_iter().chain(bwd) {
-            self.restricted_bfs(r, true);
-            self.restricted_bfs(r, false);
+        let mut seen = VisitMap::new(self.rank_of.len());
+        for r in hops {
+            let w = self.vertex_at(r);
+            self.extend_hop(r, w, true, &mut seen);
+            self.extend_hop(r, w, false, &mut seen);
         }
     }
 
@@ -335,37 +298,36 @@ impl Tol {
             .collect()
     }
 
-    /// Resumes hop `r`'s restricted BFS from `start` (after an edge
-    /// insertion, only newly-reachable vertices need labeling).
-    fn extend_hop(&mut self, r: u32, start: VertexId, forward: bool) {
+    /// Resumes hop `r`'s restricted BFS from `start`, labeling every
+    /// vertex it reaches that `r` does not label yet: after an edge
+    /// insertion only the newly reachable vertices, after
+    /// [`clear_hop`](Self::clear_hop) from `vertex_at(r)` the whole
+    /// closure. `seen` is scratch over all vertices, reset here.
+    fn extend_hop(&mut self, r: u32, start: VertexId, forward: bool, seen: &mut VisitMap) {
         let w = self.vertex_at[r as usize];
+        let labels = if forward {
+            &mut self.lin
+        } else {
+            &mut self.lout
+        };
+        seen.reset();
+        seen.mark(start, Side::Forward);
         let mut queue = vec![start];
-        let mut seen = vec![false; self.rank_of.len()];
-        seen[start.index()] = true;
         let mut head = 0;
         while head < queue.len() {
             let x = queue[head];
             head += 1;
-            let labels = if forward {
-                &mut self.lin[x.index()]
-            } else {
-                &mut self.lout[x.index()]
-            };
-            match labels.binary_search(&r) {
+            match labels[x.index()].binary_search(&r) {
                 Ok(_) => continue, // reached the previously-labeled region
-                Err(pos) => labels.insert(pos, r),
+                Err(pos) => labels[x.index()].insert(pos, r),
             }
+            // interior restriction: only lower-priority vertices may be
+            // passed through (the hop itself always expands)
             if x != w && self.rank_of[x.index()] < r {
                 continue;
             }
-            let adj = if forward {
-                &self.out_adj[x.index()]
-            } else {
-                &self.in_adj[x.index()]
-            };
-            for &y in adj {
-                if !seen[y.index()] {
-                    seen[y.index()] = true;
+            for &y in self.graph.edges(x, forward) {
+                if seen.mark(y, Side::Forward) {
                     queue.push(y);
                 }
             }
@@ -524,16 +486,19 @@ mod tests {
         let g = random_digraph(70, 200, &mut rng);
         let one = build_dl(&g, 1);
         let eight = build_dl(&g, 8);
-        // reference: the update path's sorted-insertion BFS, hop by hop
+        // reference: the update path's sorted-insertion BFS, run from
+        // each hop over empty labels
         let n = g.num_vertices();
         let mut reference = Tol {
             lin: vec![Vec::new(); n],
             lout: vec![Vec::new(); n],
             ..one.clone()
         };
+        let mut seen = VisitMap::new(n);
         for r in 0..n as u32 {
-            reference.restricted_bfs(r, true);
-            reference.restricted_bfs(r, false);
+            let w = reference.vertex_at(r);
+            reference.extend_hop(r, w, true, &mut seen);
+            reference.extend_hop(r, w, false, &mut seen);
         }
         for x in g.vertices() {
             assert_eq!(one.lin(x), reference.lin(x), "lin({x:?})");

@@ -278,6 +278,48 @@ impl DiGraph {
     }
 }
 
+/// The adjacency a traversal walks: out- and in-neighbours of a
+/// vertex in `0..num_vertices()`.
+///
+/// Implemented by the frozen CSR [`DiGraph`] and by the editable
+/// [`EditGraph`](crate::EditGraph) the dynamic indexes own, so one
+/// guided-search loop serves both.
+pub trait Successors {
+    /// Number of vertices.
+    fn num_vertices(&self) -> usize;
+    /// Out-neighbours of `v`.
+    fn out_neighbors(&self, v: VertexId) -> &[VertexId];
+    /// In-neighbours of `v`.
+    fn in_neighbors(&self, v: VertexId) -> &[VertexId];
+}
+
+impl Successors for DiGraph {
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        DiGraph::num_vertices(self)
+    }
+    #[inline]
+    fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
+        DiGraph::out_neighbors(self, v)
+    }
+    #[inline]
+    fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
+        DiGraph::in_neighbors(self, v)
+    }
+}
+
+impl<S: Successors + ?Sized> Successors for Arc<S> {
+    fn num_vertices(&self) -> usize {
+        (**self).num_vertices()
+    }
+    fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
+        (**self).out_neighbors(v)
+    }
+    fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
+        (**self).in_neighbors(v)
+    }
+}
+
 /// A [`DiGraph`] verified to be acyclic, carrying its topological order.
 ///
 /// Most plain reachability indexes in the survey's Table 1 assume DAG

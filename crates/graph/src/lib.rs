@@ -28,6 +28,7 @@
 
 pub mod condense;
 pub mod digraph;
+pub mod edit;
 pub mod error;
 pub mod fixtures;
 pub mod generators;
@@ -45,7 +46,8 @@ pub mod traverse;
 pub mod vertex;
 
 pub use condense::{Condensation, CondenseTiming};
-pub use digraph::{Dag, DiGraph, DiGraphBuilder};
+pub use digraph::{Dag, DiGraph, DiGraphBuilder, Successors};
+pub use edit::{EdgeEntry, EditGraph};
 pub use error::GraphError;
 pub use labeled::{Label, LabelSet, LabeledGraph, LabeledGraphBuilder};
 pub use prepare::PreparedGraph;

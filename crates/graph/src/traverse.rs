@@ -1,9 +1,11 @@
-//! Online traversal primitives: BFS, DFS, and bidirectional BFS.
+//! Online traversal primitives: the BFS oracle, closures and
+//! multi-source bit-parallel BFS.
 //!
-//! These are the index-free baselines of §2.3 of the survey and the
-//! fallback machinery behind every *partial* index. All traversals use
-//! an epoch-stamped [`VisitMap`] so repeated queries reuse one buffer
-//! without an `O(n)` clear per query.
+//! BFS is the index-free baseline of §2.3 of the survey and the ground
+//! truth every audit compares against; the DFS and bidirectional-BFS
+//! baselines are `reach-core`'s guided search over a filter that never
+//! decides. All traversals use an epoch-stamped [`VisitMap`] so
+//! repeated queries reuse one buffer without an `O(n)` clear per query.
 
 use crate::digraph::DiGraph;
 use crate::vertex::VertexId;
@@ -129,73 +131,6 @@ pub fn bfs_reaches_counted(
         }
     }
     (false, stats)
-}
-
-/// Depth-first reachability with an explicit stack.
-pub fn dfs_reaches(g: &DiGraph, s: VertexId, t: VertexId, visit: &mut VisitMap) -> bool {
-    if s == t {
-        return true;
-    }
-    visit.reset();
-    visit.mark(s, Side::Forward);
-    let mut stack = vec![s];
-    while let Some(u) = stack.pop() {
-        for &v in g.out_neighbors(u) {
-            if v == t {
-                return true;
-            }
-            if visit.mark(v, Side::Forward) {
-                stack.push(v);
-            }
-        }
-    }
-    false
-}
-
-/// Bidirectional BFS: expands the smaller of the forward frontier from
-/// `s` and the backward frontier from `t`, answering when they meet.
-pub fn bibfs_reaches(g: &DiGraph, s: VertexId, t: VertexId, visit: &mut VisitMap) -> bool {
-    if s == t {
-        return true;
-    }
-    visit.reset();
-    visit.mark(s, Side::Forward);
-    visit.mark(t, Side::Backward);
-    // Double-buffered frontiers: `next` is drained by the swap and
-    // reused every level, so the loop allocates at most two vectors
-    // total instead of one fresh vector per level.
-    let mut fwd = vec![s];
-    let mut bwd = vec![t];
-    let mut next = Vec::new();
-    while !fwd.is_empty() && !bwd.is_empty() {
-        if fwd.len() <= bwd.len() {
-            for &u in &fwd {
-                for &v in g.out_neighbors(u) {
-                    if visit.is_marked(v, Side::Backward) {
-                        return true;
-                    }
-                    if visit.mark(v, Side::Forward) {
-                        next.push(v);
-                    }
-                }
-            }
-            std::mem::swap(&mut fwd, &mut next);
-        } else {
-            for &u in &bwd {
-                for &v in g.in_neighbors(u) {
-                    if visit.is_marked(v, Side::Forward) {
-                        return true;
-                    }
-                    if visit.mark(v, Side::Backward) {
-                        next.push(v);
-                    }
-                }
-            }
-            std::mem::swap(&mut bwd, &mut next);
-        }
-        next.clear();
-    }
-    false
 }
 
 /// Collects the full forward closure of `s` (including `s` itself).
@@ -383,44 +318,6 @@ mod tests {
         assert!(!bfs_reaches(&g, VertexId(3), VertexId(0), &mut vm));
         assert!(!bfs_reaches(&g, VertexId(0), VertexId(5), &mut vm));
         assert!(bfs_reaches(&g, VertexId(5), VertexId(5), &mut vm));
-    }
-
-    #[test]
-    fn dfs_agrees_with_bfs() {
-        let g = chain_and_branch();
-        let mut vm = VisitMap::new(g.num_vertices());
-        for s in g.vertices() {
-            for t in g.vertices() {
-                assert_eq!(
-                    bfs_reaches(&g, s, t, &mut vm),
-                    dfs_reaches(&g, s, t, &mut vm)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bibfs_agrees_with_bfs() {
-        let g = chain_and_branch();
-        let mut vm = VisitMap::new(g.num_vertices());
-        for s in g.vertices() {
-            for t in g.vertices() {
-                assert_eq!(
-                    bfs_reaches(&g, s, t, &mut vm),
-                    bibfs_reaches(&g, s, t, &mut vm),
-                    "mismatch for {s:?}->{t:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bibfs_on_cycle() {
-        let g = DiGraph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
-        let mut vm = VisitMap::new(4);
-        assert!(bibfs_reaches(&g, VertexId(1), VertexId(0), &mut vm));
-        assert!(bibfs_reaches(&g, VertexId(0), VertexId(3), &mut vm));
-        assert!(!bibfs_reaches(&g, VertexId(3), VertexId(0), &mut vm));
     }
 
     #[test]

@@ -18,14 +18,13 @@ use crate::lcr::{
     Completeness, ConstraintClass, Dynamism, InputClass, LabeledIndexMeta, LcrFramework, LcrIndex,
 };
 use crate::p2h::{entries_join, entry_insert, entry_present, LabelEntry};
-use reach_graph::{Label, LabelSet, LabeledGraph, VertexId};
+use reach_graph::{EditGraph, Label, LabelSet, LabeledGraph, VertexId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// The DLCR index. Owns a mutable copy of the labeled graph.
 pub struct Dlcr {
-    out_adj: Vec<Vec<(VertexId, Label)>>,
-    in_adj: Vec<Vec<(VertexId, Label)>>,
+    graph: EditGraph<(VertexId, Label)>,
     rank_of: Vec<u32>,
     vertex_at: Vec<VertexId>,
     lin: Vec<Vec<LabelEntry>>,
@@ -43,8 +42,7 @@ impl Dlcr {
             rank_of[v.index()] = r as u32;
         }
         let mut idx = Dlcr {
-            out_adj: g.vertices().map(|v| g.out_edges(v).collect()).collect(),
-            in_adj: g.vertices().map(|v| g.in_edges(v).collect()).collect(),
+            graph: EditGraph::from_labeled(g),
             rank_of,
             vertex_at: order,
             lin: vec![Vec::new(); n],
@@ -64,14 +62,12 @@ impl Dlcr {
     }
 
     /// Resumes hop `r`'s restricted label-BFS from `(start, start_ls)`.
-    /// Borrows are split up front so the inner loop never clones
-    /// adjacency lists.
     fn extend_hop(&mut self, r: u32, start: VertexId, start_ls: LabelSet, forward: bool) {
         let w = self.vertex_at[r as usize];
-        let (adjacency, table) = if forward {
-            (&self.out_adj, &mut self.lin)
+        let table = if forward {
+            &mut self.lin
         } else {
-            (&self.in_adj, &mut self.lout)
+            &mut self.lout
         };
         let mut heap: BinaryHeap<Reverse<(usize, u64, u32)>> = BinaryHeap::new();
         if entry_insert(&mut table[start.index()], r, start_ls) {
@@ -88,7 +84,7 @@ impl Dlcr {
             if x != w && self.rank_of[x.index()] < r {
                 continue;
             }
-            for &(y, l) in &adjacency[x.index()] {
+            for &(y, l) in self.graph.edges(x, forward) {
                 let nls = ls.insert(l);
                 if entry_insert(&mut table[y.index()], r, nls) {
                     heap.push(Reverse((nls.len(), nls.0, y.0)));
@@ -117,11 +113,9 @@ impl Dlcr {
 
     /// Inserts the labeled edge `u -l-> v`.
     pub fn insert_edge(&mut self, u: VertexId, l: Label, v: VertexId) {
-        if self.out_adj[u.index()].contains(&(v, l)) {
+        if !self.graph.insert(u, (v, l)) {
             return;
         }
-        self.out_adj[u.index()].push((v, l));
-        self.in_adj[v.index()].push((u, l));
         for (r, ls) in self.affected_hops(u, true) {
             self.extend_hop(r, v, ls.insert(l), true);
         }
@@ -133,26 +127,14 @@ impl Dlcr {
     /// Deletes the labeled edge `u -l-> v`, recomputing exactly the
     /// hops whose restricted closure could shrink.
     pub fn delete_edge(&mut self, u: VertexId, l: Label, v: VertexId) {
-        let Some(p) = self.out_adj[u.index()].iter().position(|&e| e == (v, l)) else {
+        if !self.graph.remove(u, (v, l)) {
             return;
-        };
-        let fwd: Vec<u32> = self
-            .affected_hops(u, true)
-            .into_iter()
-            .map(|(r, _)| r)
-            .collect();
-        let bwd: Vec<u32> = self
-            .affected_hops(v, false)
-            .into_iter()
-            .map(|(r, _)| r)
-            .collect();
-        self.out_adj[u.index()].remove(p);
-        let q = self.in_adj[v.index()]
-            .iter()
-            .position(|&e| e == (u, l))
-            .unwrap();
-        self.in_adj[v.index()].remove(q);
-        let mut hops: Vec<u32> = fwd.into_iter().chain(bwd).collect();
+        }
+        // labels still describe the old graph, so they name the hops
+        // the deleted edge may have served
+        let fwd = self.affected_hops(u, true);
+        let bwd = self.affected_hops(v, false);
+        let mut hops: Vec<u32> = fwd.into_iter().chain(bwd).map(|(r, _)| r).collect();
         hops.sort_unstable();
         hops.dedup();
         for &r in &hops {

@@ -78,7 +78,7 @@ fn main() {
     println!(
         "  TOL labels now hold {} entries; DBL uses {} landmarks",
         tol.size_entries(),
-        dbl.num_landmarks()
+        dbl.filter().num_landmarks()
     );
 
     // ---- DAGGER on a DAG-maintaining stream -------------------------

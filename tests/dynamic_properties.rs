@@ -67,6 +67,8 @@ fn dbl_inserts_match_rebuild() {
             }
         }
         let now = DiGraph::from_edges(n as usize, &edges);
+        // the grown labels' definite verdicts, probed against BFS
+        assert_eq!(dbl.check_invariants(&now), Vec::new(), "case {case}");
         let mut vm = VisitMap::new(n as usize);
         for s in now.vertices() {
             for t in now.vertices() {
@@ -119,6 +121,9 @@ fn dagger_survives_arbitrary_edit_scripts() {
             }
         }
         let now = DiGraph::from_edges(n as usize, &edges);
+        // the widened intervals: nesting along every edge left, and
+        // every definite verdict against BFS
+        assert_eq!(dagger.check_invariants(&now), Vec::new(), "case {case}");
         let mut vm = VisitMap::new(n as usize);
         for s in now.vertices() {
             for t in now.vertices() {

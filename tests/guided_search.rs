@@ -5,7 +5,9 @@
 use rand::SeedableRng;
 use reach_bench::queries::query_mix;
 use reach_bench::workloads::Shape;
-use reachability::plain::engine::GuidedSearch;
+use reachability::plain::dagger::DynamicGrail;
+use reachability::plain::dbl::Dbl;
+use reachability::plain::engine::{GuidedSearch, Oblivious};
 use reachability::plain::grail::GrailFilter;
 use reachability::plain::{bfl, ferrari, grail};
 use reachability::prelude::*;
@@ -21,33 +23,26 @@ fn oblivious_meta() -> IndexMeta {
     }
 }
 
-/// A filter that never decides — guided search over it IS plain DFS,
-/// giving a work baseline.
-struct Oblivious;
-impl ReachFilter for Oblivious {
-    fn certain(&self, _: VertexId, _: VertexId) -> Certainty {
-        Certainty::Unknown
-    }
-    fn guarantees(&self) -> FilterGuarantees {
-        FilterGuarantees {
-            definite_positive: false,
-            definite_negative: false,
-        }
-    }
-    fn size_bytes(&self) -> usize {
-        0
-    }
-    fn size_entries(&self) -> usize {
-        0
-    }
-}
-
 #[test]
 fn real_filters_expand_fewer_vertices_than_dfs() {
     let graph = Shape::Sparse.generate(2_000, 55);
     let dag = Dag::new(graph).unwrap();
     let shared = dag.shared_graph();
     let mix = query_mix(&shared, 400, 0.5, 3);
+    // DAGGER's intervals after widening: built without every fifth
+    // edge, which the updates then put back
+    let edges: Vec<(VertexId, VertexId)> = shared.edges().collect();
+    let kept: Vec<(u32, u32)> = edges
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i % 5 != 0)
+        .map(|(_, &(u, v))| (u.0, v.0))
+        .collect();
+    let mut dagger =
+        DynamicGrail::build(&Dag::new(DiGraph::from_edges(2_000, &kept)).unwrap(), 3, 9);
+    for &(u, v) in edges.iter().step_by(5) {
+        dagger.insert_edge(u, v);
+    }
 
     let baseline = GuidedSearch::new(shared.clone(), Oblivious, oblivious_meta());
     let candidates: Vec<(&str, GuidedSearch<Box<dyn ReachFilter>>)> = vec![
@@ -72,6 +67,22 @@ fn real_filters_expand_fewer_vertices_than_dfs() {
             GuidedSearch::new(
                 shared.clone(),
                 Box::new(bfl::BflFilter::build(&dag, 256, 1)),
+                oblivious_meta(),
+            ),
+        ),
+        (
+            "DAGGER",
+            GuidedSearch::new(
+                shared.clone(),
+                Box::new(dagger.filter().clone()),
+                oblivious_meta(),
+            ),
+        ),
+        (
+            "DBL",
+            GuidedSearch::new(
+                shared.clone(),
+                Box::new(Dbl::build(&shared).filter().clone()),
                 oblivious_meta(),
             ),
         ),
