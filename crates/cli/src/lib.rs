@@ -32,6 +32,7 @@ use reach_labeled::{ConstraintKind, RlcIndexApi};
 use std::fmt;
 use std::io::Write;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A CLI-level error. Every variant renders a complete, user-facing
 /// message through `Display` (no `Debug` formatting anywhere on the
@@ -678,16 +679,24 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
     let path = graph_path.ok_or_else(|| err("usage: serve <graph> [--index NAME] [--lcr NAME]"))?;
 
+    let read_start = Instant::now();
     let (g, labeled) = match load_graph(&path)? {
         LoadedGraph::Plain(g) => (g, None),
         LoadedGraph::Labeled(lg) => (Arc::new(lg.to_digraph()), Some(lg)),
     };
+    let read = read_start.elapsed();
     let prepared = PreparedGraph::new_shared(g);
     let plain = Arc::new(
         IndexService::build(&index, prepared, &BuildOpts::default(), threads)
             .map_err(unknown_index)?,
     );
-    writeln!(out, "built {}", fmt_build_report(plain.report()))?;
+    // the whole cold start: read+parse here, then condense and label
+    writeln!(
+        out,
+        "built {}; read+parse {}",
+        fmt_build_report(plain.report()),
+        fmt_duration(read)
+    )?;
     let lcr = match lcr {
         None => None,
         Some(name) => {
@@ -1358,6 +1367,7 @@ mod tests {
         request_once(&*addr, t, "POST", "/admin/shutdown", "").unwrap();
         let out = server.join().unwrap().unwrap();
         assert!(out.contains("built BFL"), "{out}");
+        assert!(out.contains("; read+parse "), "{out}");
         assert!(out.contains("serving"), "{out}");
         assert!(out.contains("server drained and stopped"), "{out}");
     }

@@ -14,8 +14,8 @@ use crate::index::{
     Certainty, Completeness, Dynamism, FilterGuarantees, Framework, IndexMeta, InputClass,
     ReachFilter,
 };
-use crate::interval::SpanningForest;
-use reach_graph::topo::dag_levels;
+use crate::interval::Intervals;
+use crate::parallel;
 use reach_graph::{Dag, VertexId};
 
 fn splitmix(mut x: u64) -> u64 {
@@ -32,7 +32,8 @@ pub struct BflFilter {
     lout: Vec<u64>,
     lin: Vec<u64>,
     words: usize,
-    forest: SpanningForest,
+    /// spanning-forest intervals: definite positives
+    intervals: Intervals,
     level_fwd: Vec<u32>,
     level_bwd: Vec<u32>,
 }
@@ -40,37 +41,37 @@ pub struct BflFilter {
 impl BflFilter {
     /// Builds the filter with `bits`-bucket Bloom labels (rounded up
     /// to a multiple of 64, minimum 64).
+    ///
+    /// `Lout` and the backward level come from one reverse-topological
+    /// sweep, `Lin` and the forward level from one topological sweep;
+    /// the two sweeps run on two threads once the DAG is large enough
+    /// (see [`parallel::setup_threads`]).
     pub fn build(dag: &Dag, bits: usize, seed: u64) -> Self {
         let g = dag.graph();
         let n = g.num_vertices();
         let words = bits.div_ceil(64).max(1);
         let buckets = (words * 64) as u64;
-        let bucket_of: Vec<usize> = (0..n)
-            .map(|i| (splitmix(seed ^ (i as u64)) % buckets) as usize)
-            .collect();
-
-        let mut lout = vec![0u64; n * words];
-        for &u in dag.topo_order().iter().rev() {
-            let ui = u.index();
-            for &v in dag.out_neighbors(u) {
-                or_rows(&mut lout, ui, v.index(), words);
-            }
-            lout[ui * words + bucket_of[ui] / 64] |= 1 << (bucket_of[ui] % 64);
-        }
-        let mut lin = vec![0u64; n * words];
-        for &u in dag.topo_order() {
-            let ui = u.index();
-            for &v in dag.in_neighbors(u) {
-                or_rows(&mut lin, ui, v.index(), words);
-            }
-            lin[ui * words + bucket_of[ui] / 64] |= 1 << (bucket_of[ui] % 64);
-        }
-        let (level_fwd, level_bwd) = dag_levels(dag);
+        let bucket = |u: usize| (splitmix(seed ^ (u as u64)) % buckets) as usize;
+        let threads = parallel::setup_threads(n + g.num_edges());
+        // The interval DFS rides with the shorter sweep (`Lout`, which
+        // walks the condensed ids in ascending order).
+        let (((lout, level_bwd), intervals), (lin, level_fwd)) = parallel::join(
+            threads,
+            || {
+                let order = dag.topo_order().iter().rev();
+                let lout = sweep(n, words, order, |u| g.out_neighbors(u), bucket);
+                (lout, Intervals::build(dag))
+            },
+            || {
+                let order = dag.topo_order().iter();
+                sweep(n, words, order, |u| g.in_neighbors(u), bucket)
+            },
+        );
         BflFilter {
             lout,
             lin,
             words,
-            forest: SpanningForest::build(dag),
+            intervals,
             level_fwd,
             level_bwd,
         }
@@ -84,6 +85,36 @@ impl BflFilter {
     pub fn num_buckets(&self) -> usize {
         self.words * 64
     }
+}
+
+/// One label sweep over `order`, in which every vertex comes after the
+/// neighbours `next` gives it: `label(u)` is `u`'s own bucket plus the
+/// union of its neighbours' labels, and `level(u)` is one more than
+/// the highest neighbour level (0 without neighbours). Pulled from
+/// out-neighbours in reverse topological order this is `Lout` and the
+/// backward level; from in-neighbours in topological order, `Lin` and
+/// the forward level.
+fn sweep<'g>(
+    n: usize,
+    words: usize,
+    order: impl Iterator<Item = &'g VertexId>,
+    next: impl Fn(VertexId) -> &'g [VertexId],
+    bucket: impl Fn(usize) -> usize,
+) -> (Vec<u64>, Vec<u32>) {
+    let mut label = vec![0u64; n * words];
+    let mut level = vec![0u32; n];
+    for &u in order {
+        let ui = u.index();
+        let mut lu = 0;
+        for &v in next(u) {
+            or_rows(&mut label, ui, v.index(), words);
+            lu = lu.max(level[v.index()] + 1);
+        }
+        level[ui] = lu;
+        let b = bucket(ui);
+        label[ui * words + b / 64] |= 1 << (b % 64);
+    }
+    (label, level)
 }
 
 /// `table[dst] |= table[src]`, rows of `words` u64s.
@@ -114,7 +145,7 @@ impl ReachFilter for BflFilter {
         {
             return Certainty::Unreachable;
         }
-        if self.forest.contains(s, t) {
+        if self.intervals.contains(s, t) {
             return Certainty::Reachable;
         }
         let s_out = Self::row(&self.lout, s.index(), self.words);
@@ -142,7 +173,9 @@ impl ReachFilter for BflFilter {
     }
 
     fn size_bytes(&self) -> usize {
-        8 * (self.lout.len() + self.lin.len()) + 16 * self.level_fwd.len()
+        8 * (self.lout.len() + self.lin.len())
+            + 4 * (self.level_fwd.len() + self.level_bwd.len())
+            + self.intervals.size_bytes()
     }
 
     fn size_entries(&self) -> usize {
@@ -198,6 +231,25 @@ mod tests {
     }
 
     #[test]
+    fn pulled_levels_and_intervals_equal_references() {
+        let mut rng = SmallRng::seed_from_u64(154);
+        for round in 0..10 {
+            let dag = if round % 2 == 0 {
+                random_dag(150, 420, &mut rng)
+            } else {
+                let g = reach_graph::generators::random_digraph(150, 400, &mut rng);
+                reach_graph::Condensation::new(&g).dag().clone()
+            };
+            let f = BflFilter::build(&dag, 128, round);
+            let (fwd, bwd) = reach_graph::topo::dag_levels(&dag);
+            assert_eq!(f.level_fwd, fwd, "round {round}");
+            assert_eq!(f.level_bwd, bwd, "round {round}");
+            let forest = crate::interval::SpanningForest::build(&dag);
+            assert_eq!(&f.intervals, forest.intervals(), "round {round}");
+        }
+    }
+
+    #[test]
     fn oracle_is_exact() {
         let mut rng = SmallRng::seed_from_u64(152);
         let dag = random_dag(75, 200, &mut rng);
@@ -246,7 +298,7 @@ mod tests {
         let f = BflFilter::build(c.dag(), 64, 3);
         let head = c.component_of(VertexId(0));
         let tail = c.component_of(VertexId(29));
-        assert!(f.forest.contains(head, tail));
+        assert!(f.intervals.contains(head, tail));
         assert_eq!(f.certain(head, tail), Certainty::Reachable);
     }
 

@@ -9,6 +9,76 @@
 use rand::Rng;
 use reach_graph::{Dag, DiGraph, VertexId};
 
+/// The post-order intervals `[a_v, b_v]` of a DFS forest: the part of
+/// a [`SpanningForest`] that BFL and PReaCH keep. `contains(u, v)`
+/// decides *tree* ancestry in O(1).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Intervals {
+    /// a_v: lowest post-order number in v's subtree.
+    start: Vec<u32>,
+    /// b_v: v's own post-order number.
+    end: Vec<u32>,
+}
+
+impl Intervals {
+    /// The intervals of [`SpanningForest::build`]'s forest, from one
+    /// DFS that records nothing else.
+    pub fn build(dag: &Dag) -> Self {
+        Self::build_with_low(dag).0
+    }
+
+    /// [`build`](Self::build), plus each vertex's `low`: the smallest
+    /// post-order number in its forward closure (GRAIL's low with this
+    /// deterministic forest), set in the same DFS.
+    pub fn build_with_low(dag: &Dag) -> (Self, Vec<u32>) {
+        let n = dag.num_vertices();
+        let mut intervals = Intervals {
+            start: vec![0; n],
+            end: vec![0; n],
+        };
+        let low = post_order(
+            dag.graph(),
+            dag.topo_order(),
+            None::<&mut rand::rngs::SmallRng>,
+            |_, _, _| {},
+            |v, a, b, _| {
+                intervals.start[v.index()] = a;
+                intervals.end[v.index()] = b;
+            },
+        );
+        (intervals, low)
+    }
+
+    /// Whether `v` lies in the tree subtree rooted at `u` (including
+    /// `u` itself): `b_v ∈ [a_u, b_u]`.
+    #[inline]
+    pub fn contains(&self, u: VertexId, v: VertexId) -> bool {
+        self.start[u.index()] <= self.end[v.index()] && self.end[v.index()] <= self.end[u.index()]
+    }
+
+    /// `a_v`: the lowest post-order number in `v`'s subtree.
+    #[inline]
+    pub fn start(&self, v: VertexId) -> u32 {
+        self.start[v.index()]
+    }
+
+    /// `b_v`: the post-order number of `v`.
+    #[inline]
+    pub fn end(&self, v: VertexId) -> u32 {
+        self.end[v.index()]
+    }
+
+    /// Number of vertices covered.
+    pub fn num_vertices(&self) -> usize {
+        self.end.len()
+    }
+
+    /// The bytes the two interval ends occupy.
+    pub fn size_bytes(&self) -> usize {
+        4 * (self.start.len() + self.end.len())
+    }
+}
+
 /// A spanning forest of a digraph: each vertex's discovery parent in a
 /// DFS from the unvisited-vertex roots, plus its post-order interval.
 ///
@@ -24,10 +94,7 @@ use reach_graph::{Dag, DiGraph, VertexId};
 #[derive(Debug, Clone)]
 pub struct SpanningForest {
     parent: Vec<Option<VertexId>>,
-    /// a_v: lowest post-order number in v's subtree.
-    start: Vec<u32>,
-    /// b_v: v's own post-order number.
-    end: Vec<u32>,
+    intervals: Intervals,
     non_tree: Vec<(VertexId, VertexId)>,
 }
 
@@ -59,76 +126,64 @@ impl SpanningForest {
         Self::build_inner(g, &roots, Some(rng))
     }
 
-    fn build_inner<R: Rng>(g: &DiGraph, roots: &[VertexId], mut rng: Option<&mut R>) -> Self {
+    fn build_inner<R: Rng>(g: &DiGraph, roots: &[VertexId], rng: Option<&mut R>) -> Self {
         let n = g.num_vertices();
         let mut parent: Vec<Option<VertexId>> = vec![None; n];
-        let mut visited = vec![false; n];
-        let mut start = vec![0u32; n];
-        let mut end = vec![0u32; n];
         let mut non_tree = Vec::new();
-        let mut counter = 0u32;
-
-        // Iterative DFS over one flat stack of (vertex, the rest of its
-        // out-list, post-order counter at entry — the eventual a_v - 1)
-        // frames. A randomized forest shuffles each out-list on entry
-        // into its own stretch of `arena` (every vertex is entered once,
-        // so m slots suffice), which draws the RNG in discovery order.
-        let mut arena = vec![VertexId(0); if rng.is_some() { g.num_edges() } else { 0 }];
-        let mut free: &mut [VertexId] = &mut arena;
-        let mut stack: Vec<(VertexId, &[VertexId], u32)> = Vec::new();
-
-        for &root in roots {
-            if visited[root.index()] {
-                continue;
-            }
-            visited[root.index()] = true;
-            let list = out_list(g, root, &mut free, rng.as_deref_mut());
-            stack.push((root, list, counter));
-            while let Some((v, rest, entry)) = stack.last_mut() {
-                let v = *v;
-                if let Some((&w, tail)) = rest.split_first() {
-                    *rest = tail;
-                    if visited[w.index()] {
-                        non_tree.push((v, w));
-                    } else {
-                        visited[w.index()] = true;
-                        parent[w.index()] = Some(v);
-                        let list = out_list(g, w, &mut free, rng.as_deref_mut());
-                        stack.push((w, list, counter));
-                    }
+        let mut intervals = Intervals {
+            start: vec![0; n],
+            end: vec![0; n],
+        };
+        post_order(
+            g,
+            roots,
+            rng,
+            |v, w, tree| {
+                if tree {
+                    parent[w.index()] = Some(v);
                 } else {
-                    counter += 1;
-                    start[v.index()] = *entry + 1;
-                    end[v.index()] = counter;
-                    stack.pop();
+                    non_tree.push((v, w));
                 }
-            }
-        }
+            },
+            |v, a, b, _| {
+                intervals.start[v.index()] = a;
+                intervals.end[v.index()] = b;
+            },
+        );
         SpanningForest {
             parent,
-            start,
-            end,
+            intervals,
             non_tree,
         }
+    }
+
+    /// The forest's post-order intervals.
+    pub fn intervals(&self) -> &Intervals {
+        &self.intervals
+    }
+
+    /// The forest's post-order intervals, without the rest.
+    pub fn into_intervals(self) -> Intervals {
+        self.intervals
     }
 
     /// Whether `v` lies in the tree subtree rooted at `u` (including
     /// `u` itself): `b_v ∈ [a_u, b_u]`.
     #[inline]
     pub fn contains(&self, u: VertexId, v: VertexId) -> bool {
-        self.start[u.index()] <= self.end[v.index()] && self.end[v.index()] <= self.end[u.index()]
+        self.intervals.contains(u, v)
     }
 
     /// `a_v`: the lowest post-order number in `v`'s subtree.
     #[inline]
     pub fn start(&self, v: VertexId) -> u32 {
-        self.start[v.index()]
+        self.intervals.start(v)
     }
 
     /// `b_v`: the post-order number of `v`.
     #[inline]
     pub fn end(&self, v: VertexId) -> u32 {
-        self.end[v.index()]
+        self.intervals.end(v)
     }
 
     /// The DFS parent of `v`, or `None` for forest roots.
@@ -147,6 +202,75 @@ impl SpanningForest {
     pub fn num_vertices(&self) -> usize {
         self.parent.len()
     }
+}
+
+/// One DFS forest over `g`, roots tried in `roots` order and children
+/// in out-list order (shuffled on entry when given an RNG, which draws
+/// it in discovery order). Reports each out-edge `(v, w)` to `edge`
+/// with whether it discovered `w`, and each finished vertex to
+/// `finish(v, a_v, b_v, low_v)`. Returns every vertex's low.
+///
+/// `low_v` is the least of `b_v` and the lows of `v`'s out-neighbours,
+/// kept as a running minimum in `v`'s frame: on a DAG every neighbour
+/// has finished by the time `v` does, so `low_v` is the smallest
+/// post-order number in `v`'s forward closure and needs no second
+/// sweep. (On a cyclic graph a neighbour still on the stack does not
+/// count, and low means nothing.)
+pub(crate) fn post_order<R: Rng>(
+    g: &DiGraph,
+    roots: &[VertexId],
+    mut rng: Option<&mut R>,
+    mut edge: impl FnMut(VertexId, VertexId, bool),
+    mut finish: impl FnMut(VertexId, u32, u32, u32),
+) -> Vec<u32> {
+    // low[v]: 0 until v is discovered, u32::MAX while it is open.
+    const OPEN: u32 = u32::MAX;
+    let mut low = vec![0u32; g.num_vertices()];
+    let mut counter = 0u32;
+
+    // Iterative DFS over one flat stack of (vertex, the rest of its
+    // out-list, post-order counter at entry — the eventual a_v - 1,
+    // running low) frames. A randomized forest shuffles each out-list
+    // on entry into its own stretch of `arena` (every vertex is entered
+    // once, so m slots suffice).
+    let mut arena = vec![VertexId(0); if rng.is_some() { g.num_edges() } else { 0 }];
+    let mut free: &mut [VertexId] = &mut arena;
+    let mut stack: Vec<(VertexId, &[VertexId], u32, u32)> = Vec::new();
+
+    for &root in roots {
+        if low[root.index()] != 0 {
+            continue;
+        }
+        low[root.index()] = OPEN;
+        let list = out_list(g, root, &mut free, rng.as_deref_mut());
+        stack.push((root, list, counter, OPEN));
+        while let Some((v, rest, entry, run)) = stack.last_mut() {
+            let v = *v;
+            if let Some((&w, tail)) = rest.split_first() {
+                *rest = tail;
+                let lw = low[w.index()];
+                if lw != 0 {
+                    *run = (*run).min(lw);
+                    edge(v, w, false);
+                } else {
+                    low[w.index()] = OPEN;
+                    edge(v, w, true);
+                    let list = out_list(g, w, &mut free, rng.as_deref_mut());
+                    stack.push((w, list, counter, OPEN));
+                }
+            } else {
+                counter += 1;
+                let (a, lv) = (*entry + 1, (*run).min(counter));
+                low[v.index()] = lv;
+                finish(v, a, counter, lv);
+                stack.pop();
+                if let Some(parent) = stack.last_mut() {
+                    parent.3 = parent.3.min(lv);
+                }
+            }
+        }
+    }
+    low
 }
 
 /// The out-list of `v` a DFS frame walks: the CSR slice itself, or,
@@ -168,7 +292,7 @@ fn out_list<'a, R: Rng>(
     copy
 }
 
-fn shuffle<T, R: Rng>(items: &mut [T], rng: &mut R) {
+pub(crate) fn shuffle<T, R: Rng>(items: &mut [T], rng: &mut R) {
     for i in (1..items.len()).rev() {
         items.swap(i, rng.random_range(0..=i));
     }

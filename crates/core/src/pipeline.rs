@@ -29,6 +29,7 @@ use crate::index::{IndexMeta, ReachIndex};
 use crate::ip::build_ip;
 use crate::online::{OnlineSearch, Strategy};
 use crate::oreach::build_oreach;
+use crate::parallel::host_threads;
 use crate::pll::Pll;
 use crate::preach::Preach;
 use crate::sspi::TreeSspi;
@@ -155,14 +156,9 @@ pub struct BuilderSpec<G: ?Sized, I: ?Sized, M = IndexMeta> {
 /// The plain-index instantiation used by this crate's registry.
 pub type PlainSpec = BuilderSpec<PreparedGraph, dyn ReachIndex>;
 
-/// The thread count every registry build splits its work over: the
-/// host's available parallelism. Builders that split work (GRAIL, HL
-/// and the TOL family) produce the same index at every thread count.
-fn host_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Every plain technique, in Table-1 order. DAG-only techniques are
+/// Every plain technique, in Table-1 order. Builders that split work
+/// (GRAIL, HL and the TOL family) get the host's core count and
+/// produce the same index at every thread count. DAG-only techniques are
 /// lifted to general graphs with [`Condensed`] over the prepared
 /// graph's shared condensation, exactly as §3.1 prescribes.
 pub static PLAIN_REGISTRY: &[PlainSpec] = &[

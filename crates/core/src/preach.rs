@@ -14,14 +14,14 @@ use crate::index::{
     Certainty, Completeness, Dynamism, FilterGuarantees, Framework, IndexMeta, InputClass,
     ReachFilter,
 };
-use crate::interval::SpanningForest;
+use crate::interval::Intervals;
 use reach_graph::topo::dag_levels;
 use reach_graph::{Dag, VertexId};
 
 /// The PReaCH certificate set, usable stand-alone as a filter.
 #[derive(Debug, Clone)]
 pub struct PreachFilter {
-    forest: SpanningForest,
+    intervals: Intervals,
     level_fwd: Vec<u32>,
     level_bwd: Vec<u32>,
     /// The smallest DFS post-order number in each vertex's forward closure.
@@ -31,19 +31,10 @@ pub struct PreachFilter {
 impl PreachFilter {
     /// Builds the certificates for a DAG.
     pub fn build(dag: &Dag) -> Self {
-        let g = dag.graph();
-        let forest = SpanningForest::build(dag);
-        let mut min_post: Vec<u32> = (0..g.num_vertices())
-            .map(|i| forest.end(VertexId::new(i)))
-            .collect();
-        for &u in dag.topo_order().iter().rev() {
-            for &v in dag.out_neighbors(u) {
-                min_post[u.index()] = min_post[u.index()].min(min_post[v.index()]);
-            }
-        }
+        let (intervals, min_post) = Intervals::build_with_low(dag);
         let (level_fwd, level_bwd) = dag_levels(dag);
         PreachFilter {
-            forest,
+            intervals,
             level_fwd,
             level_bwd,
             min_post,
@@ -61,13 +52,13 @@ impl ReachFilter for PreachFilter {
         {
             return Certainty::Unreachable;
         }
-        if self.forest.contains(s, t) {
+        if self.intervals.contains(s, t) {
             return Certainty::Reachable;
         }
         // GRAIL-style containment: the forward closure of s spans
         // post-order numbers [min_post(s), post(s)]
-        let post_t = self.forest.end(t);
-        if post_t < self.min_post[s.index()] || post_t > self.forest.end(s) {
+        let post_t = self.intervals.end(t);
+        if post_t < self.min_post[s.index()] || post_t > self.intervals.end(s) {
             return Certainty::Unreachable;
         }
         Certainty::Unknown
@@ -81,8 +72,8 @@ impl ReachFilter for PreachFilter {
     }
 
     fn size_bytes(&self) -> usize {
-        // interval (8) + two levels (8) + min_post (4) per vertex
-        20 * self.level_fwd.len()
+        self.intervals.size_bytes()
+            + 4 * (self.level_fwd.len() + self.level_bwd.len() + self.min_post.len())
     }
 
     fn size_entries(&self) -> usize {
@@ -134,6 +125,29 @@ mod tests {
                     Certainty::Unknown => {}
                 }
             }
+        }
+    }
+
+    #[test]
+    fn one_pass_certificates_equal_forest_and_sweep() {
+        let mut rng = SmallRng::seed_from_u64(175);
+        for round in 0..10 {
+            let dag = if round % 2 == 0 {
+                random_dag(150, 420, &mut rng)
+            } else {
+                let g = reach_graph::generators::random_digraph(150, 400, &mut rng);
+                reach_graph::Condensation::new(&g).dag().clone()
+            };
+            let f = PreachFilter::build(&dag);
+            let forest = crate::interval::SpanningForest::build(&dag);
+            assert_eq!(&f.intervals, forest.intervals(), "round {round}");
+            let mut min_post: Vec<u32> = dag.vertices().map(|v| forest.end(v)).collect();
+            for &u in dag.topo_order().iter().rev() {
+                for &v in dag.out_neighbors(u) {
+                    min_post[u.index()] = min_post[u.index()].min(min_post[v.index()]);
+                }
+            }
+            assert_eq!(f.min_post, min_post, "round {round}");
         }
     }
 

@@ -34,6 +34,7 @@ pub mod fixtures;
 pub mod generators;
 pub mod io;
 pub mod labeled;
+pub mod parallel;
 pub mod prepare;
 pub mod reduction;
 pub mod scc;
