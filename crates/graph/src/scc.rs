@@ -51,68 +51,87 @@ impl SccDecomposition {
 
 /// Computes the SCCs of `g` with an iterative Tarjan traversal
 /// (explicit stack, so deep graphs cannot overflow the call stack).
+///
+/// This is Pearce's one-array form of Tarjan's algorithm: `rindex`
+/// holds a visited vertex's DFS index, lowered in place to the
+/// lowlink, until its component is popped, and then a component slot
+/// counting down from `n`. Live indexes stay below every slot, so a
+/// finished vertex never lowers a lowlink, and each edge reads one
+/// array where the textbook form reads an index and an on-stack flag.
+/// Components pop in the same order as in the textbook form; slot
+/// `n - k` becomes component `k`.
 pub fn tarjan_scc(g: &DiGraph) -> SccDecomposition {
-    const UNVISITED: u32 = u32::MAX;
-    const UNASSIGNED: u32 = u32::MAX;
+    const UNVISITED: u32 = 0;
     let n = g.num_vertices();
-    let mut index = vec![UNVISITED; n];
-    let mut lowlink = vec![0u32; n];
-    // A visited vertex stays on the Tarjan stack until its component is
-    // assigned, so `comp_of` doubles as the on-stack flag.
-    let mut comp_of = vec![UNASSIGNED; n];
+    let n32 = u32::try_from(n).expect("vertex ids are u32");
+    let mut rindex = vec![UNVISITED; n];
+    // Visited vertices whose component is open, below the DFS path.
     let mut stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
-    let mut num_components = 0u32;
+    let mut next_index = 1u32;
+    let mut slot = n32;
 
-    // Each frame is (vertex, the rest of its out-neighbor list).
-    let mut call: Vec<(u32, &[VertexId])> = Vec::new();
+    // Each frame is (vertex, the rest of its out-neighbor list, whether
+    // the vertex is still the root of its component).
+    let mut call: Vec<(u32, &[VertexId], bool)> = Vec::new();
 
-    for root in 0..n as u32 {
-        if index[root as usize] != UNVISITED {
+    for root in 0..n32 {
+        if rindex[root as usize] != UNVISITED {
             continue;
         }
-        index[root as usize] = next_index;
-        lowlink[root as usize] = next_index;
+        rindex[root as usize] = next_index;
         next_index += 1;
-        stack.push(root);
-        call.push((root, g.out_neighbors(VertexId(root))));
+        call.push((root, g.out_neighbors(VertexId(root)), true));
 
-        while let Some((v, rest)) = call.last_mut() {
+        while let Some((v, rest, is_root)) = call.last_mut() {
             let v = *v as usize;
             if let Some((&w, tail)) = rest.split_first() {
                 *rest = tail;
                 let w = w.index();
-                if index[w] == UNVISITED {
-                    index[w] = next_index;
-                    lowlink[w] = next_index;
+                if rindex[w] == UNVISITED {
+                    rindex[w] = next_index;
                     next_index += 1;
-                    stack.push(w as u32);
-                    call.push((w as u32, g.out_neighbors(VertexId::new(w))));
-                } else if comp_of[w] == UNASSIGNED {
-                    lowlink[v] = lowlink[v].min(index[w]);
+                    call.push((w as u32, g.out_neighbors(VertexId::new(w)), true));
+                } else if rindex[w] < rindex[v] {
+                    rindex[v] = rindex[w];
+                    *is_root = false;
                 }
             } else {
+                let is_root = *is_root;
                 call.pop();
-                if let Some(&(parent, _)) = call.last() {
-                    lowlink[parent as usize] = lowlink[parent as usize].min(lowlink[v]);
-                }
-                if lowlink[v] == index[v] {
-                    // v is the root of a component: pop it off the Tarjan stack.
-                    while let Some(w) = stack.pop() {
-                        comp_of[w as usize] = num_components;
-                        if w as usize == v {
+                if is_root {
+                    // v roots a component: it and the open vertices
+                    // above it on the stack take the next slot.
+                    next_index -= 1;
+                    while let Some(&w) = stack.last() {
+                        if rindex[w as usize] < rindex[v] {
                             break;
                         }
+                        stack.pop();
+                        rindex[w as usize] = slot;
+                        next_index -= 1;
                     }
-                    num_components += 1;
+                    rindex[v] = slot;
+                    slot -= 1;
+                } else {
+                    stack.push(v as u32);
+                }
+                if let Some((parent, _, parent_root)) = call.last_mut() {
+                    let parent = *parent as usize;
+                    if rindex[v] < rindex[parent] {
+                        rindex[parent] = rindex[v];
+                        *parent_root = false;
+                    }
                 }
             }
         }
     }
 
+    for r in &mut rindex {
+        *r = n32 - *r;
+    }
     SccDecomposition {
-        comp_of,
-        num_components: num_components as usize,
+        comp_of: rindex,
+        num_components: (n32 - slot) as usize,
     }
 }
 
@@ -179,6 +198,81 @@ mod tests {
         for (cid, group) in members.iter().enumerate() {
             for &v in group {
                 assert_eq!(scc.component_of(v), cid as u32);
+            }
+        }
+    }
+
+    /// Textbook recursive Tarjan: an index, a lowlink and an on-stack
+    /// flag per vertex.
+    fn textbook(g: &DiGraph) -> Vec<u32> {
+        struct State {
+            index: Vec<Option<u32>>,
+            low: Vec<u32>,
+            on_stack: Vec<bool>,
+            stack: Vec<usize>,
+            comp: Vec<u32>,
+            next: u32,
+            comps: u32,
+        }
+        fn visit(g: &DiGraph, v: usize, st: &mut State) {
+            st.index[v] = Some(st.next);
+            st.low[v] = st.next;
+            st.next += 1;
+            st.stack.push(v);
+            st.on_stack[v] = true;
+            for &w in g.out_neighbors(VertexId::new(v)) {
+                let w = w.index();
+                match st.index[w] {
+                    None => {
+                        visit(g, w, st);
+                        st.low[v] = st.low[v].min(st.low[w]);
+                    }
+                    Some(i) if st.on_stack[w] => st.low[v] = st.low[v].min(i),
+                    Some(_) => {}
+                }
+            }
+            if Some(st.low[v]) == st.index[v] {
+                while let Some(w) = st.stack.pop() {
+                    st.on_stack[w] = false;
+                    st.comp[w] = st.comps;
+                    if w == v {
+                        break;
+                    }
+                }
+                st.comps += 1;
+            }
+        }
+        let n = g.num_vertices();
+        let mut st = State {
+            index: vec![None; n],
+            low: vec![0; n],
+            on_stack: vec![false; n],
+            stack: Vec::new(),
+            comp: vec![0; n],
+            next: 0,
+            comps: 0,
+        };
+        for v in 0..n {
+            if st.index[v].is_none() {
+                visit(g, v, &mut st);
+            }
+        }
+        st.comp
+    }
+
+    #[test]
+    fn numbering_matches_the_textbook_algorithm() {
+        use crate::generators::random_digraph;
+        use rand::{rngs::SmallRng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(7);
+        for (n, m) in [(2, 3), (10, 12), (40, 60), (60, 200), (200, 260)] {
+            for _ in 0..20 {
+                let g = random_digraph(n, m, &mut rng);
+                let scc = tarjan_scc(&g);
+                let expect = textbook(&g);
+                assert_eq!(scc.components(), &expect[..], "n={n} m={m}");
+                let comps = expect.iter().max().map_or(0, |&c| c as usize + 1);
+                assert_eq!(scc.num_components(), comps);
             }
         }
     }
