@@ -1294,7 +1294,7 @@ mod tests {
 
     #[test]
     fn serve_round_trip_over_http() {
-        use reach_server::request_once;
+        use reach_server::client::request_once;
         use std::time::Duration;
 
         let path = tmp("serve1.el");

@@ -37,7 +37,7 @@ pub struct SearchStats {
 /// bidirectional BFS ([`bidirectional`](Self::bidirectional)).
 ///
 /// `Send + Sync` (for `F: Send + Sync`, which [`ReachFilter`]
-/// requires): per-query scratch is checked out of a lock-free
+/// requires): per-query scratch is checked out of a non-blocking
 /// [`ScratchPool`], so one `Arc<GuidedSearch<_>>` serves any number of
 /// request threads and `query(&self, ..)` still allocates nothing in
 /// the steady state.

@@ -81,7 +81,7 @@ pub struct IndexMeta {
 /// Every index is `Send + Sync` (enforced here as supertraits): one
 /// `Arc<dyn ReachIndex>` serves any number of request threads, which
 /// is what the [`crate::query_engine::QueryEngine`] executor relies
-/// on. Per-query scratch therefore lives in a lock-free
+/// on. Per-query scratch therefore lives in a non-blocking
 /// [`reach_graph::ScratchPool`], never a `RefCell`.
 pub trait ReachIndex: Send + Sync {
     /// Whether `t` is reachable from `s` (every vertex reaches itself).

@@ -10,8 +10,8 @@
 //! and bit-identical for every thread count.
 //!
 //! This is what the `ReachIndex: Send + Sync` bound buys: one shared
-//! `&dyn ReachIndex` serves all workers with no cloning and no locks
-//! (per-query scratch comes from each index's lock-free
+//! `&dyn ReachIndex` serves all workers with no cloning and no waiting
+//! (per-query scratch comes from each index's non-blocking
 //! [`reach_graph::ScratchPool`]).
 
 use crate::index::ReachIndex;

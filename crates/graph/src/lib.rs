@@ -24,7 +24,7 @@
 //!   ([`LabelSet`]), the representation implied by the
 //!   sufficient-path-label-set machinery of §4.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod condense;
 pub mod digraph;
@@ -38,8 +38,6 @@ pub mod parallel;
 pub mod prepare;
 pub mod reduction;
 pub mod scc;
-// the one sanctioned unsafe island: the lock-free ScratchPool slots
-#[allow(unsafe_code)]
 pub mod scratch;
 pub mod stats;
 pub mod topo;

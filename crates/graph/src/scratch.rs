@@ -1,22 +1,21 @@
-//! A lock-free pool of per-query scratch buffers.
+//! A non-blocking pool of per-query scratch buffers.
 //!
 //! Every traversal-backed index keeps reusable scratch (a [`VisitMap`],
 //! frontier stacks, …) so that `query(&self, ..)` allocates nothing.
 //! Storing that scratch in a `RefCell` made the indexes `!Sync`, which
 //! in turn made it impossible to serve one index from many request
 //! threads. [`ScratchPool`] replaces the `RefCell`: a fixed array of
-//! slots, each claimed with a single atomic compare-exchange, so any
-//! number of threads can check scratch out concurrently. When every
-//! slot is momentarily busy the checkout falls back to building a
-//! fresh buffer, trading one allocation for never blocking — the pool
-//! is lock-free in the strict sense that no thread can prevent another
-//! from making progress.
+//! `Mutex` slots, each claimed with `try_lock`, so any number of
+//! threads can check scratch out concurrently. When every slot is
+//! momentarily busy the checkout falls back to building a fresh
+//! buffer, trading one allocation for never blocking: no checkout
+//! ever waits for another thread.
 //!
 //! [`VisitMap`]: crate::traverse::VisitMap
 
-use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, TryLockError};
 
 /// Number of pooled slots. Checkouts beyond this many *concurrent*
 /// queries allocate fresh scratch; the pool re-fills as guards drop.
@@ -41,35 +40,20 @@ pub fn overflow_count() -> u64 {
     OVERFLOWS.load(OVERFLOW_ORDERING)
 }
 
-struct Slot<T> {
-    busy: AtomicBool,
-    item: UnsafeCell<Option<T>>,
-}
-
-// Safety: `item` is only accessed by the thread that won the `busy`
-// compare-exchange (acquire) and is released with a store (release),
-// so access to the interior is serialized per slot.
-unsafe impl<T: Send> Sync for Slot<T> {}
-
-/// A fixed-capacity, lock-free pool of scratch buffers of type `T`.
+/// A fixed-capacity, non-blocking pool of scratch buffers of type `T`.
 ///
 /// `checkout` returns a guard that dereferences to `T` and returns the
 /// buffer to its slot on drop. Buffers created on overflow (all slots
 /// busy) are simply dropped.
 pub struct ScratchPool<T> {
-    slots: Box<[Slot<T>]>,
+    slots: Box<[Mutex<Option<T>>]>,
 }
 
 impl<T> ScratchPool<T> {
     /// Creates an empty pool; buffers are built lazily by `checkout`.
     pub fn new() -> Self {
         ScratchPool {
-            slots: (0..SLOTS)
-                .map(|_| Slot {
-                    busy: AtomicBool::new(false),
-                    item: UnsafeCell::new(None),
-                })
-                .collect(),
+            slots: (0..SLOTS).map(|_| Mutex::new(None)).collect(),
         }
     }
 
@@ -78,27 +62,20 @@ impl<T> ScratchPool<T> {
     ///
     /// The buffer is returned in whatever state the previous query
     /// left it; callers reset it themselves (the same contract the
-    /// `RefCell` scratch had).
+    /// `RefCell` scratch had). That contract is also why a slot
+    /// poisoned by a panicking query is taken as it is.
     pub fn checkout(&self, make: impl FnOnce() -> T) -> ScratchGuard<'_, T> {
-        for (i, slot) in self.slots.iter().enumerate() {
-            if slot
-                .busy
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                // Safety: we hold the slot's busy flag.
-                let item = unsafe { (*slot.item.get()).take() };
-                return ScratchGuard {
-                    pool: Some((self, i)),
-                    item: Some(item.unwrap_or_else(make)),
-                };
-            }
+        for slot in self.slots.iter() {
+            let mut held = match slot.try_lock() {
+                Ok(held) => held,
+                Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+                Err(TryLockError::WouldBlock) => continue,
+            };
+            held.get_or_insert_with(make);
+            return ScratchGuard(Held::Slot(held));
         }
         OVERFLOWS.fetch_add(1, OVERFLOW_ORDERING);
-        ScratchGuard {
-            pool: None,
-            item: Some(make()),
-        }
+        ScratchGuard(Held::Overflow(make()))
     }
 }
 
@@ -109,34 +86,30 @@ impl<T> Default for ScratchPool<T> {
 }
 
 /// A checked-out scratch buffer; returns to the pool on drop.
-pub struct ScratchGuard<'a, T> {
-    /// The owning pool and slot index, or `None` for overflow buffers.
-    pool: Option<(&'a ScratchPool<T>, usize)>,
-    item: Option<T>,
+pub struct ScratchGuard<'a, T>(Held<'a, T>);
+
+enum Held<'a, T> {
+    /// A pooled buffer; `checkout` leaves the slot `Some`.
+    Slot(MutexGuard<'a, Option<T>>),
+    /// A fresh buffer built because every slot was busy.
+    Overflow(T),
 }
 
 impl<T> Deref for ScratchGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.item.as_ref().expect("guard holds an item until drop")
+        match &self.0 {
+            Held::Slot(held) => held.as_ref().expect("checkout fills the slot"),
+            Held::Overflow(item) => item,
+        }
     }
 }
 
 impl<T> DerefMut for ScratchGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.item.as_mut().expect("guard holds an item until drop")
-    }
-}
-
-impl<T> Drop for ScratchGuard<'_, T> {
-    fn drop(&mut self) {
-        if let Some((pool, i)) = self.pool {
-            let slot = &pool.slots[i];
-            // Safety: we still hold the slot's busy flag.
-            unsafe {
-                *slot.item.get() = self.item.take();
-            }
-            slot.busy.store(false, Ordering::Release);
+        match &mut self.0 {
+            Held::Slot(held) => held.as_mut().expect("checkout fills the slot"),
+            Held::Overflow(item) => item,
         }
     }
 }
@@ -145,6 +118,17 @@ impl<T> Drop for ScratchGuard<'_, T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::PoisonError;
+
+    /// Serializes the tests that compare the process-wide overflow
+    /// counter, since `cargo test` runs tests on parallel threads.
+    static OVERFLOW_TESTS: Mutex<()> = Mutex::new(());
+
+    fn serialize_overflow_tests() -> MutexGuard<'static, ()> {
+        OVERFLOW_TESTS
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn checkout_reuses_returned_buffers() {
@@ -176,6 +160,7 @@ mod tests {
 
     #[test]
     fn overflow_beyond_slots_still_works() {
+        let _serial = serialize_overflow_tests();
         let before = overflow_count();
         let pool: ScratchPool<u32> = ScratchPool::new();
         let guards: Vec<_> = (0..SLOTS + 4).map(|i| pool.checkout(|| i as u32)).collect();
@@ -193,6 +178,7 @@ mod tests {
         // out concurrently: each must get a fresh buffer immediately
         // (the scope join proves nobody blocked or spun waiting for a
         // slot) and each must bump the overflow counter.
+        let _serial = serialize_overflow_tests();
         let pool: ScratchPool<Vec<u8>> = ScratchPool::new();
         let _held: Vec<_> = (0..SLOTS).map(|_| pool.checkout(Vec::new)).collect();
         let before = overflow_count();
@@ -210,8 +196,29 @@ mod tests {
         // again and reuse a returned (non-empty) buffer
         drop(_held);
         let g = pool.checkout(Vec::new);
-        assert!(pool.slots.iter().any(|s| !s.busy.load(Ordering::Relaxed)));
+        assert!(pool.slots.iter().any(|s| s.try_lock().is_ok()));
         drop(g);
+    }
+
+    #[test]
+    fn a_slot_poisoned_by_a_panicking_query_is_reused() {
+        let _serial = serialize_overflow_tests();
+        let pool: ScratchPool<Vec<u8>> = ScratchPool::new();
+        let before = overflow_count();
+        let unwound = std::panic::catch_unwind(|| {
+            let mut g = pool.checkout(Vec::new);
+            g.extend([1, 2, 3]);
+            panic!("query panicked mid-traversal");
+        });
+        assert!(unwound.is_err());
+        assert!(pool.slots[0].is_poisoned());
+        let g = pool.checkout(|| panic!("the poisoned slot's buffer is reused"));
+        assert_eq!(*g, [1, 2, 3], "left-over state, for the caller to reset");
+        assert_eq!(
+            overflow_count(),
+            before,
+            "a poisoned slot is not an overflow"
+        );
     }
 
     #[test]

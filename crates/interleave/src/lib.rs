@@ -8,21 +8,16 @@
 //! invariant in every reachable state plus an acceptance condition in
 //! every quiescent (no-thread-can-step) state.
 //!
-//! The workspace uses it to model-check the two hand-rolled
-//! concurrency protocols that `cargo test` can only probe
-//! stochastically:
-//!
-//! * [`scratch_pool`] — the CAS claim/release protocol of
-//!   `reach_graph::scratch::ScratchPool` (no double-claim, overflow
-//!   allocates instead of blocking);
-//! * [`queue`] — the server's bounded accept queue + condvar worker
-//!   pool + shutdown-drain handshake (no lost wakeup, drain
-//!   completeness, every thread terminates).
+//! The workspace uses it to model-check the one hand-rolled
+//! concurrency protocol that `cargo test` can only probe
+//! stochastically: [`queue`], the server's bounded accept queue +
+//! condvar worker pool + shutdown-drain handshake (no lost wakeup,
+//! drain completeness, every thread terminates).
 //!
 //! ## Exploration bound
 //!
 //! State spaces are bounded by construction: models fix the thread
-//! count (2–3), the iteration count per thread, and the queue/slot
+//! count (2–3), the iteration count per thread, and the queue
 //! capacities, so program counters and shared state are finite
 //! enumerations.  [`explore`] performs a depth-first search over the
 //! *entire* transition graph with visited-state memoization, i.e. it
@@ -38,7 +33,6 @@ use std::fmt;
 use std::hash::Hash;
 
 pub mod queue;
-pub mod scratch_pool;
 
 /// A finite concurrent protocol: shared state plus `threads()`
 /// deterministic state machines.

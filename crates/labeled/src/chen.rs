@@ -14,6 +14,7 @@
 use crate::lcr::{
     Completeness, ConstraintClass, Dynamism, InputClass, LabeledIndexMeta, LcrFramework, LcrIndex,
 };
+use reach_graph::traverse::{Side, VisitMap};
 use reach_graph::{Label, LabelSet, LabeledGraph, ScratchPool, VertexId};
 
 /// The Chen & Singh LCR index (one-level decomposition).
@@ -29,7 +30,7 @@ pub struct ChenIndex {
 }
 
 struct Scratch {
-    seen: Vec<bool>,
+    seen: VisitMap,
     stack: Vec<VertexId>,
 }
 
@@ -155,23 +156,23 @@ impl LcrIndex for ChenIndex {
             return true;
         }
         let scratch = &mut *self.scratch.checkout(|| Scratch {
-            seen: vec![false; self.start.len()],
+            seen: VisitMap::new(self.start.len()),
             stack: Vec::new(),
         });
-        scratch.seen.iter_mut().for_each(|b| *b = false);
+        scratch.seen.reset();
         scratch.stack.clear();
         scratch.stack.push(s);
-        scratch.seen[s.index()] = true;
+        scratch.seen.mark(s, Side::Forward);
         while let Some(x) = scratch.stack.pop() {
             if self.tree_segment_ok(x, t, allowed) {
                 return true;
             }
             for &(_, u, l, v) in self.summary_in_subtree(x) {
-                if !allowed.contains(l) || scratch.seen[v.index()] {
+                if !allowed.contains(l) || scratch.seen.is_marked(v, Side::Forward) {
                     continue;
                 }
                 if self.tree_segment_ok(x, u, allowed) {
-                    scratch.seen[v.index()] = true;
+                    scratch.seen.mark(v, Side::Forward);
                     scratch.stack.push(v);
                 }
             }

@@ -23,6 +23,7 @@ use crate::lcr::{
 };
 use crate::spls::SplsSet;
 use crate::zou::single_source_gtc;
+use reach_graph::traverse::{Side, VisitMap};
 use reach_graph::{LabelSet, LabeledGraph, ScratchPool, VertexId};
 use std::sync::Arc;
 
@@ -40,7 +41,7 @@ pub struct LandmarkIndex {
 }
 
 struct Scratch {
-    seen: Vec<bool>,
+    seen: VisitMap,
     queue: Vec<VertexId>,
 }
 
@@ -132,13 +133,13 @@ impl LcrIndex for LandmarkIndex {
             }
         }
         let scratch = &mut *self.scratch.checkout(|| Scratch {
-            seen: vec![false; self.graph.num_vertices()],
+            seen: VisitMap::new(self.graph.num_vertices()),
             queue: Vec::new(),
         });
-        scratch.seen.iter_mut().for_each(|b| *b = false);
+        scratch.seen.reset();
         scratch.queue.clear();
         scratch.queue.push(s);
-        scratch.seen[s.index()] = true;
+        scratch.seen.mark(s, Side::Forward);
         let mut head = 0;
         while head < scratch.queue.len() {
             let u = scratch.queue[head];
@@ -158,8 +159,7 @@ impl LcrIndex for LandmarkIndex {
                 if v == t {
                     return true;
                 }
-                if !scratch.seen[v.index()] {
-                    scratch.seen[v.index()] = true;
+                if scratch.seen.mark(v, Side::Forward) {
                     scratch.queue.push(v);
                 }
             }

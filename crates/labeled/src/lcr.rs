@@ -54,7 +54,7 @@ pub struct LabeledIndexMeta {
 ///
 /// `Send + Sync` as supertraits, like the plain `ReachIndex`: labeled
 /// indexes are shared across query threads too, so per-query scratch
-/// lives in a lock-free `ScratchPool`, never a `RefCell`.
+/// lives in a non-blocking `ScratchPool`, never a `RefCell`.
 pub trait LcrIndex: Send + Sync {
     /// Whether a path from `s` to `t` exists using only edges whose
     /// label lies in `allowed`. Every vertex reaches itself under any

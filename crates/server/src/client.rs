@@ -1,6 +1,7 @@
-//! A minimal blocking HTTP/1.1 client with keep-alive — just enough
-//! to drive the server from its integration tests and the CLI's
-//! `serve` round-trip test without external dependencies.
+//! Test support, hidden from the docs and not part of the service
+//! API: a minimal blocking HTTP/1.1 client with keep-alive — just
+//! enough to drive the server from its integration tests and the
+//! CLI's `serve` round-trip test without external dependencies.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

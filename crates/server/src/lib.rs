@@ -24,11 +24,11 @@
 
 #![forbid(unsafe_code)]
 
+#[doc(hidden)]
 pub mod client;
 pub mod http;
 pub mod metrics;
 pub mod server;
 
-pub use client::{request_once, Client, Response};
 pub use metrics::{Endpoint, Histogram, Metrics};
 pub use server::{start, ServerConfig, ServerHandle, Services};

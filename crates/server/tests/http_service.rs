@@ -8,7 +8,8 @@ use reach_core::{BuildOpts, IndexService};
 use reach_graph::generators::random_digraph;
 use reach_graph::{fixtures, LabelSet, PreparedGraph, VertexId};
 use reach_labeled::LcrService;
-use reach_server::{request_once, start, Client, Endpoint, ServerConfig, Services};
+use reach_server::client::{request_once, Client};
+use reach_server::{start, Endpoint, ServerConfig, Services};
 use std::io::{Read, Write as _};
 use std::net::TcpStream;
 use std::sync::Arc;

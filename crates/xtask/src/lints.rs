@@ -5,20 +5,20 @@
 //!
 //! 1. **interior-mutability** — `RefCell`, `Cell<`, and
 //!    `thread_local!` are banned from every index-implementation
-//!    crate.  PR 2 removed the per-query `RefCell` scratch state so
-//!    that `ReachIndex: Send + Sync` holds; this lint keeps it
-//!    removed.  `crates/graph/src/scratch.rs` is whitelisted (its
-//!    `UnsafeCell` *is* the sanctioned replacement).
+//!    crate, with no exceptions.  Per-query scratch lives in
+//!    `reach_graph::ScratchPool`'s `Mutex` slots instead, so that
+//!    `ReachIndex: Send + Sync` holds; this lint keeps `RefCell`
+//!    scratch from coming back.
 //! 2. **panic-free-server** — `unwrap`/`expect`/`panic!`-family
 //!    macros are banned from `crates/server/src` request paths; a
 //!    worker panic would poison the queue mutex and take down every
 //!    subsequent request.  **panic-free-parser** applies the same
 //!    ban to the edge-list parser (`crates/graph/src/io.rs`): a
 //!    malformed file must come back as `GraphError::Parse`.
-//! 3. **unsafe-whitelist** — the token `unsafe` may appear only in
-//!    `crates/graph/src/scratch.rs`; every crate root must carry
-//!    `#![forbid(unsafe_code)]` (or `deny` for the graph crate,
-//!    which needs a module-scoped allow).
+//! 3. **unsafe_code** — the keyword that lint is named after may
+//!    appear in no file, and every crate root must carry
+//!    `#![forbid(unsafe_code)]`; `deny` does not pass, because a
+//!    module could override it with `allow`.
 //! 4. **registry-completeness** — every module implementing
 //!    `ReachIndex`/`ReachFilter` (core) or `LcrIndex` (labeled) must
 //!    be referenced from its crate's `pipeline.rs`, i.e. reachable
@@ -58,22 +58,15 @@ impl fmt::Display for LintViolation {
 }
 
 /// The workspace lint policy.  Paths are relative to the repo root,
-/// forward-slash separated; this doubles as the recorded whitelist
-/// the satellite task asks for.
+/// forward-slash separated.
 pub struct LintConfig {
     /// Directories whose `.rs` files may not use interior mutability.
     pub interior_mutability_roots: &'static [&'static str],
-    /// Files exempt from the interior-mutability scan.
-    pub interior_mutability_allow: &'static [&'static str],
     /// Directories whose `.rs` files must be panic-free outside tests.
     pub panic_free_roots: &'static [&'static str],
     /// Parser source files that must be panic-free outside tests.
     pub panic_free_parsers: &'static [&'static str],
-    /// The only files allowed to contain the `unsafe` token.
-    pub unsafe_allow: &'static [&'static str],
-    /// Crate directories under `crates/` whose root source must carry
-    /// an unsafe-code attribute (lib.rs, or main.rs for bin-only
-    /// crates); the repo root `src/lib.rs` is always checked.
+    /// Registry-completeness rules, one per index crate.
     pub registries: &'static [RegistryRule],
 }
 
@@ -101,10 +94,8 @@ impl LintConfig {
                 "crates/graph/src",
                 "crates/server/src",
             ],
-            interior_mutability_allow: &["crates/graph/src/scratch.rs"],
             panic_free_roots: &["crates/server/src"],
             panic_free_parsers: &["crates/graph/src/io.rs", "crates/labeled/src/constraint.rs"],
-            unsafe_allow: &["crates/graph/src/scratch.rs"],
             registries: &[
                 RegistryRule {
                     src: "crates/core/src",
@@ -138,7 +129,7 @@ pub fn run_lints(root: &Path, cfg: &LintConfig) -> Vec<LintViolation> {
     let mut out = Vec::new();
     lint_interior_mutability(root, cfg, &mut out);
     lint_panic_free(root, cfg, &mut out);
-    lint_unsafe(root, cfg, &mut out);
+    lint_unsafe(root, &mut out);
     lint_registries(root, cfg, &mut out);
     out
 }
@@ -156,7 +147,7 @@ pub fn files_in_scope(root: &Path) -> usize {
 // in two halves: the concatenated constant exists only in the binary,
 // never as a matchable token in the source text.
 const UNSAFE_TOKEN: &str = concat!("un", "safe");
-const RULE_UNSAFE: &str = concat!("un", "safe", "-whitelist");
+const RULE_UNSAFE: &str = "unsafe_code";
 
 // ---------------------------------------------------------------
 // rule 1: interior mutability
@@ -165,9 +156,6 @@ const RULE_UNSAFE: &str = concat!("un", "safe", "-whitelist");
 fn lint_interior_mutability(root: &Path, cfg: &LintConfig, out: &mut Vec<LintViolation>) {
     for dir in cfg.interior_mutability_roots {
         for file in rs_files_under(root, dir) {
-            if is_allowed(root, &file, cfg.interior_mutability_allow) {
-                continue;
-            }
             scan_tokens(
                 &file,
                 "interior-mutability",
@@ -222,29 +210,26 @@ fn lint_panic_free(root: &Path, cfg: &LintConfig, out: &mut Vec<LintViolation>) 
 }
 
 // ---------------------------------------------------------------
-// rule 3: unsafe whitelist
+// rule 3: unsafe_code is forbidden everywhere
 // ---------------------------------------------------------------
 
-fn lint_unsafe(root: &Path, cfg: &LintConfig, out: &mut Vec<LintViolation>) {
-    // 3a: the `unsafe` token appears only in whitelisted files.
+fn lint_unsafe(root: &Path, out: &mut Vec<LintViolation>) {
+    // 3a: the keyword appears in no file.
     let mut files = Vec::new();
     collect_rs_files(&root.join("crates"), &mut files);
     collect_rs_files(&root.join("src"), &mut files);
     for file in files {
-        if is_allowed(root, &file, cfg.unsafe_allow) {
-            continue;
-        }
         // `unsafe_code` (the attribute name) has `_` after the token,
-        // so the boundary check admits the forbid/deny attributes.
+        // so the boundary check admits the forbid attribute.
         scan_tokens(
             &file,
             RULE_UNSAFE,
             &[(UNSAFE_TOKEN, Boundary::Both)],
-            "this keyword is allowed only in crates/graph/src/scratch.rs",
+            "the workspace forbids it: std's safe types cover every need",
             out,
         );
     }
-    // 3b: every crate root opts out of unsafe at the language level.
+    // 3b: every crate root forbids unsafe_code at the language level.
     let mut roots: Vec<PathBuf> = vec![root.join("src/lib.rs")];
     if let Ok(entries) = fs::read_dir(root.join("crates")) {
         let mut dirs: Vec<_> = entries.flatten().map(|e| e.path()).collect();
@@ -264,13 +249,13 @@ fn lint_unsafe(root: &Path, cfg: &LintConfig, out: &mut Vec<LintViolation>) {
             push_io(&crate_root, out);
             continue;
         };
-        if !text.contains("#![forbid(unsafe_code)]") && !text.contains("#![deny(unsafe_code)]") {
+        if !text.contains("#![forbid(unsafe_code)]") {
             out.push(LintViolation {
                 file: crate_root,
                 line: 1,
                 rule: RULE_UNSAFE,
-                message: "crate root must carry #![forbid(unsafe_code)] \
-                          (or #![deny(unsafe_code)] with a module-scoped allow)"
+                message: "crate root must carry #![forbid(unsafe_code)]; \
+                          deny is not enough, since a module can allow it again"
                     .into(),
             });
         }
@@ -425,10 +410,6 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-fn is_allowed(root: &Path, file: &Path, allow: &[&str]) -> bool {
-    allow.iter().any(|a| root.join(a) == *file)
-}
-
 fn push_io(path: &Path, out: &mut Vec<LintViolation>) {
     out.push(LintViolation {
         file: path.to_path_buf(),
@@ -485,9 +466,7 @@ mod tests {
         write(
             &root,
             "crates/core/src/ok.rs",
-            // UnsafeCell< must not match `Cell<` (identifier boundary);
-            // the unsafe-whitelist rule fires instead, proving the
-            // file is still covered.
+            // UnsafeCell< must not match `Cell<` (identifier boundary)
             "use core::cell::UnsafeCell;\npub struct S(UnsafeCell<u8>);\n",
         );
         let cfg = LintConfig::workspace();
@@ -553,26 +532,28 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_outside_whitelist_is_flagged_and_scratch_is_exempt() {
-        let root = scratch_root("unsafe");
+    fn unsafe_is_flagged_in_every_file_scratch_included() {
+        let root = scratch_root("keyword");
         write(
             &root,
             "crates/graph/src/scratch.rs",
-            "pub struct Slot;\nunsafe impl Sync for Slot {}\n",
+            &format!("pub struct Slot;\n{UNSAFE_TOKEN} impl Sync for Slot {{}}\n"),
         );
         write(
             &root,
             "crates/core/src/bad.rs",
-            "pub fn f(p: *const u8) -> u8 { unsafe { *p } }\n",
+            &format!("pub fn f(p: *const u8) -> u8 {{ {UNSAFE_TOKEN} {{ *p }} }}\n"),
         );
         let cfg = LintConfig::workspace();
         let hits = run_lints(&root, &cfg);
         let unsafe_hits: Vec<_> = hits
             .iter()
-            .filter(|v| v.rule == "unsafe-whitelist" && v.line > 0)
+            .filter(|v| v.rule == RULE_UNSAFE && v.line > 0)
             .collect();
-        assert_eq!(unsafe_hits.len(), 1, "{hits:?}");
+        assert_eq!(unsafe_hits.len(), 2, "{hits:?}");
         assert!(unsafe_hits[0].file.ends_with("crates/core/src/bad.rs"));
+        assert!(unsafe_hits[1].file.ends_with("crates/graph/src/scratch.rs"));
+        assert_eq!(unsafe_hits[1].line, 2);
     }
 
     #[test]
@@ -584,14 +565,21 @@ mod tests {
             "#![forbid(unsafe_code)]\npub fn ok() {}\n",
         );
         write(&root, "crates/thing/src/lib.rs", "pub fn nope() {}\n");
+        // deny can be overridden by a module-level allow, so it fails too
+        write(
+            &root,
+            "crates/denied/src/lib.rs",
+            "#![deny(unsafe_code)]\npub fn nope() {}\n",
+        );
         let cfg = LintConfig::workspace();
         let hits = run_lints(&root, &cfg);
         let attr_hits: Vec<_> = hits
             .iter()
-            .filter(|v| v.rule == "unsafe-whitelist" && v.message.contains("crate root"))
+            .filter(|v| v.rule == RULE_UNSAFE && v.message.contains("crate root"))
             .collect();
-        assert_eq!(attr_hits.len(), 1, "{hits:?}");
-        assert!(attr_hits[0].file.ends_with("crates/thing/src/lib.rs"));
+        assert_eq!(attr_hits.len(), 2, "{hits:?}");
+        assert!(attr_hits[0].file.ends_with("crates/denied/src/lib.rs"));
+        assert!(attr_hits[1].file.ends_with("crates/thing/src/lib.rs"));
     }
 
     #[test]
