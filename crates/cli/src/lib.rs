@@ -23,10 +23,10 @@ use reach_bench::queries::query_mix;
 use reach_bench::report::{fmt_build_report, fmt_bytes, fmt_duration, timed, Table};
 use reach_bench::workloads::{Shape, ALL_SHAPES};
 use reach_core::pipeline::{
-    build_plain, plain_feasible, plain_names, plain_native_meta, plain_spec, BuildOpts,
+    build_plain, plain_feasible, plain_names, plain_native_meta, plain_spec, BuildOpts, BuilderSpec,
 };
 use reach_graph::{io, DiGraph, GraphError, LabelSet, LabeledGraph, PreparedGraph, VertexId};
-use reach_labeled::pipeline::{build_lcr, lcr_names};
+use reach_labeled::pipeline::{build_lcr, lcr_names, lcr_spec};
 use reach_labeled::rlc::RlcIndex;
 use reach_labeled::{ConstraintKind, RlcIndexApi};
 use std::fmt;
@@ -90,6 +90,23 @@ fn err(msg: impl Into<String>) -> CliError {
 /// A registry's unknown-name error, pointing at the list of names.
 fn unknown_index(e: impl fmt::Display) -> CliError {
     err(format!("{e} (see `reach indexes`)"))
+}
+
+/// Refuses an index whose registry entry rules out this graph size
+/// before a build that could run for hours; a name not in the
+/// registry (`None`) passes on to the builder's typed error.
+fn ensure_feasible<G: ?Sized, I: ?Sized, M>(
+    spec: Option<&BuilderSpec<G, I, M>>,
+    n: usize,
+    m: usize,
+) -> Result<(), CliError> {
+    match spec {
+        Some(s) if !(s.feasible)(n, m) => Err(err(format!(
+            "index {:?} is infeasible at n={n}, m={m} (its registry entry rules out this size)",
+            s.name
+        ))),
+        _ => Ok(()),
+    }
 }
 
 impl From<std::io::Error> for CliError {
@@ -519,6 +536,7 @@ fn cmd_query(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         }
         None => parse_pairs(pairs_tokens, g.num_vertices())?,
     };
+    ensure_feasible(plain_spec(name), g.num_vertices(), g.num_edges())?;
     let prepared = PreparedGraph::new_shared(g);
     let (idx, report) =
         build_plain(name, &prepared, &BuildOpts::default()).map_err(unknown_index)?;
@@ -569,6 +587,7 @@ fn cmd_lcr(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     match ast.classify() {
         ConstraintKind::Alternation(allowed) => {
             let name = flags.indexes.first().map(String::as_str).unwrap_or("P2H+");
+            ensure_feasible(lcr_spec(name), g.num_vertices(), g.num_edges())?;
             let (idx, build) = timed(|| build_lcr(name, &g, &BuildOpts::default()));
             let idx = idx.map_err(unknown_index)?;
             writeln!(
@@ -685,6 +704,10 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         LoadedGraph::Labeled(lg) => (Arc::new(lg.to_digraph()), Some(lg)),
     };
     let read = read_start.elapsed();
+    ensure_feasible(plain_spec(&index), g.num_vertices(), g.num_edges())?;
+    if let (Some(name), Some(lg)) = (&lcr, &labeled) {
+        ensure_feasible(lcr_spec(name), lg.num_vertices(), lg.num_edges())?;
+    }
     let prepared = PreparedGraph::new_shared(g);
     let plain = Arc::new(
         IndexService::build(&index, prepared, &BuildOpts::default(), threads)
@@ -1103,6 +1126,47 @@ mod tests {
             e.to_string().contains("unknown LCR index \"NotAnIndex\""),
             "{e}"
         );
+        // registry indexes too costly at this size are refused before
+        // any build, naming the index and the graph's size
+        let big = tmp("g6big.el");
+        run_to_string(&["gen", "sparse-dag", "401", "--out", &big]).unwrap();
+        let big_labeled = tmp("g6bigl.el");
+        run_to_string(&[
+            "gen",
+            "sparse-dag",
+            "2001",
+            "--labels",
+            "2",
+            "--out",
+            &big_labeled,
+        ])
+        .unwrap();
+        for (args, name, n) in [
+            (
+                vec!["query", &big, "--index", "2-Hop", "0", "1"],
+                "2-Hop",
+                401,
+            ),
+            (
+                vec![
+                    "lcr",
+                    &big_labeled,
+                    "--index",
+                    "Zou et al.",
+                    "--constraint",
+                    "(0|1)*",
+                    "0",
+                    "1",
+                ],
+                "Zou et al.",
+                2001,
+            ),
+        ] {
+            let e = run_to_string(&args).unwrap_err();
+            assert!(matches!(e, CliError::Usage(_)), "{e}");
+            let expect = format!("index {name:?} is infeasible at n={n}, m=");
+            assert!(e.to_string().contains(&expect), "{e}");
+        }
         // constraints nested past the parser's limit are a usage error,
         // not a stack overflow
         let parens = format!("{}0{}", "(".repeat(50_000), ")".repeat(50_000));
@@ -1398,6 +1462,32 @@ mod tests {
         .unwrap();
         let e = run_to_string(&["serve", &labeled, "--lcr", "Nope", "--port", "0"]).unwrap_err();
         assert!(e.to_string().contains("unknown LCR index \"Nope\""), "{e}");
+        // indexes infeasible at the graph's size, plain and LCR
+        let big = tmp("serve2big.el");
+        run_to_string(&["gen", "sparse-dag", "401", "--out", &big]).unwrap();
+        let e = run_to_string(&["serve", &big, "--index", "2-Hop", "--port", "0"]).unwrap_err();
+        assert!(
+            e.to_string().contains("\"2-Hop\" is infeasible at n=401"),
+            "{e}"
+        );
+        let big_labeled = tmp("serve2bigl.el");
+        run_to_string(&[
+            "gen",
+            "sparse-dag",
+            "2001",
+            "--labels",
+            "2",
+            "--out",
+            &big_labeled,
+        ])
+        .unwrap();
+        let e = run_to_string(&["serve", &big_labeled, "--lcr", "Zou et al.", "--port", "0"])
+            .unwrap_err();
+        assert!(
+            e.to_string()
+                .contains("\"Zou et al.\" is infeasible at n=2001"),
+            "{e}"
+        );
         // zero workers, missing graph, unknown flags (queue capacity is not one)
         assert!(run_to_string(&["serve", &path, "--workers", "0"]).is_err());
         assert!(run_to_string(&["serve"]).is_err());

@@ -14,6 +14,7 @@
 //! NAME|--all`; the differential property suite in
 //! `tests/verify_differential.rs` runs it across the registry.
 
+use crate::hop_labels::HopLabels;
 use crate::index::ReachIndex;
 use crate::pipeline::{build_plain, BuildOpts, UnknownIndex};
 use rand::rngs::SmallRng;
@@ -247,18 +248,17 @@ pub(crate) fn closure_row(
     row
 }
 
-/// Shared validator for the 2-hop family (2-Hop, PLL, TFL, DL, TOL):
+/// Shared validator for the 2-hop family (2-Hop, PLL, TFL, DL, TOL),
+/// run through [`HopLabels::check_cover`]:
 /// labels must be strictly sorted, every hub entry must be *sound* (a
 /// rank in `lout(x)` means `x` really reaches that hub; a rank in
 /// `lin(x)` means the hub really reaches `x`), and the cover must be
 /// *complete* (every reachable sampled pair is witnessed by a common
 /// hub).
-pub(crate) fn check_two_hop_cover<'a>(
+pub(crate) fn check_two_hop_cover(
     name: &'static str,
     g: &DiGraph,
-    lout: impl Fn(VertexId) -> &'a [u32],
-    lin: impl Fn(VertexId) -> &'a [u32],
-    vertex_at: impl Fn(u32) -> VertexId,
+    labels: &HopLabels<u32>,
     out: &mut Vec<Violation>,
 ) {
     let n = g.num_vertices();
@@ -268,7 +268,7 @@ pub(crate) fn check_two_hop_cover<'a>(
     // Label order: the query's sorted-merge intersection requires
     // strictly ascending ranks.
     for x in g.vertices() {
-        for (kind, label) in [("lout", lout(x)), ("lin", lin(x))] {
+        for (kind, label) in [("lout", labels.lout(x)), ("lin", labels.lin(x))] {
             if label.windows(2).any(|w| w[0] >= w[1]) {
                 out.push(Violation {
                     index: name,
@@ -283,7 +283,7 @@ pub(crate) fn check_two_hop_cover<'a>(
     // forward/backward closures.
     let mut unsound = 0usize;
     for r in sample_vertices(n, 48).iter().map(|v| v.0) {
-        let hub = vertex_at(r);
+        let hub = labels.order().vertex_at(r);
         let fwd = closure_row(g, hub, &mut visit, &mut buf);
         traverse::backward_closure_with(g, hub, &mut visit, &mut buf);
         let mut bwd = vec![false; n];
@@ -291,7 +291,7 @@ pub(crate) fn check_two_hop_cover<'a>(
             bwd[v.index()] = true;
         }
         for x in g.vertices() {
-            if lin(x).binary_search(&r).is_ok() && !fwd[x.index()] {
+            if labels.lin(x).binary_search(&r).is_ok() && !fwd[x.index()] {
                 unsound += 1;
                 if unsound <= MAX_PER_RULE {
                     out.push(Violation {
@@ -303,7 +303,7 @@ pub(crate) fn check_two_hop_cover<'a>(
                     });
                 }
             }
-            if lout(x).binary_search(&r).is_ok() && !bwd[x.index()] {
+            if labels.lout(x).binary_search(&r).is_ok() && !bwd[x.index()] {
                 unsound += 1;
                 if unsound <= MAX_PER_RULE {
                     out.push(Violation {
@@ -328,7 +328,7 @@ pub(crate) fn check_two_hop_cover<'a>(
             if t == s || !row[t.index()] {
                 continue;
             }
-            if !sorted_ranks_intersect(lout(s), lin(t)) {
+            if !labels.covers(s, t) {
                 incomplete += 1;
                 if incomplete <= MAX_PER_RULE {
                     out.push(Violation {
@@ -341,18 +341,6 @@ pub(crate) fn check_two_hop_cover<'a>(
         }
     }
     overflow_note(name, "2hop-completeness", incomplete, out);
-}
-
-fn sorted_ranks_intersect(a: &[u32], b: &[u32]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
 }
 
 #[cfg(test)]

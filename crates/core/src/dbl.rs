@@ -16,6 +16,7 @@
 //! index's own (mutable) adjacency.
 
 use crate::engine::GuidedSearch;
+use crate::hop_labels::degree_order;
 use crate::index::{
     Certainty, Completeness, Dynamism, FilterGuarantees, Framework, IndexMeta, InputClass,
     ReachFilter,
@@ -60,8 +61,7 @@ impl Dbl {
     /// [`insert_edge`](Self::insert_edge) spreads them.
     pub fn build(g: &DiGraph) -> Self {
         let n = g.num_vertices();
-        let mut by_degree: Vec<VertexId> = g.vertices().collect();
-        by_degree.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v.0));
+        let by_degree = degree_order(g.num_vertices(), |v| g.degree(v));
         let mut labels = DblFilter {
             dl_in: vec![0; n],
             dl_out: vec![0; n],
@@ -202,8 +202,7 @@ mod tests {
         // the labels are the closures they stand for
         let g = random_digraph(120, 300, &mut rng);
         let labels = Dbl::build(&g).filter().clone();
-        let mut by_degree: Vec<VertexId> = g.vertices().collect();
-        by_degree.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v.0));
+        let by_degree = degree_order(g.num_vertices(), |v| g.degree(v));
         let own = |x: VertexId| 1u32 << (splitmix(x.0 as u64) % 32);
         for v in g.vertices() {
             let (fwd, bwd) = (forward_closure(&g, v), backward_closure(&g, v));

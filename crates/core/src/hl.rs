@@ -11,6 +11,7 @@
 
 use crate::audit::Violation;
 use crate::engine::GuidedSearch;
+use crate::hop_labels::degree_order;
 use crate::index::{
     Certainty, Completeness, Dynamism, FilterGuarantees, Framework, IndexMeta, InputClass,
     ReachFilter, ReachIndex,
@@ -49,8 +50,7 @@ impl Hl {
         let n = graph.num_vertices();
         let k = k.min(n);
         let words = n.div_ceil(64).max(1);
-        let mut by_degree: Vec<VertexId> = graph.vertices().collect();
-        by_degree.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v.0));
+        let by_degree = degree_order(graph.num_vertices(), |v| graph.degree(v));
         let landmarks: Vec<VertexId> = by_degree.into_iter().take(k).collect();
         let mut is_landmark = vec![false; n];
         for &lm in &landmarks {

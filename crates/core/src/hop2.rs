@@ -8,18 +8,18 @@
 //! from: repeatedly choose the hop vertex covering the most
 //! still-uncovered reachable pairs, until every pair is covered.
 
+use crate::audit::Violation;
+use crate::hop_labels::{HopLabels, HopOrder};
 use crate::index::{Completeness, Dynamism, Framework, IndexMeta, InputClass, ReachIndex};
 use crate::tc::TransitiveClosure;
-use crate::tol::sorted_intersects;
 use reach_graph::{DiGraph, VertexId};
 
 /// The greedily-covered 2-hop index.
 #[derive(Debug, Clone)]
 pub struct Hop2 {
-    /// `lin[x]`: hop vertex ids (sorted) with a path hop → x.
-    lin: Vec<Vec<u32>>,
-    /// `lout[x]`: hop vertex ids (sorted) with a path x → hop.
-    lout: Vec<Vec<u32>>,
+    /// Hub ranks are vertex ids (the identity order): `lin[x]` holds
+    /// the hops with a path hop → x, `lout[x]` those with x → hop.
+    labels: HopLabels<u32>,
     rounds: usize,
 }
 
@@ -45,8 +45,7 @@ impl Hop2 {
                 }
             }
         }
-        let mut lin: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut lout: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut labels = HopLabels::new(HopOrder::identity(n));
         let mut rounds = 0;
         while remaining > 0 {
             // pick hop w maximizing the number of uncovered pairs
@@ -75,16 +74,12 @@ impl Hop2 {
             }
             debug_assert!(best_gain > 0, "greedy cover stalled");
             let wv = VertexId::new(best_w);
-            #[allow(clippy::needless_range_loop)] // s/t index two tables in lockstep
-            for s in 0..n {
-                if rev_tc.reaches(wv, VertexId::new(s)) {
-                    lout[s].push(best_w as u32);
+            for x in (0..n).map(VertexId::new) {
+                if rev_tc.reaches(wv, x) {
+                    labels.list_mut(false, x).push(best_w as u32);
                 }
-            }
-            #[allow(clippy::needless_range_loop)]
-            for t in 0..n {
-                if tc.reaches(wv, VertexId::new(t)) {
-                    lin[t].push(best_w as u32);
+                if tc.reaches(wv, x) {
+                    labels.list_mut(true, x).push(best_w as u32);
                 }
             }
             for s in 0..n {
@@ -103,10 +98,8 @@ impl Hop2 {
             }
             rounds += 1;
         }
-        for l in lin.iter_mut().chain(lout.iter_mut()) {
-            l.sort_unstable();
-        }
-        Hop2 { lin, lout, rounds }
+        labels.sort_and_dedup();
+        Hop2 { labels, rounds }
     }
 
     /// Number of hop vertices the greedy cover selected.
@@ -126,7 +119,7 @@ pub(crate) const META: IndexMeta = IndexMeta {
 
 impl ReachIndex for Hop2 {
     fn query(&self, s: VertexId, t: VertexId) -> bool {
-        s == t || sorted_intersects(&self.lout[s.index()], &self.lin[t.index()])
+        s == t || self.labels.covers(s, t)
     }
 
     fn meta(&self) -> IndexMeta {
@@ -134,11 +127,17 @@ impl ReachIndex for Hop2 {
     }
 
     fn size_bytes(&self) -> usize {
-        4 * self.size_entries() + 48 * self.lin.len()
+        self.labels.size_bytes()
     }
 
     fn size_entries(&self) -> usize {
-        self.lin.iter().map(Vec::len).sum::<usize>() + self.lout.iter().map(Vec::len).sum::<usize>()
+        self.labels.size_entries()
+    }
+
+    /// The greedy cover must be sound and complete like any 2-hop
+    /// cover; the shared validator checks it.
+    fn check_invariants(&self, graph: &DiGraph) -> Vec<Violation> {
+        self.labels.check_cover(META.name, graph)
     }
 }
 
@@ -200,5 +199,21 @@ mod tests {
     fn edgeless_graph_covers_reflexive_pairs() {
         let g = DiGraph::from_edges(3, &[]);
         check_exact(&g);
+    }
+
+    #[test]
+    fn a_dropped_lin_entry_is_reported() {
+        let mut rng = SmallRng::seed_from_u64(113);
+        let g = random_digraph(30, 80, &mut rng);
+        let mut idx = Hop2::build(&g);
+        assert_eq!(idx.check_invariants(&g), Vec::new());
+        let (x, r) = crate::hop_labels::drop_a_needed_lin_entry(&mut idx.labels);
+        let found = idx.check_invariants(&g);
+        assert!(
+            found
+                .iter()
+                .any(|v| v.index == "2-Hop" && v.rule.starts_with("2hop-")),
+            "dropping rank {r} from lin({x:?}) went unreported: {found:?}"
+        );
     }
 }

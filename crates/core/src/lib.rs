@@ -8,7 +8,8 @@
 //!   [`dual_labeling`], [`gripp`], [`chain_cover`], [`grail`],
 //!   [`ferrari`], [`dagger`];
 //! * **2-hop framework** (§3.2): [`hop2`], [`pll`], [`tol`] (with the
-//!   TFL and DL instantiations), [`dbl`], [`oreach`];
+//!   TFL and DL instantiations) over one [`hop_labels`] store, and
+//!   [`dbl`], [`oreach`];
 //! * **approximate transitive closure** (§3.3): [`ip`], [`bfl`];
 //! * **other techniques** (§3.4): [`hl`], [`feline`], [`preach`];
 //! * baselines (§2.3): [`online`] traversal and the materialized
@@ -35,6 +36,7 @@ pub mod grail;
 pub mod gripp;
 pub mod hl;
 pub mod hop2;
+pub mod hop_labels;
 pub mod index;
 pub mod interval;
 pub mod ip;

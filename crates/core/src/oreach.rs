@@ -15,6 +15,7 @@
 //! Undecided queries fall to the guided DFS.
 
 use crate::engine::GuidedSearch;
+use crate::hop_labels::degree_order;
 use crate::index::{
     Certainty, Completeness, Dynamism, FilterGuarantees, Framework, IndexMeta, InputClass,
     ReachFilter,
@@ -41,8 +42,7 @@ impl OReachFilter {
         let k = k.min(32).min(dag.num_vertices());
         let g = dag.graph();
         let n = g.num_vertices();
-        let mut by_degree: Vec<VertexId> = g.vertices().collect();
-        by_degree.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v.0));
+        let by_degree = degree_order(g.num_vertices(), |v| g.degree(v));
         let supports: Vec<VertexId> = by_degree.into_iter().take(k).collect();
 
         let mut from_supp = vec![0u32; n];

@@ -9,9 +9,9 @@
 //! sets while remaining a complete 2-hop cover. Works directly on
 //! general graphs.
 
-use crate::audit::{self, Violation};
+use crate::audit::Violation;
+use crate::hop_labels::{HopLabels, HopOrder};
 use crate::index::{Completeness, Dynamism, Framework, IndexMeta, InputClass, ReachIndex};
-use crate::tol::sorted_intersects;
 use reach_graph::{DiGraph, VertexId};
 
 /// The pruned-landmark-labeling index.
@@ -30,109 +30,70 @@ use reach_graph::{DiGraph, VertexId};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Pll {
-    rank_of: Vec<u32>,
-    vertex_at: Vec<VertexId>,
-    lin: Vec<Vec<u32>>,
-    lout: Vec<Vec<u32>>,
+    labels: HopLabels<u32>,
 }
 
 impl Pll {
     /// Builds the index with the degree-descending order.
     pub fn build(g: &DiGraph) -> Self {
-        let mut order: Vec<VertexId> = g.vertices().collect();
-        order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v.0));
-        Self::build_with_order(g, &order)
-    }
-
-    /// Builds the index with an explicit priority order.
-    pub fn build_with_order(g: &DiGraph, order: &[VertexId]) -> Self {
-        assert_eq!(order.len(), g.num_vertices());
         let n = g.num_vertices();
-        let mut rank_of = vec![0u32; n];
-        for (r, &v) in order.iter().enumerate() {
-            rank_of[v.index()] = r as u32;
-        }
-        let mut pll = Pll {
-            rank_of,
-            vertex_at: order.to_vec(),
-            lin: vec![Vec::new(); n],
-            lout: vec![Vec::new(); n],
-        };
+        let mut labels = HopLabels::new(HopOrder::by_degree(n, |v| g.degree(v)));
         let mut queue: Vec<VertexId> = Vec::new();
         let mut seen = vec![false; n];
         for r in 0..n as u32 {
-            pll.pruned_bfs(g, r, true, &mut queue, &mut seen);
-            pll.pruned_bfs(g, r, false, &mut queue, &mut seen);
+            pruned_bfs(&mut labels, g, r, true, &mut queue, &mut seen);
+            pruned_bfs(&mut labels, g, r, false, &mut queue, &mut seen);
         }
-        pll
+        Pll { labels }
     }
 
-    fn pruned_bfs(
-        &mut self,
-        g: &DiGraph,
-        r: u32,
-        forward: bool,
-        queue: &mut Vec<VertexId>,
-        seen: &mut [bool],
-    ) {
-        let w = self.vertex_at[r as usize];
-        queue.clear();
-        queue.push(w);
-        seen[w.index()] = true;
-        let mut head = 0;
-        while head < queue.len() {
-            let x = queue[head];
-            head += 1;
-            // prune: the pair (w, x) is already covered by a
-            // higher-priority hop
-            let covered = if forward {
-                sorted_intersects(&self.lout[w.index()], &self.lin[x.index()])
-            } else {
-                sorted_intersects(&self.lout[x.index()], &self.lin[w.index()])
-            };
-            if covered {
-                continue;
-            }
-            if forward {
-                self.lin[x.index()].push(r); // ranks ascend across hops
-            } else {
-                self.lout[x.index()].push(r);
-            }
-            let adj = if forward {
-                g.out_neighbors(x)
-            } else {
-                g.in_neighbors(x)
-            };
-            for &y in adj {
-                if !seen[y.index()] {
-                    seen[y.index()] = true;
-                    queue.push(y);
-                }
-            }
+    /// The hub order and the `Lin`/`Lout` lists of hub ranks.
+    pub fn labels(&self) -> &HopLabels<u32> {
+        &self.labels
+    }
+}
+
+fn pruned_bfs(
+    labels: &mut HopLabels<u32>,
+    g: &DiGraph,
+    r: u32,
+    forward: bool,
+    queue: &mut Vec<VertexId>,
+    seen: &mut [bool],
+) {
+    let w = labels.order().vertex_at(r);
+    queue.clear();
+    queue.push(w);
+    seen[w.index()] = true;
+    let mut head = 0;
+    while head < queue.len() {
+        let x = queue[head];
+        head += 1;
+        // prune: the pair (w, x) is already covered by a
+        // higher-priority hop
+        let covered = if forward {
+            labels.covers(w, x)
+        } else {
+            labels.covers(x, w)
+        };
+        if covered {
+            continue;
         }
-        for &x in queue.iter() {
-            seen[x.index()] = false;
+        labels.list_mut(forward, x).push(r); // ranks ascend across hops
+        let adj = if forward {
+            g.out_neighbors(x)
+        } else {
+            g.in_neighbors(x)
+        };
+        for &y in adj {
+            if !seen[y.index()] {
+                seen[y.index()] = true;
+                queue.push(y);
+            }
         }
     }
-
-    /// The in-label of `x` (hop ranks, sorted ascending).
-    pub fn lin(&self, x: VertexId) -> &[u32] {
-        &self.lin[x.index()]
-    }
-
-    /// The out-label of `x` (hop ranks, sorted ascending).
-    pub fn lout(&self, x: VertexId) -> &[u32] {
-        &self.lout[x.index()]
-    }
-
-    /// The rank of `v` in the priority order.
-    pub fn rank_of(&self, v: VertexId) -> u32 {
-        self.rank_of[v.index()]
-    }
-
-    /// The vertex holding rank `r`.
-    pub fn vertex_at(&self, r: u32) -> VertexId {
-        self.vertex_at[r as usize]
+    for &x in queue.iter() {
+        seen[x.index()] = false;
     }
 }
 
@@ -147,7 +108,7 @@ pub(crate) const META: IndexMeta = IndexMeta {
 
 impl ReachIndex for Pll {
     fn query(&self, s: VertexId, t: VertexId) -> bool {
-        s == t || sorted_intersects(&self.lout[s.index()], &self.lin[t.index()])
+        s == t || self.labels.covers(s, t)
     }
 
     fn meta(&self) -> IndexMeta {
@@ -155,39 +116,18 @@ impl ReachIndex for Pll {
     }
 
     fn size_bytes(&self) -> usize {
-        4 * self.size_entries() + 48 * self.lin.len()
+        self.labels.size_bytes()
     }
 
     fn size_entries(&self) -> usize {
-        self.lin.iter().map(Vec::len).sum::<usize>() + self.lout.iter().map(Vec::len).sum::<usize>()
+        self.labels.size_entries()
     }
 
     /// Pruning must leave a *complete and sound* 2-hop cover: the
     /// shared validator checks label order, hub soundness against
     /// true closures, and witness coverage for reachable pairs.
     fn check_invariants(&self, graph: &DiGraph) -> Vec<Violation> {
-        let mut out = Vec::new();
-        if graph.num_vertices() != self.lin.len() {
-            out.push(Violation {
-                index: "PLL",
-                rule: "graph-mismatch",
-                detail: format!(
-                    "index covers {} vertices, graph has {}",
-                    self.lin.len(),
-                    graph.num_vertices()
-                ),
-            });
-            return out;
-        }
-        audit::check_two_hop_cover(
-            "PLL",
-            graph,
-            |x| self.lout(x),
-            |x| self.lin(x),
-            |r| self.vertex_at(r),
-            &mut out,
-        );
-        out
+        self.labels.check_cover("PLL", graph)
     }
 }
 
@@ -239,11 +179,11 @@ mod tests {
         let pll = Pll::build(&g);
         let tc = TransitiveClosure::build(&g);
         for x in g.vertices() {
-            for &r in pll.lin(x) {
-                assert!(tc.reaches(pll.vertex_at(r), x));
+            for &r in pll.labels().lin(x) {
+                assert!(tc.reaches(pll.labels().order().vertex_at(r), x));
             }
-            for &r in pll.lout(x) {
-                assert!(tc.reaches(x, pll.vertex_at(r)));
+            for &r in pll.labels().lout(x) {
+                assert!(tc.reaches(x, pll.labels().order().vertex_at(r)));
             }
         }
     }
@@ -254,8 +194,8 @@ mod tests {
         let g = random_digraph(40, 110, &mut rng);
         let pll = Pll::build(&g);
         for x in g.vertices() {
-            assert!(pll.lin(x).windows(2).all(|w| w[0] < w[1]));
-            assert!(pll.lout(x).windows(2).all(|w| w[0] < w[1]));
+            assert!(pll.labels().lin(x).windows(2).all(|w| w[0] < w[1]));
+            assert!(pll.labels().lout(x).windows(2).all(|w| w[0] < w[1]));
         }
     }
 
@@ -272,6 +212,22 @@ mod tests {
             "pll {} > dl {}",
             pll.size_entries(),
             dl.size_entries()
+        );
+    }
+
+    #[test]
+    fn a_dropped_lin_entry_is_reported() {
+        let mut rng = SmallRng::seed_from_u64(106);
+        let g = random_digraph(40, 110, &mut rng);
+        let mut idx = Pll::build(&g);
+        assert_eq!(idx.check_invariants(&g), Vec::new());
+        let (x, r) = crate::hop_labels::drop_a_needed_lin_entry(&mut idx.labels);
+        let found = idx.check_invariants(&g);
+        assert!(
+            found
+                .iter()
+                .any(|v| v.index == "PLL" && v.rule.starts_with("2hop-")),
+            "dropping rank {r} from lin({x:?}) went unreported: {found:?}"
         );
     }
 }

@@ -18,16 +18,16 @@
 //!   dynamic-graph support).
 
 use crate::audit::Violation;
+use crate::hop_labels::{HopLabels, HopOrder};
 use crate::index::{Completeness, Dynamism, Framework, IndexMeta, InputClass, ReachIndex};
 use crate::parallel;
 use reach_graph::traverse::{Side, VisitMap};
 use reach_graph::{Dag, DiGraph, EditGraph, VertexId};
 
-/// The vertex total order a TOL instance is built with.
+/// The vertex total order [`Tol::build`] uses; TFL's topological order
+/// goes through [`build_tfl`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrderStrategy {
-    /// Topological order of a DAG — the TFL \[13\] instantiation.
-    Topological,
     /// Descending total degree — the DL \[25\] instantiation (the same
     /// order family as PLL \[49\]).
     DegreeDescending,
@@ -56,29 +56,11 @@ pub enum OrderStrategy {
 pub struct Tol {
     // the index owns its graph so updates stay local
     graph: EditGraph,
-    /// rank 0 = highest priority
-    rank_of: Vec<u32>,
-    vertex_at: Vec<VertexId>,
-    /// `lin[x]`: sorted ranks of hops whose restricted closure contains `x`.
-    lin: Vec<Vec<u32>>,
-    /// `lout[x]`: sorted ranks of hops whose restricted *backward*
-    /// closure contains `x`.
-    lout: Vec<Vec<u32>>,
+    /// `lin[x]`: ranks of hops whose restricted closure contains `x`;
+    /// `lout[x]`: ranks of hops whose restricted *backward* closure
+    /// contains `x`.
+    labels: HopLabels<u32>,
     meta: IndexMeta,
-}
-
-fn order_ranks(g: &DiGraph, strategy: OrderStrategy) -> Vec<VertexId> {
-    match strategy {
-        OrderStrategy::Topological => {
-            unreachable!("topological strategy is built via build_tfl")
-        }
-        OrderStrategy::DegreeDescending => {
-            let mut vs: Vec<VertexId> = g.vertices().collect();
-            vs.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v.0));
-            vs
-        }
-        OrderStrategy::ById => g.vertices().collect(),
-    }
 }
 
 /// Runs the restricted BFS of every hop rank in `hops`, forward then
@@ -86,15 +68,14 @@ fn order_ranks(g: &DiGraph, strategy: OrderStrategy) -> Vec<VertexId> {
 /// `emit`.
 fn restricted_closures(
     g: &DiGraph,
-    order: &[VertexId],
-    rank_of: &[u32],
+    order: &HopOrder,
     hops: impl Iterator<Item = u32>,
-    mut emit: impl FnMut(bool, u32, u32),
+    mut emit: impl FnMut(bool, u32, VertexId),
 ) {
     let mut seen = vec![false; g.num_vertices()];
     let mut queue: Vec<VertexId> = Vec::new();
     for r in hops {
-        let w = order[r as usize];
+        let w = order.vertex_at(r);
         for forward in [true, false] {
             queue.clear();
             queue.push(w);
@@ -103,10 +84,10 @@ fn restricted_closures(
             while head < queue.len() {
                 let x = queue[head];
                 head += 1;
-                emit(forward, r, x.0);
+                emit(forward, r, x);
                 // interior restriction: only lower-priority vertices may
                 // be passed through (the hop itself always expands)
-                if x == w || rank_of[x.index()] > r {
+                if order.passes(r, x) {
                     let adj = if forward {
                         g.out_neighbors(x)
                     } else {
@@ -156,39 +137,27 @@ pub(crate) const DL_META: IndexMeta = IndexMeta {
 
 impl Tol {
     /// Builds a TOL index over `g` with an explicit vertex order
-    /// (`order[0]` is the highest-priority hop). Hops are independent
+    /// (rank 0 is the highest-priority hop). Hops are independent
     /// (each labels exactly its restricted closure), so they are split
     /// over `threads` threads (see [`crate::parallel`]); the labels are
     /// the same at every thread count.
-    pub fn build_with_order(
-        g: &DiGraph,
-        order: &[VertexId],
-        meta: IndexMeta,
-        threads: usize,
-    ) -> Self {
+    pub fn build_with_order(g: &DiGraph, order: HopOrder, meta: IndexMeta, threads: usize) -> Self {
         assert_eq!(
-            order.len(),
+            order.num_vertices(),
             g.num_vertices(),
             "order must cover all vertices"
         );
         let n = g.num_vertices();
-        let mut rank_of = vec![0u32; n];
-        for (r, &v) in order.iter().enumerate() {
-            rank_of[v.index()] = r as u32;
-        }
         // Initial construction appends (hop, member) facts — ~3× faster
         // than the sorted-insertion path, which only the incremental
         // updates need. Hops are visited in ascending rank, so every
         // label list comes out sorted.
-        let mut lin: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut lout: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut label = |forward: bool, r: u32, x: u32| {
-            let labels = if forward { &mut lin } else { &mut lout };
-            labels[x as usize].push(r);
-        };
+        let mut labels = HopLabels::new(order.clone());
         let workers = threads.clamp(1, n.max(1));
         if workers <= 1 {
-            restricted_closures(g, order, &rank_of, 0..n as u32, &mut label);
+            restricted_closures(g, &order, 0..n as u32, |forward, r, x| {
+                labels.list_mut(forward, x).push(r)
+            });
         } else {
             // Closures shrink steeply with rank, so hops are dealt out
             // round-robin (worker w runs hops w, w + workers, …) rather
@@ -198,7 +167,7 @@ impl Tol {
             let mut dealt = parallel::map_chunks(workers, workers, |w| {
                 let (mut fwd, mut bwd) = (Vec::new(), Vec::new());
                 let hops = (w.start as u32..n as u32).step_by(workers);
-                restricted_closures(g, order, &rank_of, hops, |forward, r, x| {
+                restricted_closures(g, &order, hops, |forward, r, x| {
                     if forward { &mut fwd } else { &mut bwd }.push((r, x))
                 });
                 (fwd.into_iter().peekable(), bwd.into_iter().peekable())
@@ -206,42 +175,30 @@ impl Tol {
             for r in 0..n as u32 {
                 let (fwd, bwd) = &mut dealt[r as usize % workers];
                 while let Some((_, x)) = fwd.next_if(|&(hop, _)| hop == r) {
-                    label(true, r, x);
+                    labels.list_mut(true, x).push(r);
                 }
                 while let Some((_, x)) = bwd.next_if(|&(hop, _)| hop == r) {
-                    label(false, r, x);
+                    labels.list_mut(false, x).push(r);
                 }
             }
         }
         Tol {
             graph: EditGraph::from_graph(g),
-            rank_of,
-            vertex_at: order.to_vec(),
-            lin,
-            lout,
+            labels,
             meta,
         }
     }
 
-    /// Builds TOL over a general graph with the given order strategy
-    /// (not `Topological`, which needs [`build_tfl`]) on `threads`
-    /// threads.
+    /// Builds TOL over a general graph with the given order strategy on
+    /// `threads` threads.
     pub fn build(g: &DiGraph, strategy: OrderStrategy, threads: usize) -> Self {
-        assert!(
-            strategy != OrderStrategy::Topological,
-            "use build_tfl for the topological instantiation"
-        );
-        let order = order_ranks(g, strategy);
-        Tol::build_with_order(g, &order, TOL_META, threads)
-    }
-
-    /// Removes every label entry contributed by hop `r`.
-    fn clear_hop(&mut self, r: u32) {
-        for labels in self.lin.iter_mut().chain(self.lout.iter_mut()) {
-            if let Ok(pos) = labels.binary_search(&r) {
-                labels.remove(pos);
+        let order = match strategy {
+            OrderStrategy::DegreeDescending => {
+                HopOrder::by_degree(g.num_vertices(), |v| g.degree(v))
             }
-        }
+            OrderStrategy::ById => HopOrder::identity(g.num_vertices()),
+        };
+        Tol::build_with_order(g, order, TOL_META, threads)
     }
 
     /// Inserts the edge `u -> v` and extends the labels of every hop
@@ -250,11 +207,11 @@ impl Tol {
         if !self.graph.insert(u, v) {
             return;
         }
-        let mut seen = VisitMap::new(self.rank_of.len());
-        for r in self.affected_hops(u, true) {
+        let mut seen = VisitMap::new(self.labels.num_vertices());
+        for r in self.labels.affected_hops(u, true) {
             self.extend_hop(r, v, true, &mut seen);
         }
-        for r in self.affected_hops(v, false) {
+        for r in self.labels.affected_hops(v, false) {
             self.extend_hop(r, u, false, &mut seen);
         }
     }
@@ -267,49 +224,25 @@ impl Tol {
         }
         // labels still describe the old graph, so they name the hops
         // the deleted edge may have served
-        let mut hops = self.affected_hops(u, true);
-        hops.extend(self.affected_hops(v, false));
+        let mut hops = self.labels.affected_hops(u, true);
+        hops.extend(self.labels.affected_hops(v, false));
         hops.sort_unstable();
         hops.dedup();
-        for &r in &hops {
-            self.clear_hop(r);
-        }
-        let mut seen = VisitMap::new(self.rank_of.len());
+        self.labels.clear_hops(&hops);
+        let mut seen = VisitMap::new(self.labels.num_vertices());
         for r in hops {
-            let w = self.vertex_at(r);
+            let w = self.labels.order().vertex_at(r);
             self.extend_hop(r, w, true, &mut seen);
             self.extend_hop(r, w, false, &mut seen);
         }
     }
 
-    /// Hops `w` whose restricted (forward/backward) closure contains
-    /// `end` with `end` usable as an interior vertex — exactly the
-    /// hops whose closure an edge at `end` can affect.
-    fn affected_hops(&self, end: VertexId, forward: bool) -> Vec<u32> {
-        let labels = if forward {
-            &self.lin[end.index()]
-        } else {
-            &self.lout[end.index()]
-        };
-        labels
-            .iter()
-            .copied()
-            .filter(|&r| self.vertex_at[r as usize] == end || self.rank_of[end.index()] > r)
-            .collect()
-    }
-
     /// Resumes hop `r`'s restricted BFS from `start`, labeling every
     /// vertex it reaches that `r` does not label yet: after an edge
     /// insertion only the newly reachable vertices, after
-    /// [`clear_hop`](Self::clear_hop) from `vertex_at(r)` the whole
+    /// [`HopLabels::clear_hops`] from `vertex_at(r)` the whole
     /// closure. `seen` is scratch over all vertices, reset here.
     fn extend_hop(&mut self, r: u32, start: VertexId, forward: bool, seen: &mut VisitMap) {
-        let w = self.vertex_at[r as usize];
-        let labels = if forward {
-            &mut self.lin
-        } else {
-            &mut self.lout
-        };
         seen.reset();
         seen.mark(start, Side::Forward);
         let mut queue = vec![start];
@@ -317,13 +250,14 @@ impl Tol {
         while head < queue.len() {
             let x = queue[head];
             head += 1;
-            match labels[x.index()].binary_search(&r) {
+            let list = self.labels.list_mut(forward, x);
+            match list.binary_search(&r) {
                 Ok(_) => continue, // reached the previously-labeled region
-                Err(pos) => labels[x.index()].insert(pos, r),
+                Err(pos) => list.insert(pos, r),
             }
             // interior restriction: only lower-priority vertices may be
             // passed through (the hop itself always expands)
-            if x != w && self.rank_of[x.index()] < r {
+            if !self.labels.order().passes(r, x) {
                 continue;
             }
             for &y in self.graph.edges(x, forward) {
@@ -334,43 +268,15 @@ impl Tol {
         }
     }
 
-    /// The rank (priority position) of `v` in the total order.
-    pub fn rank_of(&self, v: VertexId) -> u32 {
-        self.rank_of[v.index()]
+    /// The hub order and the `Lin`/`Lout` lists of hub ranks.
+    pub fn labels(&self) -> &HopLabels<u32> {
+        &self.labels
     }
-
-    /// The vertex holding rank `r`.
-    pub fn vertex_at(&self, r: u32) -> VertexId {
-        self.vertex_at[r as usize]
-    }
-
-    /// The in-label of `x` as hop ranks, sorted ascending.
-    pub fn lin(&self, x: VertexId) -> &[u32] {
-        &self.lin[x.index()]
-    }
-
-    /// The out-label of `x` as hop ranks, sorted ascending.
-    pub fn lout(&self, x: VertexId) -> &[u32] {
-        &self.lout[x.index()]
-    }
-}
-
-/// Sorted-slice intersection test (the 2-hop query primitive).
-pub(crate) fn sorted_intersects(a: &[u32], b: &[u32]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
 }
 
 impl ReachIndex for Tol {
     fn query(&self, s: VertexId, t: VertexId) -> bool {
-        s == t || sorted_intersects(&self.lout[s.index()], &self.lin[t.index()])
+        s == t || self.labels.covers(s, t)
     }
 
     fn meta(&self) -> IndexMeta {
@@ -378,11 +284,11 @@ impl ReachIndex for Tol {
     }
 
     fn size_bytes(&self) -> usize {
-        4 * self.size_entries() + 48 * self.lin.len()
+        self.labels.size_bytes()
     }
 
     fn size_entries(&self) -> usize {
-        self.lin.iter().map(Vec::len).sum::<usize>() + self.lout.iter().map(Vec::len).sum::<usize>()
+        self.labels.size_entries()
     }
 
     /// 2-hop cover validation for the whole TOL family (TOL, TFL,
@@ -391,43 +297,22 @@ impl ReachIndex for Tol {
     /// `insert_edge`/`delete_edge`, validate against the updated
     /// graph, not the one the index was first built on.
     fn check_invariants(&self, graph: &DiGraph) -> Vec<Violation> {
-        let name = self.meta.name;
-        let mut out = Vec::new();
-        if graph.num_vertices() != self.lin.len() {
-            out.push(Violation {
-                index: name,
-                rule: "graph-mismatch",
-                detail: format!(
-                    "index covers {} vertices, graph has {}",
-                    self.lin.len(),
-                    graph.num_vertices()
-                ),
-            });
-            return out;
-        }
-        crate::audit::check_two_hop_cover(
-            name,
-            graph,
-            |x| self.lout(x),
-            |x| self.lin(x),
-            |r| self.vertex_at(r),
-            &mut out,
-        );
-        out
+        self.labels.check_cover(self.meta.name, graph)
     }
 }
 
 /// Builds TFL \[13\]: TOL instantiated with the topological order of a
 /// DAG, on `threads` threads.
 pub fn build_tfl(dag: &Dag, threads: usize) -> Tol {
-    Tol::build_with_order(dag.graph(), dag.topo_order(), TFL_META, threads)
+    let order = HopOrder::new(dag.topo_order().to_vec());
+    Tol::build_with_order(dag.graph(), order, TFL_META, threads)
 }
 
 /// Builds DL \[25\]: TOL instantiated with the degree-descending order,
 /// directly on a general graph, on `threads` threads.
 pub fn build_dl(g: &DiGraph, threads: usize) -> Tol {
-    let order = order_ranks(g, OrderStrategy::DegreeDescending);
-    Tol::build_with_order(g, &order, DL_META, threads)
+    let order = HopOrder::by_degree(g.num_vertices(), |v| g.degree(v));
+    Tol::build_with_order(g, order, DL_META, threads)
 }
 
 #[cfg(test)]
@@ -490,21 +375,28 @@ mod tests {
         // each hop over empty labels
         let n = g.num_vertices();
         let mut reference = Tol {
-            lin: vec![Vec::new(); n],
-            lout: vec![Vec::new(); n],
+            labels: HopLabels::new(one.labels.order().clone()),
             ..one.clone()
         };
         let mut seen = VisitMap::new(n);
         for r in 0..n as u32 {
-            let w = reference.vertex_at(r);
+            let w = reference.labels.order().vertex_at(r);
             reference.extend_hop(r, w, true, &mut seen);
             reference.extend_hop(r, w, false, &mut seen);
         }
         for x in g.vertices() {
-            assert_eq!(one.lin(x), reference.lin(x), "lin({x:?})");
-            assert_eq!(one.lout(x), reference.lout(x), "lout({x:?})");
-            assert_eq!(eight.lin(x), one.lin(x), "lin({x:?}) at 8 threads");
-            assert_eq!(eight.lout(x), one.lout(x), "lout({x:?}) at 8 threads");
+            assert_eq!(one.labels.lin(x), reference.labels.lin(x), "lin({x:?})");
+            assert_eq!(one.labels.lout(x), reference.labels.lout(x), "lout({x:?})");
+            assert_eq!(
+                eight.labels.lin(x),
+                one.labels.lin(x),
+                "lin({x:?}) at 8 threads"
+            );
+            assert_eq!(
+                eight.labels.lout(x),
+                one.labels.lout(x),
+                "lout({x:?}) at 8 threads"
+            );
         }
         assert_eq!(eight.check_invariants(&g), Vec::new());
     }
@@ -517,11 +409,11 @@ mod tests {
         let tol = build_dl(&g, 1);
         let tc = TransitiveClosure::build(&g);
         for x in g.vertices() {
-            for &r in tol.lin(x) {
-                assert!(tc.reaches(tol.vertex_at(r), x));
+            for &r in tol.labels.lin(x) {
+                assert!(tc.reaches(tol.labels.order().vertex_at(r), x));
             }
-            for &r in tol.lout(x) {
-                assert!(tc.reaches(x, tol.vertex_at(r)));
+            for &r in tol.labels.lout(x) {
+                assert!(tc.reaches(x, tol.labels.order().vertex_at(r)));
             }
         }
     }
@@ -531,9 +423,9 @@ mod tests {
         let g = fixtures::figure1a();
         let tol = build_dl(&g, 1);
         for v in g.vertices() {
-            let r = tol.rank_of(v);
-            assert!(tol.lin(v).contains(&r));
-            assert!(tol.lout(v).contains(&r));
+            let r = tol.labels.order().rank_of(v);
+            assert!(tol.labels.lin(v).contains(&r));
+            assert!(tol.labels.lout(v).contains(&r));
         }
     }
 
@@ -612,14 +504,6 @@ mod tests {
         assert_eq!(tol.size_entries(), before);
         tol.delete_edge(fixtures::B, fixtures::A); // never existed
         check_exact(&g, &tol);
-    }
-
-    #[test]
-    fn sorted_intersection_unit() {
-        assert!(sorted_intersects(&[1, 3, 5], &[5, 9]));
-        assert!(!sorted_intersects(&[1, 3, 5], &[0, 2, 4]));
-        assert!(!sorted_intersects(&[], &[1]));
-        assert!(sorted_intersects(&[7], &[7]));
     }
 
     #[test]

@@ -17,7 +17,8 @@
 use crate::lcr::{
     Completeness, ConstraintClass, Dynamism, InputClass, LabeledIndexMeta, LcrFramework, LcrIndex,
 };
-use crate::p2h::{entries_join, entry_insert, entry_present, LabelEntry};
+use crate::p2h::{entry_insert, entry_present, LabelEntry};
+use reach_core::hop_labels::{HopEntry, HopLabels, HopOrder};
 use reach_graph::{EditGraph, Label, LabelSet, LabeledGraph, VertexId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -25,90 +26,54 @@ use std::collections::BinaryHeap;
 /// The DLCR index. Owns a mutable copy of the labeled graph.
 pub struct Dlcr {
     graph: EditGraph<(VertexId, Label)>,
-    rank_of: Vec<u32>,
-    vertex_at: Vec<VertexId>,
-    lin: Vec<Vec<LabelEntry>>,
-    lout: Vec<Vec<LabelEntry>>,
+    labels: HopLabels<LabelEntry>,
 }
 
 impl Dlcr {
     /// Builds the index with the degree-descending hop order.
     pub fn build(g: &LabeledGraph) -> Self {
         let n = g.num_vertices();
-        let mut order: Vec<VertexId> = g.vertices().collect();
-        order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v.0));
-        let mut rank_of = vec![0u32; n];
-        for (r, &v) in order.iter().enumerate() {
-            rank_of[v.index()] = r as u32;
-        }
         let mut idx = Dlcr {
             graph: EditGraph::from_labeled(g),
-            rank_of,
-            vertex_at: order,
-            lin: vec![Vec::new(); n],
-            lout: vec![Vec::new(); n],
+            labels: HopLabels::new(HopOrder::by_degree(n, |v| g.degree(v))),
         };
-        for r in 0..n as u32 {
-            idx.restricted_label_bfs(r, true);
-            idx.restricted_label_bfs(r, false);
-        }
+        idx.rerun_hops(0..n as u32);
         idx
     }
 
-    /// (Re)runs hop `r`'s restricted label-BFS from scratch.
-    fn restricted_label_bfs(&mut self, r: u32, forward: bool) {
-        let w = self.vertex_at[r as usize];
-        self.extend_hop(r, w, LabelSet::EMPTY, forward);
+    /// Runs the restricted label-BFS of every hop in `hops` from scratch.
+    fn rerun_hops(&mut self, hops: impl IntoIterator<Item = u32>) {
+        for r in hops {
+            let w = self.labels.order().vertex_at(r);
+            self.extend_hop(r, w, LabelSet::EMPTY, true);
+            self.extend_hop(r, w, LabelSet::EMPTY, false);
+        }
     }
 
     /// Resumes hop `r`'s restricted label-BFS from `(start, start_ls)`.
     fn extend_hop(&mut self, r: u32, start: VertexId, start_ls: LabelSet, forward: bool) {
-        let w = self.vertex_at[r as usize];
-        let table = if forward {
-            &mut self.lin
-        } else {
-            &mut self.lout
-        };
         let mut heap: BinaryHeap<Reverse<(usize, u64, u32)>> = BinaryHeap::new();
-        if entry_insert(&mut table[start.index()], r, start_ls) {
+        if entry_insert(self.labels.list_mut(forward, start), r, start_ls) {
             heap.push(Reverse((start_ls.len(), start_ls.0, start.0)));
         }
         while let Some(Reverse((_, bits, x))) = heap.pop() {
             let x = VertexId(x);
             let ls = LabelSet(bits);
-            if !entry_present(&table[x.index()], r, ls) {
+            if !entry_present(self.labels.list(forward, x), r, ls) {
                 continue; // evicted by a dominating set
             }
             // interior restriction: only lower-priority vertices are
             // passed through
-            if x != w && self.rank_of[x.index()] < r {
+            if !self.labels.order().passes(r, x) {
                 continue;
             }
             for &(y, l) in self.graph.edges(x, forward) {
                 let nls = ls.insert(l);
-                if entry_insert(&mut table[y.index()], r, nls) {
+                if entry_insert(self.labels.list_mut(forward, y), r, nls) {
                     heap.push(Reverse((nls.len(), nls.0, y.0)));
                 }
             }
         }
-    }
-
-    /// Removes every entry of hop `r`.
-    fn clear_hop(&mut self, r: u32) {
-        for entries in self.lin.iter_mut().chain(self.lout.iter_mut()) {
-            entries.retain(|&(er, _)| er != r);
-        }
-    }
-
-    /// Hops whose restricted closure can change through an edge at
-    /// `end` (entries at `end` where `end` may serve as interior).
-    fn affected_hops(&self, end: VertexId, forward: bool) -> Vec<(u32, LabelSet)> {
-        let table = if forward { &self.lin } else { &self.lout };
-        table[end.index()]
-            .iter()
-            .copied()
-            .filter(|&(r, _)| self.vertex_at[r as usize] == end || self.rank_of[end.index()] > r)
-            .collect()
     }
 
     /// Inserts the labeled edge `u -l-> v`.
@@ -116,10 +81,10 @@ impl Dlcr {
         if !self.graph.insert(u, (v, l)) {
             return;
         }
-        for (r, ls) in self.affected_hops(u, true) {
+        for (r, ls) in self.labels.affected_hops(u, true) {
             self.extend_hop(r, v, ls.insert(l), true);
         }
-        for (r, ls) in self.affected_hops(v, false) {
+        for (r, ls) in self.labels.affected_hops(v, false) {
             self.extend_hop(r, u, ls.insert(l), false);
         }
     }
@@ -132,18 +97,13 @@ impl Dlcr {
         }
         // labels still describe the old graph, so they name the hops
         // the deleted edge may have served
-        let fwd = self.affected_hops(u, true);
-        let bwd = self.affected_hops(v, false);
-        let mut hops: Vec<u32> = fwd.into_iter().chain(bwd).map(|(r, _)| r).collect();
+        let fwd = self.labels.affected_hops(u, true);
+        let bwd = self.labels.affected_hops(v, false);
+        let mut hops: Vec<u32> = fwd.into_iter().chain(bwd).map(HopEntry::hop).collect();
         hops.sort_unstable();
         hops.dedup();
-        for &r in &hops {
-            self.clear_hop(r);
-        }
-        for r in hops {
-            self.restricted_label_bfs(r, true);
-            self.restricted_label_bfs(r, false);
-        }
+        self.labels.clear_hops(&hops);
+        self.rerun_hops(hops);
     }
 }
 
@@ -159,7 +119,7 @@ pub(crate) const META: LabeledIndexMeta = LabeledIndexMeta {
 
 impl LcrIndex for Dlcr {
     fn query(&self, s: VertexId, t: VertexId, allowed: LabelSet) -> bool {
-        s == t || entries_join(&self.lout[s.index()], &self.lin[t.index()], allowed)
+        s == t || self.labels.covers_within(s, t, allowed)
     }
 
     fn meta(&self) -> LabeledIndexMeta {
@@ -167,11 +127,11 @@ impl LcrIndex for Dlcr {
     }
 
     fn size_bytes(&self) -> usize {
-        12 * self.size_entries() + 48 * self.lin.len()
+        self.labels.size_bytes()
     }
 
     fn size_entries(&self) -> usize {
-        self.lin.iter().map(Vec::len).sum::<usize>() + self.lout.iter().map(Vec::len).sum::<usize>()
+        self.labels.size_entries()
     }
 }
 

@@ -23,6 +23,7 @@ use crate::lcr::{
 };
 use crate::spls::SplsSet;
 use crate::zou::single_source_gtc;
+use reach_core::hop_labels::degree_order;
 use reach_graph::traverse::{Side, VisitMap};
 use reach_graph::{LabelSet, LabeledGraph, ScratchPool, VertexId};
 use std::sync::Arc;
@@ -57,8 +58,7 @@ impl LandmarkIndex {
     pub fn build_with_budget(graph: Arc<LabeledGraph>, k: usize, budget: usize) -> Self {
         let n = graph.num_vertices();
         let k = k.min(n);
-        let mut by_degree: Vec<VertexId> = graph.vertices().collect();
-        by_degree.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v.0));
+        let by_degree = degree_order(graph.num_vertices(), |v| graph.degree(v));
         let mut slot_of = vec![u32::MAX; n];
         let mut gtc = Vec::with_capacity(k);
         for (i, &lm) in by_degree.iter().take(k).enumerate() {

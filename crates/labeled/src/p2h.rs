@@ -12,43 +12,13 @@
 use crate::lcr::{
     Completeness, ConstraintClass, Dynamism, InputClass, LabeledIndexMeta, LcrFramework, LcrIndex,
 };
+use reach_core::hop_labels::{HopLabels, HopOrder};
 use reach_graph::{LabelSet, LabeledGraph, VertexId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// One label entry: `(hop rank, path-label set)`.
 pub(crate) type LabelEntry = (u32, LabelSet);
-
-/// Tests whether `lout_s` and `lin_t` share a hop whose combined label
-/// sets fit inside `allowed`. Both lists are sorted by rank.
-pub(crate) fn entries_join(lout_s: &[LabelEntry], lin_t: &[LabelEntry], allowed: LabelSet) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < lout_s.len() && j < lin_t.len() {
-        let (ri, _) = lout_s[i];
-        let (rj, _) = lin_t[j];
-        match ri.cmp(&rj) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let i_end = lout_s[i..].iter().take_while(|&&(r, _)| r == ri).count() + i;
-                let j_end = lin_t[j..].iter().take_while(|&&(r, _)| r == ri).count() + j;
-                for &(_, s1) in &lout_s[i..i_end] {
-                    if !s1.is_subset_of(allowed) {
-                        continue;
-                    }
-                    for &(_, s2) in &lin_t[j..j_end] {
-                        if s1.union(s2).is_subset_of(allowed) {
-                            return true;
-                        }
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    false
-}
 
 /// Inserts `(rank, ls)` into a sorted entry list unless a same-rank
 /// entry already dominates it; evicts dominated same-rank entries.
@@ -96,29 +66,20 @@ pub(crate) fn entry_present(entries: &[LabelEntry], rank: u32, ls: LabelSet) -> 
 /// assert!(!idx.query(VertexId(0), VertexId(2), LabelSet::singleton(Label(0))));
 /// ```
 pub struct P2hPlus {
-    rank_of: Vec<u32>,
-    lin: Vec<Vec<LabelEntry>>,
-    lout: Vec<Vec<LabelEntry>>,
+    labels: HopLabels<LabelEntry>,
 }
 
 impl P2hPlus {
     /// Builds the index with the degree-descending hop order.
     pub fn build(g: &LabeledGraph) -> Self {
         let n = g.num_vertices();
-        let mut order: Vec<VertexId> = g.vertices().collect();
-        order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v.0));
-        let mut rank_of = vec![0u32; n];
-        for (r, &v) in order.iter().enumerate() {
-            rank_of[v.index()] = r as u32;
-        }
         let mut idx = P2hPlus {
-            rank_of,
-            lin: vec![Vec::new(); n],
-            lout: vec![Vec::new(); n],
+            labels: HopLabels::new(HopOrder::by_degree(n, |v| g.degree(v))),
         };
-        for (r, &w) in order.iter().enumerate() {
-            idx.labeled_bfs(g, w, r as u32, true);
-            idx.labeled_bfs(g, w, r as u32, false);
+        for r in 0..n as u32 {
+            let w = idx.labels.order().vertex_at(r);
+            idx.labeled_bfs(g, w, r, true);
+            idx.labeled_bfs(g, w, r, false);
         }
         idx
     }
@@ -131,8 +92,7 @@ impl P2hPlus {
         while let Some(Reverse((_, bits, x))) = heap.pop() {
             let x = VertexId(x);
             let ls = LabelSet(bits);
-            let table = if forward { &self.lin } else { &self.lout };
-            if !entry_present(&table[x.index()], r, ls) {
+            if !entry_present(self.labels.list(forward, x), r, ls) {
                 continue; // evicted by a smaller set
             }
             if forward {
@@ -158,34 +118,11 @@ impl P2hPlus {
     fn try_add(&mut self, w: VertexId, x: VertexId, r: u32, ls: LabelSet, forward: bool) -> bool {
         // redundancy pruning: covered by higher-priority hops already
         let covered = if forward {
-            entries_join(&self.lout[w.index()], &self.lin[x.index()], ls)
+            self.labels.covers_within(w, x, ls)
         } else {
-            entries_join(&self.lout[x.index()], &self.lin[w.index()], ls)
+            self.labels.covers_within(x, w, ls)
         };
-        if covered {
-            return false;
-        }
-        let table = if forward {
-            &mut self.lin
-        } else {
-            &mut self.lout
-        };
-        entry_insert(&mut table[x.index()], r, ls)
-    }
-
-    /// The in-entries of `x` (sorted by rank).
-    pub fn lin(&self, x: VertexId) -> &[LabelEntry] {
-        &self.lin[x.index()]
-    }
-
-    /// The out-entries of `x` (sorted by rank).
-    pub fn lout(&self, x: VertexId) -> &[LabelEntry] {
-        &self.lout[x.index()]
-    }
-
-    /// The priority rank of `v`.
-    pub fn rank_of(&self, v: VertexId) -> u32 {
-        self.rank_of[v.index()]
+        !covered && entry_insert(self.labels.list_mut(forward, x), r, ls)
     }
 }
 
@@ -201,7 +138,7 @@ pub(crate) const META: LabeledIndexMeta = LabeledIndexMeta {
 
 impl LcrIndex for P2hPlus {
     fn query(&self, s: VertexId, t: VertexId, allowed: LabelSet) -> bool {
-        s == t || entries_join(&self.lout[s.index()], &self.lin[t.index()], allowed)
+        s == t || self.labels.covers_within(s, t, allowed)
     }
 
     fn meta(&self) -> LabeledIndexMeta {
@@ -209,11 +146,11 @@ impl LcrIndex for P2hPlus {
     }
 
     fn size_bytes(&self) -> usize {
-        12 * self.size_entries() + 48 * self.lin.len()
+        self.labels.size_bytes()
     }
 
     fn size_entries(&self) -> usize {
-        self.lin.iter().map(Vec::len).sum::<usize>() + self.lout.iter().map(Vec::len).sum::<usize>()
+        self.labels.size_entries()
     }
 }
 
@@ -296,7 +233,7 @@ mod tests {
         let g = random_labeled_digraph(30, 90, 3, LabelDistribution::Uniform, &mut rng);
         let idx = P2hPlus::build(&g);
         for x in g.vertices() {
-            for entries in [idx.lin(x), idx.lout(x)] {
+            for entries in [idx.labels.lin(x), idx.labels.lout(x)] {
                 assert!(entries.windows(2).all(|w| w[0].0 <= w[1].0), "rank sorted");
                 for (i, &(ri, si)) in entries.iter().enumerate() {
                     for (j, &(rj, sj)) in entries.iter().enumerate() {
@@ -318,17 +255,5 @@ mod tests {
         assert_eq!(e, vec![(1, LabelSet(0b01))]);
         assert!(entry_insert(&mut e, 0, LabelSet(0b10)));
         assert_eq!(e[0].0, 0, "sorted by rank");
-    }
-
-    #[test]
-    fn entries_join_unit() {
-        let lout = vec![(1u32, LabelSet(0b01)), (3, LabelSet(0b10))];
-        let lin = vec![(2u32, LabelSet(0b01)), (3, LabelSet(0b01))];
-        assert!(entries_join(&lout, &lin, LabelSet(0b11)));
-        assert!(
-            !entries_join(&lout, &lin, LabelSet(0b01)),
-            "rank 3 needs both bits"
-        );
-        assert!(!entries_join(&lout, &[], LabelSet(0b11)));
     }
 }

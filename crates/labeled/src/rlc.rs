@@ -23,8 +23,10 @@
 //! completeness guarantee.
 
 use crate::lcr::{
-    Completeness, ConstraintClass, Dynamism, InputClass, LabeledIndexMeta, RlcIndexApi,
+    Completeness, ConstraintClass, Dynamism, InputClass, LabeledIndexMeta, LcrFramework,
+    RlcIndexApi,
 };
+use reach_core::hop_labels::{HopLabels, HopOrder};
 use reach_graph::{Label, LabeledGraph, VertexId};
 
 /// One RLC label entry: `(hop rank, unit id, phase)`.
@@ -49,8 +51,7 @@ pub struct RlcIndex {
     /// all units of length `1..=kmax`, sorted for binary search
     units: Vec<Vec<Label>>,
     kmax: usize,
-    lin: Vec<Vec<RlcEntry>>,
-    lout: Vec<Vec<RlcEntry>>,
+    labels: HopLabels<RlcEntry>,
 }
 
 fn enumerate_units(num_labels: usize, kmax: usize) -> Vec<Vec<Label>> {
@@ -88,57 +89,27 @@ impl RlcIndex {
             units.len()
         );
         let n = g.num_vertices();
-        let mut order: Vec<VertexId> = g.vertices().collect();
-        order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v.0));
-        let mut rank_of = vec![0u32; n];
-        for (r, &v) in order.iter().enumerate() {
-            rank_of[v.index()] = r as u32;
-        }
-
         let mut idx = RlcIndex {
             units,
             kmax,
-            lin: vec![Vec::new(); n],
-            lout: vec![Vec::new(); n],
+            labels: HopLabels::new(HopOrder::by_degree(n, |v| g.degree(v))),
         };
         let mut seen = vec![false; 0];
-        for (r, &w) in order.iter().enumerate() {
+        for r in 0..n as u32 {
             for uid in 0..idx.units.len() {
                 let unit = idx.units[uid].clone();
-                for phase in 0..unit.len() {
-                    idx.hop_bfs(
-                        g,
-                        &rank_of,
-                        w,
-                        r as u32,
-                        uid as u16,
-                        &unit,
-                        phase as u8,
-                        true,
-                        &mut seen,
-                    );
-                    idx.hop_bfs(
-                        g,
-                        &rank_of,
-                        w,
-                        r as u32,
-                        uid as u16,
-                        &unit,
-                        phase as u8,
-                        false,
-                        &mut seen,
-                    );
+                for phase in 0..unit.len() as u8 {
+                    for forward in [true, false] {
+                        idx.hop_bfs(g, r, uid as u16, &unit, phase, forward, &mut seen);
+                    }
                 }
             }
         }
-        for entries in idx.lin.iter_mut().chain(idx.lout.iter_mut()) {
-            entries.sort_unstable();
-            entries.dedup();
-        }
+        idx.labels.sort_and_dedup();
         idx
     }
 
-    /// One phase-aligned restricted BFS for hop `w`.
+    /// One phase-aligned restricted BFS for the hop `w` of rank `r`.
     ///
     /// Forward (`lin` entries, tag = start phase `p0`): states are
     /// `(x, q)` with a `w → x` path matching `u` from phase `p0` to
@@ -150,8 +121,6 @@ impl RlcIndex {
     fn hop_bfs(
         &mut self,
         g: &LabeledGraph,
-        rank_of: &[u32],
-        w: VertexId,
         r: u32,
         uid: u16,
         unit: &[Label],
@@ -159,6 +128,7 @@ impl RlcIndex {
         forward: bool,
         seen: &mut Vec<bool>,
     ) {
+        let w = self.labels.order().vertex_at(r);
         let n = g.num_vertices();
         let klen = unit.len();
         seen.clear();
@@ -170,16 +140,11 @@ impl RlcIndex {
             let (x, q) = queue[head];
             head += 1;
             if q == 0 {
-                let table = if forward {
-                    &mut self.lin
-                } else {
-                    &mut self.lout
-                };
-                table[x.index()].push((r, uid, p0));
+                self.labels.list_mut(forward, x).push((r, uid, p0));
             }
             // interior restriction: only lower-priority vertices are
             // passed through
-            if x != w && rank_of[x.index()] < r {
+            if !self.labels.order().passes(r, x) {
                 continue;
             }
             if forward {
@@ -227,28 +192,7 @@ impl RlcIndexApi for RlcIndex {
             return Some(true);
         }
         let uid = self.unit_id(unit)?;
-        // join on (rank, unit, phase); both lists are sorted
-        let lout = &self.lout[s.index()];
-        let lin = &self.lin[t.index()];
-        let (mut i, mut j) = (0, 0);
-        while i < lout.len() && j < lin.len() {
-            let a = lout[i];
-            let b = lin[j];
-            // compare on the full (rank, unit, phase) key but only
-            // accept matches for the queried unit
-            match a.cmp(&b) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    if a.1 == uid {
-                        return Some(true);
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        Some(false)
+        Some(self.labels.covers_unit(s, t, uid))
     }
 
     fn meta(&self) -> LabeledIndexMeta {
@@ -264,15 +208,13 @@ impl RlcIndexApi for RlcIndex {
     }
 
     fn size_bytes(&self) -> usize {
-        8 * self.size_entries() + 48 * self.lin.len()
+        self.labels.size_bytes()
     }
 
     fn size_entries(&self) -> usize {
-        self.lin.iter().map(Vec::len).sum::<usize>() + self.lout.iter().map(Vec::len).sum::<usize>()
+        self.labels.size_entries()
     }
 }
-
-use crate::lcr::LcrFramework;
 
 #[cfg(test)]
 mod tests {

@@ -60,6 +60,10 @@ fn both_share_the_degree_order() {
     let dl = build_dl(&g, 1);
     let pll = Pll::build(&g);
     for v in g.vertices() {
-        assert_eq!(dl.rank_of(v), pll.rank_of(v), "order mismatch at {v:?}");
+        assert_eq!(
+            dl.labels().order().rank_of(v),
+            pll.labels().order().rank_of(v),
+            "order mismatch at {v:?}"
+        );
     }
 }
