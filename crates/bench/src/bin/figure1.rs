@@ -78,7 +78,7 @@ fn main() {
     // §4.2: the MR example
     println!("\n§4.2  Qr(L, B, (worksFor · friendOf)*):");
     assert!(rlc_bfs(&labeled, L, B, &[WORKS_FOR, FRIEND_OF]));
-    let rlc = RlcIndex::build(&labeled, 2);
+    let rlc = RlcIndex::build(&labeled, 2).expect("3 labels, kmax 2: 12 units");
     assert_eq!(rlc.try_query(L, B, &[WORKS_FOR, FRIEND_OF]), Some(true));
     println!("  MR (worksFor, friendOf) found by both the online product-BFS");
     println!("  and the RLC index ✓");

@@ -58,7 +58,7 @@ fn print_matrix() {
                 .meta()
         })
         .collect();
-    metas.push(RlcIndex::build(&g, 2).meta());
+    metas.push(RlcIndex::build(&g, 2).expect("a small alphabet").meta());
     for m in metas {
         let named = [
             format!("{} {}", m.name, m.citation),
@@ -192,7 +192,8 @@ fn empirical(n: usize) {
         fmt_duration(online_total / pairs.len() as u32),
     ]);
     for kmax in [1, 2] {
-        let (idx, build) = timed(|| RlcIndex::build(&g, kmax));
+        let (idx, build) =
+            timed(|| RlcIndex::build(&g, kmax).expect("|L| = 4, kmax ≤ 2: 20 units"));
         // an index answers only units up to its kmax
         let answerable: Vec<usize> = (0..units.len())
             .filter(|&i| units[i].len() <= kmax)

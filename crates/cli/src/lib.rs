@@ -601,6 +601,7 @@ fn cmd_lcr(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         }
         ConstraintKind::Concatenation(unit) => {
             let (idx, build) = timed(|| RlcIndex::build(&g, unit.len()));
+            let idx = idx.map_err(|e| err(e.to_string()))?;
             writeln!(
                 out,
                 "constraint is a concatenation of length {}; built RLC index in {}",
@@ -1041,6 +1042,17 @@ mod tests {
         // general → automaton
         let s = run_to_string(&["lcr", &path, "--constraint", "0*.1", "0", "79"]).unwrap();
         assert!(s.contains("automaton-guided"), "{s}");
+    }
+
+    #[test]
+    fn lcr_refuses_an_oversized_rlc_unit_universe() {
+        let path = tmp("g3b.el");
+        run_to_string(&["gen", "cyclic", "50", "--labels", "16", "--out", &path]).unwrap();
+        // 16 + 16² + 16³ = 4368 units: a typed error, not a panic
+        match run_to_string(&["lcr", &path, "--constraint", "(0.1.2)*", "1", "2"]) {
+            Err(CliError::Usage(msg)) => assert!(msg.contains("unit universe too large"), "{msg}"),
+            other => panic!("expected a usage error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -42,6 +42,24 @@ impl fmt::Display for Violation {
     }
 }
 
+/// The `graph-mismatch` guard every structural audit runs first: labels
+/// sized for `covered` vertices say nothing about a graph of another
+/// size, and indexing it would panic. `what` names the sized part
+/// (`"index"`, `"labeling 2"`, …). `None` when the sizes agree.
+pub(crate) fn graph_mismatch(
+    index: &'static str,
+    what: &str,
+    covered: usize,
+    graph: &DiGraph,
+) -> Option<Violation> {
+    let n = graph.num_vertices();
+    (covered != n).then(|| Violation {
+        index,
+        rule: "graph-mismatch",
+        detail: format!("{what} covers {covered} vertices, graph has {n}"),
+    })
+}
+
 /// Sampling parameters for an audit run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuditConfig {
@@ -488,5 +506,64 @@ mod tests {
         assert!(vs.iter().all(|v| v.index() < 1_000));
         assert!(sample_vertices(0, 64).is_empty());
         assert_eq!(sample_vertices(3, 64).len(), 3);
+    }
+
+    /// Every violation is a `graph-mismatch` under `name`; `None` when
+    /// there are none.
+    fn only_mismatches(name: &str, v: &[Violation]) -> Option<bool> {
+        (!v.is_empty()).then(|| {
+            v.iter()
+                .all(|v| v.index == name && v.rule == "graph-mismatch")
+        })
+    }
+
+    #[test]
+    fn every_index_reports_a_graph_of_the_wrong_size() {
+        let mut rng = SmallRng::seed_from_u64(9);
+        let prepared = PreparedGraph::new(random_digraph(30, 70, &mut rng));
+        // the registry indexes with no structural audit of their own
+        let unaudited = ["GRIPP", "TC", "online-BFS", "online-DFS", "online-BiBFS"];
+        for name in plain_names() {
+            let (idx, _) = build_plain(name, &prepared, &BuildOpts::default()).unwrap();
+            for n in [29, 31] {
+                let v = idx.check_invariants(&DiGraph::from_edges(n, &[]));
+                let expect = (!unaudited.contains(&name)).then_some(true);
+                assert_eq!(
+                    only_mismatches(name, &v),
+                    expect,
+                    "{name} at n = {n}: {v:?}"
+                );
+            }
+        }
+        // `Condensed` guards the registry's DAG indexes first; their own
+        // guards face the condensation DAG
+        let dag = prepared.condensation().dag();
+        let opts = BuildOpts::default();
+        let inner: [(&str, Box<dyn ReachIndex>); 5] = [
+            (
+                "Tree cover",
+                Box::new(crate::tree_cover::TreeCover::build(dag)),
+            ),
+            (
+                "Ferrari",
+                Box::new(crate::ferrari::build_ferrari(dag, opts.ferrari_budget)),
+            ),
+            (
+                "GRAIL",
+                Box::new(crate::grail::build_grail(dag, opts.grail_k, opts.seed, 1)),
+            ),
+            ("HL", Box::new(crate::hl::Hl::build(dag, opts.landmarks, 1))),
+            (
+                "BFL",
+                Box::new(crate::bfl::build_bfl(dag, opts.bfl_bits, opts.seed)),
+            ),
+        ];
+        let n = dag.num_vertices();
+        for (name, idx) in inner {
+            for wrong in [n - 1, n + 1] {
+                let v = idx.check_invariants(&DiGraph::from_edges(wrong, &[]));
+                assert_eq!(only_mismatches(name, &v), Some(true), "{name}: {v:?}");
+            }
+        }
     }
 }

@@ -291,18 +291,13 @@ impl<F: ReachFilter, G: Successors + Send + Sync> ReachIndex for GuidedSearch<F,
         for v in &mut out {
             v.index = name;
         }
-        let n = graph.num_vertices();
-        if n != self.graph.num_vertices() {
-            out.push(Violation {
-                index: name,
-                rule: "graph-mismatch",
-                detail: format!(
-                    "search graph has {} vertices, audited graph has {n}",
-                    self.graph.num_vertices()
-                ),
-            });
+        if let Some(v) =
+            audit::graph_mismatch(name, "search graph", self.graph.num_vertices(), graph)
+        {
+            out.push(v);
             return out;
         }
+        let n = graph.num_vertices();
         let mut visit = VisitMap::new(n);
         let mut buf = Vec::new();
         let mut wrong = 0usize;

@@ -159,16 +159,11 @@ impl ReachFilter for FerrariFilter {
     /// no-false-positive side, against a BFS ground truth).
     fn check_invariants(&self, graph: &DiGraph) -> Vec<Violation> {
         let name = "Ferrari";
+        if let Some(v) = audit::graph_mismatch(name, "index", self.post.len(), graph) {
+            return vec![v];
+        }
         let mut out = Vec::new();
         let n = graph.num_vertices();
-        if n != self.post.len() {
-            out.push(Violation {
-                index: name,
-                rule: "graph-mismatch",
-                detail: format!("index covers {} vertices, graph has {n}", self.post.len()),
-            });
-            return out;
-        }
         for v in graph.vertices() {
             let list = &self.intervals[v.index()];
             if list.len() > self.budget {

@@ -6,7 +6,7 @@
 //! processed by first checking whether s and t belong to the same SCC,
 //! followed by checking the reachability in the DAG."*
 
-use crate::audit::Violation;
+use crate::audit::{self, Violation};
 use crate::index::{IndexMeta, InputClass, ReachIndex};
 use reach_graph::{Condensation, Dag, DiGraph, PreparedGraph, VertexId};
 use std::sync::Arc;
@@ -83,6 +83,10 @@ impl<I: ReachIndex> ReachIndex for Condensed<I> {
     /// inner index is then validated against that DAG.
     fn check_invariants(&self, graph: &DiGraph) -> Vec<Violation> {
         let name = self.meta().name;
+        let covered = self.cond.scc().components().len();
+        if let Some(v) = audit::graph_mismatch(name, "component map", covered, graph) {
+            return vec![v];
+        }
         let mut out = Vec::new();
         let dag = self.cond.dag();
         for u in graph.vertices() {

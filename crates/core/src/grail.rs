@@ -8,7 +8,7 @@
 //! survey singles out. Containment in all `k` labelings proves
 //! nothing, so undecided queries fall to the guided DFS.
 
-use crate::audit::Violation;
+use crate::audit::{self, Violation};
 use crate::engine::GuidedSearch;
 use crate::index::{
     Certainty, Completeness, Dynamism, FilterGuarantees, Framework, IndexMeta, InputClass,
@@ -125,16 +125,10 @@ impl ReachFilter for GrailFilter {
         let name = "GRAIL";
         let mut out = Vec::new();
         for (k, label) in self.labelings.iter().enumerate() {
-            if label.len() != graph.num_vertices() {
-                out.push(Violation {
-                    index: name,
-                    rule: "graph-mismatch",
-                    detail: format!(
-                        "labeling {k} covers {} vertices, graph has {}",
-                        label.len(),
-                        graph.num_vertices()
-                    ),
-                });
+            if let Some(v) =
+                audit::graph_mismatch(name, &format!("labeling {k}"), label.len(), graph)
+            {
+                out.push(v);
                 continue;
             }
             for u in graph.vertices() {

@@ -9,7 +9,7 @@
 //! The combination is a complete index: lookups plus residual search
 //! decide every query exactly.
 
-use crate::audit::Violation;
+use crate::audit::{self, Violation};
 use crate::engine::GuidedSearch;
 use crate::hop_labels::degree_order;
 use crate::index::{
@@ -155,19 +155,11 @@ impl ReachFilter for HlFilter {
     /// repair (it skips landmarks by design).
     fn check_invariants(&self, graph: &DiGraph) -> Vec<Violation> {
         let name = "HL";
+        if let Some(v) = audit::graph_mismatch(name, "index", self.is_landmark.len(), graph) {
+            return vec![v];
+        }
         let mut out = Vec::new();
         let n = graph.num_vertices();
-        if n != self.is_landmark.len() {
-            out.push(Violation {
-                index: name,
-                rule: "graph-mismatch",
-                detail: format!(
-                    "index covers {} vertices, graph has {n}",
-                    self.is_landmark.len()
-                ),
-            });
-            return out;
-        }
         let mut visit = VisitMap::new(n);
         let mut closure = Vec::new();
         for (i, &lm) in self.landmarks.iter().enumerate() {

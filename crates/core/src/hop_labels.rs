@@ -223,19 +223,10 @@ impl HopLabels<u32> {
     /// complete cover — under the index name `name`. `graph` must be
     /// the graph the labels describe now.
     pub(crate) fn check_cover(&self, name: &'static str, graph: &DiGraph) -> Vec<Violation> {
-        let mut out = Vec::new();
-        if graph.num_vertices() != self.num_vertices() {
-            out.push(Violation {
-                index: name,
-                rule: "graph-mismatch",
-                detail: format!(
-                    "index covers {} vertices, graph has {}",
-                    self.num_vertices(),
-                    graph.num_vertices()
-                ),
-            });
-            return out;
+        if let Some(v) = audit::graph_mismatch(name, "index", self.num_vertices(), graph) {
+            return vec![v];
         }
+        let mut out = Vec::new();
         audit::check_two_hop_cover(name, graph, self, &mut out);
         out
     }

@@ -6,7 +6,7 @@
 //! paths through non-tree edges are captured. Adjacent or overlapping
 //! intervals are merged for compact storage (§3.1).
 
-use crate::audit::Violation;
+use crate::audit::{self, Violation};
 use crate::index::{Completeness, Dynamism, Framework, IndexMeta, InputClass, ReachIndex};
 use crate::interval::SpanningForest;
 use reach_graph::{Dag, DiGraph, VertexId};
@@ -114,19 +114,10 @@ impl ReachIndex for TreeCover {
     /// its predecessor's.
     fn check_invariants(&self, graph: &DiGraph) -> Vec<Violation> {
         let name = "Tree cover";
-        let mut out = Vec::new();
-        if graph.num_vertices() != self.post.len() {
-            out.push(Violation {
-                index: name,
-                rule: "graph-mismatch",
-                detail: format!(
-                    "index covers {} vertices, graph has {}",
-                    self.post.len(),
-                    graph.num_vertices()
-                ),
-            });
-            return out;
+        if let Some(v) = audit::graph_mismatch(name, "index", self.post.len(), graph) {
+            return vec![v];
         }
+        let mut out = Vec::new();
         for v in graph.vertices() {
             let list = &self.intervals[v.index()];
             if list.iter().any(|&(s, e)| s > e) || list.windows(2).any(|w| w[1].0 <= w[0].1 + 1) {

@@ -28,9 +28,57 @@ use crate::lcr::{
 };
 use reach_core::hop_labels::{HopLabels, HopOrder};
 use reach_graph::{Label, LabeledGraph, VertexId};
+use std::fmt;
 
 /// One RLC label entry: `(hop rank, unit id, phase)`.
 type RlcEntry = (u32, u16, u8);
+
+/// The largest unit universe [`RlcIndex::build`] accepts. Unit ids are
+/// `u16`, and every unit costs one restricted BFS per hop and phase.
+pub const MAX_UNITS: usize = 4096;
+
+/// Why [`RlcIndex::build`] refused a configuration.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RlcBuildError {
+    /// `kmax` was 0: there is no unit to index.
+    ZeroKmax,
+    /// `|L| + |L|² + … + |L|^kmax` exceeds [`MAX_UNITS`].
+    UniverseTooLarge {
+        /// The alphabet size `|L|`.
+        labels: usize,
+        /// The longest unit asked for.
+        kmax: usize,
+    },
+}
+
+impl fmt::Display for RlcBuildError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RlcBuildError::ZeroKmax => write!(f, "RLC index needs kmax of at least 1"),
+            RlcBuildError::UniverseTooLarge { labels, kmax } => write!(
+                f,
+                "unit universe too large: {labels} labels and units up to length {kmax} \
+                 give more than {MAX_UNITS} units (reduce kmax or the alphabet)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RlcBuildError {}
+
+/// `|L| + |L|² + … + |L|^kmax`, or `None` once it passes [`MAX_UNITS`]
+/// (so no power is ever computed past the limit).
+fn universe_size(num_labels: usize, kmax: usize) -> Option<usize> {
+    let (mut total, mut power) = (0usize, 1usize);
+    for _ in 0..kmax {
+        power = power.saturating_mul(num_labels);
+        total = total.saturating_add(power);
+        if total > MAX_UNITS {
+            return None;
+        }
+    }
+    Some(total)
+}
 
 /// The RLC index.
 ///
@@ -41,7 +89,7 @@ type RlcEntry = (u32, u16, u8);
 ///
 /// // 0 -a-> 1 -b-> 2 -a-> 3 -b-> 4
 /// let g = LabeledGraph::from_edges(5, 2, &[(0, 0, 1), (1, 1, 2), (2, 0, 3), (3, 1, 4)]);
-/// let idx = RlcIndex::build(&g, 2);
+/// let idx = RlcIndex::build(&g, 2).unwrap();
 /// let (a, b) = (Label(0), Label(1));
 /// assert_eq!(idx.try_query(VertexId(0), VertexId(4), &[a, b]), Some(true));
 /// assert_eq!(idx.try_query(VertexId(0), VertexId(3), &[a, b]), Some(false));
@@ -77,17 +125,21 @@ impl RlcIndex {
     /// Builds the index for concatenation units up to length `kmax`.
     ///
     /// The unit universe has `|L| + |L|² + … + |L|^kmax` members; the
-    /// constructor rejects configurations above 4096 units (the survey
-    /// is explicit that RLC indexing cost is high — this implementation
-    /// targets the small alphabets and short units of real queries).
-    pub fn build(g: &LabeledGraph, kmax: usize) -> Self {
-        assert!(kmax >= 1, "kmax must be at least 1");
+    /// constructor rejects configurations above [`MAX_UNITS`] before it
+    /// enumerates any (the survey is explicit that RLC indexing cost is
+    /// high — this implementation targets the small alphabets and short
+    /// units of real queries).
+    pub fn build(g: &LabeledGraph, kmax: usize) -> Result<Self, RlcBuildError> {
+        if kmax == 0 {
+            return Err(RlcBuildError::ZeroKmax);
+        }
+        if universe_size(g.num_labels(), kmax).is_none() {
+            return Err(RlcBuildError::UniverseTooLarge {
+                labels: g.num_labels(),
+                kmax,
+            });
+        }
         let units = enumerate_units(g.num_labels(), kmax);
-        assert!(
-            units.len() <= 4096,
-            "unit universe too large: {} (reduce kmax or the alphabet)",
-            units.len()
-        );
         let n = g.num_vertices();
         let mut idx = RlcIndex {
             units,
@@ -106,7 +158,7 @@ impl RlcIndex {
             }
         }
         idx.labels.sort_and_dedup();
-        idx
+        Ok(idx)
     }
 
     /// One phase-aligned restricted BFS for the hop `w` of rank `r`.
@@ -226,7 +278,7 @@ mod tests {
     use reach_graph::generators::{random_labeled_digraph, LabelDistribution};
 
     fn check_exact(g: &LabeledGraph, kmax: usize) {
-        let idx = RlcIndex::build(g, kmax);
+        let idx = RlcIndex::build(g, kmax).unwrap();
         let units = enumerate_units(g.num_labels(), kmax);
         for unit in &units {
             for s in g.vertices() {
@@ -246,7 +298,7 @@ mod tests {
         // Qr(L, B, (worksFor · friendOf)*) = true via the path
         // (L, worksFor, D, friendOf, H, worksFor, G, friendOf, B)
         let g = fixtures::figure1b();
-        let idx = RlcIndex::build(&g, 2);
+        let idx = RlcIndex::build(&g, 2).unwrap();
         assert_eq!(idx.try_query(L, B, &[WORKS_FOR, FRIEND_OF]), Some(true));
         assert_eq!(idx.try_query(L, B, &[FRIEND_OF, WORKS_FOR]), Some(false));
         assert_eq!(idx.try_query(L, M, &[WORKS_FOR, WORKS_FOR]), Some(true));
@@ -278,7 +330,7 @@ mod tests {
     fn cycles_with_repeats_are_found() {
         // 0 -a-> 1 -b-> 0: (a·b)* loops arbitrarily
         let g = LabeledGraph::from_edges(2, 2, &[(0, 0, 1), (1, 1, 0)]);
-        let idx = RlcIndex::build(&g, 2);
+        let idx = RlcIndex::build(&g, 2).unwrap();
         let (a, b) = (Label(0), Label(1));
         assert_eq!(idx.try_query(VertexId(0), VertexId(0), &[a, b]), Some(true));
         assert_eq!(idx.try_query(VertexId(1), VertexId(1), &[b, a]), Some(true));
@@ -294,7 +346,7 @@ mod tests {
     #[test]
     fn units_longer_than_kmax_are_rejected() {
         let g = fixtures::figure1b();
-        let idx = RlcIndex::build(&g, 2);
+        let idx = RlcIndex::build(&g, 2).unwrap();
         assert_eq!(
             idx.try_query(L, B, &[WORKS_FOR, FRIEND_OF, WORKS_FOR]),
             None
@@ -305,11 +357,11 @@ mod tests {
     fn unit_enumeration_is_complete_and_sorted() {
         let units = enumerate_units(2, 2);
         assert_eq!(units.len(), 2 + 4);
+        assert_eq!(universe_size(2, 2), Some(units.len()));
         assert!(units.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
-    #[should_panic(expected = "unit universe too large")]
     fn oversized_configurations_are_rejected() {
         let g = random_labeled_digraph(
             5,
@@ -318,6 +370,23 @@ mod tests {
             LabelDistribution::Uniform,
             &mut SmallRng::seed_from_u64(1),
         );
-        let _ = RlcIndex::build(&g, 3);
+        // 16 + 256 + 4096 units
+        let err = RlcIndex::build(&g, 3).err();
+        assert_eq!(
+            err,
+            Some(RlcBuildError::UniverseTooLarge {
+                labels: 16,
+                kmax: 3
+            })
+        );
+        assert!(err
+            .unwrap()
+            .to_string()
+            .starts_with("unit universe too large"));
+        // a length no enumeration could hold is refused just as fast
+        assert!(RlcIndex::build(&g, 1 << 20).is_err());
+        assert_eq!(RlcIndex::build(&g, 0).err(), Some(RlcBuildError::ZeroKmax));
+        assert_eq!(universe_size(2, 11), Some(4094));
+        assert_eq!(universe_size(2, 12), None, "8190 units");
     }
 }

@@ -8,8 +8,7 @@
 //! limit (413), both *before* any allocation proportional to the
 //! declared size, so an abusive client cannot balloon the server.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, Read, Write};
 
 /// Upper bound on the request line + headers, bytes.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -66,10 +65,7 @@ impl From<std::io::Error> for RecvError {
 ///
 /// `max_body` is the admission-control cap: a `Content-Length` above
 /// it fails *before* reading the body.
-pub fn read_request(
-    reader: &mut BufReader<TcpStream>,
-    max_body: usize,
-) -> Result<Request, RecvError> {
+pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Request, RecvError> {
     let mut head_bytes = 0;
     let line = read_head_line(reader, &mut head_bytes)?;
     if line.is_empty() {
@@ -143,10 +139,7 @@ pub fn read_request(
 /// that never ends costs at most that much buffer before
 /// [`RecvError::HeadTooLarge`], and a head within the limit reads
 /// exactly as an unbounded `read_line` would.
-fn read_head_line(
-    reader: &mut BufReader<TcpStream>,
-    head_bytes: &mut usize,
-) -> Result<String, RecvError> {
+fn read_head_line(reader: &mut impl BufRead, head_bytes: &mut usize) -> Result<String, RecvError> {
     let left = (MAX_HEAD_BYTES + 1).saturating_sub(*head_bytes) as u64;
     let mut line = Vec::new();
     *head_bytes += reader.take(left).read_until(b'\n', &mut line)?;
@@ -176,7 +169,7 @@ pub fn reason(status: u16) -> &'static str {
 
 /// Writes one fixed-length plain-text response.
 pub fn write_response(
-    stream: &mut TcpStream,
+    mut stream: impl Write,
     status: u16,
     body: &str,
     keep_alive: bool,
@@ -200,7 +193,8 @@ pub fn write_response(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use std::io::BufReader;
+    use std::net::{TcpListener, TcpStream};
 
     /// Feeds `raw` to a loopback socket, closes it, and parses it
     /// server-side.

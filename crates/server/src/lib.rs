@@ -30,5 +30,5 @@ pub mod http;
 pub mod metrics;
 pub mod server;
 
-pub use metrics::{Endpoint, Histogram, Metrics};
+pub use metrics::{Endpoint, Histogram, IdleWait, Metrics};
 pub use server::{start, ServerConfig, ServerHandle, Services};

@@ -156,6 +156,26 @@ impl Endpoint {
     }
 }
 
+/// How a worker came by the first byte of a request: the two halves of
+/// its wait between keep-alive requests (`DESIGN.md` §5d).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IdleWait {
+    /// The byte arrived while the worker polled the socket on its core.
+    Spin,
+    /// The byte arrived while the worker slept in a blocking read.
+    Park,
+}
+
+impl IdleWait {
+    /// Label value used in the exposition.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            IdleWait::Spin => "spin",
+            IdleWait::Park => "park",
+        }
+    }
+}
+
 /// Statuses the server can emit; anything else lands in the last slot.
 const STATUSES: [u16; 9] = [200, 400, 404, 405, 408, 413, 429, 431, 0];
 
@@ -169,6 +189,7 @@ pub struct Metrics {
     batch_sizes: Histogram,
     rejected_queue_full: AtomicU64,
     connections: AtomicU64,
+    idle_waits: [AtomicU64; 2],
 }
 
 impl Metrics {
@@ -182,6 +203,7 @@ impl Metrics {
             batch_sizes: Histogram::new(),
             rejected_queue_full: AtomicU64::new(0),
             connections: AtomicU64::new(0),
+            idle_waits: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
@@ -213,6 +235,16 @@ impl Metrics {
     /// Records an accepted connection.
     pub fn record_connection(&self) {
         self.connections.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records how the first byte of one request arrived.
+    pub fn record_idle_wait(&self, wait: IdleWait) {
+        self.idle_waits[wait as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Requests whose first byte arrived by `wait`.
+    pub fn idle_waits(&self, wait: IdleWait) -> u64 {
+        self.idle_waits[wait as usize].load(Ordering::Relaxed)
     }
 
     /// Requests handled on `endpoint`.
@@ -337,6 +369,14 @@ impl Metrics {
             "reach_connections_total {}",
             self.connections.load(Ordering::Relaxed)
         );
+        for wait in [IdleWait::Spin, IdleWait::Park] {
+            let _ = writeln!(
+                out,
+                "reach_idle_waits_total{{outcome=\"{}\"}} {}",
+                wait.as_str(),
+                self.idle_waits(wait)
+            );
+        }
         let _ = writeln!(
             out,
             "reach_scratch_overflows_total {}",
@@ -391,6 +431,10 @@ mod tests {
         m.record_request(Endpoint::Other, Duration::from_micros(5), 404);
         m.record_batch(64);
         m.record_queue_full();
+        m.record_idle_wait(IdleWait::Spin);
+        m.record_idle_wait(IdleWait::Spin);
+        m.record_idle_wait(IdleWait::Park);
+        assert_eq!(m.idle_waits(IdleWait::Spin), 2);
         assert_eq!(m.requests(Endpoint::Query), 2);
         assert_eq!(m.total_requests(), 3);
         assert_eq!(m.total_responses(), 3);
@@ -401,6 +445,8 @@ mod tests {
         assert!(text.contains("reach_batch_pairs_total 64"));
         assert!(text.contains("reach_rejected_total{reason=\"queue_full\"} 1"));
         assert!(text.contains("reach_scratch_overflows_total"));
+        assert!(text.contains("reach_idle_waits_total{outcome=\"spin\"} 2"));
+        assert!(text.contains("reach_idle_waits_total{outcome=\"park\"} 1"));
         assert!(text.contains("reach_build_info"));
     }
 }

@@ -13,6 +13,11 @@
 //! * **time**: per-socket read/write timeouts turn a stalled client
 //!   into a `408` (or a dropped write) instead of a parked worker.
 //!
+//! Between keep-alive requests a worker first spins: it polls the
+//! socket on its core for a short window, so a client that answers
+//! quickly skips a sleep and a wake-up. Then it parks in blocking reads
+//! that wake often enough to notice shutdown (`DESIGN.md` §5d).
+//!
 //! Shutdown is a flag plus a drain: `shutdown()` (or
 //! `POST /admin/shutdown`) stops the accept loop, then every queued
 //! connection is served exactly one final response with
@@ -20,14 +25,14 @@
 //! request that was accepted is always answered in full.
 
 use crate::http::{read_request, write_response, RecvError, Request};
-use crate::metrics::{Endpoint, Metrics};
+use crate::metrics::{Endpoint, IdleWait, Metrics};
 use reach_core::IndexService;
 use reach_graph::{Label, LabelSet, VertexId};
 use reach_labeled::LcrService;
 use std::collections::VecDeque;
-use std::io::BufReader;
+use std::io::{BufRead as _, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -127,6 +132,7 @@ struct Shared {
     shutdown: AtomicBool,
     queue: Mutex<VecDeque<TcpStream>>,
     not_empty: Condvar,
+    spin_slots: SpinSlots,
 }
 
 impl Shared {
@@ -208,6 +214,8 @@ pub fn start(services: Services, cfg: ServerConfig) -> std::io::Result<ServerHan
         shutdown: AtomicBool::new(false),
         queue: Mutex::new(VecDeque::new()),
         not_empty: Condvar::new(),
+        // room for all but one core's worth of spinners: none on one core
+        spin_slots: SpinSlots::new(reach_graph::parallel::host_threads().saturating_sub(1)),
     });
     let mut threads = Vec::with_capacity(workers + 1);
     {
@@ -289,51 +297,181 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Granularity at which an idle worker re-checks the shutdown flag.
+/// Granularity at which an idle worker re-checks the shutdown flag,
+/// and the one read timeout a connection's socket carries.
 const IDLE_POLL: Duration = Duration::from_millis(25);
+
+/// How long a worker polls a kept-alive connection for its next request
+/// before it parks in a blocking read. On a 2-vCPU host the window
+/// caught 99% of the requests of a client thinking 50 µs between
+/// requests, and 0–2% of those of a client thinking 150 µs
+/// (`DESIGN.md` §5d).
+const SPIN_WINDOW: Duration = Duration::from_micros(100);
+
+/// Bounds how many workers spin at once, so a spinning worker never
+/// takes the last core from runnable work.
+struct SpinSlots {
+    cap: usize,
+    busy: AtomicUsize,
+}
+
+impl SpinSlots {
+    fn new(cap: usize) -> Self {
+        SpinSlots {
+            cap,
+            busy: AtomicUsize::new(0),
+        }
+    }
+
+    /// Takes a slot, or `None` when `cap` workers already spin.
+    fn try_acquire(&self) -> Option<SpinSlot<'_>> {
+        self.busy
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |b| {
+                (b < self.cap).then_some(b + 1)
+            })
+            .ok()
+            .map(|_| SpinSlot(self))
+    }
+}
+
+/// A held spin slot; dropping it frees the slot.
+struct SpinSlot<'a>(&'a SpinSlots);
+
+impl Drop for SpinSlot<'_> {
+    fn drop(&mut self) {
+        self.0.busy.fetch_sub(1, Ordering::Release);
+    }
+}
+
+/// The read side of a connection. Its socket times out every
+/// [`IDLE_POLL`]; while a request is being read, `deadline` stretches
+/// those slices to the configured read timeout, so the hot path sets no
+/// socket option.
+struct Conn<'a> {
+    stream: &'a TcpStream,
+    deadline: Option<Instant>,
+}
+
+impl Read for Conn<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e) if no_bytes_yet(&e) && self.deadline.is_some_and(|d| Instant::now() < d) => {
+                }
+                done => return done,
+            }
+        }
+    }
+}
+
+/// Whether a read failed only for want of bytes: its poll slice ran out,
+/// the socket is in non-blocking mode, or a signal cut it short.
+fn no_bytes_yet(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    matches!(e.kind(), WouldBlock | TimedOut | Interrupted)
+}
+
+/// How the wait for a request's first byte ended without one.
+enum NoRequest {
+    /// EOF, a transport error, or shutdown: close quietly.
+    Close,
+    /// The connection stayed silent for the whole read timeout.
+    TimedOut,
+}
+
+/// Waits for the first byte of the next request, idle since `since`:
+/// spin, then park.
+///
+/// With `spin` asked for and a spin slot free, the worker puts the
+/// socket in non-blocking mode and polls it for [`SPIN_WINDOW`],
+/// staying on its core for a client that answers quickly. Between
+/// polls it yields, so a client queued on the same core runs at once
+/// instead of after the window. Otherwise, or when the window ends
+/// empty, it parks in blocking reads of [`IDLE_POLL`], checking the
+/// shutdown flag and the idle deadline between slices. `fill_buf`
+/// consumes nothing, so neither phase can corrupt a request.
+fn await_request(
+    shared: &Shared,
+    reader: &mut BufReader<Conn<'_>>,
+    since: Instant,
+    spin: bool,
+) -> Result<IdleWait, NoRequest> {
+    if !reader.buffer().is_empty() {
+        return Ok(IdleWait::Spin); // pipelined: already here
+    }
+    if let Some(_slot) = spin.then(|| shared.spin_slots.try_acquire()).flatten() {
+        let stream = reader.get_ref().stream;
+        stream.set_nonblocking(true).map_err(|_| NoRequest::Close)?;
+        let spin_end = since + SPIN_WINDOW;
+        let arrived = loop {
+            match reader.fill_buf() {
+                Ok([]) => return Err(NoRequest::Close),
+                Ok(_) => break true,
+                Err(e) if no_bytes_yet(&e) => {
+                    if Instant::now() >= spin_end {
+                        break false;
+                    }
+                    std::thread::yield_now();
+                }
+                Err(_) => return Err(NoRequest::Close),
+            }
+        };
+        stream
+            .set_nonblocking(false)
+            .map_err(|_| NoRequest::Close)?;
+        if arrived {
+            return Ok(IdleWait::Spin);
+        }
+    }
+    loop {
+        match reader.fill_buf() {
+            Ok([]) => return Err(NoRequest::Close),
+            Ok(_) => return Ok(IdleWait::Park),
+            Err(e) if no_bytes_yet(&e) => {
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    return Err(NoRequest::Close); // drain: idle connections just close
+                }
+                if since.elapsed() >= shared.cfg.read_timeout {
+                    return Err(NoRequest::TimedOut);
+                }
+            }
+            Err(_) => return Err(NoRequest::Close),
+        }
+    }
+}
 
 fn serve_connection(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
+    let _ = stream.set_read_timeout(Some(IDLE_POLL));
     let _ = stream.set_nodelay(true);
-    let Ok(reader_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(reader_half);
-    let mut stream = stream;
+    let mut reader = BufReader::new(Conn {
+        stream: &stream,
+        deadline: None,
+    });
+    // a new connection's first request is usually already on its way
+    let mut spin = true;
     loop {
-        // Idle wait: poll for the first byte of the next request in
-        // short slices so a blocked worker notices shutdown quickly.
-        // `fill_buf` consumes nothing, so timing out here never
-        // corrupts a request; once bytes arrive the full read timeout
-        // governs the actual parse.
-        let idle_deadline = Instant::now() + shared.cfg.read_timeout;
-        let _ = stream.set_read_timeout(Some(IDLE_POLL));
-        loop {
-            use std::io::BufRead as _;
-            match reader.fill_buf() {
-                Ok([]) => return, // clean EOF between requests
-                Ok(_) => break,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        return; // drain: idle connections just close
-                    }
-                    if Instant::now() >= idle_deadline {
-                        let _ = write_response(&mut stream, 408, "request read timed out\n", false);
-                        shared
-                            .metrics
-                            .record_request(Endpoint::Other, Duration::ZERO, 408);
-                        return;
-                    }
-                }
-                Err(_) => return,
+        reader.get_mut().deadline = None;
+        let idle_since = Instant::now();
+        match await_request(shared, &mut reader, idle_since, spin) {
+            Ok(wait) => shared.metrics.record_idle_wait(wait),
+            Err(NoRequest::Close) => return,
+            Err(NoRequest::TimedOut) => {
+                let _ = write_response(&stream, 408, "request read timed out\n", false);
+                shared
+                    .metrics
+                    .record_request(Endpoint::Other, Duration::ZERO, 408);
+                return;
             }
         }
-        let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
+        // Spin for the next request only if this one came within the
+        // window: a client that thinks longer would cost a window of
+        // spinning per request and gain no latency from it.
+        let arrived = Instant::now();
+        spin = arrived - idle_since < SPIN_WINDOW;
+        // the request, and the drain of an oversized body, get the
+        // full read timeout however many poll slices it spans
+        reader.get_mut().deadline = Some(arrived + shared.cfg.read_timeout);
         match read_request(&mut reader, shared.cfg.max_body_bytes) {
             Ok(req) => {
                 let started = Instant::now();
@@ -341,7 +479,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                 let keep = req.keep_alive
                     && endpoint != Endpoint::Shutdown
                     && !shared.shutdown.load(Ordering::SeqCst);
-                let write = write_response(&mut stream, status, &body, keep);
+                let write = write_response(&stream, status, &body, keep);
                 shared
                     .metrics
                     .record_request(endpoint, started.elapsed(), status);
@@ -358,10 +496,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                         // so closing doesn't RST the client before it
                         // reads the 413 (unread data triggers a reset)
                         let drain = declared.min(256 * 1024) as u64;
-                        let _ = std::io::copy(
-                            &mut std::io::Read::take(&mut reader, drain),
-                            &mut std::io::sink(),
-                        );
+                        let _ = std::io::copy(&mut (&mut reader).take(drain), &mut std::io::sink());
                         (
                             413,
                             format!("body of {declared} bytes exceeds the {limit}-byte limit\n"),
@@ -370,7 +505,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                     RecvError::HeadTooLarge => (431, "header block too large\n".to_string()),
                     RecvError::Malformed(m) => (400, format!("bad request: {m}\n")),
                 };
-                let _ = write_response(&mut stream, status, &msg, false);
+                let _ = write_response(&stream, status, &msg, false);
                 shared
                     .metrics
                     .record_request(Endpoint::Other, Duration::ZERO, status);
@@ -500,4 +635,27 @@ fn handle_lcr(svc: &LcrService, body: &str) -> Result<String, String> {
         "false\n"
     }
     .into())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn spin_slots_cap_the_spinners() {
+        let none = SpinSlots::new(0);
+        assert!(none.try_acquire().is_none(), "cap 0 never spins");
+
+        let slots = SpinSlots::new(2);
+        let first = slots.try_acquire();
+        let second = slots.try_acquire();
+        assert!(first.is_some() && second.is_some());
+        assert!(slots.try_acquire().is_none(), "the third of two fails");
+        drop(first);
+        let third = slots.try_acquire();
+        assert!(third.is_some(), "a release frees a slot");
+        assert!(slots.try_acquire().is_none());
+        drop((second, third));
+        assert_eq!(slots.busy.load(Ordering::Relaxed), 0);
+    }
 }

@@ -9,7 +9,7 @@ use reach_graph::generators::random_digraph;
 use reach_graph::{fixtures, LabelSet, PreparedGraph, VertexId};
 use reach_labeled::LcrService;
 use reach_server::client::{request_once, Client};
-use reach_server::{start, Endpoint, ServerConfig, Services};
+use reach_server::{start, Endpoint, IdleWait, ServerConfig, Services};
 use std::io::{Read, Write as _};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -417,5 +417,159 @@ fn lcr_without_index_is_a_clean_404() {
     let resp = request_once(handle.addr(), TIMEOUT, "POST", "/lcr", "0 1 *").unwrap();
     assert_eq!(resp.status, 404);
     assert!(resp.body.contains("--lcr"));
+    handle.shutdown_and_join();
+}
+
+/// Sends `parts` on one fresh connection, `pause` apart, and returns
+/// everything the server writes back before it closes.
+fn send_in_parts(addr: std::net::SocketAddr, parts: &[&str], pause: Duration) -> String {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(TIMEOUT)).unwrap();
+    for (i, part) in parts.iter().enumerate() {
+        if i > 0 {
+            std::thread::sleep(pause);
+        }
+        s.write_all(part.as_bytes()).unwrap();
+    }
+    let mut raw = String::new();
+    s.read_to_string(&mut raw).unwrap();
+    raw
+}
+
+#[test]
+fn a_pause_between_head_and_body_outlasts_the_poll_slice() {
+    let svc = plain_service(100, 300, 4);
+    let handle = start(
+        Services {
+            plain: Arc::clone(&svc),
+            lcr: None,
+        },
+        test_config(1),
+    )
+    .unwrap();
+    let body = "3 97";
+    let head = format!(
+        "POST /query HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    // 50 ms is two idle-poll slices: the parked read must keep waiting
+    let raw = send_in_parts(handle.addr(), &[&head, body], Duration::from_millis(50));
+    let expect = if svc.query(VertexId(3), VertexId(97)) {
+        "true\n"
+    } else {
+        "false\n"
+    };
+    assert!(raw.starts_with("HTTP/1.1 200"), "expected 200, got {raw:?}");
+    assert!(raw.ends_with(&format!("\r\n\r\n{expect}")), "{raw:?}");
+    handle.shutdown_and_join();
+}
+
+#[test]
+fn a_body_stalled_past_the_read_timeout_gets_408() {
+    let read_timeout = Duration::from_millis(300);
+    let handle = start(
+        Services {
+            plain: plain_service(50, 120, 8),
+            lcr: None,
+        },
+        ServerConfig {
+            workers: 1,
+            read_timeout,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let started = std::time::Instant::now();
+    // three of the ten declared body bytes, then silence
+    let raw = send_in_parts(
+        handle.addr(),
+        &["POST /batch HTTP/1.1\r\nContent-Length: 10\r\n\r\n0 1"],
+        Duration::ZERO,
+    );
+    assert!(raw.starts_with("HTTP/1.1 408"), "expected 408, got {raw:?}");
+    assert!(started.elapsed() >= read_timeout, "408 before the timeout");
+    assert_eq!(handle.metrics().responses_with_status(408), 1);
+    handle.shutdown_and_join();
+}
+
+#[test]
+fn an_idle_keep_alive_connection_closes_soon_after_shutdown() {
+    let handle = start(
+        Services {
+            plain: plain_service(50, 120, 6),
+            lcr: None,
+        },
+        ServerConfig {
+            workers: 1,
+            read_timeout: Duration::from_secs(30),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut s = TcpStream::connect(handle.addr()).unwrap();
+    s.set_read_timeout(Some(TIMEOUT)).unwrap();
+    s.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+    let mut raw = Vec::new();
+    let mut buf = [0u8; 256];
+    while !raw.ends_with(b"\r\n\r\nok\n") {
+        let got = s.read(&mut buf).unwrap();
+        assert!(got > 0, "closed before the response");
+        raw.extend_from_slice(&buf[..got]);
+    }
+    assert!(String::from_utf8_lossy(&raw).contains("Connection: keep-alive"));
+    // let the worker pass its spin window and park on the idle socket
+    std::thread::sleep(Duration::from_millis(100));
+    let started = std::time::Instant::now();
+    handle.shutdown();
+    assert_eq!(s.read(&mut buf).unwrap(), 0, "a parked connection closes");
+    // one 25 ms idle-poll slice, plus margin for a loaded host; the
+    // read timeout (30 s) plays no part
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_millis(250),
+        "closed after {waited:?}"
+    );
+    handle.join();
+}
+
+#[test]
+fn every_request_read_counts_one_spin_or_one_park() {
+    let handle = start(
+        Services {
+            plain: plain_service(100, 300, 12),
+            lcr: None,
+        },
+        test_config(2),
+    )
+    .unwrap();
+    const REQUESTS: u64 = 40;
+    let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
+    let mut slept = 0;
+    for i in 0..REQUESTS - 1 {
+        if i % 8 == 7 {
+            // longer than any spin window: this request finds the
+            // worker parked
+            std::thread::sleep(Duration::from_millis(5));
+            slept += 1;
+        }
+        let resp = client
+            .request("POST", "/query", &format!("{} {}", i, 99 - i))
+            .unwrap();
+        assert_eq!(resp.status, 200);
+    }
+    let text = client.request("GET", "/metrics", "").unwrap().body;
+    assert!(text.contains("reach_idle_waits_total{outcome=\"spin\"}"));
+    assert!(text.contains("reach_idle_waits_total{outcome=\"park\"}"));
+    drop(client);
+    // a response reaches the client just before its counters bump
+    let m = handle.metrics();
+    let waited = std::time::Instant::now();
+    while m.total_requests() < REQUESTS && waited.elapsed() < TIMEOUT {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(m.total_requests(), REQUESTS);
+    let (spin, park) = (m.idle_waits(IdleWait::Spin), m.idle_waits(IdleWait::Park));
+    assert_eq!(spin + park, REQUESTS, "spin {spin} + park {park}");
+    assert!(park >= slept, "{slept} slept-for requests, {park} parks");
     handle.shutdown_and_join();
 }

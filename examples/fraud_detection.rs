@@ -81,7 +81,7 @@ fn main() {
 
     // build the RLC index for units up to length 2
     let t = Instant::now();
-    let rlc = RlcIndex::build(&network, 2);
+    let rlc = RlcIndex::build(&network, 2).expect("3 labels, kmax 2: 12 units");
     println!(
         "RLC index built in {:?} ({} entries, kmax = {})",
         t.elapsed(),

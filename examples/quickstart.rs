@@ -73,7 +73,7 @@ fn main() {
     assert!(!p2h.query(fixtures::A, fixtures::G, allowed));
 
     // a concatenation constraint needs the RLC index
-    let rlc = reachability::labeled::rlc::RlcIndex::build(&lg, 2);
+    let rlc = reachability::labeled::rlc::RlcIndex::build(&lg, 2).expect("a small alphabet");
     let unit = [fixtures::WORKS_FOR, fixtures::FRIEND_OF];
     let answer = rlc.try_query(fixtures::L, fixtures::B, &unit).unwrap();
     println!(

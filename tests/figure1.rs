@@ -89,7 +89,7 @@ fn mr_example_and_rlc_query() {
     // has MR (worksFor, friendOf), so Qr(L,B,(worksFor·friendOf)*) = true
     let g = fixtures::figure1b();
     assert!(rlc_bfs(&g, L, B, &[WORKS_FOR, FRIEND_OF]));
-    let idx = RlcIndex::build(&g, 2);
+    let idx = RlcIndex::build(&g, 2).unwrap();
     assert_eq!(idx.try_query(L, B, &[WORKS_FOR, FRIEND_OF]), Some(true));
     // and the MR really is minimal: neither single label suffices
     assert_eq!(idx.try_query(L, B, &[WORKS_FOR]), Some(false));

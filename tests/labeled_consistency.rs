@@ -62,7 +62,7 @@ fn rlc_index_agrees_with_product_bfs() {
     let mut rng = SmallRng::seed_from_u64(5);
     for shape in [Shape::Sparse, Shape::Cyclic] {
         let g = Arc::new(shape.generate_labeled(20, 3, 6));
-        let idx = RlcIndex::build(&g, 2);
+        let idx = RlcIndex::build(&g, 2).unwrap();
         for _ in 0..120 {
             let len = 1 + rng.random_range(0..2usize);
             let unit: Vec<Label> = (0..len).map(|_| Label(rng.random_range(0..3u8))).collect();

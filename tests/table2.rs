@@ -67,7 +67,7 @@ fn matrix_matches_the_papers_table_2() {
     let g = Arc::new(fixtures::figure1b());
     for (name, framework, constraint, completeness, input, dynamism) in expected_rows() {
         let m = if name == "RLC index" {
-            RlcIndex::build(&g, 2).meta()
+            RlcIndex::build(&g, 2).unwrap().meta()
         } else {
             build_lcr(name, &g, &BuildOpts::default()).unwrap().meta()
         };
@@ -90,7 +90,7 @@ fn no_index_supports_both_constraint_classes() {
     let mut concatenation = 0;
     for (name, ..) in expected_rows() {
         let m = if name == "RLC index" {
-            RlcIndex::build(&g, 2).meta()
+            RlcIndex::build(&g, 2).unwrap().meta()
         } else {
             build_lcr(name, &g, &BuildOpts::default()).unwrap().meta()
         };
