@@ -9,6 +9,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use reach_bench::args::{self, Flag};
 use reach_bench::queries::{query_mix, random_pair};
 use reach_bench::report::{fmt_bytes, fmt_duration, timed, Table};
 use reach_bench::workloads::Shape;
@@ -461,34 +462,36 @@ fn dynamic() {
     println!("update stream left behind (checked outside the timed loop).\n");
 }
 
+/// A section's flag and its runner, which is given `--full`.
+type Section = (&'static str, fn(bool));
+
+/// The sections, each run by its flag; no section flag runs them all.
+const SECTIONS: [Section; 7] = [
+    ("--baseline", |_| baseline()),
+    ("--speedup", |_| speedup()),
+    ("--scaling", scaling),
+    ("--negatives", |_| negatives()),
+    ("--labeled-cost", |_| labeled_cost()),
+    ("--parallel", |_| parallel()),
+    ("--dynamic", |_| dynamic()),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let explicit: Vec<&str> = args
+    let flags: Vec<Flag> = SECTIONS
         .iter()
-        .map(String::as_str)
-        .filter(|a| *a != "--full")
+        .map(|&(flag, _)| Flag::Switch(flag))
+        .chain([Flag::Switch("--full")])
         .collect();
-    let all = explicit.is_empty();
-    if all || explicit.contains(&"--baseline") {
-        baseline();
-    }
-    if all || explicit.contains(&"--speedup") {
-        speedup();
-    }
-    if all || explicit.contains(&"--scaling") {
-        scaling(full);
-    }
-    if all || explicit.contains(&"--negatives") {
-        negatives();
-    }
-    if all || explicit.contains(&"--labeled-cost") {
-        labeled_cost();
-    }
-    if all || explicit.contains(&"--parallel") {
-        parallel();
-    }
-    if all || explicit.contains(&"--dynamic") {
-        dynamic();
+    let (chosen, full) = args::from_env(
+        &flags,
+        "claims [--baseline] [--speedup] [--scaling [--full]] [--negatives] \
+         [--labeled-cost] [--parallel] [--dynamic]   (default: all)",
+        |a| Ok((SECTIONS.map(|(flag, _)| a.has(flag)), a.has("--full"))),
+    );
+    let all = !chosen.contains(&true);
+    for ((_, section), chosen) in SECTIONS.into_iter().zip(chosen) {
+        if all || chosen {
+            section(full);
+        }
     }
 }

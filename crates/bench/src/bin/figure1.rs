@@ -5,6 +5,7 @@
 //! cargo run -p reach-bench --bin figure1
 //! ```
 
+use reach_bench::args;
 use reach_core::pipeline::{build_plain, plain_names, BuildOpts};
 use reach_graph::fixtures::{
     self, label_name, vertex_name, A, B, D, FOLLOWS, FRIEND_OF, G, H, L, M, WORKS_FOR,
@@ -19,6 +20,7 @@ use reach_labeled::RlcIndexApi;
 use std::sync::Arc;
 
 fn main() {
+    args::from_env(&[], "figure1", |_| Ok(()));
     let plain = Arc::new(fixtures::figure1a());
     let labeled = Arc::new(fixtures::figure1b());
 

@@ -12,8 +12,9 @@
 //! cargo run --release -p reach-bench --bin sweep -- [--n 20000]
 //! ```
 
+use reach_bench::args::{self, Flag};
 use reach_bench::queries::{query_mix, QueryMix};
-use reach_bench::report::{fmt_bytes, fmt_duration, report_args, timed, Table};
+use reach_bench::report::{fmt_bytes, fmt_duration, timed, Table};
 use reach_bench::workloads::Shape;
 use reach_core::pipeline::{build_plain, BuildOpts};
 use reach_core::tol::{OrderStrategy, Tol};
@@ -52,7 +53,9 @@ fn sweep_row(
 }
 
 fn main() {
-    let (n, _) = report_args(20_000, None);
+    let n = args::from_env(&[Flag::Value("--n")], "sweep [--n N]", |a| {
+        a.get_at_least("--n", 20_000, 2)
+    });
 
     let graph = Arc::new(Shape::Sparse.generate(n, 31));
     let prepared = PreparedGraph::new_shared(Arc::clone(&graph));

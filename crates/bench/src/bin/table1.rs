@@ -7,8 +7,9 @@
 //! cargo run --release -p reach-bench --bin table1 -- [--empirical] [--n 5000]
 //! ```
 
+use reach_bench::args::{self, Flag};
 use reach_bench::queries::query_mix;
-use reach_bench::report::{fmt_bytes, fmt_duration, report_args, taxonomy_cells, timed, Table};
+use reach_bench::report::{fmt_bytes, fmt_duration, taxonomy_cells, timed, Table};
 use reach_bench::workloads::Shape;
 use reach_core::pipeline::{
     build_plain, plain_feasible, plain_names, plain_native_meta, BuildOpts,
@@ -124,7 +125,11 @@ fn empirical(n: usize) {
 }
 
 fn main() {
-    let (n, run_empirical) = report_args(5_000, Some("--empirical"));
+    let (n, run_empirical) = args::from_env(
+        &[Flag::Switch("--empirical"), Flag::Value("--n")],
+        "table1 [--empirical] [--n N]",
+        |a| Ok((a.get_at_least("--n", 5_000, 2)?, a.has("--empirical"))),
+    );
     print_matrix();
     if run_empirical {
         empirical(n);

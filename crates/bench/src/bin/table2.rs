@@ -9,8 +9,9 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use reach_bench::args::{self, Flag};
 use reach_bench::queries::random_pair;
-use reach_bench::report::{fmt_bytes, fmt_duration, report_args, taxonomy_cells, timed, Table};
+use reach_bench::report::{fmt_bytes, fmt_duration, taxonomy_cells, timed, Table};
 use reach_bench::workloads::Shape;
 use reach_core::pipeline::BuildOpts;
 use reach_graph::{fixtures, Label, LabelSet, VertexId};
@@ -219,7 +220,11 @@ fn empirical(n: usize) {
 }
 
 fn main() {
-    let (n, run_empirical) = report_args(1_000, Some("--empirical"));
+    let (n, run_empirical) = args::from_env(
+        &[Flag::Switch("--empirical"), Flag::Value("--n")],
+        "table2 [--empirical] [--n N]",
+        |a| Ok((a.get_at_least("--n", 1_000, 2)?, a.has("--empirical"))),
+    );
     print_matrix();
     if run_empirical {
         empirical(n);

@@ -26,75 +26,16 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use reach_bench::args::{self, Flag};
 use reach_bench::report::{fmt_duration, timed, Table};
 use reach_bench::workloads::Shape;
-use reach_core::pipeline::{build_plain, BuildOpts};
+use reach_core::pipeline::{build_plain, plain_names, BuildOpts};
 use reach_core::QueryEngine;
 use reach_graph::{PreparedGraph, VertexId};
 use std::sync::Arc;
 
 const SEED: u64 = 0x7157;
 const TARGETS_PER_SOURCE: usize = 8;
-
-struct Config {
-    n: usize,
-    queries: usize,
-    indexes: Vec<String>,
-    out: String,
-    smoke: bool,
-}
-
-fn parse_args(args: &[String]) -> Config {
-    let mut cfg = Config {
-        n: 100_000,
-        queries: 4096,
-        indexes: Vec::new(),
-        out: "BENCH_throughput.json".to_string(),
-        smoke: false,
-    };
-    let mut explicit_n = false;
-    let mut explicit_q = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => cfg.smoke = true,
-            "--n" => {
-                i += 1;
-                cfg.n = args[i].parse().expect("--n takes a number");
-                explicit_n = true;
-            }
-            "--queries" => {
-                i += 1;
-                cfg.queries = args[i].parse().expect("--queries takes a number");
-                explicit_q = true;
-            }
-            "--index" => {
-                i += 1;
-                cfg.indexes.push(args[i].clone());
-            }
-            "--out" => {
-                i += 1;
-                cfg.out = args[i].clone();
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-        i += 1;
-    }
-    if cfg.smoke {
-        if !explicit_n {
-            cfg.n = 2_000;
-        }
-        if !explicit_q {
-            cfg.queries = 512;
-        }
-    }
-    if cfg.indexes.is_empty() {
-        cfg.indexes = ["online-BFS", "online-BiBFS", "GRAIL", "BFL"]
-            .map(String::from)
-            .to_vec();
-    }
-    cfg
-}
 
 /// A query log with source locality: `queries / TARGETS_PER_SOURCE`
 /// distinct sources, each asked about `TARGETS_PER_SOURCE` targets,
@@ -150,8 +91,37 @@ fn json_f64(x: f64) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = parse_args(&args);
+    let (smoke, n, queries, indexes, out) = args::from_env(
+        &[
+            Flag::Switch("--smoke"),
+            Flag::Value("--n"),
+            Flag::Value("--queries"),
+            Flag::List("--index"),
+            Flag::Value("--out"),
+        ],
+        "throughput [--smoke] [--n N] [--queries Q] [--index NAME ...] [--out FILE]",
+        |a| {
+            let smoke = a.has("--smoke");
+            // `--n` and `--queries` override the smoke sizes too
+            let (n, queries) = if smoke { (2_000, 512) } else { (100_000, 4096) };
+            let mut indexes = a.values("--index");
+            if indexes.is_empty() {
+                indexes = vec!["online-BFS", "online-BiBFS", "GRAIL", "BFL"];
+            }
+            if let Some(name) = indexes.iter().find(|name| !plain_names().contains(name)) {
+                return Err(a.error(format!("unknown plain index {name:?}")));
+            }
+            Ok((
+                smoke,
+                a.get_at_least("--n", n, 2)?,
+                a.get("--queries")?.unwrap_or(queries),
+                indexes.into_iter().map(String::from).collect::<Vec<_>>(),
+                a.value("--out")
+                    .unwrap_or("BENCH_throughput.json")
+                    .to_string(),
+            ))
+        },
+    );
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let thread_counts = thread_sweep(cores);
     let profile = if cfg!(debug_assertions) {
@@ -160,8 +130,8 @@ fn main() {
         "release"
     };
 
-    let graph = Arc::new(Shape::Sparse.generate(cfg.n, SEED));
-    let pairs = locality_workload(graph.num_vertices(), cfg.queries, SEED ^ 0xBA7C4);
+    let graph = Arc::new(Shape::Sparse.generate(n, SEED));
+    let pairs = locality_workload(graph.num_vertices(), queries, SEED ^ 0xBA7C4);
     println!(
         "throughput workload: sparse-dag n={} m={} | {} queries, ~{} targets/source, threads {:?} ({cores} cores, {profile})",
         graph.num_vertices(),
@@ -176,8 +146,8 @@ fn main() {
     let mut table = Table::new(["index", "build", "per-pair qps", "batch config", "speedup"]);
     let mut index_reports: Vec<String> = Vec::new();
 
-    for name in &cfg.indexes {
-        let (idx, build) = build_plain(name, &prepared, &opts).unwrap_or_else(|e| panic!("{e}"));
+    for name in &indexes {
+        let (idx, build) = build_plain(name, &prepared, &opts).expect("a registry name");
 
         // baseline: the classic sequential one-query-at-a-time loop
         let (reference, base_time) =
@@ -246,9 +216,9 @@ fn main() {
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join(", "),
-        cfg.smoke,
+        smoke,
         index_reports.join(",\n")
     );
-    std::fs::write(&cfg.out, &json).expect("write report");
-    println!("wrote {}", cfg.out);
+    std::fs::write(&out, &json).expect("write report");
+    println!("wrote {out}");
 }

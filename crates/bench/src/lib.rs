@@ -8,10 +8,12 @@
 //! * [`workloads`] — the named graph shapes the comparisons run on;
 //! * [`queries`] — query mixes with a controlled reachable share
 //!   (§5's argument revolves around unreachable-heavy mixes);
-//! * [`report`] — fixed-width table printing and wall-clock helpers.
+//! * [`report`] — fixed-width table printing and wall-clock helpers;
+//! * [`args`] — the one command-line parser, shared with `reach`.
 
 #![forbid(unsafe_code)]
 
+pub mod args;
 pub mod queries;
 pub mod report;
 pub mod workloads;

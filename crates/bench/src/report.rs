@@ -11,27 +11,6 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     (out, start.elapsed())
 }
 
-/// Parses a report binary's arguments: `--n N` (default `default_n`)
-/// and, when `flag` names one, that boolean flag. Panics on anything
-/// else.
-pub fn report_args(default_n: usize, flag: Option<&str>) -> (usize, bool) {
-    let mut args = std::env::args().skip(1);
-    let (mut n, mut set) = (default_n, false);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--n" => {
-                n = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--n takes a number")
-            }
-            a if Some(a) == flag => set = true,
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
-    (n, set)
-}
-
 /// A simple aligned text table.
 #[derive(Debug, Default)]
 pub struct Table {

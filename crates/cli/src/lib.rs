@@ -14,14 +14,19 @@
 //! reach bench g.el --index GRAIL --index PLL --queries 2000
 //! ```
 //!
-//! The library surface exists so tests can drive every command
+//! Every subcommand is one row of [`COMMANDS`]: its usage line, its
+//! flags and its handler. [`reach_bench::args`] reads each command line
+//! against that row's flags, so a flag the command does not read is an
+//! error. The library surface exists so tests can drive every command
 //! in-process; `main.rs` is a thin wrapper.
 
 #![forbid(unsafe_code)]
 
+use reach_bench::args::Flag::{self, List, Switch, Value};
+use reach_bench::args::{self, ArgError, Args};
 use reach_bench::queries::query_mix;
 use reach_bench::report::{fmt_build_report, fmt_bytes, fmt_duration, timed, Table};
-use reach_bench::workloads::{Shape, ALL_SHAPES};
+use reach_bench::workloads::ALL_SHAPES;
 use reach_core::pipeline::{
     build_plain, plain_feasible, plain_names, plain_native_meta, plain_spec, BuildOpts, BuilderSpec,
 };
@@ -40,8 +45,13 @@ use std::time::Instant;
 /// and server code compose errors with `?`.
 #[derive(Debug)]
 pub enum CliError {
-    /// Wrong arguments, unknown names, out-of-range values.
-    Usage(String),
+    /// A command-line mistake: an undeclared, repeated or valueless
+    /// flag, a bad flag value, or the wrong positional arguments.
+    Args(ArgError),
+    /// The command line parsed, but what it asks for cannot be done:
+    /// an unknown index, an index infeasible at the graph's size, bad
+    /// vertex ids or constraints, or an audit that found violations.
+    Invalid(String),
     /// Reading or writing a user-named file failed.
     File {
         /// The file the user named.
@@ -64,7 +74,8 @@ pub enum CliError {
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CliError::Usage(msg) => f.write_str(msg),
+            CliError::Args(e) => e.fmt(f),
+            CliError::Invalid(msg) => f.write_str(msg),
             CliError::File { path, source } => write!(f, "{path}: {source}"),
             CliError::Graph { path, source } => write!(f, "{path}: {source}"),
             CliError::Io(source) => write!(f, "I/O error: {source}"),
@@ -75,7 +86,7 @@ impl fmt::Display for CliError {
 impl std::error::Error for CliError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CliError::Usage(_) => None,
+            CliError::Args(_) | CliError::Invalid(_) => None,
             CliError::File { source, .. } => Some(source),
             CliError::Graph { source, .. } => Some(source),
             CliError::Io(source) => Some(source),
@@ -83,8 +94,17 @@ impl std::error::Error for CliError {
     }
 }
 
+/// What `reach` prints on stderr for a failed command: the error and,
+/// after a command-line mistake, the command's usage line.
+pub fn error_report(e: &CliError) -> String {
+    match e {
+        CliError::Args(e) => e.report(),
+        e => format!("error: {e}"),
+    }
+}
+
 fn err(msg: impl Into<String>) -> CliError {
-    CliError::Usage(msg.into())
+    CliError::Invalid(msg.into())
 }
 
 /// A registry's unknown-name error, pointing at the list of names.
@@ -115,6 +135,12 @@ impl From<std::io::Error> for CliError {
     }
 }
 
+impl From<ArgError> for CliError {
+    fn from(e: ArgError) -> Self {
+        CliError::Args(e)
+    }
+}
+
 /// A loaded graph file: plain or labeled, detected from the header.
 pub enum LoadedGraph {
     /// A plain digraph (header: `<n>`).
@@ -123,8 +149,8 @@ pub enum LoadedGraph {
     Labeled(Arc<LabeledGraph>),
 }
 
-/// Loads an edge-list file, detecting the labeled variant from the
-/// two-token header. Errors name the offending path, and parse errors
+/// Loads an edge-list file, plain or labeled as [`io::is_labeled`]
+/// reads its header. Errors name the offending path, and parse errors
 /// additionally carry the 1-based line number of the bad edge line.
 pub fn load_graph(path: &str) -> Result<LoadedGraph, CliError> {
     let file_err = |source| CliError::File {
@@ -136,13 +162,7 @@ pub fn load_graph(path: &str) -> Result<LoadedGraph, CliError> {
         source,
     };
     let text = std::fs::read_to_string(path).map_err(file_err)?;
-    let header = text
-        .lines()
-        .map(str::trim)
-        .find(|l| !l.is_empty() && !l.starts_with('#'))
-        .ok_or_else(|| err(format!("{path}: empty edge-list file")))?;
-    let labeled = header.split_whitespace().count() == 2;
-    if labeled {
+    if io::is_labeled(&text) {
         Ok(LoadedGraph::Labeled(Arc::new(
             io::read_labeled(&text).map_err(graph_err)?,
         )))
@@ -153,22 +173,137 @@ pub fn load_graph(path: &str) -> Result<LoadedGraph, CliError> {
     }
 }
 
+/// One subcommand: `reach help`, dispatch and the parser's errors
+/// all read it from [`COMMANDS`].
+pub struct Command {
+    /// The word after `reach`.
+    pub name: &'static str,
+    /// Its usage line, `reach` included.
+    pub usage: &'static str,
+    summary: &'static str,
+    /// The only flags it accepts.
+    pub flags: &'static [Flag],
+    run: fn(&Args, &mut dyn Write) -> Result<(), CliError>,
+}
+
+/// The subcommands, in the order `reach help` lists them.
+pub const COMMANDS: [Command; 9] = [
+    Command {
+        name: "gen",
+        usage: "reach gen <shape> <n> [--seed S] [--labels K] [--out FILE]",
+        summary: "generate a workload",
+        flags: &[Value("--seed"), Value("--labels"), Value("--out")],
+        run: cmd_gen,
+    },
+    Command {
+        name: "stats",
+        usage: "reach stats <graph>",
+        summary: "structural summary",
+        flags: &[],
+        run: cmd_stats,
+    },
+    Command {
+        name: "indexes",
+        usage: "reach indexes",
+        summary: "list techniques (Table 1 & 2)",
+        flags: &[],
+        run: cmd_indexes,
+    },
+    Command {
+        name: "query",
+        usage: "reach query <graph> [--index NAME] (<s> <t> ... | --batch FILE [--threads N])",
+        summary: "plain reachability, per pair or as a batch",
+        flags: &[Value("--index"), Value("--batch"), Value("--threads")],
+        run: cmd_query,
+    },
+    Command {
+        name: "lcr",
+        usage: "reach lcr <graph> [--index NAME] --constraint EXPR [--alphabet A,B,..] <s> <t> ...",
+        summary: "path-constrained reachability",
+        flags: &[Value("--index"), Value("--constraint"), Value("--alphabet")],
+        run: cmd_lcr,
+    },
+    Command {
+        name: "witness",
+        usage: "reach witness <graph> [--constraint EXPR] [--alphabet A,B,..] <s> <t> ...",
+        summary: "show an explaining path",
+        flags: &[Value("--constraint"), Value("--alphabet")],
+        run: cmd_witness,
+    },
+    Command {
+        name: "bench",
+        usage: "reach bench <graph> [--index NAME ...] [--queries N] [--positive P]",
+        summary: "time builds and queries",
+        flags: &[List("--index"), Value("--queries"), Value("--positive")],
+        run: cmd_bench,
+    },
+    Command {
+        name: "verify",
+        usage: "reach verify <graph> (--index NAME ...|--all) [--queries N] [--seed S]",
+        summary: "audit index invariants against the BFS ground truth",
+        flags: &[
+            List("--index"),
+            Switch("--all"),
+            Value("--queries"),
+            Value("--seed"),
+        ],
+        run: cmd_verify,
+    },
+    Command {
+        name: "serve",
+        usage: "reach serve <graph> [--index NAME] [--lcr NAME] [--port N] [--workers K] \
+                [--threads N] [--port-file FILE]",
+        summary: "HTTP query service",
+        flags: &[
+            Value("--index"),
+            Value("--lcr"),
+            Value("--port"),
+            Value("--workers"),
+            Value("--threads"),
+            Value("--port-file"),
+        ],
+        run: cmd_serve,
+    },
+];
+
 /// Entry point shared by the binary and the tests.
-pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let mut it = args.iter().map(String::as_str);
-    match it.next() {
-        None | Some("help") | Some("--help") | Some("-h") => cmd_help(out),
-        Some("gen") => cmd_gen(&args[1..], out),
-        Some("stats") => cmd_stats(&args[1..], out),
-        Some("indexes") => cmd_indexes(out),
-        Some("query") => cmd_query(&args[1..], out),
-        Some("lcr") => cmd_lcr(&args[1..], out),
-        Some("witness") => cmd_witness(&args[1..], out),
-        Some("bench") => cmd_bench(&args[1..], out),
-        Some("verify") => cmd_verify(&args[1..], out),
-        Some("serve") => cmd_serve(&args[1..], out),
-        Some(other) => Err(err(format!("unknown command {other:?}"))),
+pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+    let Some((name, rest)) = argv.split_first() else {
+        return cmd_help(out);
+    };
+    if ["help", "--help", "-h"].contains(&name.as_str()) {
+        return cmd_help(out);
     }
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| ArgError {
+            message: format!("unknown command {name:?}"),
+            usage: "reach <command> ... (`reach help` lists the commands)",
+        })?;
+    let args = args::parse(rest, command.flags, command.usage)?;
+    (command.run)(&args, out)
+}
+
+/// The positional arguments of a command that takes exactly `N`.
+fn positional<'a, const N: usize>(args: &'a Args) -> Result<[&'a str; N], ArgError> {
+    let found: Vec<&str> = args.positional.iter().map(String::as_str).collect();
+    found.try_into().map_err(|found: Vec<&str>| {
+        args.error(format!("expected {N} argument(s), found {}", found.len()))
+    })
+}
+
+/// The graph file and the `<s> <t>` tokens after it.
+fn graph_and_pairs<'a>(args: &'a Args) -> Result<(&'a String, &'a [String]), ArgError> {
+    args.positional
+        .split_first()
+        .ok_or_else(|| args.error("missing the graph file"))
+}
+
+/// The label names `--alphabet` gives, in label order.
+fn alphabet<'a>(args: &'a Args) -> Vec<&'a str> {
+    args.value("--alphabet")
+        .map_or(Vec::new(), |names| names.split(',').collect())
 }
 
 /// Renders a witness path as `v -label-> v -label-> v`.
@@ -183,24 +318,19 @@ fn render_witness(w: &reach_labeled::Witness) -> String {
     s
 }
 
-fn cmd_witness(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_witness(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     use reach_labeled::{witness::rpq_witness, Ast, Nfa};
-    let flags = parse_flags(args)?;
-    let (path, pairs_tokens) = flags
-        .rest
-        .split_first()
-        .ok_or_else(|| err("usage: witness <labeled-graph> --constraint EXPR <s> <t> [...]"))?;
+    let (path, pairs_tokens) = graph_and_pairs(args)?;
     let LoadedGraph::Labeled(g) = load_graph(path)? else {
         return Err(err(format!(
             "{path} is a plain graph; witness needs a labeled one"
         )));
     };
-    let alphabet: Vec<&str> = flags.alphabet.iter().map(String::as_str).collect();
     let pairs = parse_pairs(pairs_tokens, g.num_vertices())?;
     // no constraint: any path, i.e. (l1 ∪ … ∪ lk)* over the whole alphabet
-    let ast = match flags.constraint.as_deref().unwrap_or("") {
+    let ast = match args.value("--constraint").unwrap_or("") {
         "" => Ast::Star(Box::new(Ast::Labels(LabelSet::full(g.num_labels())))),
-        expr => reach_labeled::parse(expr, &alphabet).map_err(|e| err(e.to_string()))?,
+        expr => reach_labeled::parse(expr, &alphabet(args)).map_err(|e| err(e.to_string()))?,
     };
     let nfa = Nfa::compile(&ast);
     for (s, t) in pairs {
@@ -215,22 +345,19 @@ fn cmd_witness(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 fn cmd_help(out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(
         out,
-        "reach — reachability indexes on graphs (SIGMOD'23 survey implementation)\n\
-         \n\
-         commands:\n\
-         \x20 gen <shape> <n> [--seed S] [--labels K] [--out FILE]   generate a workload\n\
-         \x20 stats <graph>                                          structural summary\n\
-         \x20 indexes                                                list techniques (Table 1 & 2)\n\
-         \x20 query <graph> --index NAME <s> <t> [<s> <t> ...]       plain reachability\n\
-         \x20 query <graph> --index NAME --batch FILE [--threads N]  batch evaluation\n\
-         \x20 lcr <graph> --index NAME --constraint EXPR <s> <t>     path-constrained reachability\n\
-         \x20 witness <graph> [--constraint EXPR] <s> <t>            show an explaining path\n\
-         \x20 bench <graph> [--index NAME ...] [--queries N] [--positive P]\n\
-         \x20 verify <graph> (--index NAME ...|--all) [--queries N] [--seed S]\n\
-         \x20        audit index invariants against the BFS ground truth\n\
-         \x20 serve <graph> [--index NAME] [--lcr NAME] [--port N] [--workers K]\n\
-         \x20       [--threads N] [--port-file FILE]                 HTTP query service\n\
-         \n\
+        "reach — reachability indexes on graphs (SIGMOD'23 survey implementation)\n\ncommands:"
+    )?;
+    for c in &COMMANDS {
+        let usage = c.usage.trim_start_matches("reach ");
+        if usage.len() < 55 {
+            writeln!(out, "  {usage:<55}{}", c.summary)?;
+        } else {
+            writeln!(out, "  {usage}\n        {}", c.summary)?;
+        }
+    }
+    writeln!(
+        out,
+        "\n\
          shapes: {}\n\
          constraint syntax: l | a·b (or a.b) | a∪b (or a|b) | a* | a+ | (...)\n\
          labels in constraints: numeric (0,1,2,…) or --alphabet name,name,…",
@@ -239,77 +366,35 @@ fn cmd_help(out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn parse_shape(name: &str) -> Result<Shape, CliError> {
-    ALL_SHAPES
+fn cmd_gen(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let [shape, n] = positional(args)?;
+    let shape = ALL_SHAPES
         .into_iter()
-        .find(|s| s.name() == name)
+        .find(|s| s.name() == shape)
         .ok_or_else(|| {
-            err(format!(
-                "unknown shape {name:?} (expected one of: {})",
+            args.error(format!(
+                "unknown shape {shape:?} (expected one of: {})",
                 ALL_SHAPES.map(|s| s.name()).join(", ")
             ))
-        })
-}
-
-fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, CliError> {
-    s.parse().map_err(|_| err(format!("invalid {what}: {s:?}")))
-}
-
-fn cmd_gen(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let mut pos = Vec::new();
-    let mut seed = 42u64;
-    let mut labels: Option<usize> = None;
-    let mut path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                i += 1;
-                seed = parse_num(
-                    args.get(i).ok_or_else(|| err("--seed needs a value"))?,
-                    "seed",
-                )?;
-            }
-            "--labels" => {
-                i += 1;
-                labels = Some(parse_num(
-                    args.get(i).ok_or_else(|| err("--labels needs a value"))?,
-                    "label count",
-                )?);
-            }
-            "--out" => {
-                i += 1;
-                path = Some(
-                    args.get(i)
-                        .ok_or_else(|| err("--out needs a value"))?
-                        .clone(),
-                );
-            }
-            other => pos.push(other.to_string()),
-        }
-        i += 1;
-    }
-    let [shape, n] = pos.as_slice() else {
-        return Err(err(
-            "usage: gen <shape> <n> [--seed S] [--labels K] [--out FILE]",
-        ));
-    };
-    let shape = parse_shape(shape)?;
-    let n: usize = parse_num(n, "vertex count")?;
-    if n < 2 {
-        return Err(err("vertex count must be at least 2"));
-    }
-    if labels == Some(0) || labels.is_some_and(|k| k > 64) {
-        return Err(err("label count must be between 1 and 64"));
+        })?;
+    let n = n
+        .parse()
+        .ok()
+        .filter(|&n: &usize| n >= 2)
+        .ok_or_else(|| args.error(format!("invalid vertex count {n:?} (at least 2)")))?;
+    let seed = args.get("--seed")?.unwrap_or(42);
+    let labels: Option<usize> = args.get("--labels")?;
+    if labels.is_some_and(|k| !(1..=64).contains(&k)) {
+        return Err(args.error("--labels must be between 1 and 64").into());
     }
     let text = match labels {
         Some(k) => io::write_labeled(&shape.generate_labeled(n, k, seed)),
         None => io::write_digraph(&shape.generate(n, seed)),
     };
-    match path {
+    match args.value("--out") {
         Some(p) => {
-            std::fs::write(&p, &text).map_err(|source| CliError::File {
-                path: p.clone(),
+            std::fs::write(p, &text).map_err(|source| CliError::File {
+                path: p.to_string(),
                 source,
             })?;
             writeln!(out, "wrote {} ({} lines)", p, text.lines().count())?;
@@ -319,10 +404,8 @@ fn cmd_gen(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_stats(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let [path] = args else {
-        return Err(err("usage: stats <graph-file>"));
-    };
+fn cmd_stats(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let [path] = positional(args)?;
     let (g, labels) = match load_graph(path)? {
         LoadedGraph::Plain(g) => (g, None),
         LoadedGraph::Labeled(lg) => (Arc::new(lg.to_digraph()), Some(lg.num_labels())),
@@ -353,7 +436,8 @@ fn cmd_stats(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_indexes(out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_indexes(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    positional::<0>(args)?;
     writeln!(out, "plain reachability indexes (Table 1):")?;
     for name in plain_names() {
         if name.starts_with("online") {
@@ -379,107 +463,6 @@ fn cmd_indexes(out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-struct Flags {
-    indexes: Vec<String>,
-    constraint: Option<String>,
-    alphabet: Vec<String>,
-    queries: usize,
-    positive: f64,
-    batch: Option<String>,
-    threads: usize,
-    all: bool,
-    seed: Option<u64>,
-    rest: Vec<String>,
-}
-
-fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
-    let mut f = Flags {
-        indexes: Vec::new(),
-        constraint: None,
-        alphabet: Vec::new(),
-        queries: 1000,
-        positive: 0.5,
-        batch: None,
-        threads: 1,
-        all: false,
-        seed: None,
-        rest: Vec::new(),
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--index" => {
-                i += 1;
-                f.indexes.push(
-                    args.get(i)
-                        .ok_or_else(|| err("--index needs a value"))?
-                        .clone(),
-                );
-            }
-            "--constraint" => {
-                i += 1;
-                f.constraint = Some(
-                    args.get(i)
-                        .ok_or_else(|| err("--constraint needs a value"))?
-                        .clone(),
-                );
-            }
-            "--alphabet" => {
-                i += 1;
-                f.alphabet = args
-                    .get(i)
-                    .ok_or_else(|| err("--alphabet needs a value"))?
-                    .split(',')
-                    .map(str::to_string)
-                    .collect();
-            }
-            "--queries" => {
-                i += 1;
-                f.queries = parse_num(
-                    args.get(i).ok_or_else(|| err("--queries needs a value"))?,
-                    "query count",
-                )?;
-            }
-            "--positive" => {
-                i += 1;
-                f.positive = parse_num(
-                    args.get(i).ok_or_else(|| err("--positive needs a value"))?,
-                    "positive share",
-                )?;
-            }
-            "--batch" => {
-                i += 1;
-                f.batch = Some(
-                    args.get(i)
-                        .ok_or_else(|| err("--batch needs a file"))?
-                        .clone(),
-                );
-            }
-            "--all" => f.all = true,
-            "--seed" => {
-                i += 1;
-                f.seed = Some(parse_num(
-                    args.get(i).ok_or_else(|| err("--seed needs a value"))?,
-                    "seed",
-                )?);
-            }
-            "--threads" => {
-                i += 1;
-                f.threads = parse_num(
-                    args.get(i).ok_or_else(|| err("--threads needs a value"))?,
-                    "thread count",
-                )?;
-                if f.threads == 0 {
-                    return Err(err("thread count must be at least 1"));
-                }
-            }
-            other => f.rest.push(other.to_string()),
-        }
-        i += 1;
-    }
-    Ok(f)
-}
-
 fn parse_pairs(tokens: &[String], n: usize) -> Result<Vec<(VertexId, VertexId)>, CliError> {
     if tokens.is_empty() || !tokens.len().is_multiple_of(2) {
         return Err(err("queries come as <s> <t> pairs"));
@@ -487,12 +470,12 @@ fn parse_pairs(tokens: &[String], n: usize) -> Result<Vec<(VertexId, VertexId)>,
     tokens
         .chunks(2)
         .map(|pair| {
-            let s: u32 = parse_num(&pair[0], "vertex id")?;
-            let t: u32 = parse_num(&pair[1], "vertex id")?;
-            if s as usize >= n || t as usize >= n {
-                return Err(err(format!("vertex id out of range (n = {n})")));
-            }
-            Ok((VertexId(s), VertexId(t)))
+            let id = |tok: &String| match tok.parse::<u32>() {
+                Ok(v) if (v as usize) < n => Ok(VertexId(v)),
+                Ok(_) => Err(err(format!("vertex id out of range (n = {n})"))),
+                Err(_) => Err(err(format!("invalid vertex id: {tok:?}"))),
+            };
+            Ok((id(&pair[0])?, id(&pair[1])?))
         })
         .collect()
 }
@@ -516,21 +499,22 @@ fn read_batch_file(path: &str, n: usize) -> Result<Vec<(VertexId, VertexId)>, Cl
     parse_pairs(&tokens, n)
 }
 
-fn cmd_query(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let flags = parse_flags(args)?;
-    let (path, pairs_tokens) = flags
-        .rest
-        .split_first()
-        .ok_or_else(|| err("usage: query <graph> --index NAME <s> <t> [...]"))?;
+fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let (path, pairs_tokens) = graph_and_pairs(args)?;
+    let batch = args.value("--batch");
+    let threads = args.get_at_least("--threads", 1, 1)?;
+    if batch.is_none() && args.has("--threads") {
+        return Err(args.error("--threads applies to --batch only").into());
+    }
     let g = match load_graph(path)? {
         LoadedGraph::Plain(g) => g,
         LoadedGraph::Labeled(lg) => Arc::new(lg.to_digraph()),
     };
-    let name = flags.indexes.first().map(String::as_str).unwrap_or("BFL");
-    let pairs = match &flags.batch {
+    let name = args.value("--index").unwrap_or("BFL");
+    let pairs = match batch {
         Some(file) => {
             if !pairs_tokens.is_empty() {
-                return Err(err("--batch replaces inline <s> <t> pairs"));
+                return Err(args.error("--batch replaces inline <s> <t> pairs").into());
             }
             read_batch_file(file, g.num_vertices())?
         }
@@ -541,8 +525,8 @@ fn cmd_query(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let (idx, report) =
         build_plain(name, &prepared, &BuildOpts::default()).map_err(unknown_index)?;
     writeln!(out, "built {}", fmt_build_report(&report))?;
-    if flags.batch.is_some() {
-        let engine = reach_core::QueryEngine::new(flags.threads);
+    if batch.is_some() {
+        let engine = reach_core::QueryEngine::new(threads);
         let (answers, elapsed) = timed(|| engine.run(idx.as_ref(), &pairs));
         for (&(s, t), answer) in pairs.iter().zip(&answers) {
             writeln!(out, "Qr({s}, {t}) = {answer}")?;
@@ -565,28 +549,22 @@ fn cmd_query(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_lcr(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let flags = parse_flags(args)?;
-    let (path, pairs_tokens) = flags
-        .rest
-        .split_first()
-        .ok_or_else(|| err("usage: lcr <graph> --index NAME --constraint EXPR <s> <t> [...]"))?;
+fn cmd_lcr(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let (path, pairs_tokens) = graph_and_pairs(args)?;
+    let expr = args
+        .value("--constraint")
+        .ok_or_else(|| args.error("lcr requires --constraint"))?;
     let LoadedGraph::Labeled(g) = load_graph(path)? else {
         return Err(err(format!(
             "{path} is a plain graph; lcr needs a labeled one"
         )));
     };
-    let expr = flags
-        .constraint
-        .as_deref()
-        .ok_or_else(|| err("lcr requires --constraint"))?;
-    let alphabet: Vec<&str> = flags.alphabet.iter().map(String::as_str).collect();
-    let ast = reach_labeled::parse(expr, &alphabet).map_err(|e| err(e.to_string()))?;
+    let ast = reach_labeled::parse(expr, &alphabet(args)).map_err(|e| err(e.to_string()))?;
     let pairs = parse_pairs(pairs_tokens, g.num_vertices())?;
 
     match ast.classify() {
         ConstraintKind::Alternation(allowed) => {
-            let name = flags.indexes.first().map(String::as_str).unwrap_or("P2H+");
+            let name = args.value("--index").unwrap_or("P2H+");
             ensure_feasible(lcr_spec(name), g.num_vertices(), g.num_edges())?;
             let (idx, build) = timed(|| build_lcr(name, &g, &BuildOpts::default()));
             let idx = idx.map_err(unknown_index)?;
@@ -632,86 +610,37 @@ fn cmd_lcr(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `serve <graph> [--index NAME] [--lcr NAME] [--port N] [--workers K]
-/// [--threads N] [--port-file FILE]`
-///
 /// Builds the chosen indexes once, then serves them over HTTP until a
 /// `POST /admin/shutdown` drains the worker pool. `--port 0` binds an
 /// ephemeral port; `--port-file` writes the bound address to a file so
 /// scripts (and CI) can discover it. Connections beyond the default
 /// queue capacity of [`reach_server::ServerConfig`] get `429`.
-fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     use reach_core::IndexService;
     use reach_labeled::LcrService;
     use reach_server::{ServerConfig, Services};
 
-    let mut graph_path: Option<String> = None;
-    let mut index = "BFL".to_string();
-    let mut lcr: Option<String> = None;
-    let mut port: u16 = 7878;
-    let mut port_file: Option<String> = None;
+    let [path] = positional(args)?;
+    let index = args.value("--index").unwrap_or("BFL");
+    let lcr = args.value("--lcr");
+    let port: u16 = args.get("--port")?.unwrap_or(7878);
     let mut cfg = ServerConfig::default();
-    let mut threads = 1usize;
-    let mut i = 0;
-    let value = |args: &[String], i: usize, flag: &str| -> Result<String, CliError> {
-        args.get(i)
-            .cloned()
-            .ok_or_else(|| err(format!("{flag} needs a value")))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--index" => {
-                i += 1;
-                index = value(args, i, "--index")?;
-            }
-            "--lcr" => {
-                i += 1;
-                lcr = Some(value(args, i, "--lcr")?);
-            }
-            "--port" => {
-                i += 1;
-                port = parse_num(&value(args, i, "--port")?, "port")?;
-            }
-            "--workers" => {
-                i += 1;
-                cfg.workers = parse_num(&value(args, i, "--workers")?, "worker count")?;
-                if cfg.workers == 0 {
-                    return Err(err("worker count must be at least 1"));
-                }
-            }
-            "--threads" => {
-                i += 1;
-                threads = parse_num(&value(args, i, "--threads")?, "thread count")?;
-                if threads == 0 {
-                    return Err(err("thread count must be at least 1"));
-                }
-            }
-            "--port-file" => {
-                i += 1;
-                port_file = Some(value(args, i, "--port-file")?);
-            }
-            other if graph_path.is_none() && !other.starts_with('-') => {
-                graph_path = Some(other.to_string());
-            }
-            other => return Err(err(format!("unknown serve flag {other:?}"))),
-        }
-        i += 1;
-    }
-    let path = graph_path.ok_or_else(|| err("usage: serve <graph> [--index NAME] [--lcr NAME]"))?;
+    cfg.workers = args.get_at_least("--workers", cfg.workers, 1)?;
+    let threads = args.get_at_least("--threads", 1, 1)?;
 
     let read_start = Instant::now();
-    let (g, labeled) = match load_graph(&path)? {
+    let (g, labeled) = match load_graph(path)? {
         LoadedGraph::Plain(g) => (g, None),
         LoadedGraph::Labeled(lg) => (Arc::new(lg.to_digraph()), Some(lg)),
     };
     let read = read_start.elapsed();
-    ensure_feasible(plain_spec(&index), g.num_vertices(), g.num_edges())?;
-    if let (Some(name), Some(lg)) = (&lcr, &labeled) {
+    ensure_feasible(plain_spec(index), g.num_vertices(), g.num_edges())?;
+    if let (Some(name), Some(lg)) = (lcr, &labeled) {
         ensure_feasible(lcr_spec(name), lg.num_vertices(), lg.num_edges())?;
     }
     let prepared = PreparedGraph::new_shared(g);
     let plain = Arc::new(
-        IndexService::build(&index, prepared, &BuildOpts::default(), threads)
+        IndexService::build(index, prepared, &BuildOpts::default(), threads)
             .map_err(unknown_index)?,
     );
     // the whole cold start: read+parse here, then condense and label
@@ -730,7 +659,7 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 )));
             };
             let svc = Arc::new(
-                LcrService::build(&name, lg, &BuildOpts::default()).map_err(unknown_index)?,
+                LcrService::build(name, lg, &BuildOpts::default()).map_err(unknown_index)?,
             );
             writeln!(
                 out,
@@ -744,9 +673,9 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
     cfg.addr = format!("127.0.0.1:{port}");
     let handle = reach_server::start(Services { plain, lcr }, cfg.clone())?;
-    if let Some(pf) = &port_file {
+    if let Some(pf) = args.value("--port-file") {
         std::fs::write(pf, handle.addr().to_string()).map_err(|source| CliError::File {
-            path: pf.clone(),
+            path: pf.to_string(),
             source,
         })?;
     }
@@ -764,8 +693,6 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `verify <graph> (--index NAME ...|--all) [--queries N] [--seed S]`
-///
 /// Rebuilds each chosen index over the graph and runs the invariant
 /// audit: a sampled differential against the BFS ground truth,
 /// batch-vs-scalar consistency, self-reachability, and the technique's
@@ -773,33 +700,31 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// and completeness, condensation consistency, …). Labeled graphs
 /// additionally audit the LCR indexes against the constrained BFS.
 /// Exits nonzero if any audited index reports a violation.
-fn cmd_verify(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_verify(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     use reach_core::audit::{AuditConfig, AuditOutcome};
     use reach_labeled::pipeline::lcr_feasible;
 
-    let flags = parse_flags(args)?;
-    let [path] = flags.rest.as_slice() else {
-        return Err(err(
-            "usage: verify <graph> (--index NAME ...|--all) [--queries N] [--seed S]",
-        ));
-    };
-    if flags.indexes.is_empty() && !flags.all {
-        return Err(err("verify needs --index NAME (repeatable) or --all"));
+    let [path] = positional(args)?;
+    let all = args.has("--all");
+    if args.values("--index").is_empty() && !all {
+        return Err(args
+            .error("verify needs --index NAME (repeatable) or --all")
+            .into());
     }
     let (g, labeled) = match load_graph(path)? {
         LoadedGraph::Plain(g) => (g, None),
         LoadedGraph::Labeled(lg) => (Arc::new(lg.to_digraph()), Some(lg)),
     };
     let cfg = AuditConfig {
-        pairs: flags.queries,
-        seed: flags.seed.unwrap_or(AuditConfig::default().seed),
+        pairs: args.get("--queries")?.unwrap_or(1000),
+        seed: args.get("--seed")?.unwrap_or(AuditConfig::default().seed),
     };
     let opts = BuildOpts::default();
     let prepared = PreparedGraph::new_shared(Arc::clone(&g));
     let plain_known = plain_names();
     let lcr_known = lcr_names();
 
-    let selected: Vec<&str> = if flags.all {
+    let selected: Vec<&str> = if all {
         plain_known
             .iter()
             .copied()
@@ -810,7 +735,7 @@ fn cmd_verify(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             })
             .collect()
     } else {
-        flags.indexes.iter().map(String::as_str).collect()
+        args.values("--index")
     };
 
     let mut audited = 0usize;
@@ -881,23 +806,27 @@ fn cmd_verify(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_bench(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let flags = parse_flags(args)?;
-    let [path] = flags.rest.as_slice() else {
-        return Err(err(
-            "usage: bench <graph> [--index NAME ...] [--queries N] [--positive P]",
-        ));
-    };
+fn cmd_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let [path] = positional(args)?;
+    let queries = args.get("--queries")?.unwrap_or(1000);
+    let positive = args.get("--positive")?.unwrap_or(0.5);
+    if !(0.0..=1.0).contains(&positive) {
+        return Err(args.error("--positive must be between 0 and 1").into());
+    }
     let g = match load_graph(path)? {
         LoadedGraph::Plain(g) => g,
         LoadedGraph::Labeled(lg) => Arc::new(lg.to_digraph()),
     };
-    let names: Vec<&str> = if flags.indexes.is_empty() {
-        vec!["GRAIL", "BFL", "PLL", "online-BFS"]
-    } else {
-        flags.indexes.iter().map(String::as_str).collect()
-    };
-    let mix = query_mix(&g, flags.queries, flags.positive, 7);
+    if g.num_vertices() < 2 {
+        return Err(err(format!(
+            "{path}: bench draws pairs of distinct vertices and needs at least two"
+        )));
+    }
+    let mut names = args.values("--index");
+    if names.is_empty() {
+        names = vec!["GRAIL", "BFL", "PLL", "online-BFS"];
+    }
+    let mix = query_mix(&g, queries, positive, 7);
     writeln!(
         out,
         "{}: n={} m={} | {} queries, {} reachable",
@@ -978,13 +907,96 @@ mod tests {
     #[test]
     fn help_lists_commands() {
         let s = run_to_string(&["help"]).unwrap();
-        assert!(s.contains("gen") && s.contains("query") && s.contains("lcr"));
+        for c in &COMMANDS {
+            assert!(
+                s.contains(&format!("\n  {} ", c.name)),
+                "{} missing: {s}",
+                c.name
+            );
+        }
         assert!(run_to_string(&[]).unwrap().contains("commands"));
     }
 
     #[test]
     fn unknown_command_fails() {
         assert!(run_to_string(&["frobnicate"]).is_err());
+    }
+
+    /// Asserts that `args` fails as a command-line mistake whose message
+    /// contains `expect`, carrying the usage line of `args[0]`.
+    fn assert_argument_error(args: &[&str], expect: &str) {
+        match run_to_string(args) {
+            Err(CliError::Args(e)) => {
+                assert!(e.message.contains(expect), "{args:?}: {e}");
+                let command = COMMANDS.iter().find(|c| c.name == args[0]).unwrap();
+                assert_eq!(e.usage, command.usage, "{args:?}");
+            }
+            other => panic!("{args:?}: expected an argument error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_flag_the_command_does_not_read_is_an_error() {
+        for c in &COMMANDS {
+            assert_argument_error(&[c.name, "--bogus"], "unknown flag \"--bogus\"");
+        }
+        let path = tmp("flags.el");
+        run_to_string(&["gen", "sparse-dag", "20", "--out", &path]).unwrap();
+        for (args, flag) in [
+            (
+                vec![
+                    "query",
+                    &path,
+                    "--index",
+                    "BFL",
+                    "--constraint",
+                    "junk",
+                    "0",
+                    "5",
+                ],
+                "unknown flag \"--constraint\"",
+            ),
+            (
+                vec!["query", &path, "--index", "BFL", "--index", "PLL", "0", "5"],
+                "--index given more than once",
+            ),
+            (
+                vec!["bench", &path, "--seed", "3"],
+                "unknown flag \"--seed\"",
+            ),
+            (
+                vec!["verify", &path, "--index", "BFL", "--threads", "2"],
+                "unknown flag \"--threads\"",
+            ),
+            (
+                vec!["query", &path, "--threads", "2", "0", "1"],
+                "--threads",
+            ),
+            (vec!["query", &path, "--index"], "--index needs a value"),
+            (
+                vec!["stats", &path, "extra"],
+                "expected 1 argument(s), found 2",
+            ),
+            (vec!["indexes", "extra"], "expected 0 argument(s), found 1"),
+        ] {
+            assert_argument_error(&args, flag);
+        }
+    }
+
+    #[test]
+    fn the_usage_line_follows_only_argument_mistakes() {
+        let e = run_to_string(&["query", "g.el", "--bogus"]).unwrap_err();
+        assert_eq!(
+            error_report(&e),
+            format!(
+                "error: unknown flag \"--bogus\"\nusage: {}",
+                COMMANDS.iter().find(|c| c.name == "query").unwrap().usage
+            )
+        );
+        // `lcr_refuses_an_oversized_rlc_unit_universe` checks an
+        // `Invalid` error's report
+        let broken_pipe = CliError::Io(std::io::ErrorKind::BrokenPipe.into());
+        assert_eq!(error_report(&broken_pipe), format!("error: {broken_pipe}"));
     }
 
     #[test]
@@ -1050,8 +1062,12 @@ mod tests {
         run_to_string(&["gen", "cyclic", "50", "--labels", "16", "--out", &path]).unwrap();
         // 16 + 16² + 16³ = 4368 units: a typed error, not a panic
         match run_to_string(&["lcr", &path, "--constraint", "(0.1.2)*", "1", "2"]) {
-            Err(CliError::Usage(msg)) => assert!(msg.contains("unit universe too large"), "{msg}"),
-            other => panic!("expected a usage error, got {other:?}"),
+            Err(e @ CliError::Invalid(_)) => {
+                assert!(e.to_string().contains("unit universe too large"), "{e}");
+                // not an argument mistake: no usage line
+                assert_eq!(error_report(&e), format!("error: {e}"));
+            }
+            other => panic!("expected an Invalid error, got {other:?}"),
         }
     }
 
@@ -1109,7 +1125,7 @@ mod tests {
             vec!["bench", &path, "--index", "BFL", "--index", "NotAnIndex"],
         ] {
             let e = run_to_string(&args).unwrap_err();
-            assert!(matches!(e, CliError::Usage(_)), "{e}");
+            assert!(matches!(e, CliError::Invalid(_)), "{e}");
             assert!(e.to_string().contains("\"NotAnIndex\""), "{e}");
         }
         let labeled = tmp("g6l.el");
@@ -1175,7 +1191,7 @@ mod tests {
             ),
         ] {
             let e = run_to_string(&args).unwrap_err();
-            assert!(matches!(e, CliError::Usage(_)), "{e}");
+            assert!(matches!(e, CliError::Invalid(_)), "{e}");
             let expect = format!("index {name:?} is infeasible at n={n}, m=");
             assert!(e.to_string().contains(&expect), "{e}");
         }
@@ -1186,7 +1202,7 @@ mod tests {
         for constraint in [parens, stars] {
             let e = run_to_string(&["lcr", &labeled, "--constraint", &constraint, "1", "2"])
                 .unwrap_err();
-            assert!(matches!(e, CliError::Usage(_)), "{e}");
+            assert!(matches!(e, CliError::Invalid(_)), "{e}");
             assert!(e.to_string().contains("nests deeper"), "{e}");
         }
         assert!(
@@ -1201,6 +1217,16 @@ mod tests {
             run_to_string(&["lcr", &path, "--constraint", "(0)*", "0", "1"]).is_err(),
             "plain graph rejected for lcr"
         );
+        // a reachable share outside [0, 1], and a graph with no pair of
+        // distinct vertices, are errors for bench, not panics
+        for share in ["2", "-1", "nan"] {
+            assert_argument_error(&["bench", &path, "--positive", share], "--positive");
+        }
+        let one = tmp("g6one.el");
+        std::fs::write(&one, "1\n").unwrap();
+        let e = run_to_string(&["bench", &one]).unwrap_err();
+        assert!(matches!(e, CliError::Invalid(_)), "{e}");
+        assert!(e.to_string().contains("at least two"), "{e}");
     }
 
     #[test]
@@ -1366,6 +1392,11 @@ mod tests {
         std::fs::write(&path, "5 2\n0 0 1\n0 9 1\n").unwrap();
         let msg = load_graph(&path).err().unwrap().to_string();
         assert!(msg.contains("line 3"), "{msg:?}");
+        // tokens after the label count do not make a header plain
+        for header in ["3 2 extra", "3 2 # note"] {
+            std::fs::write(&path, format!("{header}\n0 1 2\n")).unwrap();
+            assert!(matches!(load_graph(&path), Ok(LoadedGraph::Labeled(_))));
+        }
     }
 
     #[test]
@@ -1505,9 +1536,6 @@ mod tests {
         assert!(run_to_string(&["serve"]).is_err());
         assert!(run_to_string(&["serve", &path, "--frob"]).is_err());
         let e = run_to_string(&["serve", &path, "--queue", "4"]).unwrap_err();
-        assert!(
-            e.to_string().contains("unknown serve flag \"--queue\""),
-            "{e}"
-        );
+        assert!(e.to_string().contains("unknown flag \"--queue\""), "{e}");
     }
 }

@@ -10,8 +10,7 @@ fn main() -> ExitCode {
     match reach_cli::run(&args, &mut stdout) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("run `reach help` for usage");
+            eprintln!("{}", reach_cli::error_report(&e));
             ExitCode::FAILURE
         }
     }

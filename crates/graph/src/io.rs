@@ -229,6 +229,15 @@ fn count_edge(m: &mut usize, lno: usize) -> Result<(), GraphError> {
     Ok(())
 }
 
+/// Whether `text` is a labeled edge list: its header, the first line
+/// that is neither blank nor a comment, holds a token after the vertex
+/// count. [`read_labeled`] takes that token as the label count and
+/// ignores any further ones; a plain header is the vertex count alone.
+pub fn is_labeled(text: &str) -> bool {
+    let mut lines = Lines::new(text);
+    lines.next_line().is_some() && lines.token().is_some() && lines.token().is_some()
+}
+
 /// Serializes a plain digraph to the edge-list format.
 pub fn write_digraph(g: &DiGraph) -> String {
     let mut out = String::with_capacity(16 + 12 * g.num_edges());
@@ -397,6 +406,24 @@ mod tests {
         let text = write_labeled(&g);
         let back = read_labeled(&text).unwrap();
         assert_eq!(g, back);
+    }
+
+    #[test]
+    fn the_header_decides_plain_or_labeled() {
+        for (text, labeled) in [
+            ("3\n0 1\n", false),
+            ("# c\n\n  3 \n", false),
+            ("3 2\n0 1 2\n", true),
+            ("3 2 extra\n0 1 2\n", true),
+            ("3 2 # note\n0 1 2\n", true),
+            ("", false),
+        ] {
+            assert_eq!(is_labeled(text), labeled, "{text:?}");
+            if labeled {
+                let g = read_labeled(text).unwrap();
+                assert_eq!((g.num_vertices(), g.num_labels(), g.num_edges()), (3, 2, 1));
+            }
+        }
     }
 
     #[test]
