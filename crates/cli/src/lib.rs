@@ -822,6 +822,15 @@ fn cmd_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             "{path}: bench draws pairs of distinct vertices and needs at least two"
         )));
     }
+    // more pairs than the graph has would only grow the query buffers
+    let pairs = g.num_vertices() as u128 * (g.num_vertices() as u128 - 1);
+    if queries as u128 > pairs {
+        return Err(args
+            .error(format!(
+                "--queries {queries} exceeds the {pairs} ordered pairs of distinct vertices"
+            ))
+            .into());
+    }
     let mut names = args.values("--index");
     if names.is_empty() {
         names = vec!["GRAIL", "BFL", "PLL", "online-BFS"];
@@ -1109,6 +1118,20 @@ mod tests {
         .unwrap();
         assert!(s.contains("GRAIL") && s.contains("online-BFS"), "{s}");
         assert!(s.contains("query avg"));
+    }
+
+    #[test]
+    fn bench_rejects_more_queries_than_pairs() {
+        let path = tmp("g_pairs.el");
+        run_to_string(&["gen", "sparse-dag", "10", "--out", &path]).unwrap();
+        for count in ["91", "100000000000000000"] {
+            let e = run_to_string(&["bench", &path, "--queries", count]).unwrap_err();
+            assert!(matches!(e, CliError::Args(_)), "{e}");
+            assert!(e.to_string().contains("--queries"), "{e}");
+        }
+        // n·(n−1) = 90 pairs is the most a 10-vertex graph has
+        let s = run_to_string(&["bench", &path, "--queries", "90", "--index", "BFL"]).unwrap();
+        assert!(s.contains("BFL"), "{s}");
     }
 
     #[test]

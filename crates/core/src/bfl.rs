@@ -9,7 +9,7 @@
 //! provides definite positives and topological levels an extra
 //! negative filter; the remaining pairs go to the guided DFS.
 
-use crate::engine::GuidedSearch;
+use crate::engine::{GuidedSearch, Traversal};
 use crate::index::{
     Certainty, Completeness, Dynamism, FilterGuarantees, Framework, IndexMeta, InputClass,
     ReachFilter,
@@ -198,7 +198,7 @@ pub(crate) const META: IndexMeta = IndexMeta {
 /// Builds BFL with `bits`-bucket Bloom labels.
 pub fn build_bfl(dag: &Dag, bits: usize, seed: u64) -> Bfl {
     let filter = BflFilter::build(dag, bits, seed);
-    GuidedSearch::new(dag.shared_graph(), filter, META)
+    GuidedSearch::on_dag(dag, filter, META, Traversal::Dfs)
 }
 
 #[cfg(test)]

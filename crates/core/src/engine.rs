@@ -9,11 +9,17 @@
 //! the online traversal does not need to visit the outgoing neighbours
 //! of v if the index lookup … returns false."* [`GuidedSearch`] is
 //! precisely that loop.
+//!
+//! On a condensation DAG the loop also uses §3.1's numbering: component
+//! ids are reverse topological, so `v` can reach `t` only if `v >= t`.
+//! A search built with [`GuidedSearch::on_dag`] skips every neighbour
+//! below `t` before marking or looking it up, and expands the child
+//! with the smallest id, the one topologically nearest `t`, first.
 
 use crate::audit::{self, Violation};
 use crate::index::{Certainty, FilterGuarantees, IndexMeta, ReachFilter, ReachIndex};
 use reach_graph::traverse::{Side, VisitMap};
-use reach_graph::{DiGraph, ScratchPool, Successors, VertexId};
+use reach_graph::{Dag, DiGraph, ScratchPool, Successors, VertexId};
 use std::sync::Arc;
 
 /// Work counters for one guided query, used by the `claims` harness to
@@ -34,7 +40,9 @@ pub struct SearchStats {
 /// static indexes, or an [`EditGraph`](reach_graph::EditGraph) the
 /// dynamic ones edit in place. The traversal is fixed per index at
 /// construction: a pruned DFS ([`new`](Self::new)) or a pruned
-/// bidirectional BFS ([`bidirectional`](Self::bidirectional)).
+/// bidirectional BFS ([`bidirectional`](Self::bidirectional)), either
+/// of them cut by the id order when built by [`on_dag`](Self::on_dag)
+/// over a condensation DAG.
 ///
 /// `Send + Sync` (for `F: Send + Sync`, which [`ReachFilter`]
 /// requires): per-query scratch is checked out of a non-blocking
@@ -45,10 +53,21 @@ pub struct GuidedSearch<F, G = Arc<DiGraph>> {
     graph: G,
     filter: F,
     meta: IndexMeta,
-    /// Whether an undecided root lookup is followed by the pruned
-    /// bidirectional BFS rather than the pruned DFS.
-    bidirectional: bool,
+    traversal: Traversal,
+    /// Whether the graph's ids are reverse topological (`s` reaches `t`
+    /// only if `s >= t`) and its neighbour lists sorted, so the search
+    /// may skip ids on the wrong side of the query pair.
+    ordered: bool,
     scratch: ScratchPool<Scratch>,
+}
+
+/// The search an undecided root lookup is followed by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Traversal {
+    /// A pruned DFS from the source.
+    Dfs,
+    /// A pruned BFS from both ends that expands the smaller frontier.
+    Bidirectional,
 }
 
 struct Scratch {
@@ -97,7 +116,8 @@ impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
             graph,
             filter,
             meta,
-            bidirectional: false,
+            traversal: Traversal::Dfs,
+            ordered: false,
             scratch: ScratchPool::new(),
         }
     }
@@ -107,7 +127,7 @@ impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
     /// `certain(s, v)`, and the smaller frontier expands each level.
     pub fn bidirectional(graph: G, filter: F, meta: IndexMeta) -> Self {
         GuidedSearch {
-            bidirectional: true,
+            traversal: Traversal::Bidirectional,
             ..Self::new(graph, filter, meta)
         }
     }
@@ -142,6 +162,9 @@ impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
         if s == t {
             return (true, stats);
         }
+        if self.ordered && s < t {
+            return (false, stats);
+        }
         stats.lookups += 1;
         match self.filter.certain(s, t) {
             Certainty::Reachable => return (true, stats),
@@ -150,18 +173,25 @@ impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
         }
         let scratch = &mut *self.scratch.checkout(|| self.fresh_scratch());
         scratch.visit.reset();
-        let found = if self.bidirectional {
-            self.bidirectional_bfs(s, t, scratch, &mut stats)
-        } else {
-            self.dfs(s, t, scratch, &mut stats)
+        let found = match (self.traversal, self.ordered) {
+            (Traversal::Dfs, false) => self.dfs::<false>(s, t, scratch, &mut stats),
+            (Traversal::Dfs, true) => self.dfs::<true>(s, t, scratch, &mut stats),
+            (Traversal::Bidirectional, false) => {
+                self.bidirectional_bfs::<false>(s, t, scratch, &mut stats)
+            }
+            (Traversal::Bidirectional, true) => {
+                self.bidirectional_bfs::<true>(s, t, scratch, &mut stats)
+            }
         };
         (found, stats)
     }
 
     /// The pruned DFS from `s`: stops on a `Reachable` verdict and never
-    /// expands a vertex with an `Unreachable` one.
+    /// expands a vertex with an `Unreachable` one. `ORDERED` skips the
+    /// out-neighbours below `t` and pops the smallest admissible child
+    /// first.
     #[inline]
-    fn dfs(
+    fn dfs<const ORDERED: bool>(
         &self,
         s: VertexId,
         t: VertexId,
@@ -174,7 +204,12 @@ impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
         visit.mark(s, Side::Forward);
         while let Some(u) = stack.pop() {
             stats.expanded += 1;
-            for &v in self.graph.out_neighbors(u) {
+            let mut out = self.graph.out_neighbors(u);
+            if ORDERED {
+                out = &out[out.partition_point(|&v| v < t)..];
+            }
+            let pushed = stack.len();
+            for &v in out {
                 if v == t {
                     return true;
                 }
@@ -190,6 +225,9 @@ impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
                     Certainty::Unknown => stack.push(v),
                 }
             }
+            if ORDERED {
+                stack[pushed..].reverse();
+            }
         }
         false
     }
@@ -197,9 +235,10 @@ impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
     /// The pruned bidirectional BFS: each level expands the smaller of
     /// the forward frontier (from `s`, probing `certain(v, t)`) and the
     /// backward frontier (from `t`, probing `certain(s, v)`), and the
-    /// search answers when the two meet.
+    /// search answers when the two meet. `ORDERED` skips the forward
+    /// neighbours below `t` and the backward ones above `s`.
     #[inline]
-    fn bidirectional_bfs(
+    fn bidirectional_bfs<const ORDERED: bool>(
         &self,
         s: VertexId,
         t: VertexId,
@@ -228,10 +267,17 @@ impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
             next.clear();
             for &u in frontier.iter() {
                 stats.expanded += 1;
-                let neighbors = if ahead {
-                    self.graph.out_neighbors(u)
-                } else {
-                    self.graph.in_neighbors(u)
+                let neighbors = match (ahead, ORDERED) {
+                    (true, false) => self.graph.out_neighbors(u),
+                    (false, false) => self.graph.in_neighbors(u),
+                    (true, true) => {
+                        let out = self.graph.out_neighbors(u);
+                        &out[out.partition_point(|&v| v < t)..]
+                    }
+                    (false, true) => {
+                        let inn = self.graph.in_neighbors(u);
+                        &inn[..inn.partition_point(|&v| v <= s)]
+                    }
                 };
                 for &v in neighbors {
                     if visit.is_marked(v, other) {
@@ -256,6 +302,22 @@ impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
             std::mem::swap(frontier, next);
         }
         false
+    }
+}
+
+impl<F: ReachFilter> GuidedSearch<F> {
+    /// Wraps `filter` over `dag`'s shared graph, searched by
+    /// `traversal`. If the DAG's ids are reverse topological (a
+    /// condensation's are), the search is ordered: it answers `s < t`
+    /// with false at the root, never marks or looks up a neighbour on
+    /// the wrong side of the pair, and the DFS descends into the
+    /// smallest admissible child first. Answers are the same either way.
+    pub fn on_dag(dag: &Dag, filter: F, meta: IndexMeta, traversal: Traversal) -> Self {
+        GuidedSearch {
+            traversal,
+            ordered: dag.ids_reverse_topological(),
+            ..Self::new(dag.shared_graph(), filter, meta)
+        }
     }
 }
 

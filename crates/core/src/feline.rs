@@ -7,7 +7,7 @@
 //! a pure negative filter with a tiny (two u32 per vertex) footprint,
 //! refined online by the guided search.
 
-use crate::engine::GuidedSearch;
+use crate::engine::{GuidedSearch, Traversal};
 use crate::index::{
     Certainty, Completeness, Dynamism, FilterGuarantees, Framework, IndexMeta, InputClass,
     ReachFilter,
@@ -123,7 +123,7 @@ pub(crate) const META: IndexMeta = IndexMeta {
 /// Builds Feline over a DAG.
 pub fn build_feline(dag: &Dag) -> Feline {
     let filter = FelineFilter::build(dag);
-    GuidedSearch::new(dag.shared_graph(), filter, META)
+    GuidedSearch::on_dag(dag, filter, META, Traversal::Dfs)
 }
 
 #[cfg(test)]

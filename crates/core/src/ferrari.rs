@@ -11,7 +11,7 @@
 //! the rare filter with *both* guarantees of §5.
 
 use crate::audit::{self, Violation};
-use crate::engine::GuidedSearch;
+use crate::engine::{GuidedSearch, Traversal};
 use crate::index::{
     Certainty, Completeness, Dynamism, FilterGuarantees, Framework, IndexMeta, InputClass,
     ReachFilter,
@@ -264,7 +264,7 @@ pub(crate) const META: IndexMeta = IndexMeta {
 /// Builds Ferrari with at most `budget` intervals per vertex.
 pub fn build_ferrari(dag: &Dag, budget: usize) -> Ferrari {
     let filter = FerrariFilter::build(dag, budget);
-    GuidedSearch::new(dag.shared_graph(), filter, META)
+    GuidedSearch::on_dag(dag, filter, META, Traversal::Dfs)
 }
 
 #[cfg(test)]

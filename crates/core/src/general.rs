@@ -14,7 +14,9 @@ use std::sync::Arc;
 /// Lifts a DAG-only index to general graphs via Tarjan condensation.
 ///
 /// Queries on original vertices are answered as
-/// `same_scc(s, t) || inner.query(comp(s), comp(t))`.
+/// `same_scc(s, t) || inner.query(comp(s), comp(t))`. Component ids
+/// are reverse topological, so a pair with `comp(s) < comp(t)` is
+/// answered false before the inner index is asked.
 ///
 /// The condensation is held behind an `Arc` so many adapted indexes
 /// built over the same [`PreparedGraph`] share one artifact instead of
@@ -49,14 +51,32 @@ impl<I: ReachIndex> Condensed<I> {
     pub fn shared_condensation(&self) -> Arc<Condensation> {
         Arc::clone(&self.cond)
     }
+
+    /// Answers a pair of components.
+    #[inline]
+    fn query_components(&self, cs: VertexId, ct: VertexId) -> bool {
+        // an edge between components runs from a larger id to a smaller
+        cs == ct || (cs > ct && self.inner.query(cs, ct))
+    }
 }
 
 impl<I: ReachIndex> ReachIndex for Condensed<I> {
     fn query(&self, s: VertexId, t: VertexId) -> bool {
-        self.cond.same_component(s, t)
-            || self
-                .inner
-                .query(self.cond.component_of(s), self.cond.component_of(t))
+        self.query_components(self.cond.component_of(s), self.cond.component_of(t))
+    }
+
+    /// Maps every pair to its components before answering any: the
+    /// component-map loads of the whole batch overlap, instead of each
+    /// waiting for the previous pair's search to finish.
+    fn query_batch(&self, pairs: &[(VertexId, VertexId)]) -> Vec<bool> {
+        let components: Vec<(VertexId, VertexId)> = pairs
+            .iter()
+            .map(|&(s, t)| (self.cond.component_of(s), self.cond.component_of(t)))
+            .collect();
+        components
+            .into_iter()
+            .map(|(cs, ct)| self.query_components(cs, ct))
+            .collect()
     }
 
     fn meta(&self) -> IndexMeta {

@@ -9,7 +9,7 @@
 //! nothing, so undecided queries fall to the guided DFS.
 
 use crate::audit::{self, Violation};
-use crate::engine::GuidedSearch;
+use crate::engine::{GuidedSearch, Traversal};
 use crate::index::{
     Certainty, Completeness, Dynamism, FilterGuarantees, Framework, IndexMeta, InputClass,
     ReachFilter,
@@ -173,10 +173,11 @@ pub(crate) const META: IndexMeta = IndexMeta {
 
 /// Builds GRAIL with `k` random labelings on `threads` threads.
 pub fn build_grail(dag: &Dag, k: usize, seed: u64, threads: usize) -> Grail {
-    GuidedSearch::new(
-        dag.shared_graph(),
+    GuidedSearch::on_dag(
+        dag,
         GrailFilter::build(dag, k, seed, threads),
         META,
+        Traversal::Dfs,
     )
 }
 

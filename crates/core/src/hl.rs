@@ -10,7 +10,7 @@
 //! decide every query exactly.
 
 use crate::audit::{self, Violation};
-use crate::engine::GuidedSearch;
+use crate::engine::{GuidedSearch, Traversal};
 use crate::hop_labels::degree_order;
 use crate::index::{
     Certainty, Completeness, Dynamism, FilterGuarantees, Framework, IndexMeta, InputClass,
@@ -46,7 +46,7 @@ impl Hl {
     /// actually required by the construction, but the technique is
     /// classified as DAG-input in the survey.
     pub fn build(dag: &Dag, k: usize, threads: usize) -> Self {
-        let graph = dag.shared_graph();
+        let graph = dag.graph();
         let n = graph.num_vertices();
         let k = k.min(n);
         let words = n.div_ceil(64).max(1);
@@ -64,11 +64,11 @@ impl Hl {
             let mut visit = VisitMap::new(n);
             let mut closure = Vec::new();
             for (row, &lm) in landmarks[range].iter().enumerate() {
-                forward_closure_with(&graph, lm, &mut visit, &mut closure);
+                forward_closure_with(graph, lm, &mut visit, &mut closure);
                 for &v in &closure {
                     fwd[row * words + v.index() / 64] |= 1 << (v.index() % 64);
                 }
-                backward_closure_with(&graph, lm, &mut visit, &mut closure);
+                backward_closure_with(graph, lm, &mut visit, &mut closure);
                 for &v in &closure {
                     bwd[row * words + v.index() / 64] |= 1 << (v.index() % 64);
                 }
@@ -84,7 +84,7 @@ impl Hl {
             bwd: bwd.concat(),
         };
         Hl {
-            search: GuidedSearch::new(graph, filter, META),
+            search: GuidedSearch::on_dag(dag, filter, META, Traversal::Dfs),
         }
     }
 

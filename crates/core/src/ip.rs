@@ -10,7 +10,7 @@
 //! As a bonus the permutation is injective, so finding `h(t)` inside
 //! `AP(Out(s))` is a definite *positive*.
 
-use crate::engine::GuidedSearch;
+use crate::engine::{GuidedSearch, Traversal};
 use crate::index::{
     Certainty, Completeness, Dynamism, FilterGuarantees, Framework, IndexMeta, InputClass,
     ReachFilter,
@@ -208,7 +208,7 @@ pub(crate) const META: IndexMeta = IndexMeta {
 /// Builds IP with `k`-min-wise labels.
 pub fn build_ip(dag: &Dag, k: usize, seed: u64) -> Ip {
     let filter = IpFilter::build(dag, k, seed);
-    GuidedSearch::new(dag.shared_graph(), filter, META)
+    GuidedSearch::on_dag(dag, filter, META, Traversal::Dfs)
 }
 
 #[cfg(test)]

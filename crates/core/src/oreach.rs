@@ -14,7 +14,7 @@
 //!
 //! Undecided queries fall to the guided DFS.
 
-use crate::engine::GuidedSearch;
+use crate::engine::{GuidedSearch, Traversal};
 use crate::hop_labels::degree_order;
 use crate::index::{
     Certainty, Completeness, Dynamism, FilterGuarantees, Framework, IndexMeta, InputClass,
@@ -163,7 +163,7 @@ pub(crate) const META: IndexMeta = IndexMeta {
 /// Builds O'Reach with `k` supportive vertices.
 pub fn build_oreach(dag: &Dag, k: usize) -> OReach {
     let filter = OReachFilter::build(dag, k);
-    GuidedSearch::new(dag.shared_graph(), filter, META)
+    GuidedSearch::on_dag(dag, filter, META, Traversal::Dfs)
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! frontier skips vertices provably unreachable from `s`, and a
 //! frontier meeting or a positive certificate terminates early.
 
-use crate::engine::GuidedSearch;
+use crate::engine::{GuidedSearch, Traversal};
 use crate::index::{
     Certainty, Completeness, Dynamism, FilterGuarantees, Framework, IndexMeta, InputClass,
     ReachFilter,
@@ -97,7 +97,12 @@ impl Preach {
     /// Builds PReaCH over a DAG: the certificates, searched from both
     /// ends.
     pub fn build(dag: &Dag) -> Self {
-        GuidedSearch::bidirectional(dag.shared_graph(), PreachFilter::build(dag), META)
+        GuidedSearch::on_dag(
+            dag,
+            PreachFilter::build(dag),
+            META,
+            Traversal::Bidirectional,
+        )
     }
 }
 

@@ -77,9 +77,7 @@ impl Condensation {
                 }
             }
         }
-        let graph = DiGraph::from_edge_parts(nc, vec![edges]);
-        let order: Vec<VertexId> = (0..nc as u32).rev().map(VertexId).collect();
-        let dag = Dag::from_parts(graph, order);
+        let dag = Dag::from_reverse_topological_ids(DiGraph::from_edge_parts(nc, vec![edges]));
         let timing = CondenseTiming {
             scc: scc_time,
             assemble: assemble_start.elapsed(),
@@ -87,7 +85,8 @@ impl Condensation {
         (Condensation { scc, dag }, timing)
     }
 
-    /// The SCC DAG. Its vertex ids are component ids.
+    /// The SCC DAG. Its vertex ids are component ids, which are
+    /// reverse topological ([`Dag::ids_reverse_topological`]).
     #[inline]
     pub fn dag(&self) -> &Dag {
         &self.dag
@@ -122,6 +121,20 @@ mod tests {
         let c = Condensation::new(&g);
         assert_eq!(c.dag().num_vertices(), 4);
         assert_eq!(c.dag().num_edges(), 4);
+    }
+
+    #[test]
+    fn condensation_dag_reports_reverse_topological_ids() {
+        let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]);
+        let dag = Condensation::new(&g).dag().clone();
+        assert!(dag.ids_reverse_topological());
+        for (u, v) in dag.edges() {
+            assert!(u > v, "edge {u:?}->{v:?}");
+        }
+        // the same graph wrapped without the condensation does not claim it
+        assert!(!Dag::new(dag.graph().clone())
+            .unwrap()
+            .ids_reverse_topological());
     }
 
     #[test]

@@ -335,12 +335,19 @@ impl<S: Successors + ?Sized> Successors for Arc<S> {
 /// vertex set (guided search, hop labelings over the original edges)
 /// can share one allocation via [`shared_graph`](Self::shared_graph)
 /// instead of deep-cloning the CSR arrays per index.
+///
+/// A DAG made by [`Condensation`](crate::Condensation) also records
+/// that its ids are reverse topological (every edge `u -> v` has
+/// `u > v`; see [`ids_reverse_topological`](Self::ids_reverse_topological)),
+/// which guided search uses to cut its traversal for free.
 #[derive(Debug, Clone)]
 pub struct Dag {
     graph: Arc<DiGraph>,
     topo_order: Vec<VertexId>,
     /// position of each vertex in `topo_order`
     topo_rank: Vec<u32>,
+    /// every edge `u -> v` has `u > v`
+    reverse_topological_ids: bool,
 }
 
 impl Dag {
@@ -362,6 +369,7 @@ impl Dag {
                     graph,
                     topo_order: order,
                     topo_rank: rank,
+                    reverse_topological_ids: false,
                 })
             }
             None => Err(GraphError::NotAcyclic),
@@ -392,6 +400,26 @@ impl Dag {
             graph,
             topo_order: order,
             topo_rank: rank,
+            reverse_topological_ids: false,
+        }
+    }
+
+    /// Wraps a graph whose ids are reverse topological by construction:
+    /// every edge `u -> v` has `u > v`, so `n-1, ..., 1, 0` is its
+    /// topological order. Used by the condensation, whose component ids
+    /// Tarjan numbers that way; nothing is scanned to check it.
+    ///
+    /// # Panics
+    /// Debug-asserts that every edge runs from a larger id to a smaller.
+    pub(crate) fn from_reverse_topological_ids(graph: DiGraph) -> Self {
+        debug_assert!(graph.edges().all(|(u, v)| u > v));
+        let order = (0..graph.num_vertices() as u32)
+            .rev()
+            .map(VertexId)
+            .collect();
+        Dag {
+            reverse_topological_ids: true,
+            ..Self::from_parts(graph, order)
         }
     }
 
@@ -405,6 +433,15 @@ impl Dag {
     #[inline]
     pub fn topo_rank(&self, v: VertexId) -> u32 {
         self.topo_rank[v.index()]
+    }
+
+    /// Whether the ids are reverse topological, so `s` can reach `t`
+    /// only if `s >= t`. Only a condensation DAG records this; a DAG
+    /// from [`new`](Self::new) or [`from_parts`](Self::from_parts)
+    /// reports `false` even when its ids happen to qualify.
+    #[inline]
+    pub fn ids_reverse_topological(&self) -> bool {
+        self.reverse_topological_ids
     }
 
     /// The underlying graph.

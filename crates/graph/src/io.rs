@@ -324,6 +324,12 @@ fn line_chunks(body: &str, count: usize) -> Vec<&str> {
 /// on `n` vertices. Returns the edges and the chunk's newline count,
 /// or the first error with its line number counted from the chunk's
 /// first line.
+///
+/// Lines of the form `digits SP digits LF` with ids below `n` are read
+/// in place; any other line (blank, a comment, other whitespace, a
+/// sign, a long number, an error) goes through [`Lines`], one line at
+/// a time, so errors come out exactly as the general scanner reports
+/// them.
 fn scan_edges(chunk: &str, n: usize) -> Result<(Vec<(u32, u32)>, usize), GraphError> {
     let mut lines = Lines::new(chunk);
     // The shortest edge line, `0 1\n`, has four bytes; real edge lists
@@ -331,7 +337,17 @@ fn scan_edges(chunk: &str, n: usize) -> Result<(Vec<(u32, u32)>, usize), GraphEr
     // reserves more than the text's own size.
     let mut edges = Vec::with_capacity(chunk.len() / 8);
     let mut m = 0;
-    while let Some(lno) = lines.next_line() {
+    let bytes = chunk.as_bytes();
+    loop {
+        while let Some((u, v, end)) = plain_edge(bytes, lines.pos, n) {
+            count_edge(&mut m, lines.line)?;
+            edges.push((u, v));
+            lines.pos = end;
+            lines.line += 1;
+        }
+        let Some(lno) = lines.next_line() else {
+            break;
+        };
         let u = lines.number(lno, "source")?;
         let v = lines.number(lno, "target")?;
         lines.end_edge_line(lno)?;
@@ -346,6 +362,37 @@ fn scan_edges(chunk: &str, n: usize) -> Result<(Vec<(u32, u32)>, usize), GraphEr
         edges.push((u, v));
     }
     Ok((edges, lines.line - 1))
+}
+
+/// The edge on the line at `pos` if it reads `digits SP digits LF`,
+/// each id one to nine digits and below `n`, with the position after
+/// the line; `None` for any other line.
+#[inline]
+fn plain_edge(bytes: &[u8], pos: usize, n: usize) -> Option<(u32, u32, usize)> {
+    let (u, end) = plain_id(bytes, pos, n)?;
+    if bytes.get(end) != Some(&b' ') {
+        return None;
+    }
+    let (v, end) = plain_id(bytes, end + 1, n)?;
+    (bytes.get(end) == Some(&b'\n')).then_some((u, v, end + 1))
+}
+
+/// The id spelled by the one to nine ASCII digits at `pos`, if it is
+/// below `n`, and the position after them. Longer runs, which may not
+/// fit a `u32`, are left to the general parsers. Shared with the HTTP
+/// service's request-body parser.
+#[inline]
+pub fn plain_id(bytes: &[u8], pos: usize, n: usize) -> Option<(u32, usize)> {
+    let mut end = pos;
+    let mut id = 0u32;
+    while let Some(&b @ b'0'..=b'9') = bytes.get(end) {
+        if end - pos == 9 {
+            return None;
+        }
+        id = id * 10 + u32::from(b - b'0');
+        end += 1;
+    }
+    (end > pos && (id as usize) < n).then_some((id, end))
 }
 
 /// Serializes a labeled digraph to the edge-list format.

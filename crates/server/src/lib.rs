@@ -24,6 +24,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod body;
 #[doc(hidden)]
 pub mod client;
 pub mod http;

@@ -24,10 +24,11 @@
 //! `Connection: close`, then workers exit and `join()` returns. A
 //! request that was accepted is always answered in full.
 
+use crate::body::{self, parse_vertex};
 use crate::http::{read_request, write_response, RecvError, Request};
 use crate::metrics::{Endpoint, IdleWait, Metrics};
 use reach_core::IndexService;
-use reach_graph::{Label, LabelSet, VertexId};
+use reach_graph::{Label, LabelSet};
 use reach_labeled::LcrService;
 use std::collections::VecDeque;
 use std::io::{BufRead as _, BufReader, Read};
@@ -557,42 +558,15 @@ fn route(shared: &Shared, req: &Request) -> (Endpoint, u16, String) {
     }
 }
 
-fn parse_vertex(tok: &str, n: usize) -> Result<VertexId, String> {
-    let id: u32 = tok
-        .parse()
-        .map_err(|_| format!("bad vertex id {tok:?}\n"))?;
-    if id as usize >= n {
-        return Err(format!("vertex id {id} out of range (n = {n})\n"));
-    }
-    Ok(VertexId(id))
-}
-
-fn parse_pair(line: &str, n: usize) -> Result<(VertexId, VertexId), String> {
-    let mut toks = line.split_whitespace();
-    let (Some(s), Some(t), None) = (toks.next(), toks.next(), toks.next()) else {
-        return Err(format!("expected \"<s> <t>\", got {line:?}\n"));
-    };
-    Ok((parse_vertex(s, n)?, parse_vertex(t, n)?))
-}
-
 fn handle_query(shared: &Shared, body: &str) -> Result<String, String> {
     let svc = &shared.services.plain;
-    let (s, t) = parse_pair(body.trim(), svc.num_vertices())?;
+    let (s, t) = body::parse_query(body, svc.num_vertices())?;
     Ok(if svc.query(s, t) { "true\n" } else { "false\n" }.into())
 }
 
 fn handle_batch(shared: &Shared, body: &str) -> Result<String, String> {
     let svc = &shared.services.plain;
-    let n = svc.num_vertices();
-    let pairs: Vec<(VertexId, VertexId)> = body
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| parse_pair(l, n))
-        .collect::<Result<_, _>>()?;
-    if pairs.is_empty() {
-        return Err("empty batch: send one \"<s> <t>\" pair per line\n".into());
-    }
+    let pairs = body::parse_batch(body, svc.num_vertices())?;
     shared.metrics.record_batch(pairs.len());
     let answers = svc.query_batch(&pairs);
     let mut out = String::with_capacity(6 * answers.len());
