@@ -130,6 +130,17 @@ impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
             traversal: Traversal::Bidirectional,
             ..Self::new(graph, filter, meta)
         }
+        .with_in_lists()
+    }
+
+    /// The backward frontier walks in-lists, which a CSR graph builds on
+    /// first use; asking for one builds them now, in the index's build,
+    /// so the first query does not pay for the transpose.
+    fn with_in_lists(self) -> Self {
+        if self.traversal == Traversal::Bidirectional && self.graph.num_vertices() > 0 {
+            self.graph.in_neighbors(VertexId(0));
+        }
+        self
     }
 
     fn fresh_scratch(&self) -> Scratch {
@@ -318,6 +329,7 @@ impl<F: ReachFilter> GuidedSearch<F> {
             ordered: dag.ids_reverse_topological(),
             ..Self::new(dag.shared_graph(), filter, meta)
         }
+        .with_in_lists()
     }
 }
 

@@ -7,7 +7,7 @@
 //! `same_scc(s,t) || dag_reachable(comp(s), comp(t))`.
 
 use crate::digraph::{Dag, DiGraph};
-use crate::scc::{tarjan_scc, SccDecomposition};
+use crate::scc::{tarjan_with, SccDecomposition};
 use crate::vertex::VertexId;
 use std::time::{Duration, Instant};
 
@@ -15,9 +15,11 @@ use std::time::{Duration, Instant};
 /// pipeline layer (`BuildReport` in `reach-core`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CondenseTiming {
-    /// Time spent in Tarjan's SCC decomposition.
+    /// Time spent in Tarjan's SCC decomposition, which also writes the
+    /// condensed DAG's out-lists as each component pops.
     pub scc: Duration,
-    /// Time spent assembling the condensed DAG and its topo order.
+    /// Time spent wrapping those out-lists as a [`Dag`] with its
+    /// topological order and ranks.
     pub assemble: Duration,
 }
 
@@ -61,23 +63,44 @@ impl Condensation {
     /// took. The pipeline layer stores the timing alongside the shared
     /// artifact so every index built on it can report the (single)
     /// condensation cost.
+    ///
+    /// The condensed out-lists are written during Tarjan's DFS. When a
+    /// component pops, its members and every vertex they reach already
+    /// hold their component ids, and components pop in id order, so
+    /// the component's sorted, deduplicated out-list is appended to the
+    /// CSR as it stands. The in-lists are left to the first
+    /// [`DiGraph::in_neighbors`] call.
     pub fn new_timed(g: &DiGraph) -> (Self, CondenseTiming) {
         let start = Instant::now();
-        let scc = tarjan_scc(g);
-        let scc_time = start.elapsed();
-        let assemble_start = Instant::now();
-        let nc = scc.num_components();
-        let comp = scc.components();
-        let mut edges = Vec::with_capacity(g.num_edges());
-        for (u, &cu) in comp.iter().enumerate() {
-            for &v in g.out_neighbors(VertexId::new(u)) {
-                let cv = comp[v.index()];
-                if cu != cv {
-                    edges.push((cu, cv));
+        let mut offsets = Vec::with_capacity(g.num_vertices() + 1);
+        offsets.push(0u32);
+        let mut targets: Vec<VertexId> = Vec::with_capacity(g.num_edges());
+        let scc = tarjan_with(g, |c| {
+            let lo = targets.len();
+            for u in c.members() {
+                for &w in g.out_neighbors(u) {
+                    let cw = c.component_of(w);
+                    if cw != c.id() {
+                        targets.push(VertexId(cw));
+                    }
                 }
             }
-        }
-        let dag = Dag::from_reverse_topological_ids(DiGraph::from_edge_parts(nc, vec![edges]));
+            targets[lo..].sort_unstable();
+            let mut write = lo;
+            for i in lo..targets.len() {
+                if i == lo || targets[i] != targets[i - 1] {
+                    targets[write] = targets[i];
+                    write += 1;
+                }
+            }
+            targets.truncate(write);
+            offsets.push(write as u32);
+        });
+        offsets.shrink_to_fit();
+        targets.shrink_to_fit();
+        let scc_time = start.elapsed();
+        let assemble_start = Instant::now();
+        let dag = Dag::from_reverse_topological_ids(DiGraph::from_out_lists(offsets, targets));
         let timing = CondenseTiming {
             scc: scc_time,
             assemble: assemble_start.elapsed(),

@@ -4,7 +4,7 @@ use crate::error::GraphError;
 use crate::topo;
 use crate::vertex::VertexId;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Mutable builder for [`DiGraph`].
 ///
@@ -72,10 +72,10 @@ impl DiGraphBuilder {
     }
 
     /// Freezes the builder into a CSR [`DiGraph`] in O(n + m) plus the
-    /// per-vertex sorts: a counting sort buckets targets by source,
-    /// each out-list is sorted and deduplicated in place, and one
-    /// ascending scan over the out-lists fills the in-lists already
-    /// sorted.
+    /// per-vertex sorts: a counting sort buckets targets by source, and
+    /// each out-list is sorted and deduplicated in place. The in-lists
+    /// are transposed from the out-lists on first use (see
+    /// [`DiGraph::in_neighbors`]).
     ///
     /// # Panics
     /// Panics if more than `u32::MAX` edges were added (the CSR
@@ -92,12 +92,54 @@ fn prefix_sum(offsets: &mut [u32]) {
     }
 }
 
+/// One side of a CSR adjacency: an offset array plus a flat neighbor
+/// array, each list sorted by vertex id.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Csr {
+    offsets: Vec<u32>,
+    targets: Vec<VertexId>,
+}
+
+impl Csr {
+    #[inline]
+    fn list(&self, v: VertexId) -> &[VertexId] {
+        let lo = self.offsets[v.index()] as usize;
+        let hi = self.offsets[v.index() + 1] as usize;
+        &self.targets[lo..hi]
+    }
+
+    /// The other side of the same edges. Sources are scanned in
+    /// ascending order, so its lists come out sorted.
+    fn transpose(&self) -> Csr {
+        let n = self.offsets.len() - 1;
+        let mut offsets = vec![0u32; n + 1];
+        for &v in &self.targets {
+            offsets[v.index() + 1] += 1;
+        }
+        prefix_sum(&mut offsets);
+        let mut targets = vec![VertexId(0); self.targets.len()];
+        let mut cursor = offsets.clone();
+        for u in 0..n {
+            for &v in self.list(VertexId::new(u)) {
+                let c = &mut cursor[v.index()];
+                targets[*c as usize] = VertexId::new(u);
+                *c += 1;
+            }
+        }
+        Csr { offsets, targets }
+    }
+}
+
 /// An immutable directed graph in compressed-sparse-row form.
 ///
-/// Stores both forward (`out`) and reverse (`in`) adjacency, each as an
+/// Stores forward (`out`) and reverse (`in`) adjacency, each as an
 /// offset array plus a flat neighbor array, so the per-vertex neighbor
 /// lists are contiguous slices with no pointer chasing. Neighbor lists
-/// are sorted by vertex id.
+/// are sorted by vertex id. The in-lists are built from the out-lists
+/// the first time [`in_neighbors`](Self::in_neighbors) (or anything
+/// that reads in-degrees) is called, so a graph whose users walk only
+/// out-lists never pays for them. Equality compares the out-lists,
+/// which determine the in-lists.
 ///
 /// ```
 /// use reach_graph::{DiGraph, VertexId};
@@ -107,13 +149,20 @@ fn prefix_sum(offsets: &mut [u32]) {
 /// assert_eq!(g.in_degree(VertexId(2)), 2);
 /// assert!(g.has_edge(VertexId(0), VertexId(2)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct DiGraph {
-    out_offsets: Vec<u32>,
-    out_targets: Vec<VertexId>,
-    in_offsets: Vec<u32>,
-    in_sources: Vec<VertexId>,
+    out: Csr,
+    /// The transpose of `out`, built on first use.
+    inn: OnceLock<Csr>,
 }
+
+impl PartialEq for DiGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.out == other.out
+    }
+}
+
+impl Eq for DiGraph {}
 
 impl DiGraph {
     /// Builds a graph from an explicit edge list (convenience for
@@ -173,41 +222,52 @@ impl DiGraph {
         }
         out_offsets[n] = write as u32;
         out_targets.truncate(write);
+        Self::from_out_lists(out_offsets, out_targets)
+    }
 
-        let mut in_offsets = vec![0u32; n + 1];
-        for &v in &out_targets {
-            in_offsets[v.index() + 1] += 1;
-        }
-        prefix_sum(&mut in_offsets);
-        let mut in_sources = vec![VertexId(0); write];
-        let mut cursor = in_offsets.clone();
-        // Sources are scanned in ascending order, so in-lists come out sorted.
-        for u in 0..n {
-            let (lo, hi) = (out_offsets[u] as usize, out_offsets[u + 1] as usize);
-            for &v in &out_targets[lo..hi] {
-                let c = &mut cursor[v.index()];
-                in_sources[*c as usize] = VertexId::new(u);
-                *c += 1;
-            }
-        }
+    /// Wraps finished out-lists: `offsets` has `n + 1` entries starting
+    /// at 0, and each list `targets[offsets[u]..offsets[u + 1]]` is
+    /// sorted and free of duplicates.
+    ///
+    /// # Panics
+    /// Debug-asserts the shape of `offsets` and that every list is
+    /// strictly ascending within `0..n`.
+    pub(crate) fn from_out_lists(offsets: Vec<u32>, targets: Vec<VertexId>) -> Self {
+        debug_assert!(offsets.first() == Some(&0));
+        debug_assert!(offsets.last().map(|&m| m as usize) == Some(targets.len()));
+        let out = Csr { offsets, targets };
+        debug_assert!((0..out.offsets.len() - 1).all(|u| {
+            let list = out.list(VertexId::new(u));
+            list.windows(2).all(|w| w[0] < w[1])
+                && list.iter().all(|v| v.index() < out.offsets.len() - 1)
+        }));
         DiGraph {
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_sources,
+            out,
+            inn: OnceLock::new(),
         }
+    }
+
+    fn in_lists(&self) -> &Csr {
+        self.inn.get_or_init(|| self.out.transpose())
+    }
+
+    /// Whether the in-lists have been built yet (tests use this to
+    /// check that a build path never asks for them).
+    #[doc(hidden)]
+    pub fn in_lists_built(&self) -> bool {
+        self.inn.get().is_some()
     }
 
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.out_offsets.len() - 1
+        self.out.offsets.len() - 1
     }
 
     /// Number of (deduplicated) edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.out_targets.len()
+        self.out.targets.len()
     }
 
     /// Iterator over all vertex ids.
@@ -224,17 +284,15 @@ impl DiGraph {
     /// Out-neighbors of `v`, sorted by id.
     #[inline]
     pub fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
-        let lo = self.out_offsets[v.index()] as usize;
-        let hi = self.out_offsets[v.index() + 1] as usize;
-        &self.out_targets[lo..hi]
+        self.out.list(v)
     }
 
-    /// In-neighbors of `v`, sorted by id.
+    /// In-neighbors of `v`, sorted by id. The first call on a graph
+    /// transposes its out-lists into in-lists, in O(n + m); concurrent
+    /// first calls wait for one transpose.
     #[inline]
     pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
-        let lo = self.in_offsets[v.index()] as usize;
-        let hi = self.in_offsets[v.index() + 1] as usize;
-        &self.in_sources[lo..hi]
+        self.in_lists().list(v)
     }
 
     /// Out-degree of `v`.
@@ -262,23 +320,20 @@ impl DiGraph {
     }
 
     /// The graph with every edge reversed. Indexes that label "who
-    /// reaches v" run on the reverse graph.
+    /// reaches v" run on the reverse graph. The copy's in-lists are
+    /// this graph's out-lists, so it has both sides at once.
     pub fn reverse(&self) -> DiGraph {
         DiGraph {
-            out_offsets: self.in_offsets.clone(),
-            out_targets: self.in_sources.clone(),
-            in_offsets: self.out_offsets.clone(),
-            in_sources: self.out_targets.clone(),
+            out: self.in_lists().clone(),
+            inn: OnceLock::from(self.out.clone()),
         }
     }
 
-    /// Approximate heap footprint in bytes, used by index-size
-    /// reporting in the bench harness.
+    /// Approximate heap footprint in bytes of both adjacency sides,
+    /// whether or not the in-lists have been built yet; used by
+    /// index-size reporting in the bench harness.
     pub fn size_bytes(&self) -> usize {
-        4 * (self.out_offsets.len()
-            + self.out_targets.len()
-            + self.in_offsets.len()
-            + self.in_sources.len())
+        2 * 4 * (self.out.offsets.len() + self.out.targets.len())
     }
 }
 

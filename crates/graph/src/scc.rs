@@ -61,6 +61,43 @@ impl SccDecomposition {
 /// Components pop in the same order as in the textbook form; slot
 /// `n - k` becomes component `k`.
 pub fn tarjan_scc(g: &DiGraph) -> SccDecomposition {
+    tarjan_with(g, |_| {})
+}
+
+/// A component at the moment Tarjan pops it: its members have just
+/// taken its id, and every vertex they reach lies in it or in a
+/// component popped before it.
+pub(crate) struct Popped<'a> {
+    id: u32,
+    members: &'a [u32],
+    rindex: &'a [u32],
+    n: u32,
+}
+
+impl Popped<'_> {
+    /// The component's id; components pop as `0, 1, 2, …`.
+    #[inline]
+    pub(crate) fn id(&self) -> u32 {
+        self.id
+    }
+
+    /// The component's vertices.
+    #[inline]
+    pub(crate) fn members(&self) -> impl Iterator<Item = VertexId> + '_ {
+        self.members.iter().map(|&v| VertexId(v))
+    }
+
+    /// The component of `w`, which must lie in this component or in
+    /// one popped before it (every out-neighbour of a member does).
+    #[inline]
+    pub(crate) fn component_of(&self, w: VertexId) -> u32 {
+        self.n - self.rindex[w.index()]
+    }
+}
+
+/// [`tarjan_scc`], calling `on_pop` once per component as it pops,
+/// after its members have taken their component id.
+pub(crate) fn tarjan_with(g: &DiGraph, mut on_pop: impl FnMut(Popped<'_>)) -> SccDecomposition {
     const UNVISITED: u32 = 0;
     let n = g.num_vertices();
     let n32 = u32::try_from(n).expect("vertex ids are u32");
@@ -101,16 +138,23 @@ pub fn tarjan_scc(g: &DiGraph) -> SccDecomposition {
                 if is_root {
                     // v roots a component: it and the open vertices
                     // above it on the stack take the next slot.
-                    next_index -= 1;
-                    while let Some(&w) = stack.last() {
-                        if rindex[w as usize] < rindex[v] {
-                            break;
-                        }
-                        stack.pop();
-                        rindex[w as usize] = slot;
-                        next_index -= 1;
+                    let root_index = rindex[v];
+                    stack.push(v as u32);
+                    let mut first = stack.len() - 1;
+                    while first > 0 && rindex[stack[first - 1] as usize] >= root_index {
+                        first -= 1;
                     }
-                    rindex[v] = slot;
+                    for &w in &stack[first..] {
+                        rindex[w as usize] = slot;
+                    }
+                    next_index -= (stack.len() - first) as u32;
+                    on_pop(Popped {
+                        id: n32 - slot,
+                        members: &stack[first..],
+                        rindex: &rindex,
+                        n: n32,
+                    });
+                    stack.truncate(first);
                     slot -= 1;
                 } else {
                     stack.push(v as u32);

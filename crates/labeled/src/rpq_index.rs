@@ -138,4 +138,36 @@ mod tests {
         assert!(large.num_states() > small.num_states());
         assert!(large.size_entries() >= small.size_entries());
     }
+
+    /// The "after" columns of EXPERIMENTS.md's §5 general-constraint
+    /// table: `(num_states, size_entries)` on Figure 1(b) and on the
+    /// 200-vertex cyclic workload with 3 Zipf labels, seed 9.
+    #[test]
+    fn product_sizes_match_the_experiments_table() {
+        use reach_graph::generators::{label_edges, random_digraph};
+        // `Shape::Cyclic.generate_labeled(200, 3, 9)` in reach-bench
+        let cyclic = {
+            let g = random_digraph(200, 800, &mut SmallRng::seed_from_u64(9));
+            let mut rng = SmallRng::seed_from_u64(9 ^ 0x1abe1);
+            label_edges(&g, 3, LabelDistribution::Zipf, &mut rng)
+        };
+        let table = [
+            ("(0 ∪ 1)*", (3, 88), (3, 1620)),
+            ("(0 · 1)*", (4, 96), (4, 2562)),
+            ("1 · 2+", (5, 152), (5, 4090)),
+            ("2* · 0 · 1*", (6, 192), (6, 9234)),
+            ("0", (2, 39), (2, 1207)),
+            ("0 · (1 ∪ 2)* · 0", (5, 158), (5, 4062)),
+            ("(0 · 1)+ ∪ 2*", (6, 177), (6, 4595)),
+            ("(0 · 1 · 2)+ ∪ (1 · 0)*", (8, 218), (8, 8333)),
+        ];
+        let sizes = |g: &LabeledGraph, expr: &str| {
+            let idx = RpqIndex::build(g, &parse(expr, &[]).unwrap());
+            (idx.num_states(), idx.size_entries())
+        };
+        for (expr, figure1b, cyclic_200) in table {
+            assert_eq!(sizes(&fixtures::figure1b(), expr), figure1b, "{expr}");
+            assert_eq!(sizes(&cyclic, expr), cyclic_200, "{expr}");
+        }
+    }
 }
