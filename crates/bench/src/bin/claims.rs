@@ -13,13 +13,12 @@ use reach_bench::args::{self, Flag};
 use reach_bench::queries::{query_mix, random_pair};
 use reach_bench::report::{fmt_bytes, fmt_duration, timed, Table};
 use reach_bench::workloads::Shape;
-use reach_core::pipeline::{build_plain, BuildOpts};
+use reach_core::pipeline::{BuildOpts, PLAIN_REGISTRY};
 use reach_core::ReachIndex;
 use reach_graph::traverse::{bfs_reaches, bfs_reaches_counted, VisitMap};
 use reach_graph::{DiGraph, Label, LabelSet, LabeledGraph, PreparedGraph, VertexId};
 use reach_labeled::online::lcr_bfs;
-use reach_labeled::pipeline::build_lcr;
-use reach_labeled::LcrIndex;
+use reach_labeled::{LcrIndex, LCR_REGISTRY};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -27,7 +26,9 @@ use std::time::Duration;
 /// a timed build includes the condensation.
 fn build(name: &str, g: &Arc<DiGraph>) -> Box<dyn ReachIndex> {
     let prepared = PreparedGraph::new_shared(Arc::clone(g));
-    let (idx, _) = build_plain(name, &prepared, &BuildOpts::default()).expect("registry name");
+    let (idx, _) = PLAIN_REGISTRY
+        .build(name, &prepared, &BuildOpts::default())
+        .expect("registry name");
     idx
 }
 
@@ -182,13 +183,14 @@ fn labeled_cost() {
         ]);
     }
     for name in ["P2H+", "DLCR", "Landmark index", "Jin et al.", "Zou et al."] {
-        let (idx, build) =
-            timed(|| build_lcr(name, &g, &BuildOpts::default()).expect("registry name"));
+        let (_, report) = LCR_REGISTRY
+            .build(name, &g, &BuildOpts::default())
+            .expect("registry name");
         table.row([
             name.to_string(),
             "LCR".to_string(),
-            fmt_duration(build),
-            idx.size_entries().to_string(),
+            fmt_duration(report.total),
+            report.size_entries.to_string(),
         ]);
     }
     println!("{}", table.render());

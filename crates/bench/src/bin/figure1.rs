@@ -6,17 +6,16 @@
 //! ```
 
 use reach_bench::args;
-use reach_core::pipeline::{build_plain, plain_names, BuildOpts};
+use reach_core::pipeline::{BuildOpts, PLAIN_REGISTRY};
 use reach_graph::fixtures::{
     self, label_name, vertex_name, A, B, D, FOLLOWS, FRIEND_OF, G, H, L, M, WORKS_FOR,
 };
 use reach_graph::LabelSet;
 use reach_graph::PreparedGraph;
 use reach_labeled::online::rlc_bfs;
-use reach_labeled::pipeline::{build_lcr, lcr_names};
 use reach_labeled::rlc::RlcIndex;
 use reach_labeled::zou::single_source_gtc;
-use reach_labeled::RlcIndexApi;
+use reach_labeled::LCR_REGISTRY;
 use std::sync::Arc;
 
 fn main() {
@@ -43,20 +42,26 @@ fn main() {
     assert!(plain.has_edge(A, D) && plain.has_edge(D, H) && plain.has_edge(H, G));
     println!("  witness path (A, D, H, G) exists in the fixture ✓");
     let prepared = PreparedGraph::new_shared(Arc::clone(&plain));
-    for name in plain_names() {
-        let (idx, _) = build_plain(name, &prepared, &BuildOpts::default()).expect("registry name");
+    let (opts, names) = (BuildOpts::default(), PLAIN_REGISTRY.names());
+    for name in &names {
+        let (idx, _) = PLAIN_REGISTRY
+            .build(name, &prepared, &opts)
+            .expect("registry name");
         assert!(idx.query(A, G), "{name}");
     }
-    println!("  all {} plain indexes answer true ✓", plain_names().len());
+    println!("  all {} plain indexes answer true ✓", names.len());
 
     // §2.2: Qr(A, G, (friendOf ∪ follows)*) = false
     println!("\n§2.2  Qr(A, G, (friendOf ∪ follows)*):");
     let constraint = LabelSet::from_labels([FRIEND_OF, FOLLOWS]);
-    for name in lcr_names() {
-        let idx = build_lcr(name, &labeled, &BuildOpts::default()).expect("registry name");
+    let names = LCR_REGISTRY.names();
+    for name in &names {
+        let (idx, _) = LCR_REGISTRY
+            .build(name, &labeled, &opts)
+            .expect("registry name");
         assert!(!idx.query(A, G, constraint), "{name}");
     }
-    println!("  all {} LCR indexes answer false ✓", lcr_names().len());
+    println!("  all {} LCR indexes answer false ✓", names.len());
 
     // §4.1: SPLS examples
     println!("\n§4.1  sufficient path-label sets:");

@@ -16,7 +16,7 @@ use reach_bench::args::{self, Flag};
 use reach_bench::queries::{query_mix, QueryMix};
 use reach_bench::report::{fmt_bytes, fmt_duration, timed, Table};
 use reach_bench::workloads::Shape;
-use reach_core::pipeline::{build_plain, BuildOpts};
+use reach_core::pipeline::{BuildOpts, PLAIN_REGISTRY};
 use reach_core::tol::{OrderStrategy, Tol};
 use reach_core::ReachIndex;
 use reach_graph::PreparedGraph;
@@ -84,7 +84,9 @@ fn main() {
         for &value in values {
             let mut opts = BuildOpts::default();
             set(&mut opts, value);
-            let (idx, report) = build_plain(name, &prepared, &opts).expect("registry name");
+            let (idx, report) = PLAIN_REGISTRY
+                .build(name, &prepared, &opts)
+                .expect("registry name");
             let label = format!("{name} {knob}={value}");
             sweep_row(&mut table, &label, report.label, idx.as_ref(), &mix);
         }

@@ -9,11 +9,9 @@
 
 use reach_bench::args::{self, Flag};
 use reach_bench::queries::query_mix;
-use reach_bench::report::{fmt_bytes, fmt_duration, taxonomy_cells, timed, Table};
+use reach_bench::report::{fmt_bytes, fmt_condense, fmt_duration, taxonomy_cells, timed, Table};
 use reach_bench::workloads::Shape;
-use reach_core::pipeline::{
-    build_plain, plain_feasible, plain_names, plain_native_meta, BuildOpts,
-};
+use reach_core::pipeline::{BuildOpts, PLAIN_REGISTRY};
 use reach_core::Framework;
 use reach_graph::PreparedGraph;
 use std::sync::Arc;
@@ -37,11 +35,11 @@ fn print_matrix() {
         "Input",
         "Dynamic",
     ]);
-    for name in plain_names() {
-        if name.starts_with("online") {
+    for spec in PLAIN_REGISTRY.specs {
+        if spec.name.starts_with("online") {
             continue;
         }
-        let m = plain_native_meta(name);
+        let m = spec.meta;
         let named = [
             format!("{} {}", m.name, m.citation),
             framework_name(m.framework).to_string(),
@@ -85,12 +83,14 @@ fn empirical(n: usize) {
             "Query(total)",
             "Query(avg)",
         ]);
-        for name in plain_names() {
-            if !plain_feasible(name, g.num_vertices(), g.num_edges()) {
+        for name in PLAIN_REGISTRY.names() {
+            if !PLAIN_REGISTRY.feasible(name, g.num_vertices(), g.num_edges()) {
                 table.row_padded([name, "(skipped: infeasible at this size)"]);
                 continue;
             }
-            let (idx, report) = build_plain(name, &prepared, &opts).expect("registry name");
+            let (idx, report) = PLAIN_REGISTRY
+                .build(name, &prepared, &opts)
+                .expect("registry name");
             let (hits, q) = timed(|| {
                 let mut hits = 0usize;
                 for &(s, t) in &mix.pairs {
@@ -104,14 +104,10 @@ fn empirical(n: usize) {
             table.row([
                 name.to_string(),
                 fmt_duration(report.total),
-                if report.reused_condensation() {
-                    "shared".to_string()
-                } else {
-                    fmt_duration(report.condense + report.order)
-                },
+                fmt_condense(&report),
                 fmt_duration(report.label),
-                idx.size_entries().to_string(),
-                fmt_bytes(idx.size_bytes()),
+                report.size_entries.to_string(),
+                fmt_bytes(report.size_bytes),
                 fmt_duration(q),
                 fmt_duration(q / mix.pairs.len() as u32),
             ]);

@@ -16,9 +16,8 @@ use reach_bench::workloads::Shape;
 use reach_core::pipeline::BuildOpts;
 use reach_graph::{fixtures, Label, LabelSet, VertexId};
 use reach_labeled::online::{lcr_bfs, rlc_bfs};
-use reach_labeled::pipeline::{build_lcr, lcr_feasible, lcr_names};
 use reach_labeled::rlc::RlcIndex;
-use reach_labeled::{ConstraintClass, LcrFramework, RlcIndexApi};
+use reach_labeled::{ConstraintClass, LcrFramework, LCR_REGISTRY};
 use std::sync::Arc;
 
 /// The columns of both measured comparisons.
@@ -50,14 +49,11 @@ fn print_matrix() {
         "Input",
         "Dynamic",
     ]);
-    let mut metas: Vec<reach_labeled::LabeledIndexMeta> = lcr_names()
+    let mut metas: Vec<reach_labeled::LabeledIndexMeta> = LCR_REGISTRY
+        .specs
         .iter()
-        .filter(|&&n| n != "GTC")
-        .map(|name| {
-            build_lcr(name, &g, &BuildOpts::default())
-                .expect("registry name")
-                .meta()
-        })
+        .filter(|s| s.name != "GTC")
+        .map(|s| s.meta)
         .collect();
     metas.push(RlcIndex::build(&g, 2).expect("a small alphabet").meta());
     for m in metas {
@@ -132,13 +128,14 @@ fn empirical(n: usize) {
             fmt_duration(online_total),
             fmt_duration(online_total / queries.len() as u32),
         ]);
-        for name in lcr_names() {
-            if !lcr_feasible(name, n) {
+        for name in LCR_REGISTRY.names() {
+            if !LCR_REGISTRY.feasible(name, g.num_vertices(), g.num_edges()) {
                 table.row_padded([name, "(skipped: infeasible at this size)"]);
                 continue;
             }
-            let (idx, build) =
-                timed(|| build_lcr(name, &g, &BuildOpts::default()).expect("registry name"));
+            let (idx, report) = LCR_REGISTRY
+                .build(name, &g, &BuildOpts::default())
+                .expect("registry name");
             let (answers, q) = timed(|| {
                 queries
                     .iter()
@@ -148,9 +145,9 @@ fn empirical(n: usize) {
             assert_eq!(answers, expected, "{name} answered a query wrongly");
             table.row([
                 name.to_string(),
-                fmt_duration(build),
-                idx.size_entries().to_string(),
-                fmt_bytes(idx.size_bytes()),
+                fmt_duration(report.total),
+                report.size_entries.to_string(),
+                fmt_bytes(report.size_bytes),
                 fmt_duration(q),
                 fmt_duration(q / queries.len() as u32),
             ]);

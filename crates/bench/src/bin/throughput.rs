@@ -29,7 +29,7 @@ use rand::{Rng, SeedableRng};
 use reach_bench::args::{self, Flag};
 use reach_bench::report::{fmt_duration, timed, Table};
 use reach_bench::workloads::Shape;
-use reach_core::pipeline::{build_plain, plain_names, BuildOpts};
+use reach_core::pipeline::{BuildOpts, PLAIN_REGISTRY};
 use reach_core::QueryEngine;
 use reach_graph::{PreparedGraph, VertexId};
 use std::sync::Arc;
@@ -108,7 +108,10 @@ fn main() {
             if indexes.is_empty() {
                 indexes = vec!["online-BFS", "online-BiBFS", "GRAIL", "BFL"];
             }
-            if let Some(name) = indexes.iter().find(|name| !plain_names().contains(name)) {
+            if let Some(name) = indexes
+                .iter()
+                .find(|&&name| PLAIN_REGISTRY.spec(name).is_none())
+            {
                 return Err(a.error(format!("unknown plain index {name:?}")));
             }
             Ok((
@@ -147,7 +150,9 @@ fn main() {
     let mut index_reports: Vec<String> = Vec::new();
 
     for name in &indexes {
-        let (idx, build) = build_plain(name, &prepared, &opts).expect("a registry name");
+        let (idx, build) = PLAIN_REGISTRY
+            .build(name, &prepared, &opts)
+            .expect("a registry name");
 
         // baseline: the classic sequential one-query-at-a-time loop
         let (reference, base_time) =

@@ -1,7 +1,7 @@
 //! Fixed-width table printing and timing helpers for the report
 //! binaries.
 
-use reach_core::{BuildReport, Completeness, Dynamism, InputClass};
+use reach_core::{BuildReport, Completeness, CondensationUse, Dynamism, InputClass};
 use std::time::{Duration, Instant};
 
 /// Runs `f`, returning its result and the elapsed wall-clock time.
@@ -113,18 +113,30 @@ pub fn fmt_duration(d: Duration) -> String {
     }
 }
 
+/// What a build's condensation cost, for a table column: its condense
+/// and order time, `shared` when an earlier build on the same prepared
+/// graph paid it, and `none` when the build never read one.
+pub fn fmt_condense(r: &BuildReport) -> String {
+    match r.condensation {
+        CondensationUse::Computed => fmt_duration(r.condense + r.order),
+        CondensationUse::Shared => "shared".into(),
+        CondensationUse::Unused => "none".into(),
+    }
+}
+
 /// One-line rendering of a [`BuildReport`]: per-phase wall time
-/// (condense / order / label) plus index size. Phases charged to an
-/// earlier build on the same prepared graph render as "shared".
+/// (condense / order / label) plus index size. A condensation charged
+/// to an earlier build on the same prepared graph renders as "condense
+/// shared", and a build that read none says "no condensation".
 pub fn fmt_build_report(r: &BuildReport) -> String {
-    let preprocess = if r.reused_condensation() {
-        "condense shared".to_string()
-    } else {
-        format!(
+    let preprocess = match r.condensation {
+        CondensationUse::Computed => format!(
             "condense {} + order {}",
             fmt_duration(r.condense),
             fmt_duration(r.order)
-        )
+        ),
+        CondensationUse::Shared => "condense shared".to_string(),
+        CondensationUse::Unused => "no condensation".to_string(),
     };
     format!(
         "{}: total {} ({preprocess}, label {}), {} / {} entries",
@@ -198,6 +210,7 @@ mod tests {
     fn build_report_renders_phases_and_sharing() {
         let mut r = BuildReport {
             name: "GRAIL",
+            condensation: CondensationUse::Computed,
             condense: Duration::from_micros(500),
             order: Duration::from_micros(100),
             label: Duration::from_micros(400),
@@ -210,8 +223,14 @@ mod tests {
         assert!(line.contains("condense 500.0µs"));
         assert!(line.contains("order 100.0µs"));
         assert!(line.contains("2.0KiB"));
+        assert_eq!(fmt_condense(&r), "600.0µs");
         r.condense = Duration::ZERO;
         r.order = Duration::ZERO;
-        assert!(fmt_build_report(&r).contains("condense shared"));
+        r.condensation = CondensationUse::Shared;
+        assert!(fmt_build_report(&r).contains("(condense shared, label 400.0µs)"));
+        assert_eq!(fmt_condense(&r), "shared");
+        r.condensation = CondensationUse::Unused;
+        assert!(fmt_build_report(&r).contains("(no condensation, label 400.0µs)"));
+        assert_eq!(fmt_condense(&r), "none");
     }
 }

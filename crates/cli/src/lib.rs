@@ -25,15 +25,12 @@
 use reach_bench::args::Flag::{self, List, Switch, Value};
 use reach_bench::args::{self, ArgError, Args};
 use reach_bench::queries::query_mix;
-use reach_bench::report::{fmt_build_report, fmt_bytes, fmt_duration, timed, Table};
+use reach_bench::report::{fmt_build_report, fmt_bytes, fmt_condense, fmt_duration, timed, Table};
 use reach_bench::workloads::ALL_SHAPES;
-use reach_core::pipeline::{
-    build_plain, plain_feasible, plain_names, plain_native_meta, plain_spec, BuildOpts, BuilderSpec,
-};
+use reach_core::pipeline::{BuildOpts, Registry, UnknownIndex, PLAIN_REGISTRY};
 use reach_graph::{io, DiGraph, GraphError, LabelSet, LabeledGraph, PreparedGraph, VertexId};
-use reach_labeled::pipeline::{build_lcr, lcr_names, lcr_spec};
 use reach_labeled::rlc::RlcIndex;
-use reach_labeled::{ConstraintKind, RlcIndexApi};
+use reach_labeled::{ConstraintKind, LCR_REGISTRY};
 use std::fmt;
 use std::io::Write;
 use std::sync::Arc;
@@ -107,25 +104,28 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError::Invalid(msg.into())
 }
 
-/// A registry's unknown-name error, pointing at the list of names.
-fn unknown_index(e: impl fmt::Display) -> CliError {
-    err(format!("{e} (see `reach indexes`)"))
-}
-
 /// Refuses an index whose registry entry rules out this graph size
 /// before a build that could run for hours; a name not in the
-/// registry (`None`) passes on to the builder's typed error.
+/// registry passes on to the build's typed error.
 fn ensure_feasible<G: ?Sized, I: ?Sized, M>(
-    spec: Option<&BuilderSpec<G, I, M>>,
+    registry: &Registry<G, I, M>,
+    name: &str,
     n: usize,
     m: usize,
 ) -> Result<(), CliError> {
-    match spec {
+    match registry.spec(name) {
         Some(s) if !(s.feasible)(n, m) => Err(err(format!(
             "index {:?} is infeasible at n={n}, m={m} (its registry entry rules out this size)",
             s.name
         ))),
         _ => Ok(()),
+    }
+}
+
+/// A registry's unknown-name error, pointing at the list of names.
+impl From<UnknownIndex> for CliError {
+    fn from(e: UnknownIndex) -> Self {
+        err(format!("{e} (see `reach indexes`)"))
     }
 }
 
@@ -439,11 +439,11 @@ fn cmd_stats(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 fn cmd_indexes(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     positional::<0>(args)?;
     writeln!(out, "plain reachability indexes (Table 1):")?;
-    for name in plain_names() {
-        if name.starts_with("online") {
+    for spec in PLAIN_REGISTRY.specs {
+        if spec.name.starts_with("online") {
             continue;
         }
-        let m = plain_native_meta(name);
+        let m = spec.meta;
         writeln!(
             out,
             "  {:<14} {:?} / {:?} / {:?} input / {:?}",
@@ -453,7 +453,7 @@ fn cmd_indexes(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(
         out,
         "\npath-constrained indexes (Table 2): {}",
-        lcr_names().join(", ")
+        LCR_REGISTRY.names().join(", ")
     )?;
     writeln!(out, "  plus: RLC index (concatenation constraints)")?;
     writeln!(
@@ -480,23 +480,15 @@ fn parse_pairs(tokens: &[String], n: usize) -> Result<Vec<(VertexId, VertexId)>,
         .collect()
 }
 
-/// Reads a batch file of `<s> <t>` lines (blank lines and `#` comments
-/// skipped) into query pairs.
+/// Reads a batch file into query pairs with the grammar of a
+/// `POST /batch` body: one `<s> <t>` pair per line, blank lines and `#`
+/// comments skipped.
 fn read_batch_file(path: &str, n: usize) -> Result<Vec<(VertexId, VertexId)>, CliError> {
     let text = std::fs::read_to_string(path).map_err(|source| CliError::File {
         path: path.to_string(),
         source,
     })?;
-    let tokens: Vec<String> = text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .flat_map(|l| l.split_whitespace().map(str::to_string))
-        .collect();
-    if tokens.is_empty() {
-        return Err(err(format!("{path}: no query pairs")));
-    }
-    parse_pairs(&tokens, n)
+    reach_server::body::parse_batch(&text, n).map_err(|e| err(format!("{path}: {}", e.trim_end())))
 }
 
 fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -520,10 +512,9 @@ fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         }
         None => parse_pairs(pairs_tokens, g.num_vertices())?,
     };
-    ensure_feasible(plain_spec(name), g.num_vertices(), g.num_edges())?;
+    ensure_feasible(&PLAIN_REGISTRY, name, g.num_vertices(), g.num_edges())?;
     let prepared = PreparedGraph::new_shared(g);
-    let (idx, report) =
-        build_plain(name, &prepared, &BuildOpts::default()).map_err(unknown_index)?;
+    let (idx, report) = PLAIN_REGISTRY.build(name, &prepared, &BuildOpts::default())?;
     writeln!(out, "built {}", fmt_build_report(&report))?;
     if batch.is_some() {
         let engine = reach_core::QueryEngine::new(threads);
@@ -565,13 +556,12 @@ fn cmd_lcr(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     match ast.classify() {
         ConstraintKind::Alternation(allowed) => {
             let name = args.value("--index").unwrap_or("P2H+");
-            ensure_feasible(lcr_spec(name), g.num_vertices(), g.num_edges())?;
-            let (idx, build) = timed(|| build_lcr(name, &g, &BuildOpts::default()));
-            let idx = idx.map_err(unknown_index)?;
+            ensure_feasible(&LCR_REGISTRY, name, g.num_vertices(), g.num_edges())?;
+            let (idx, report) = LCR_REGISTRY.build(name, &g, &BuildOpts::default())?;
             writeln!(
                 out,
-                "constraint is an alternation {allowed:?}; built {name} in {}",
-                fmt_duration(build)
+                "constraint is an alternation {allowed:?}; built {}",
+                fmt_build_report(&report)
             )?;
             for (s, t) in pairs {
                 writeln!(out, "Qr({s}, {t}, {expr}) = {}", idx.query(s, t, allowed))?;
@@ -634,15 +624,13 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         LoadedGraph::Labeled(lg) => (Arc::new(lg.to_digraph()), Some(lg)),
     };
     let read = read_start.elapsed();
-    ensure_feasible(plain_spec(index), g.num_vertices(), g.num_edges())?;
+    ensure_feasible(&PLAIN_REGISTRY, index, g.num_vertices(), g.num_edges())?;
     if let (Some(name), Some(lg)) = (lcr, &labeled) {
-        ensure_feasible(lcr_spec(name), lg.num_vertices(), lg.num_edges())?;
+        ensure_feasible(&LCR_REGISTRY, name, lg.num_vertices(), lg.num_edges())?;
     }
     let prepared = PreparedGraph::new_shared(g);
-    let plain = Arc::new(
-        IndexService::build(index, prepared, &BuildOpts::default(), threads)
-            .map_err(unknown_index)?,
-    );
+    let plain = IndexService::build(index, prepared, &BuildOpts::default(), threads)?;
+    let plain = Arc::new(plain);
     // the whole cold start: read+parse here, then condense and label
     writeln!(
         out,
@@ -658,15 +646,8 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                     "{path} is a plain graph; --lcr needs a labeled one"
                 )));
             };
-            let svc = Arc::new(
-                LcrService::build(name, lg, &BuildOpts::default()).map_err(unknown_index)?,
-            );
-            writeln!(
-                out,
-                "built {} (LCR) in {}",
-                svc.name(),
-                fmt_duration(svc.build_time())
-            )?;
+            let svc = Arc::new(LcrService::build(name, lg, &BuildOpts::default())?);
+            writeln!(out, "built {} (LCR)", fmt_build_report(svc.report()))?;
             Some(svc)
         }
     };
@@ -702,7 +683,6 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// Exits nonzero if any audited index reports a violation.
 fn cmd_verify(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     use reach_core::audit::{AuditConfig, AuditOutcome};
-    use reach_labeled::pipeline::lcr_feasible;
 
     let [path] = positional(args)?;
     let all = args.has("--all");
@@ -721,8 +701,8 @@ fn cmd_verify(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     };
     let opts = BuildOpts::default();
     let prepared = PreparedGraph::new_shared(Arc::clone(&g));
-    let plain_known = plain_names();
-    let lcr_known = lcr_names();
+    let plain_known = PLAIN_REGISTRY.names();
+    let lcr_known = LCR_REGISTRY.names();
 
     let selected: Vec<&str> = if all {
         plain_known
@@ -766,7 +746,7 @@ fn cmd_verify(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
     for name in selected {
         if plain_known.contains(&name) {
-            if !plain_feasible(name, g.num_vertices(), g.num_edges()) {
+            if !PLAIN_REGISTRY.feasible(name, g.num_vertices(), g.num_edges()) {
                 writeln!(
                     out,
                     "{name}: skipped (infeasible at n={}, m={})",
@@ -775,15 +755,14 @@ fn cmd_verify(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 )?;
                 continue;
             }
-            let outcome = reach_core::audit::audit_plain(name, &prepared, &opts, &cfg)
-                .map_err(unknown_index)?;
+            let outcome = reach_core::audit::audit_plain(name, &prepared, &opts, &cfg)?;
             report(out, outcome)?;
         } else if lcr_known.contains(&name) {
             let Some(lg) = &labeled else {
                 writeln!(out, "{name}: skipped ({path} is a plain graph)")?;
                 continue;
             };
-            if !lcr_feasible(name, lg.num_vertices()) {
+            if !LCR_REGISTRY.feasible(name, lg.num_vertices(), lg.num_edges()) {
                 writeln!(
                     out,
                     "{name}: skipped (infeasible at n={})",
@@ -791,7 +770,7 @@ fn cmd_verify(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 )?;
                 continue;
             }
-            let outcome = reach_labeled::audit_lcr(name, lg, &opts, &cfg).map_err(unknown_index)?;
+            let outcome = reach_labeled::audit_lcr(name, lg, &opts, &cfg)?;
             report(out, outcome)?;
         } else {
             return Err(err(format!("unknown index {name:?} (see `reach indexes`)")));
@@ -860,8 +839,11 @@ fn cmd_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "query avg",
     ]);
     for name in names {
-        // an unknown name falls through to build_plain's typed error
-        if plain_spec(name).is_some_and(|s| !(s.feasible)(g.num_vertices(), g.num_edges())) {
+        // an unknown name falls through to the build's typed error
+        if PLAIN_REGISTRY
+            .spec(name)
+            .is_some_and(|s| !(s.feasible)(g.num_vertices(), g.num_edges()))
+        {
             table.row([
                 name.to_string(),
                 "(infeasible at this size)".into(),
@@ -874,20 +856,16 @@ fn cmd_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             ]);
             continue;
         }
-        let (idx, report) = build_plain(name, &prepared, &opts).map_err(unknown_index)?;
+        let (idx, report) = PLAIN_REGISTRY.build(name, &prepared, &opts)?;
         let (hits, q) = timed(|| mix.pairs.iter().filter(|&&(s, t)| idx.query(s, t)).count());
         assert_eq!(hits, mix.positives, "{name} answered a query wrongly");
         table.row([
             name.to_string(),
             fmt_duration(report.total),
-            if report.reused_condensation() {
-                "shared".to_string()
-            } else {
-                fmt_duration(report.condense + report.order)
-            },
+            fmt_condense(&report),
             fmt_duration(report.label),
-            idx.size_entries().to_string(),
-            fmt_bytes(idx.size_bytes()),
+            report.size_entries.to_string(),
+            fmt_bytes(report.size_bytes),
             fmt_duration(q),
             fmt_duration(q / mix.pairs.len().max(1) as u32),
         ]);
@@ -1340,6 +1318,72 @@ mod tests {
         // out-of-range vertex in the batch file
         std::fs::write(&batch, "0 999\n").unwrap();
         assert!(run_to_string(&["query", &path, "--index", "BFL", "--batch", &batch]).is_err());
+    }
+
+    #[test]
+    fn batch_files_take_the_pairs_a_batch_body_gives() {
+        let path = tmp("g11.el");
+        run_to_string(&["gen", "sparse-dag", "30", "--out", &path]).unwrap();
+        let batch = tmp("batch11.txt");
+        for rejected in ["1 2 3\n4\n", "0\n1\n", "0 30\n", "", "# no pairs\n"] {
+            assert!(reach_server::body::parse_batch(rejected, 30).is_err());
+            std::fs::write(&batch, rejected).unwrap();
+            let e = run_to_string(&["query", &path, "--batch", &batch]).unwrap_err();
+            assert!(e.to_string().starts_with(&format!("{batch}: ")), "{e}");
+        }
+        let text = "# two pairs\r\n0 29\r\n\r\n 5 +7 \r\n";
+        let pairs = reach_server::body::parse_batch(text, 30).unwrap();
+        std::fs::write(&batch, text).unwrap();
+        let s = run_to_string(&["query", &path, "--batch", &batch]).unwrap();
+        let asked: Vec<&str> = s
+            .lines()
+            .filter_map(|l| l.split_once(" = ").map(|(q, _)| q))
+            .collect();
+        let want: Vec<String> = pairs.iter().map(|(s, t)| format!("Qr({s}, {t})")).collect();
+        assert_eq!(asked, want);
+        assert_eq!(want, ["Qr(0, 29)", "Qr(5, 7)"]);
+    }
+
+    #[test]
+    fn build_lines_tell_computed_shared_and_no_condensation_apart() {
+        let plain = tmp("g12.el");
+        run_to_string(&["gen", "cyclic", "60", "--seed", "3", "--out", &plain]).unwrap();
+        let s = run_to_string(&["query", &plain, "--index", "PLL", "0", "1"]).unwrap();
+        assert!(s.contains("built PLL: total "), "{s}");
+        assert!(s.contains(" (no condensation, label "), "{s}");
+        let s = run_to_string(&["query", &plain, "--index", "GRAIL", "0", "1"]).unwrap();
+        assert!(s.contains(" (condense "), "{s}");
+        let s = run_to_string(&[
+            "bench",
+            &plain,
+            "--index",
+            "GRAIL",
+            "--index",
+            "PLL",
+            "--index",
+            "BFL",
+            "--queries",
+            "20",
+        ])
+        .unwrap();
+        let condense = |name: &str| {
+            let row = s
+                .lines()
+                .find(|l| l.starts_with(&format!("{name} ")))
+                .unwrap();
+            row.split_whitespace().nth(2).unwrap().to_string()
+        };
+        assert!(condense("GRAIL").ends_with('s'), "{s}");
+        assert_eq!(condense("PLL"), "none", "{s}");
+        assert_eq!(condense("BFL"), "shared", "{s}");
+        let labeled = tmp("lg12.el");
+        run_to_string(&[
+            "gen", "cyclic", "60", "--labels", "3", "--seed", "3", "--out", &labeled,
+        ])
+        .unwrap();
+        let s = run_to_string(&["lcr", &labeled, "--constraint", "(0|1)*", "0", "1"]).unwrap();
+        assert!(s.contains("; built P2H+: total "), "{s}");
+        assert!(s.contains(" (no condensation, label "), "{s}");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::hop_labels::HopLabels;
 use crate::index::ReachIndex;
-use crate::pipeline::{build_plain, BuildOpts, UnknownIndex};
+use crate::pipeline::{BuildOpts, UnknownIndex, PLAIN_REGISTRY};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use reach_graph::traverse::{self, VisitMap};
@@ -98,7 +98,64 @@ impl AuditOutcome {
 
 /// Caps per finding category so a systematically broken index emits a
 /// readable report, not one line per sampled pair.
-const MAX_PER_RULE: usize = 5;
+pub const MAX_PER_RULE: usize = 5;
+
+/// Counts the findings of one audit rule and keeps the details of only
+/// the first [`MAX_PER_RULE`]; [`finish`](Self::finish) then notes how
+/// many more there were.
+#[derive(Debug)]
+pub struct CappedRule {
+    index: &'static str,
+    rule: &'static str,
+    count: usize,
+}
+
+impl CappedRule {
+    /// No findings yet of `rule` against `index`.
+    pub fn new(index: &'static str, rule: &'static str) -> Self {
+        CappedRule {
+            index,
+            rule,
+            count: 0,
+        }
+    }
+
+    /// Counts one finding, recording `detail()` if it is among the first
+    /// [`MAX_PER_RULE`].
+    pub fn push(&mut self, out: &mut Vec<Violation>, detail: impl FnOnce() -> String) {
+        self.push_as(self.rule, out, detail);
+    }
+
+    /// [`push`](Self::push) for a finding recorded under a rule of its
+    /// own, for a cap that spans several rules.
+    pub fn push_as(
+        &mut self,
+        rule: &'static str,
+        out: &mut Vec<Violation>,
+        detail: impl FnOnce() -> String,
+    ) {
+        self.count += 1;
+        if self.count <= MAX_PER_RULE {
+            out.push(Violation {
+                index: self.index,
+                rule,
+                detail: detail(),
+            });
+        }
+    }
+
+    /// Notes the findings past the cap as one `... and N more {what}`
+    /// line under the cap's own rule.
+    pub fn finish(self, out: &mut Vec<Violation>, what: &str) {
+        if self.count > MAX_PER_RULE {
+            out.push(Violation {
+                index: self.index,
+                rule: self.rule,
+                detail: format!("... and {} more {what}", self.count - MAX_PER_RULE),
+            });
+        }
+    }
+}
 
 /// Audits a built index against `g`: sampled differential vs the
 /// multi-source-BFS ground truth, `query_batch` vs scalar `query`
@@ -114,59 +171,39 @@ pub fn audit_index(idx: &dyn ReachIndex, g: &DiGraph, cfg: &AuditConfig) -> Audi
     // separately because they implicate different invariants.
     let truth = traverse::batch_reaches(g, &pairs);
     let scalar: Vec<bool> = pairs.iter().map(|&(s, t)| idx.query(s, t)).collect();
-    let mut false_pos = 0usize;
-    let mut false_neg = 0usize;
+    let mut unsound = CappedRule::new(name, "differential-soundness");
+    let mut incomplete = CappedRule::new(name, "differential-completeness");
     for (i, &(s, t)) in pairs.iter().enumerate() {
         if scalar[i] == truth[i] {
             continue;
         }
         if scalar[i] {
-            false_pos += 1;
-            if false_pos <= MAX_PER_RULE {
-                violations.push(Violation {
-                    index: name,
-                    rule: "differential-soundness",
-                    detail: format!("claims {s:?} reaches {t:?}, but no path exists"),
-                });
-            }
+            unsound.push(&mut violations, || {
+                format!("claims {s:?} reaches {t:?}, but no path exists")
+            });
         } else {
-            false_neg += 1;
-            if false_neg <= MAX_PER_RULE {
-                violations.push(Violation {
-                    index: name,
-                    rule: "differential-completeness",
-                    detail: format!("denies {s:?} reaches {t:?}, but a path exists"),
-                });
-            }
+            incomplete.push(&mut violations, || {
+                format!("denies {s:?} reaches {t:?}, but a path exists")
+            });
         }
     }
-    overflow_note(name, "differential-soundness", false_pos, &mut violations);
-    overflow_note(
-        name,
-        "differential-completeness",
-        false_neg,
-        &mut violations,
-    );
+    unsound.finish(&mut violations, "such pairs");
+    incomplete.finish(&mut violations, "such pairs");
 
     // Batch evaluation must return exactly what the per-pair loop does.
     let batch = idx.query_batch(&pairs);
-    let mut batch_bad = 0usize;
+    let mut batch_bad = CappedRule::new(name, "batch-consistency");
     for (i, &(s, t)) in pairs.iter().enumerate() {
         if batch[i] != scalar[i] {
-            batch_bad += 1;
-            if batch_bad <= MAX_PER_RULE {
-                violations.push(Violation {
-                    index: name,
-                    rule: "batch-consistency",
-                    detail: format!(
-                        "query_batch says {} for {s:?}->{t:?}, scalar query says {}",
-                        batch[i], scalar[i]
-                    ),
-                });
-            }
+            batch_bad.push(&mut violations, || {
+                format!(
+                    "query_batch says {} for {s:?}->{t:?}, scalar query says {}",
+                    batch[i], scalar[i]
+                )
+            });
         }
     }
-    overflow_note(name, "batch-consistency", batch_bad, &mut violations);
+    batch_bad.finish(&mut violations, "such pairs");
 
     // Reflexivity: every vertex reaches itself.
     for v in sample_vertices(g.num_vertices(), 64) {
@@ -197,18 +234,8 @@ pub fn audit_plain(
     opts: &BuildOpts,
     cfg: &AuditConfig,
 ) -> Result<AuditOutcome, UnknownIndex> {
-    let (idx, _) = build_plain(name, prepared, opts)?;
+    let (idx, _) = PLAIN_REGISTRY.build(name, prepared, opts)?;
     Ok(audit_index(idx.as_ref(), prepared.graph(), cfg))
-}
-
-fn overflow_note(index: &'static str, rule: &'static str, count: usize, out: &mut Vec<Violation>) {
-    if count > MAX_PER_RULE {
-        out.push(Violation {
-            index,
-            rule,
-            detail: format!("... and {} more such pairs", count - MAX_PER_RULE),
-        });
-    }
 }
 
 /// Seeded pair sample: half uniform, half positives manufactured by
@@ -299,7 +326,7 @@ pub(crate) fn check_two_hop_cover(
 
     // Soundness: audit a sample of hub ranks against the hubs' true
     // forward/backward closures.
-    let mut unsound = 0usize;
+    let mut unsound = CappedRule::new(name, "2hop-soundness");
     for r in sample_vertices(n, 48).iter().map(|v| v.0) {
         let hub = labels.order().vertex_at(r);
         let fwd = closure_row(g, hub, &mut visit, &mut buf);
@@ -310,36 +337,26 @@ pub(crate) fn check_two_hop_cover(
         }
         for x in g.vertices() {
             if labels.lin(x).binary_search(&r).is_ok() && !fwd[x.index()] {
-                unsound += 1;
-                if unsound <= MAX_PER_RULE {
-                    out.push(Violation {
-                        index: name,
-                        rule: "2hop-soundness",
-                        detail: format!(
-                            "lin({x:?}) lists hub {hub:?} (rank {r}), but the hub does not reach {x:?}"
-                        ),
-                    });
-                }
+                unsound.push(out, || {
+                    format!(
+                        "lin({x:?}) lists hub {hub:?} (rank {r}), but the hub does not reach {x:?}"
+                    )
+                });
             }
             if labels.lout(x).binary_search(&r).is_ok() && !bwd[x.index()] {
-                unsound += 1;
-                if unsound <= MAX_PER_RULE {
-                    out.push(Violation {
-                        index: name,
-                        rule: "2hop-soundness",
-                        detail: format!(
-                            "lout({x:?}) lists hub {hub:?} (rank {r}), but {x:?} does not reach the hub"
-                        ),
-                    });
-                }
+                unsound.push(out, || {
+                    format!(
+                        "lout({x:?}) lists hub {hub:?} (rank {r}), but {x:?} does not reach the hub"
+                    )
+                });
             }
         }
     }
-    overflow_note(name, "2hop-soundness", unsound, out);
+    unsound.finish(out, "such pairs");
 
     // Completeness: from sampled sources, every truly reachable
     // target must be witnessed by a common hub.
-    let mut incomplete = 0usize;
+    let mut incomplete = CappedRule::new(name, "2hop-completeness");
     for s in sample_vertices(n, 48) {
         let row = closure_row(g, s, &mut visit, &mut buf);
         for t in g.vertices() {
@@ -347,18 +364,13 @@ pub(crate) fn check_two_hop_cover(
                 continue;
             }
             if !labels.covers(s, t) {
-                incomplete += 1;
-                if incomplete <= MAX_PER_RULE {
-                    out.push(Violation {
-                        index: name,
-                        rule: "2hop-completeness",
-                        detail: format!("{s:?} reaches {t:?} but no common hub witnesses it"),
-                    });
-                }
+                incomplete.push(out, || {
+                    format!("{s:?} reaches {t:?} but no common hub witnesses it")
+                });
             }
         }
     }
-    overflow_note(name, "2hop-completeness", incomplete, out);
+    incomplete.finish(out, "such pairs");
 }
 
 #[cfg(test)]
@@ -366,7 +378,6 @@ mod tests {
     use super::*;
     use crate::index::IndexMeta;
     use crate::index::{Completeness, Dynamism, Framework, InputClass};
-    use crate::pipeline::{plain_feasible, plain_names};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use reach_graph::generators::random_digraph;
@@ -473,8 +484,8 @@ mod tests {
             pairs: 400,
             seed: 11,
         };
-        for name in plain_names() {
-            if !plain_feasible(name, prepared.num_vertices(), prepared.num_edges()) {
+        for name in PLAIN_REGISTRY.names() {
+            if !PLAIN_REGISTRY.feasible(name, prepared.num_vertices(), prepared.num_edges()) {
                 continue;
             }
             let outcome = audit_plain(name, &prepared, &opts, &cfg).expect("registry name");
@@ -523,8 +534,10 @@ mod tests {
         let prepared = PreparedGraph::new(random_digraph(30, 70, &mut rng));
         // the registry indexes with no structural audit of their own
         let unaudited = ["GRIPP", "TC", "online-BFS", "online-DFS", "online-BiBFS"];
-        for name in plain_names() {
-            let (idx, _) = build_plain(name, &prepared, &BuildOpts::default()).unwrap();
+        for name in PLAIN_REGISTRY.names() {
+            let (idx, _) = PLAIN_REGISTRY
+                .build(name, &prepared, &BuildOpts::default())
+                .unwrap();
             for n in [29, 31] {
                 let v = idx.check_invariants(&DiGraph::from_edges(n, &[]));
                 let expect = (!unaudited.contains(&name)).then_some(true);

@@ -374,7 +374,7 @@ impl<F: ReachFilter, G: Successors + Send + Sync> ReachIndex for GuidedSearch<F,
         let n = graph.num_vertices();
         let mut visit = VisitMap::new(n);
         let mut buf = Vec::new();
-        let mut wrong = 0usize;
+        let mut wrong = audit::CappedRule::new(name, "filter-verdicts");
         for s in audit::sample_vertices(n, 96) {
             let row = audit::closure_row(graph, s, &mut visit, &mut buf);
             for t in graph.vertices() {
@@ -384,25 +384,12 @@ impl<F: ReachFilter, G: Successors + Send + Sync> ReachIndex for GuidedSearch<F,
                     Certainty::Unreachable if row[t.index()] => "filter-false-negative",
                     _ => continue,
                 };
-                wrong += 1;
-                if wrong <= 5 {
-                    out.push(Violation {
-                        index: name,
-                        rule: bad_rule,
-                        detail: format!(
-                            "filter verdict {verdict:?} for {s:?}->{t:?} contradicts traversal"
-                        ),
-                    });
-                }
+                wrong.push_as(bad_rule, &mut out, || {
+                    format!("filter verdict {verdict:?} for {s:?}->{t:?} contradicts traversal")
+                });
             }
         }
-        if wrong > 5 {
-            out.push(Violation {
-                index: name,
-                rule: "filter-verdicts",
-                detail: format!("... and {} more wrong definite verdicts", wrong - 5),
-            });
-        }
+        wrong.finish(&mut out, "wrong definite verdicts");
         out
     }
 }
@@ -477,6 +464,19 @@ mod tests {
     fn graph() -> Arc<DiGraph> {
         // 0 -> 1 -> 2 -> 3, and 1 -> 4 (dead end)
         Arc::new(DiGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (1, 4)]))
+    }
+
+    #[test]
+    fn wrong_verdicts_are_capped_under_one_rule() {
+        // 0 reaches all ten vertices of a path; the filter denies each
+        let edges: Vec<(u32, u32)> = (0..9).map(|v| (v, v + 1)).collect();
+        let g = Arc::new(DiGraph::from_edges(10, &edges));
+        let idx = GuidedSearch::new(Arc::clone(&g), BlockVertex(VertexId(0)), meta());
+        let found = idx.check_invariants(&g);
+        let rules: Vec<&str> = found.iter().map(|v| v.rule).collect();
+        assert_eq!(rules[..5], ["filter-false-negative"; 5]);
+        assert_eq!(rules[5..], ["filter-verdicts"]);
+        assert_eq!(found[5].detail, "... and 5 more wrong definite verdicts");
     }
 
     /// Both traversals over `Oblivious` against the BFS oracle, every

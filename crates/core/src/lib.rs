@@ -19,6 +19,11 @@
 //! expose their lookup as a [`ReachFilter`] lifted to an exact oracle
 //! by [`engine::GuidedSearch`]. DAG-only indexes compose with
 //! [`general::Condensed`] for general graphs.
+//!
+//! [`pipeline`] is the one build path: [`PLAIN_REGISTRY`] here and
+//! `reach-labeled`'s `LCR_REGISTRY` are both a [`Registry`], whose
+//! [`build`](Registry::build) looks a name up and returns the index
+//! with its [`BuildReport`] (phases, condensation use, size).
 
 #![forbid(unsafe_code)]
 
@@ -60,7 +65,9 @@ pub use index::{
     Certainty, Completeness, Dynamism, FilterGuarantees, Framework, IndexMeta, InputClass,
     ReachFilter, ReachIndex,
 };
-pub use pipeline::{BuildOpts, BuildReport, BuilderSpec, PlainSpec, UnknownIndex};
+pub use pipeline::{
+    BuildOpts, BuildReport, BuilderSpec, CondensationUse, Registry, UnknownIndex, PLAIN_REGISTRY,
+};
 pub use query_engine::QueryEngine;
 pub use service::IndexService;
 pub use tc::TransitiveClosure;

@@ -10,7 +10,7 @@
 //! startup and answers from it until shutdown.
 
 use crate::index::ReachIndex;
-use crate::pipeline::{build_plain, BuildOpts, BuildReport, UnknownIndex};
+use crate::pipeline::{BuildOpts, BuildReport, UnknownIndex, PLAIN_REGISTRY};
 use crate::query_engine::QueryEngine;
 use reach_graph::{PreparedGraph, VertexId};
 use std::fmt;
@@ -35,7 +35,7 @@ impl IndexService {
         opts: &BuildOpts,
         threads: usize,
     ) -> Result<Self, UnknownIndex> {
-        let (index, report) = build_plain(name, &prepared, opts)?;
+        let (index, report) = PLAIN_REGISTRY.build(name, &prepared, opts)?;
         Ok(IndexService {
             prepared,
             index,

@@ -9,7 +9,10 @@
 //! condenses exactly once. The memoization is observable —
 //! [`condensation_runs`](PreparedGraph::condensation_runs) counts how
 //! many times the condensation was actually computed, which the test
-//! suite pins to 1.
+//! suite pins to 1, and
+//! [`condensation_reads`](PreparedGraph::condensation_reads) how many
+//! times it was asked for, which tells a build that shared it from one
+//! that never read it.
 
 use crate::condense::{Condensation, CondenseTiming};
 use crate::digraph::{Dag, DiGraph};
@@ -50,6 +53,7 @@ pub struct PreparedGraph {
     condensation: OnceLock<(Arc<Condensation>, CondenseTiming)>,
     stats: OnceLock<GraphStats>,
     condensation_runs: AtomicUsize,
+    condensation_reads: AtomicUsize,
 }
 
 impl PreparedGraph {
@@ -65,6 +69,7 @@ impl PreparedGraph {
             condensation: OnceLock::new(),
             stats: OnceLock::new(),
             condensation_runs: AtomicUsize::new(0),
+            condensation_reads: AtomicUsize::new(0),
         })
     }
 
@@ -96,6 +101,7 @@ impl PreparedGraph {
 
     /// The SCC condensation (memoized; computed on first call).
     pub fn condensation(&self) -> &Arc<Condensation> {
+        self.condensation_reads.fetch_add(1, Ordering::Relaxed);
         &self.condensation_cell().0
     }
 
@@ -114,6 +120,13 @@ impl PreparedGraph {
     /// this graph — 0 before first use, and never more than 1.
     pub fn condensation_runs(&self) -> usize {
         self.condensation_runs.load(Ordering::Relaxed)
+    }
+
+    /// How many times the condensation has been asked for: each call of
+    /// [`condensation`](Self::condensation) or [`dag`](Self::dag), and
+    /// the first of [`stats`](Self::stats).
+    pub fn condensation_reads(&self) -> usize {
+        self.condensation_reads.load(Ordering::Relaxed)
     }
 
     /// Structural statistics of the input graph (memoized; reuses the
@@ -142,6 +155,9 @@ mod tests {
             let _ = prepared.stats();
         }
         assert_eq!(prepared.condensation_runs(), 1);
+        assert_eq!(prepared.condensation_reads(), 11);
+        let _ = prepared.condense_timing();
+        assert_eq!(prepared.condensation_reads(), 11, "timing is no read");
     }
 
     #[test]

@@ -11,16 +11,13 @@
 
 use crate::lcr::LcrIndex;
 use crate::online::lcr_bfs;
-use crate::pipeline::{build_lcr, UnknownLcrIndex};
+use crate::pipeline::LCR_REGISTRY;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use reach_core::audit::{AuditConfig, AuditOutcome, Violation};
-use reach_core::pipeline::BuildOpts;
+use reach_core::audit::{AuditConfig, AuditOutcome, CappedRule, Violation};
+use reach_core::pipeline::{BuildOpts, UnknownIndex};
 use reach_graph::{Label, LabelSet, LabeledGraph, VertexId};
 use std::sync::Arc;
-
-/// Caps per finding category, mirroring the plain-side audit.
-const MAX_PER_RULE: usize = 5;
 
 /// Audits a built LCR index against `g`: sampled differential vs the
 /// online constrained BFS (with empty, full, and random label masks),
@@ -34,8 +31,8 @@ pub fn audit_lcr_index(idx: &dyn LcrIndex, g: &LabeledGraph, cfg: &AuditConfig) 
 
     // Differential: agree with the §2.3 online baseline on every
     // sampled (s, t, allowed) triple.
-    let mut false_pos = 0usize;
-    let mut false_neg = 0usize;
+    let mut unsound = CappedRule::new(name, "lcr-soundness");
+    let mut incomplete = CappedRule::new(name, "lcr-completeness");
     for &(s, t, allowed) in &triples {
         let claimed = idx.query(s, t, allowed);
         let truth = lcr_bfs(g, s, t, allowed);
@@ -43,31 +40,17 @@ pub fn audit_lcr_index(idx: &dyn LcrIndex, g: &LabeledGraph, cfg: &AuditConfig) 
             continue;
         }
         if claimed {
-            false_pos += 1;
-            if false_pos <= MAX_PER_RULE {
-                violations.push(Violation {
-                    index: name,
-                    rule: "lcr-soundness",
-                    detail: format!(
-                        "claims {s:?} reaches {t:?} under {allowed:?}, but no such path exists"
-                    ),
-                });
-            }
+            unsound.push(&mut violations, || {
+                format!("claims {s:?} reaches {t:?} under {allowed:?}, but no such path exists")
+            });
         } else {
-            false_neg += 1;
-            if false_neg <= MAX_PER_RULE {
-                violations.push(Violation {
-                    index: name,
-                    rule: "lcr-completeness",
-                    detail: format!(
-                        "denies {s:?} reaches {t:?} under {allowed:?}, but a path exists"
-                    ),
-                });
-            }
+            incomplete.push(&mut violations, || {
+                format!("denies {s:?} reaches {t:?} under {allowed:?}, but a path exists")
+            });
         }
     }
-    overflow_note(name, "lcr-soundness", false_pos, &mut violations);
-    overflow_note(name, "lcr-completeness", false_neg, &mut violations);
+    unsound.finish(&mut violations, "such triples");
+    incomplete.finish(&mut violations, "such triples");
 
     // Reflexivity: the empty path satisfies every constraint, even the
     // empty label set.
@@ -85,26 +68,19 @@ pub fn audit_lcr_index(idx: &dyn LcrIndex, g: &LabeledGraph, cfg: &AuditConfig) 
     // superset of `a`.
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5EED);
     let full = LabelSet::full(g.num_labels());
-    let mut non_monotone = 0usize;
+    let mut non_monotone = CappedRule::new(name, "lcr-monotonicity");
     for &(s, t, a) in &triples {
         if !idx.query(s, t, a) {
             continue;
         }
         let wider = LabelSet(a.0 | (rng.random_range(0..=u64::MAX) & full.0));
         if !idx.query(s, t, wider) {
-            non_monotone += 1;
-            if non_monotone <= MAX_PER_RULE {
-                violations.push(Violation {
-                    index: name,
-                    rule: "lcr-monotonicity",
-                    detail: format!(
-                        "{s:?} reaches {t:?} under {a:?} but not under the superset {wider:?}"
-                    ),
-                });
-            }
+            non_monotone.push(&mut violations, || {
+                format!("{s:?} reaches {t:?} under {a:?} but not under the superset {wider:?}")
+            });
         }
     }
-    overflow_note(name, "lcr-monotonicity", non_monotone, &mut violations);
+    non_monotone.finish(&mut violations, "such triples");
 
     // Per-technique structural invariants.
     violations.extend(idx.check_invariants(g));
@@ -122,19 +98,9 @@ pub fn audit_lcr(
     g: &Arc<LabeledGraph>,
     opts: &BuildOpts,
     cfg: &AuditConfig,
-) -> Result<AuditOutcome, UnknownLcrIndex> {
-    let idx = build_lcr(name, g, opts)?;
+) -> Result<AuditOutcome, UnknownIndex> {
+    let (idx, _) = LCR_REGISTRY.build(name, g, opts)?;
     Ok(audit_lcr_index(idx.as_ref(), g, cfg))
-}
-
-fn overflow_note(index: &'static str, rule: &'static str, count: usize, out: &mut Vec<Violation>) {
-    if count > MAX_PER_RULE {
-        out.push(Violation {
-            index,
-            rule,
-            detail: format!("... and {} more such triples", count - MAX_PER_RULE),
-        });
-    }
 }
 
 /// Seeded triple sample: half uniform targets, half manufactured
@@ -184,7 +150,6 @@ mod tests {
     use crate::lcr::{
         Completeness, ConstraintClass, Dynamism, InputClass, LabeledIndexMeta, LcrFramework,
     };
-    use crate::pipeline::{lcr_feasible, lcr_names};
     use reach_graph::generators::{random_labeled_digraph, LabelDistribution};
 
     fn meta(name: &'static str) -> LabeledIndexMeta {
@@ -230,10 +195,17 @@ mod tests {
             dropped: Label(0),
         };
         let outcome = audit_lcr_index(&idx, &g, &AuditConfig::default());
-        assert!(outcome
+        let incomplete: Vec<&str> = outcome
             .violations
             .iter()
-            .any(|v| v.rule == "lcr-completeness"));
+            .filter(|v| v.rule == "lcr-completeness")
+            .map(|v| v.detail.as_str())
+            .collect();
+        // the first five findings, then one line for the rest
+        assert_eq!(incomplete.len(), reach_core::audit::MAX_PER_RULE + 1);
+        assert!(incomplete[..5].iter().all(|d| d.starts_with("denies ")));
+        assert!(incomplete[5].starts_with("... and "), "{}", incomplete[5]);
+        assert!(incomplete[5].ends_with(" more such triples"));
     }
 
     #[test]
@@ -251,8 +223,8 @@ mod tests {
             pairs: 300,
             seed: 23,
         };
-        for name in lcr_names() {
-            if !lcr_feasible(name, g.num_vertices()) {
+        for name in LCR_REGISTRY.names() {
+            if !LCR_REGISTRY.feasible(name, g.num_vertices(), g.num_edges()) {
                 continue;
             }
             let outcome = audit_lcr(name, &g, &opts, &cfg).expect("registry name");

@@ -2,7 +2,7 @@
 //! the classification metadata of the survey's Table 2.
 
 use reach_core::audit::Violation;
-use reach_graph::{Label, LabelSet, LabeledGraph, VertexId};
+use reach_graph::{LabelSet, LabeledGraph, VertexId};
 
 pub use reach_core::index::{Completeness, Dynamism, InputClass};
 
@@ -80,28 +80,6 @@ pub trait LcrIndex: Send + Sync {
         let _ = graph;
         Vec::new()
     }
-}
-
-/// A concatenation-based (RLC) reachability index: answers
-/// `Qr(s, t, (l1 · l2 · … · lk)*)` for concatenation units up to the
-/// length the index was built for.
-///
-/// `Send + Sync` for the same reason as [`LcrIndex`].
-pub trait RlcIndexApi: Send + Sync {
-    /// Whether a path from `s` to `t` exists whose label sequence is a
-    /// (possibly empty for `s == t`, otherwise one-or-more-fold)
-    /// repetition of `unit`. Returns `None` if `unit` is longer than
-    /// the index supports.
-    fn try_query(&self, s: VertexId, t: VertexId, unit: &[Label]) -> Option<bool>;
-
-    /// This technique's Table-2 classification.
-    fn meta(&self) -> LabeledIndexMeta;
-
-    /// Approximate heap footprint in bytes.
-    fn size_bytes(&self) -> usize;
-
-    /// Abstract entry count.
-    fn size_entries(&self) -> usize;
 }
 
 #[cfg(test)]

@@ -15,8 +15,11 @@
 //!   (GTC family); P2H+ [`p2h`] and DLCR [`dlcr`] (2-hop family);
 //! * the **concatenation-based (RLC) index** [`rlc`].
 //!
-//! Alternation indexes implement [`LcrIndex`]; the RLC index
-//! implements [`RlcIndexApi`].
+//! Alternation indexes implement [`LcrIndex`] and are built through
+//! [`LCR_REGISTRY`], the same `reach_core::pipeline::Registry` type as
+//! the plain indexes, so each build comes with a
+//! `reach_core::BuildReport`. The RLC index is the one concatenation
+//! technique: [`rlc::RlcIndex`] answers through inherent methods.
 
 #![forbid(unsafe_code)]
 
@@ -40,8 +43,8 @@ pub mod zou;
 
 pub use audit::{audit_lcr, audit_lcr_index};
 pub use constraint::{parse, Ast, ConstraintKind, Nfa};
-pub use lcr::{ConstraintClass, LabeledIndexMeta, LcrFramework, LcrIndex, RlcIndexApi};
-pub use pipeline::{LcrSpec, UnknownLcrIndex};
+pub use lcr::{ConstraintClass, LabeledIndexMeta, LcrFramework, LcrIndex};
+pub use pipeline::LCR_REGISTRY;
 pub use service::LcrService;
 pub use spls::SplsSet;
 pub use witness::Witness;

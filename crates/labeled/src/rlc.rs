@@ -24,7 +24,6 @@
 
 use crate::lcr::{
     Completeness, ConstraintClass, Dynamism, InputClass, LabeledIndexMeta, LcrFramework,
-    RlcIndexApi,
 };
 use reach_core::hop_labels::{HopLabels, HopOrder};
 use reach_graph::{Label, LabeledGraph, VertexId};
@@ -85,7 +84,6 @@ fn universe_size(num_labels: usize, kmax: usize) -> Option<usize> {
 /// ```
 /// use reach_graph::{Label, LabeledGraph, VertexId};
 /// use reach_labeled::rlc::RlcIndex;
-/// use reach_labeled::RlcIndexApi;
 ///
 /// // 0 -a-> 1 -b-> 2 -a-> 3 -b-> 4
 /// let g = LabeledGraph::from_edges(5, 2, &[(0, 0, 1), (1, 1, 2), (2, 0, 3), (3, 1, 4)]);
@@ -232,10 +230,12 @@ impl RlcIndex {
             .ok()
             .map(|i| i as u16)
     }
-}
 
-impl RlcIndexApi for RlcIndex {
-    fn try_query(&self, s: VertexId, t: VertexId, unit: &[Label]) -> Option<bool> {
+    /// Whether a path from `s` to `t` exists whose label sequence is a
+    /// (possibly empty for `s == t`, otherwise one-or-more-fold)
+    /// repetition of `unit`. Returns `None` if `unit` is longer than
+    /// [`kmax`](Self::kmax).
+    pub fn try_query(&self, s: VertexId, t: VertexId, unit: &[Label]) -> Option<bool> {
         assert!(!unit.is_empty(), "concatenation unit must be non-empty");
         if unit.len() > self.kmax {
             return None;
@@ -247,7 +247,8 @@ impl RlcIndexApi for RlcIndex {
         Some(self.labels.covers_unit(s, t, uid))
     }
 
-    fn meta(&self) -> LabeledIndexMeta {
+    /// This technique's Table-2 classification.
+    pub fn meta(&self) -> LabeledIndexMeta {
         LabeledIndexMeta {
             name: "RLC index",
             citation: "[52]",
@@ -259,11 +260,13 @@ impl RlcIndexApi for RlcIndex {
         }
     }
 
-    fn size_bytes(&self) -> usize {
+    /// Approximate heap footprint in bytes.
+    pub fn size_bytes(&self) -> usize {
         self.labels.size_bytes()
     }
 
-    fn size_entries(&self) -> usize {
+    /// Abstract entry count.
+    pub fn size_entries(&self) -> usize {
         self.labels.size_entries()
     }
 }

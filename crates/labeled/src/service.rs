@@ -1,24 +1,22 @@
 //! A warm-index façade for serving label-constrained queries.
 //!
 //! The labeled twin of `reach-core::IndexService`: bundles the labeled
-//! graph, a built alternation (LCR) index, and how long construction
-//! took, so a serving layer can answer `Qr(s, t, (l1 ∪ …)*)` queries
-//! without ever rebuilding.
+//! graph, a built alternation (LCR) index, and the [`BuildReport`] of
+//! its construction, so a serving layer can answer
+//! `Qr(s, t, (l1 ∪ …)*)` queries without ever rebuilding.
 
 use crate::lcr::LcrIndex;
-use crate::pipeline::{build_lcr, UnknownLcrIndex};
-use reach_core::pipeline::BuildOpts;
+use crate::pipeline::LCR_REGISTRY;
+use reach_core::pipeline::{BuildOpts, BuildReport, UnknownIndex};
 use reach_graph::{LabelSet, LabeledGraph, VertexId};
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-/// A built LCR index plus the graph it serves and its build cost.
+/// A built LCR index plus the graph it serves and its build report.
 pub struct LcrService {
     graph: Arc<LabeledGraph>,
     index: Box<dyn LcrIndex>,
-    name: &'static str,
-    build_time: Duration,
+    report: BuildReport,
 }
 
 impl LcrService {
@@ -27,20 +25,18 @@ impl LcrService {
         name: &str,
         graph: Arc<LabeledGraph>,
         opts: &BuildOpts,
-    ) -> Result<Self, UnknownLcrIndex> {
-        let start = Instant::now();
-        let index = build_lcr(name, &graph, opts)?;
+    ) -> Result<Self, UnknownIndex> {
+        let (index, report) = LCR_REGISTRY.build(name, &graph, opts)?;
         Ok(LcrService {
             graph,
-            name: index.meta().name,
             index,
-            build_time: start.elapsed(),
+            report,
         })
     }
 
     /// The registry name of the technique this service answers with.
     pub fn name(&self) -> &'static str {
-        self.name
+        self.report.name
     }
 
     /// Number of vertices in the served graph.
@@ -58,14 +54,9 @@ impl LcrService {
         &self.graph
     }
 
-    /// How long construction took.
-    pub fn build_time(&self) -> Duration {
-        self.build_time
-    }
-
-    /// Approximate index heap footprint in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.index.size_bytes()
+    /// What building the index cost (phases, size).
+    pub fn report(&self) -> &BuildReport {
+        &self.report
     }
 
     /// Answers one label-constrained query.
@@ -77,7 +68,7 @@ impl LcrService {
 impl fmt::Debug for LcrService {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LcrService")
-            .field("name", &self.name)
+            .field("name", &self.name())
             .field("n", &self.num_vertices())
             .field("labels", &self.num_labels())
             .finish()
@@ -95,6 +86,7 @@ mod tests {
         let svc = LcrService::build("Landmark index", g, &BuildOpts::default()).unwrap();
         assert_eq!(svc.name(), "Landmark index");
         assert_eq!(svc.num_labels(), 3);
+        assert_eq!(svc.report().size_entries, svc.index.size_entries());
         let no_works_for = LabelSet::from_labels([fixtures::FRIEND_OF, fixtures::FOLLOWS]);
         assert!(!svc.query(fixtures::A, fixtures::G, no_works_for));
         assert!(svc.query(fixtures::A, fixtures::G, LabelSet::full(3)));
@@ -104,6 +96,6 @@ mod tests {
     fn unknown_name_is_an_error() {
         let g = Arc::new(fixtures::figure1b());
         let e = LcrService::build("NotAnIndex", g, &BuildOpts::default()).unwrap_err();
-        assert!(e.to_string().contains("NotAnIndex"));
+        assert_eq!(e.to_string(), "unknown LCR index \"NotAnIndex\"");
     }
 }

@@ -27,7 +27,7 @@
 use crate::body::{self, parse_vertex};
 use crate::http::{read_request, write_response, RecvError, Request};
 use crate::metrics::{Endpoint, IdleWait, Metrics};
-use reach_core::IndexService;
+use reach_core::{CondensationUse, IndexService};
 use reach_graph::{Label, LabelSet};
 use reach_labeled::LcrService;
 use std::collections::VecDeque;
@@ -79,45 +79,51 @@ pub struct Services {
 }
 
 impl Services {
-    /// Build-report lines appended to the `/metrics` exposition.
+    /// Build-report lines appended to the `/metrics` exposition: the
+    /// same lines for every built index, each carrying its `index` label.
     fn build_info(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::new();
-        let r = self.plain.report();
-        let _ = writeln!(
-            out,
-            "reach_build_info{{index=\"{}\",n=\"{}\",m=\"{}\"}} 1",
-            self.plain.name(),
-            self.plain.num_vertices(),
-            self.plain.num_edges()
-        );
-        for (phase, d) in [
-            ("condense", r.condense),
-            ("order", r.order),
-            ("label", r.label),
-            ("total", r.total),
-        ] {
-            let _ = writeln!(
-                out,
-                "reach_build_seconds{{phase=\"{phase}\"}} {:.6}",
-                d.as_secs_f64()
-            );
+        let p = &self.plain;
+        let (n, m) = (p.num_vertices(), p.num_edges());
+        let mut builds = vec![(p.report(), format!("kind=\"plain\",n=\"{n}\",m=\"{m}\""))];
+        if let Some(l) = &self.lcr {
+            let (n, m, k) = (l.num_vertices(), l.graph().num_edges(), l.num_labels());
+            let info = format!("kind=\"lcr\",n=\"{n}\",m=\"{m}\",labels=\"{k}\"");
+            builds.push((l.report(), info));
         }
-        let _ = writeln!(out, "reach_index_bytes {}", r.size_bytes);
-        let _ = writeln!(out, "reach_index_entries {}", r.size_entries);
-        let _ = writeln!(out, "reach_engine_threads {}", self.plain.engine_threads());
-        if let Some(lcr) = &self.lcr {
+        let mut out = format!("reach_engine_threads {}\n", p.engine_threads());
+        for (r, info) in builds {
+            let index = r.name;
+            let condensation = match r.condensation {
+                CondensationUse::Computed => "computed",
+                CondensationUse::Shared => "shared",
+                CondensationUse::Unused => "none",
+            };
             let _ = writeln!(
                 out,
-                "reach_build_info{{index=\"{}\",kind=\"lcr\",n=\"{}\",labels=\"{}\"}} 1",
-                lcr.name(),
-                lcr.num_vertices(),
-                lcr.num_labels()
+                "reach_build_info{{index=\"{index}\",{info},condensation=\"{condensation}\"}} 1"
+            );
+            for (phase, d) in [
+                ("condense", r.condense),
+                ("order", r.order),
+                ("label", r.label),
+                ("total", r.total),
+            ] {
+                let _ = writeln!(
+                    out,
+                    "reach_build_seconds{{index=\"{index}\",phase=\"{phase}\"}} {:.6}",
+                    d.as_secs_f64()
+                );
+            }
+            let _ = writeln!(
+                out,
+                "reach_index_bytes{{index=\"{index}\"}} {}",
+                r.size_bytes
             );
             let _ = writeln!(
                 out,
-                "reach_build_seconds{{phase=\"lcr_total\"}} {:.6}",
-                lcr.build_time().as_secs_f64()
+                "reach_index_entries{{index=\"{index}\"}} {}",
+                r.size_entries
             );
         }
         out

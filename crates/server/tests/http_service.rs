@@ -186,8 +186,35 @@ fn concurrent_clients_match_direct_queries_and_metrics_add_up() {
     );
     assert_eq!(metric("reach_batch_pairs_total"), 100);
     assert!(metric("reach_request_latency_us_count{endpoint=\"query\"}") == queries_sent);
-    assert!(text.contains("reach_build_info{index=\"BFL\""));
+    assert!(text.contains("reach_build_info{index=\"BFL\",kind=\"plain\",n=\"400\","));
     assert!(text.contains("reach_scratch_overflows_total"));
+    // both builds report phases, bytes and entries under their own
+    // `index` label; the LCR build read no condensation
+    for index in ["BFL", "Landmark index"] {
+        for phase in ["condense", "order", "label", "total"] {
+            assert!(text.contains(&format!(
+                "reach_build_seconds{{index=\"{index}\",phase=\"{phase}\"}} "
+            )));
+        }
+        assert!(metric(&format!("reach_index_bytes{{index=\"{index}\"}}")) > 0);
+        assert!(metric(&format!("reach_index_entries{{index=\"{index}\"}}")) > 0);
+    }
+    assert!(text.contains(",condensation=\"computed\"} 1\n"));
+    let lg = fixtures::figure1b();
+    assert!(text.contains(&format!(
+        "reach_build_info{{index=\"Landmark index\",kind=\"lcr\",n=\"{}\",m=\"{}\",\
+         labels=\"3\",condensation=\"none\"}} 1\n",
+        lg.num_vertices(),
+        lg.num_edges()
+    )));
+    let mut series = std::collections::HashSet::new();
+    for line in text.lines().filter(|l| !l.starts_with('#')) {
+        let name_and_labels = line.rsplit_once(' ').map_or(line, |(s, _)| s);
+        assert!(
+            series.insert(name_and_labels),
+            "{name_and_labels} appears twice"
+        );
+    }
     // the exposition's own request is in flight while it renders, so
     // re-read the totals invariant afterwards
     assert_eq!(m.total_requests(), m.total_responses());

@@ -22,7 +22,7 @@
 //! 4. **registry-completeness** — every module implementing
 //!    `ReachIndex`/`ReachFilter` (core) or `LcrIndex` (labeled) must
 //!    be referenced from its crate's `pipeline.rs`, i.e. reachable
-//!    from `plain_names()`/`lcr_names()`; an index that exists but
+//!    from `PLAIN_REGISTRY`/`LCR_REGISTRY`; an index that exists but
 //!    is not registered silently escapes the differential and audit
 //!    suites.
 //!
@@ -105,17 +105,17 @@ impl LintConfig {
                     // generic GuidedSearch machinery, not a concrete
                     // index module.
                     allow: &["engine.rs", "index.rs"],
-                    accessor: "plain_names()",
+                    accessor: "PLAIN_REGISTRY",
                 },
                 RegistryRule {
                     src: "crates/labeled/src",
                     pipeline: "crates/labeled/src/pipeline.rs",
-                    impl_markers: &["LcrIndex for", "RlcIndexApi for"],
-                    // lcr.rs defines the traits; rlc.rs is the
+                    impl_markers: &["LcrIndex for"],
+                    // lcr.rs defines the trait; rlc.rs is the
                     // concatenation-constraint index, dispatched by
                     // constraint class rather than the LCR registry.
                     allow: &["lcr.rs", "rlc.rs"],
-                    accessor: "lcr_names()",
+                    accessor: "LCR_REGISTRY",
                 },
             ],
         }
@@ -608,7 +608,7 @@ mod tests {
             .collect();
         assert_eq!(reg.len(), 1, "{hits:?}");
         assert!(reg[0].file.ends_with("orphan.rs"));
-        assert!(reg[0].message.contains("plain_names()"));
+        assert!(reg[0].message.contains("PLAIN_REGISTRY"));
     }
 
     /// The real workspace must pass its own policy clean.

@@ -16,7 +16,7 @@ use reach_bench::queries::query_mix;
 use reach_bench::report::{fmt_bytes, fmt_duration, timed, Table};
 use reach_bench::workloads::Shape;
 use reachability::graph::PreparedGraph;
-use reachability::plain::pipeline::{build_plain, plain_feasible, plain_names, BuildOpts};
+use reachability::plain::pipeline::{BuildOpts, PLAIN_REGISTRY};
 use reachability::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -72,14 +72,15 @@ fn main() {
     let mut candidates: Vec<Candidate> = Vec::new();
     let mut rejected: Vec<(String, &'static str)> = Vec::new();
 
-    for name in plain_names() {
-        if name.starts_with("online") || !plain_feasible(name, n, graph.num_edges()) {
+    for name in PLAIN_REGISTRY.names() {
+        if name.starts_with("online") || !PLAIN_REGISTRY.feasible(name, n, graph.num_edges()) {
             continue;
         }
         // a prepared graph per candidate: each build pays for its condensation
         let prepared = PreparedGraph::new_shared(Arc::clone(&graph));
-        let (idx, report) =
-            build_plain(name, &prepared, &BuildOpts::default()).expect("registry name");
+        let (idx, report) = PLAIN_REGISTRY
+            .build(name, &prepared, &BuildOpts::default())
+            .expect("registry name");
         let build = report.total;
         let meta = idx.meta();
         if !admissible(&meta, &req) {

@@ -13,8 +13,12 @@
 //!   tree-cover, 2-hop, and approximate-TC families behind one
 //!   [`plain::ReachIndex`] trait;
 //! * [`labeled`] — path-constrained indexes (§4 / Table 2): the
-//!   alternation (LCR) and concatenation (RLC) families behind
-//!   [`labeled::LcrIndex`] / [`labeled::RlcIndexApi`].
+//!   alternation (LCR) family behind [`labeled::LcrIndex`] and the
+//!   concatenation (RLC) index [`labeled::rlc::RlcIndex`].
+//!
+//! One build path serves both registries: [`plain::PLAIN_REGISTRY`] and
+//! [`labeled::LCR_REGISTRY`] are each a [`plain::Registry`], whose
+//! `build` returns the index with its [`plain::BuildReport`].
 //!
 //! ## Quickstart
 //!
@@ -64,7 +68,6 @@ pub mod prelude {
         LabeledGraphBuilder, VertexId,
     };
     pub use reach_labeled::{
-        ConstraintClass, ConstraintKind, LabeledIndexMeta, LcrFramework, LcrIndex, RlcIndexApi,
-        SplsSet,
+        ConstraintClass, ConstraintKind, LabeledIndexMeta, LcrFramework, LcrIndex, SplsSet,
     };
 }

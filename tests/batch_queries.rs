@@ -15,7 +15,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use reachability::graph::traverse;
 use reachability::graph::PreparedGraph;
-use reachability::plain::pipeline::{build_plain, plain_feasible, plain_names, BuildOpts};
+use reachability::plain::pipeline::{BuildOpts, PLAIN_REGISTRY};
 use reachability::plain::QueryEngine;
 use reachability::prelude::*;
 
@@ -135,11 +135,13 @@ fn query_batch_matches_per_pair_query_for_every_registry_index() {
         let prepared = PreparedGraph::new(DiGraph::from_edges(n, &edges));
         let g = prepared.graph();
         let pairs = random_pairs(n, &mut rng);
-        for name in plain_names() {
-            if !plain_feasible(name, g.num_vertices(), g.num_edges()) {
+        for name in PLAIN_REGISTRY.names() {
+            if !PLAIN_REGISTRY.feasible(name, g.num_vertices(), g.num_edges()) {
                 continue;
             }
-            let (idx, _) = build_plain(name, &prepared, &BuildOpts::default()).unwrap();
+            let (idx, _) = PLAIN_REGISTRY
+                .build(name, &prepared, &BuildOpts::default())
+                .unwrap();
             let batch = idx.query_batch(&pairs);
             for (i, &(s, t)) in pairs.iter().enumerate() {
                 assert_eq!(
@@ -161,10 +163,12 @@ fn query_engine_is_identical_for_one_and_eight_threads() {
         let g = prepared.graph();
         let pairs = random_pairs(n, &mut rng);
         for name in ["online-BFS", "online-BiBFS", "GRAIL", "BFL", "PLL"] {
-            if !plain_feasible(name, g.num_vertices(), g.num_edges()) {
+            if !PLAIN_REGISTRY.feasible(name, g.num_vertices(), g.num_edges()) {
                 continue;
             }
-            let (idx, _) = build_plain(name, &prepared, &BuildOpts::default()).unwrap();
+            let (idx, _) = PLAIN_REGISTRY
+                .build(name, &prepared, &BuildOpts::default())
+                .unwrap();
             let one = QueryEngine::new(1).run(idx.as_ref(), &pairs);
             let eight = QueryEngine::new(8).run(idx.as_ref(), &pairs);
             assert_eq!(

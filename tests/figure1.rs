@@ -7,10 +7,10 @@ use reachability::graph::fixtures::{
 };
 use reachability::graph::PreparedGraph;
 use reachability::labeled::online::{lcr_bfs, rlc_bfs};
-use reachability::labeled::pipeline::{build_lcr, lcr_names};
 use reachability::labeled::rlc::RlcIndex;
 use reachability::labeled::zou::single_source_gtc;
-use reachability::plain::pipeline::{build_plain, plain_names, BuildOpts};
+use reachability::labeled::LCR_REGISTRY;
+use reachability::plain::pipeline::{BuildOpts, PLAIN_REGISTRY};
 use reachability::prelude::*;
 use std::sync::Arc;
 
@@ -20,8 +20,10 @@ fn qr_a_g_is_true_for_every_plain_index() {
     let g = Arc::new(fixtures::figure1a());
     assert!(g.has_edge(A, D) && g.has_edge(D, H) && g.has_edge(H, G));
     let prepared = PreparedGraph::new_shared(g);
-    for name in plain_names() {
-        let (idx, _) = build_plain(name, &prepared, &BuildOpts::default()).unwrap();
+    for name in PLAIN_REGISTRY.names() {
+        let (idx, _) = PLAIN_REGISTRY
+            .build(name, &prepared, &BuildOpts::default())
+            .unwrap();
         assert!(idx.query(A, G), "{name}: Qr(A,G) must be true");
     }
 }
@@ -33,8 +35,11 @@ fn alternation_example_is_false_for_every_lcr_index() {
     let g = Arc::new(fixtures::figure1b());
     let constraint = LabelSet::from_labels([FRIEND_OF, FOLLOWS]);
     assert!(!lcr_bfs(&g, A, G, constraint));
-    for name in lcr_names() {
-        let idx = build_lcr(name, &g, &BuildOpts::default()).unwrap();
+    for name in LCR_REGISTRY.names() {
+        let idx = LCR_REGISTRY
+            .build(name, &g, &BuildOpts::default())
+            .unwrap()
+            .0;
         assert!(!idx.query(A, G, constraint), "{name}");
         assert!(idx.query(A, G, LabelSet::full(3)), "{name}: unconstrained");
     }
@@ -101,8 +106,10 @@ fn figure1_reachability_matrix_is_consistent_across_all_indexes() {
     let g = Arc::new(fixtures::figure1a());
     let tc = TransitiveClosure::build(&g);
     let prepared = PreparedGraph::new_shared(Arc::clone(&g));
-    for name in plain_names() {
-        let (idx, _) = build_plain(name, &prepared, &BuildOpts::default()).unwrap();
+    for name in PLAIN_REGISTRY.names() {
+        let (idx, _) = PLAIN_REGISTRY
+            .build(name, &prepared, &BuildOpts::default())
+            .unwrap();
         for s in g.vertices() {
             for t in g.vertices() {
                 assert_eq!(idx.query(s, t), tc.reaches(s, t), "{name} at {s:?}->{t:?}");
@@ -114,8 +121,11 @@ fn figure1_reachability_matrix_is_consistent_across_all_indexes() {
 #[test]
 fn figure1_lcr_matrix_is_consistent_across_all_indexes() {
     let g = Arc::new(fixtures::figure1b());
-    for name in lcr_names() {
-        let idx = build_lcr(name, &g, &BuildOpts::default()).unwrap();
+    for name in LCR_REGISTRY.names() {
+        let idx = LCR_REGISTRY
+            .build(name, &g, &BuildOpts::default())
+            .unwrap()
+            .0;
         for s in g.vertices() {
             for t in g.vertices() {
                 for mask in 0..8u64 {

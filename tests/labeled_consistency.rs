@@ -7,8 +7,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use reach_bench::workloads::Shape;
 use reachability::labeled::online::{lcr_bfs, rlc_bfs, rpq_bfs};
-use reachability::labeled::pipeline::{build_lcr, lcr_feasible, lcr_names};
 use reachability::labeled::rlc::RlcIndex;
+use reachability::labeled::LCR_REGISTRY;
 use reachability::labeled::{parse, Nfa};
 use reachability::plain::BuildOpts;
 use reachability::prelude::*;
@@ -16,11 +16,14 @@ use std::sync::Arc;
 
 fn check_lcr_shape(shape: Shape, n: usize, k: usize, seed: u64) {
     let g = Arc::new(shape.generate_labeled(n, k, seed));
-    for name in lcr_names() {
-        if !lcr_feasible(name, n) {
+    for name in LCR_REGISTRY.names() {
+        if !LCR_REGISTRY.feasible(name, n, g.num_edges()) {
             continue;
         }
-        let idx = build_lcr(name, &g, &BuildOpts::default()).unwrap();
+        let idx = LCR_REGISTRY
+            .build(name, &g, &BuildOpts::default())
+            .unwrap()
+            .0;
         for s in g.vertices() {
             for t in g.vertices() {
                 for mask in 0..(1u64 << k) {
@@ -133,8 +136,11 @@ fn lcr_indexes_handle_degenerate_graphs() {
         vec![(0, 0, 1), (0, 1, 1), (1, 2, 0)],
     ] {
         let g = Arc::new(LabeledGraph::from_edges(3, 3, &edges));
-        for name in lcr_names() {
-            let idx = build_lcr(name, &g, &BuildOpts::default()).unwrap();
+        for name in LCR_REGISTRY.names() {
+            let idx = LCR_REGISTRY
+                .build(name, &g, &BuildOpts::default())
+                .unwrap()
+                .0;
             for s in g.vertices() {
                 for t in g.vertices() {
                     for mask in 0..8u64 {

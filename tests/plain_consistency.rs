@@ -4,13 +4,14 @@
 
 use reach_bench::workloads::Shape;
 use reachability::graph::PreparedGraph;
-use reachability::plain::pipeline::{build_plain, plain_feasible, plain_names, BuildOpts};
+use reachability::plain::pipeline::{BuildOpts, PLAIN_REGISTRY};
 use reachability::prelude::*;
 use std::sync::Arc;
 
 /// Builds registry entry `name` over `prepared` with default options.
 fn build(name: &str, prepared: &PreparedGraph) -> Box<dyn ReachIndex> {
-    build_plain(name, prepared, &BuildOpts::default())
+    PLAIN_REGISTRY
+        .build(name, prepared, &BuildOpts::default())
         .expect("registry name")
         .0
 }
@@ -19,8 +20,8 @@ fn check_shape(shape: Shape, n: usize, seed: u64) {
     let g = Arc::new(shape.generate(n, seed));
     let tc = TransitiveClosure::build(&g);
     let prepared = PreparedGraph::new_shared(Arc::clone(&g));
-    for name in plain_names() {
-        if !plain_feasible(name, g.num_vertices(), g.num_edges()) {
+    for name in PLAIN_REGISTRY.names() {
+        if !PLAIN_REGISTRY.feasible(name, g.num_vertices(), g.num_edges()) {
             continue;
         }
         let idx = build(name, &prepared);
@@ -74,7 +75,7 @@ fn all_indexes_agree_on_edge_cases() {
         let g = Arc::new(DiGraph::from_edges(3, &edges));
         let tc = TransitiveClosure::build(&g);
         let prepared = PreparedGraph::new_shared(Arc::clone(&g));
-        for name in plain_names() {
+        for name in PLAIN_REGISTRY.names() {
             let idx = build(name, &prepared);
             for s in g.vertices() {
                 for t in g.vertices() {
@@ -110,8 +111,8 @@ fn two_builds_on_one_prepared_graph_share_the_condensation() {
 #[test]
 fn sizes_are_reported_consistently() {
     let prepared = PreparedGraph::new(Shape::Sparse.generate(120, 9));
-    for name in plain_names() {
-        if !plain_feasible(name, 120, prepared.num_edges()) {
+    for name in PLAIN_REGISTRY.names() {
+        if !PLAIN_REGISTRY.feasible(name, 120, prepared.num_edges()) {
             continue;
         }
         let idx = build(name, &prepared);

@@ -6,7 +6,7 @@
 use reach_bench::workloads::Shape;
 use reachability::graph::reduction::{equivalence_reduction, transitive_reduction};
 use reachability::graph::PreparedGraph;
-use reachability::plain::pipeline::{build_plain, plain_feasible, plain_names, BuildOpts};
+use reachability::plain::pipeline::{BuildOpts, PLAIN_REGISTRY};
 use reachability::prelude::*;
 use std::sync::Arc;
 
@@ -21,11 +21,13 @@ fn transitive_reduction_composes_with_every_index() {
     );
     let tc = TransitiveClosure::build(&g);
     let prepared = PreparedGraph::new_shared(reduced);
-    for name in plain_names() {
-        if !plain_feasible(name, 60, g.num_edges()) {
+    for name in PLAIN_REGISTRY.names() {
+        if !PLAIN_REGISTRY.feasible(name, 60, g.num_edges()) {
             continue;
         }
-        let (idx, _) = build_plain(name, &prepared, &BuildOpts::default()).unwrap();
+        let (idx, _) = PLAIN_REGISTRY
+            .build(name, &prepared, &BuildOpts::default())
+            .unwrap();
         for s in g.vertices() {
             for t in g.vertices() {
                 assert_eq!(
@@ -52,7 +54,9 @@ fn equivalence_reduction_composes_with_every_index() {
     let reduced_tc = TransitiveClosure::build(&reduced);
     let prepared = PreparedGraph::new_shared(Arc::clone(&reduced));
     for name in ["GRAIL", "BFL", "PLL", "Feline"] {
-        let (idx, _) = build_plain(name, &prepared, &BuildOpts::default()).unwrap();
+        let (idx, _) = PLAIN_REGISTRY
+            .build(name, &prepared, &BuildOpts::default())
+            .unwrap();
         for s in g.vertices() {
             for t in g.vertices() {
                 let (cs, ct) = (er.class_of[s.index()], er.class_of[t.index()]);
@@ -86,8 +90,8 @@ fn reductions_preserve_index_size_ordering() {
     let original = PreparedGraph::new(g);
     let opts = BuildOpts::default();
     for name in ["Tree cover", "PLL", "TFL"] {
-        let (full, _) = build_plain(name, &original, &opts).unwrap();
-        let (slim, _) = build_plain(name, &reduced, &opts).unwrap();
+        let (full, _) = PLAIN_REGISTRY.build(name, &original, &opts).unwrap();
+        let (slim, _) = PLAIN_REGISTRY.build(name, &reduced, &opts).unwrap();
         assert!(
             slim.size_entries() <= full.size_entries(),
             "{name}: reduction should not grow the index ({} > {})",

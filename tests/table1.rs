@@ -2,7 +2,7 @@
 //! survey's **Table 1** row by row (with the substitutions documented
 //! in DESIGN.md §2).
 
-use reachability::plain::pipeline::{plain_names, plain_native_meta};
+use reachability::plain::PLAIN_REGISTRY;
 use reachability::prelude::*;
 
 /// One expected row: (technique, framework, index type, input, dynamic).
@@ -47,7 +47,7 @@ fn expected_rows() -> Vec<(&'static str, Framework, Completeness, InputClass, Dy
 #[test]
 fn matrix_matches_the_papers_table_1() {
     for (name, framework, completeness, input, dynamism) in expected_rows() {
-        let m = plain_native_meta(name);
+        let m = PLAIN_REGISTRY.spec(name).expect("a registry entry").meta;
         assert_eq!(m.name, name);
         assert_eq!(m.framework, framework, "{name}: framework column");
         assert_eq!(m.completeness, completeness, "{name}: index-type column");
@@ -59,7 +59,7 @@ fn matrix_matches_the_papers_table_1() {
 #[test]
 fn every_registered_technique_has_a_table_row() {
     let expected: Vec<&str> = expected_rows().iter().map(|r| r.0).collect();
-    for name in plain_names() {
+    for name in PLAIN_REGISTRY.names() {
         if name.starts_with("online") {
             continue; // §2.3 baselines, not Table-1 rows
         }

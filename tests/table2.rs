@@ -2,9 +2,8 @@
 //! survey's **Table 2** row by row.
 
 use reachability::graph::fixtures;
-use reachability::labeled::pipeline::build_lcr;
 use reachability::labeled::rlc::RlcIndex;
-use reachability::labeled::RlcIndexApi;
+use reachability::labeled::LCR_REGISTRY;
 use reachability::plain::BuildOpts;
 use reachability::prelude::*;
 use std::sync::Arc;
@@ -69,7 +68,11 @@ fn matrix_matches_the_papers_table_2() {
         let m = if name == "RLC index" {
             RlcIndex::build(&g, 2).unwrap().meta()
         } else {
-            build_lcr(name, &g, &BuildOpts::default()).unwrap().meta()
+            LCR_REGISTRY
+                .build(name, &g, &BuildOpts::default())
+                .unwrap()
+                .0
+                .meta()
         };
         assert_eq!(m.name, name);
         assert_eq!(m.framework, framework, "{name}: framework column");
@@ -83,8 +86,9 @@ fn matrix_matches_the_papers_table_2() {
 #[test]
 fn no_index_supports_both_constraint_classes() {
     // §4: "there is currently no index that can support both query
-    // classes" — encoded in the type system: LcrIndex vs RlcIndexApi
-    // are distinct traits, and every meta claims exactly one class.
+    // classes" — encoded in the types: the registry's indexes implement
+    // LcrIndex, the RLC index does not (it answers concatenations only,
+    // through its own methods), and every meta claims exactly one class.
     let g = Arc::new(fixtures::figure1b());
     let mut alternation = 0;
     let mut concatenation = 0;
@@ -92,7 +96,11 @@ fn no_index_supports_both_constraint_classes() {
         let m = if name == "RLC index" {
             RlcIndex::build(&g, 2).unwrap().meta()
         } else {
-            build_lcr(name, &g, &BuildOpts::default()).unwrap().meta()
+            LCR_REGISTRY
+                .build(name, &g, &BuildOpts::default())
+                .unwrap()
+                .0
+                .meta()
         };
         match m.constraint {
             ConstraintClass::Alternation => alternation += 1,

@@ -19,8 +19,8 @@ use reach_core::audit::{audit_plain, AuditConfig};
 use reach_labeled::{audit_lcr, Nfa};
 use reachability::graph::generators::{random_digraph, random_labeled_digraph, LabelDistribution};
 use reachability::graph::PreparedGraph;
-use reachability::labeled::pipeline::{build_lcr, lcr_feasible, lcr_names};
-use reachability::plain::pipeline::{build_plain, plain_feasible, plain_names, BuildOpts};
+use reachability::labeled::LCR_REGISTRY;
+use reachability::plain::pipeline::{BuildOpts, PLAIN_REGISTRY};
 use reachability::prelude::*;
 use std::sync::Arc;
 
@@ -31,11 +31,13 @@ fn every_plain_index_matches_transitive_closure_on_cyclic_graphs() {
         let g = Arc::new(random_digraph(70, 210, &mut rng));
         let prepared = PreparedGraph::new_shared(Arc::clone(&g));
         let tc = TransitiveClosure::build(&g);
-        for name in plain_names() {
-            if !plain_feasible(name, g.num_vertices(), g.num_edges()) {
+        for name in PLAIN_REGISTRY.names() {
+            if !PLAIN_REGISTRY.feasible(name, g.num_vertices(), g.num_edges()) {
                 continue;
             }
-            let (idx, _) = build_plain(name, &prepared, &BuildOpts::default()).unwrap();
+            let (idx, _) = PLAIN_REGISTRY
+                .build(name, &prepared, &BuildOpts::default())
+                .unwrap();
             for s in g.vertices() {
                 for t in g.vertices() {
                     assert_eq!(
@@ -74,11 +76,14 @@ fn every_lcr_index_matches_the_automaton_guided_bfs() {
         ));
         let k = g.num_labels();
         let masks: Vec<LabelSet> = (0..1u64 << k).map(LabelSet).collect();
-        for name in lcr_names() {
-            if !lcr_feasible(name, g.num_vertices()) {
+        for name in LCR_REGISTRY.names() {
+            if !LCR_REGISTRY.feasible(name, g.num_vertices(), g.num_edges()) {
                 continue;
             }
-            let idx = build_lcr(name, &g, &BuildOpts::default()).unwrap();
+            let idx = LCR_REGISTRY
+                .build(name, &g, &BuildOpts::default())
+                .unwrap()
+                .0;
             for &mask in &masks {
                 match alternation_expr(mask) {
                     Some(expr) => {
@@ -122,8 +127,8 @@ fn audit_reports_every_plain_index_clean_across_seeds() {
             pairs: 300,
             seed: seed ^ 0xC0FFEE,
         };
-        for name in plain_names() {
-            if !plain_feasible(name, prepared.num_vertices(), prepared.num_edges()) {
+        for name in PLAIN_REGISTRY.names() {
+            if !PLAIN_REGISTRY.feasible(name, prepared.num_vertices(), prepared.num_edges()) {
                 continue;
             }
             let outcome =
@@ -152,8 +157,8 @@ fn audit_reports_every_lcr_index_clean_across_seeds() {
             pairs: 200,
             seed: seed ^ 0xBEEF,
         };
-        for name in lcr_names() {
-            if !lcr_feasible(name, g.num_vertices()) {
+        for name in LCR_REGISTRY.names() {
+            if !LCR_REGISTRY.feasible(name, g.num_vertices(), g.num_edges()) {
                 continue;
             }
             let outcome = audit_lcr(name, &g, &BuildOpts::default(), &cfg).expect("registry name");
