@@ -65,10 +65,10 @@ fn main() {
 
     // §4.1: SPLS examples
     println!("\n§4.1  sufficient path-label sets:");
-    let from_l = single_source_gtc(&labeled, L);
+    let from_l = single_source_gtc(&labeled, L, true);
     assert_eq!(from_l[M.index()].sets(), &[LabelSet::singleton(WORKS_FOR)]);
     println!("  SPLS(L→M) = {{worksFor}} (p1 dominates p2) ✓");
-    let from_a = single_source_gtc(&labeled, A);
+    let from_a = single_source_gtc(&labeled, A, true);
     assert_eq!(
         from_a[M.index()].sets(),
         &[LabelSet::from_labels([FOLLOWS, WORKS_FOR])]

@@ -15,7 +15,7 @@
 //! `tests/verify_differential.rs` runs it across the registry.
 
 use crate::hop_labels::HopLabels;
-use crate::index::ReachIndex;
+use crate::index::{Certainty, ReachIndex};
 use crate::pipeline::{BuildOpts, UnknownIndex, PLAIN_REGISTRY};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -291,6 +291,37 @@ pub(crate) fn closure_row(
         row[v.index()] = true;
     }
     row
+}
+
+/// Probes `verdict(s, t)` from each of `sources` to every vertex against
+/// `graph`'s closure from `s`, counting each wrong definite verdict in
+/// `wrong` (a guided search trusts them all), its detail ending in `context`.
+pub fn probe_verdicts(
+    graph: &DiGraph,
+    sources: &[VertexId],
+    verdict: impl Fn(VertexId, VertexId) -> Certainty,
+    context: &str,
+    wrong: &mut CappedRule,
+    out: &mut Vec<Violation>,
+) {
+    let mut visit = VisitMap::new(graph.num_vertices());
+    let mut buf = Vec::new();
+    for &s in sources {
+        let row = closure_row(graph, s, &mut visit, &mut buf);
+        for t in graph.vertices() {
+            let certainty = verdict(s, t);
+            let bad_rule = match certainty {
+                Certainty::Reachable if !row[t.index()] => "filter-false-positive",
+                Certainty::Unreachable if row[t.index()] => "filter-false-negative",
+                _ => continue,
+            };
+            wrong.push_as(bad_rule, out, || {
+                format!(
+                    "filter verdict {certainty:?} for {s:?}->{t:?} contradicts traversal{context}"
+                )
+            });
+        }
+    }
 }
 
 /// Shared validator for the 2-hop family (2-Hop, PLL, TFL, DL, TOL),

@@ -107,7 +107,7 @@ impl ReachFilter for Oblivious {
     }
 }
 
-impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
+impl<F, G: Successors> GuidedSearch<F, G> {
     /// Wraps `filter` over `graph` with a pruned DFS; `meta` describes
     /// the resulting technique (the filter's own name and
     /// classification).
@@ -167,8 +167,27 @@ impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
         (&mut self.graph, &mut self.filter)
     }
 
-    /// [`ReachIndex::query`] with work counters.
-    pub fn query_counted(&self, s: VertexId, t: VertexId) -> (bool, SearchStats) {
+    /// [`ReachIndex::query`] with work counters: [`search`](Self::search)
+    /// asking the filter, over every edge.
+    #[inline]
+    pub fn query_counted(&self, s: VertexId, t: VertexId) -> (bool, SearchStats)
+    where
+        F: ReachFilter,
+    {
+        self.search(s, t, |v, w| self.filter.certain(v, w), |_, _, _| true)
+    }
+
+    /// The guided search for one query, asking `verdict(v, w)` where the
+    /// filter's `certain(v, w)` would be asked, and following the `i`-th
+    /// edge of `u`'s out-list (`forward`) or in-list only if `admit(u,
+    /// forward, i)`: the landmark LCR index tests that edge's label.
+    pub fn search(
+        &self,
+        s: VertexId,
+        t: VertexId,
+        verdict: impl Fn(VertexId, VertexId) -> Certainty,
+        admit: impl Fn(VertexId, bool, usize) -> bool,
+    ) -> (bool, SearchStats) {
         let mut stats = SearchStats::default();
         if s == t {
             return (true, stats);
@@ -177,21 +196,22 @@ impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
             return (false, stats);
         }
         stats.lookups += 1;
-        match self.filter.certain(s, t) {
+        match verdict(s, t) {
             Certainty::Reachable => return (true, stats),
             Certainty::Unreachable => return (false, stats),
             Certainty::Unknown => {}
         }
         let scratch = &mut *self.scratch.checkout(|| self.fresh_scratch());
         scratch.visit.reset();
+        let (v, a, st) = (&verdict, &admit, &mut stats);
         let found = match (self.traversal, self.ordered) {
-            (Traversal::Dfs, false) => self.dfs::<false>(s, t, scratch, &mut stats),
-            (Traversal::Dfs, true) => self.dfs::<true>(s, t, scratch, &mut stats),
+            (Traversal::Dfs, false) => self.dfs::<false>(s, t, v, a, scratch, st),
+            (Traversal::Dfs, true) => self.dfs::<true>(s, t, v, a, scratch, st),
             (Traversal::Bidirectional, false) => {
-                self.bidirectional_bfs::<false>(s, t, scratch, &mut stats)
+                self.bidirectional_bfs::<false>(s, t, v, a, scratch, st)
             }
             (Traversal::Bidirectional, true) => {
-                self.bidirectional_bfs::<true>(s, t, scratch, &mut stats)
+                self.bidirectional_bfs::<true>(s, t, v, a, scratch, st)
             }
         };
         (found, stats)
@@ -206,6 +226,8 @@ impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
         &self,
         s: VertexId,
         t: VertexId,
+        verdict: &impl Fn(VertexId, VertexId) -> Certainty,
+        admit: &impl Fn(VertexId, bool, usize) -> bool,
         scratch: &mut Scratch,
         stats: &mut SearchStats,
     ) -> bool {
@@ -215,12 +237,17 @@ impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
         visit.mark(s, Side::Forward);
         while let Some(u) = stack.pop() {
             stats.expanded += 1;
-            let mut out = self.graph.out_neighbors(u);
-            if ORDERED {
-                out = &out[out.partition_point(|&v| v < t)..];
-            }
+            let out = self.graph.out_neighbors(u);
+            let lo = if ORDERED {
+                out.partition_point(|&v| v < t)
+            } else {
+                0
+            };
             let pushed = stack.len();
-            for &v in out {
+            for (i, &v) in out[lo..].iter().enumerate() {
+                if !admit(u, true, lo + i) {
+                    continue;
+                }
                 if v == t {
                     return true;
                 }
@@ -228,7 +255,7 @@ impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
                     continue;
                 }
                 stats.lookups += 1;
-                match self.filter.certain(v, t) {
+                match verdict(v, t) {
                     Certainty::Reachable => return true,
                     // no-false-negative verdict: v's subtree cannot
                     // contain t, skip it entirely
@@ -253,6 +280,8 @@ impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
         &self,
         s: VertexId,
         t: VertexId,
+        verdict: &impl Fn(VertexId, VertexId) -> Certainty,
+        admit: &impl Fn(VertexId, bool, usize) -> bool,
         scratch: &mut Scratch,
         stats: &mut SearchStats,
     ) -> bool {
@@ -278,19 +307,21 @@ impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
             next.clear();
             for &u in frontier.iter() {
                 stats.expanded += 1;
-                let neighbors = match (ahead, ORDERED) {
-                    (true, false) => self.graph.out_neighbors(u),
-                    (false, false) => self.graph.in_neighbors(u),
+                let (neighbors, lo) = match (ahead, ORDERED) {
+                    (_, false) => (self.graph.neighbors(u, ahead), 0),
                     (true, true) => {
                         let out = self.graph.out_neighbors(u);
-                        &out[out.partition_point(|&v| v < t)..]
+                        (out, out.partition_point(|&v| v < t))
                     }
                     (false, true) => {
                         let inn = self.graph.in_neighbors(u);
-                        &inn[..inn.partition_point(|&v| v <= s)]
+                        (&inn[..inn.partition_point(|&v| v <= s)], 0)
                     }
                 };
-                for &v in neighbors {
+                for (i, &v) in neighbors[lo..].iter().enumerate() {
+                    if !admit(u, ahead, lo + i) {
+                        continue;
+                    }
                     if visit.is_marked(v, other) {
                         return true;
                     }
@@ -298,12 +329,8 @@ impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
                         continue;
                     }
                     stats.lookups += 1;
-                    let verdict = if ahead {
-                        self.filter.certain(v, t)
-                    } else {
-                        self.filter.certain(s, v)
-                    };
-                    match verdict {
+                    let certainty = if ahead { verdict(v, t) } else { verdict(s, v) };
+                    match certainty {
                         Certainty::Reachable => return true,
                         Certainty::Unreachable => {}
                         Certainty::Unknown => next.push(v),
@@ -316,7 +343,7 @@ impl<F: ReachFilter, G: Successors> GuidedSearch<F, G> {
     }
 }
 
-impl<F: ReachFilter> GuidedSearch<F> {
+impl<F> GuidedSearch<F> {
     /// Wraps `filter` over `dag`'s shared graph, searched by
     /// `traversal`. If the DAG's ids are reverse topological (a
     /// condensation's are), the search is ordered: it answers `s < t`
@@ -371,24 +398,10 @@ impl<F: ReachFilter, G: Successors + Send + Sync> ReachIndex for GuidedSearch<F,
             out.push(v);
             return out;
         }
-        let n = graph.num_vertices();
-        let mut visit = VisitMap::new(n);
-        let mut buf = Vec::new();
         let mut wrong = audit::CappedRule::new(name, "filter-verdicts");
-        for s in audit::sample_vertices(n, 96) {
-            let row = audit::closure_row(graph, s, &mut visit, &mut buf);
-            for t in graph.vertices() {
-                let verdict = self.filter.certain(s, t);
-                let bad_rule = match verdict {
-                    Certainty::Reachable if !row[t.index()] => "filter-false-positive",
-                    Certainty::Unreachable if row[t.index()] => "filter-false-negative",
-                    _ => continue,
-                };
-                wrong.push_as(bad_rule, &mut out, || {
-                    format!("filter verdict {verdict:?} for {s:?}->{t:?} contradicts traversal")
-                });
-            }
-        }
+        let sources = audit::sample_vertices(graph.num_vertices(), 96);
+        let verdict = |s, t| self.filter.certain(s, t);
+        audit::probe_verdicts(graph, &sources, verdict, "", &mut wrong, &mut out);
         wrong.finish(&mut out, "wrong definite verdicts");
         out
     }
@@ -399,6 +412,7 @@ mod tests {
     use super::*;
     use crate::index::{Completeness, Dynamism, Framework, InputClass};
     use reach_graph::traverse::bfs_reaches;
+    use reach_graph::{Label, LabelSet, LabeledGraph};
 
     /// A filter that answers `Unreachable` for one poisoned target
     /// subtree root, to check pruning is actually applied.
@@ -536,6 +550,61 @@ mod tests {
         let (found, stats) = gs.query_counted(VertexId(0), VertexId(5));
         assert!(!found, "the backward probe pruned vertex 4");
         assert_eq!(stats.expanded, 2, "vertex 0 forward, vertex 5 backward");
+    }
+
+    /// Guided search over a labeled graph admitting only `allowed`'s
+    /// labels, under a verdict that never decides.
+    fn labeled_search(
+        gs: &GuidedSearch<Oblivious, Arc<LabeledGraph>>,
+        s: u32,
+        t: u32,
+        allowed: LabelSet,
+    ) -> (bool, SearchStats) {
+        let g = gs.graph();
+        gs.search(
+            VertexId(s),
+            VertexId(t),
+            |_, _| Certainty::Unknown,
+            |u, forward, i| allowed.contains(g.lists(u, forward).1[i]),
+        )
+    }
+
+    #[test]
+    fn edge_test_is_applied_on_both_sides() {
+        // 0 -a-> {1, 2} -a-> 3 -b-> 4: reaching 4 needs label b
+        let g = Arc::new(LabeledGraph::from_edges(
+            5,
+            2,
+            &[(0, 0, 1), (0, 0, 2), (1, 0, 3), (2, 0, 3), (3, 1, 4)],
+        ));
+        let (a, ab) = (LabelSet::singleton(Label(0)), LabelSet::full(2));
+        let dfs = GuidedSearch::new(Arc::clone(&g), Oblivious, meta());
+        // forward side: the DFS stops at 3's b-edge
+        assert!(!labeled_search(&dfs, 0, 4, a).0);
+        assert!(labeled_search(&dfs, 0, 4, ab).0);
+        assert!(labeled_search(&dfs, 0, 3, a).0);
+        // backward side: once the forward frontier {1, 2} outgrows the
+        // backward one {4}, 4 is expanded backward; its one in-edge is
+        // labeled b, so under {a} the backward frontier empties before
+        // it could meet the forward one at 1 or 2
+        let bibfs = GuidedSearch::bidirectional(Arc::clone(&g), Oblivious, meta());
+        let (found, stats) = labeled_search(&bibfs, 0, 4, a);
+        assert!(!found);
+        assert_eq!(stats.expanded, 2, "vertex 0 forward, vertex 4 backward");
+        assert!(labeled_search(&bibfs, 0, 4, ab).0);
+        assert!(labeled_search(&bibfs, 0, 3, a).0);
+        // every pair and label set against a projected-graph BFS
+        let mut vm = VisitMap::new(5);
+        for allowed in (0..4).map(LabelSet) {
+            let projected = g.project(allowed);
+            for s in 0..5 {
+                for t in 0..5 {
+                    let expect = bfs_reaches(&projected, VertexId(s), VertexId(t), &mut vm);
+                    assert_eq!(labeled_search(&dfs, s, t, allowed).0, expect);
+                    assert_eq!(labeled_search(&bibfs, s, t, allowed).0, expect);
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::audit::Violation;
 use crate::hop_labels::{HopLabels, HopOrder};
 use crate::index::{Completeness, Dynamism, Framework, IndexMeta, InputClass, ReachIndex};
-use reach_graph::{DiGraph, VertexId};
+use reach_graph::{DiGraph, Successors, VertexId};
 
 /// The pruned-landmark-labeling index.
 ///
@@ -80,11 +80,7 @@ fn pruned_bfs(
             continue;
         }
         labels.list_mut(forward, x).push(r); // ranks ascend across hops
-        let adj = if forward {
-            g.out_neighbors(x)
-        } else {
-            g.in_neighbors(x)
-        };
+        let adj = g.neighbors(x, forward);
         for &y in adj {
             if !seen[y.index()] {
                 seen[y.index()] = true;

@@ -22,7 +22,7 @@ use crate::hop_labels::{HopLabels, HopOrder};
 use crate::index::{Completeness, Dynamism, Framework, IndexMeta, InputClass, ReachIndex};
 use crate::parallel;
 use reach_graph::traverse::{Side, VisitMap};
-use reach_graph::{Dag, DiGraph, EditGraph, VertexId};
+use reach_graph::{Dag, DiGraph, EditGraph, Successors, VertexId};
 
 /// The vertex total order [`Tol::build`] uses; TFL's topological order
 /// goes through [`build_tfl`].
@@ -88,11 +88,7 @@ fn restricted_closures(
                 // interior restriction: only lower-priority vertices may
                 // be passed through (the hop itself always expands)
                 if order.passes(r, x) {
-                    let adj = if forward {
-                        g.out_neighbors(x)
-                    } else {
-                        g.in_neighbors(x)
-                    };
+                    let adj = g.neighbors(x, forward);
                     for &y in adj {
                         if !seen[y.index()] {
                             seen[y.index()] = true;

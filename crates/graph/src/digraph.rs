@@ -350,6 +350,15 @@ pub trait Successors {
     fn out_neighbors(&self, v: VertexId) -> &[VertexId];
     /// In-neighbours of `v`.
     fn in_neighbors(&self, v: VertexId) -> &[VertexId];
+    /// Out-neighbours of `v` if `forward`, else its in-neighbours.
+    #[inline]
+    fn neighbors(&self, v: VertexId, forward: bool) -> &[VertexId] {
+        if forward {
+            self.out_neighbors(v)
+        } else {
+            self.in_neighbors(v)
+        }
+    }
 }
 
 impl Successors for DiGraph {

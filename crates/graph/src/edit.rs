@@ -145,9 +145,10 @@ impl EditGraph<VertexId> {
 impl EditGraph<(VertexId, Label)> {
     /// An editable copy of the labeled graph `g`.
     pub fn from_labeled(g: &LabeledGraph) -> Self {
+        let inn = |v| g.adjacent(v, false).collect();
         EditGraph {
             out: g.vertices().map(|v| g.out_edges(v).collect()).collect(),
-            inn: g.vertices().map(|v| g.in_edges(v).collect()).collect(),
+            inn: g.vertices().map(inn).collect(),
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Edge-labeled graphs and bitset label sets (§2.2 of the survey).
 
-use crate::digraph::{DiGraph, DiGraphBuilder};
+use crate::digraph::{DiGraph, DiGraphBuilder, Successors};
 use crate::error::GraphError;
 use crate::vertex::VertexId;
 use std::fmt;
@@ -328,26 +328,35 @@ impl LabeledGraph {
             .flat_map(move |u| self.out_edges(u).map(move |(v, l)| (u, l, v)))
     }
 
+    /// `v`'s out-neighbours if `forward`, else its in-neighbours (the
+    /// [`Successors`] lists), and the labels of those edges in step.
+    #[inline]
+    pub fn lists(&self, v: VertexId, forward: bool) -> (&[VertexId], &[Label]) {
+        let (offsets, ends, labels) = if forward {
+            (&self.out_offsets, &self.out_targets, &self.out_labels)
+        } else {
+            (&self.in_offsets, &self.in_sources, &self.in_labels)
+        };
+        let span = offsets[v.index()] as usize..offsets[v.index() + 1] as usize;
+        (&ends[span.clone()], &labels[span])
+    }
+
+    /// `v`'s out-edges if `forward`, else its in-edges, as `(other end,
+    /// label)` pairs (so `adjacent(v, true)` is [`out_edges`](Self::out_edges)).
+    #[inline]
+    pub fn adjacent(
+        &self,
+        v: VertexId,
+        forward: bool,
+    ) -> impl Iterator<Item = (VertexId, Label)> + '_ {
+        let (ends, labels) = self.lists(v, forward);
+        ends.iter().copied().zip(labels.iter().copied())
+    }
+
     /// Out-edges of `v` as `(target, label)` pairs.
     #[inline]
     pub fn out_edges(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Label)> + '_ {
-        let lo = self.out_offsets[v.index()] as usize;
-        let hi = self.out_offsets[v.index() + 1] as usize;
-        self.out_targets[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.out_labels[lo..hi].iter().copied())
-    }
-
-    /// In-edges of `v` as `(source, label)` pairs.
-    #[inline]
-    pub fn in_edges(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Label)> + '_ {
-        let lo = self.in_offsets[v.index()] as usize;
-        let hi = self.in_offsets[v.index() + 1] as usize;
-        self.in_sources[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.in_labels[lo..hi].iter().copied())
+        self.adjacent(v, true)
     }
 
     /// Out-degree of `v` (labeled multi-edges counted individually).
@@ -356,26 +365,16 @@ impl LabeledGraph {
         (self.out_offsets[v.index() + 1] - self.out_offsets[v.index()]) as usize
     }
 
-    /// In-degree of `v`.
-    #[inline]
-    pub fn in_degree(&self, v: VertexId) -> usize {
-        (self.in_offsets[v.index() + 1] - self.in_offsets[v.index()]) as usize
-    }
-
-    /// Total degree of `v`.
+    /// Total degree of `v`: out-edges plus in-edges.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        self.out_degree(v) + self.in_degree(v)
+        self.out_degree(v) + self.lists(v, false).0.len()
     }
 
     /// Forgets labels, producing the underlying plain digraph
     /// (parallel edges with distinct labels collapse to one).
     pub fn to_digraph(&self) -> DiGraph {
-        let mut b = DiGraphBuilder::with_capacity(self.num_vertices(), self.num_edges());
-        for (u, _, v) in self.edges() {
-            b.add_edge(u, v);
-        }
-        b.build()
+        self.project(LabelSet::full(self.num_labels))
     }
 
     /// The subgraph containing only edges whose label lies in `allowed`
@@ -394,6 +393,23 @@ impl LabeledGraph {
     pub fn size_bytes(&self) -> usize {
         4 * (self.out_offsets.len() + self.in_offsets.len())
             + 5 * (self.out_targets.len() + self.in_sources.len())
+    }
+}
+
+/// The labeled CSR lists, labels aside: a guided search walks them in
+/// place and reads each edge's label from [`LabeledGraph::lists`].
+impl Successors for LabeledGraph {
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        LabeledGraph::num_vertices(self)
+    }
+    #[inline]
+    fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
+        self.lists(v, true).0
+    }
+    #[inline]
+    fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
+        self.lists(v, false).0
     }
 }
 
@@ -443,8 +459,18 @@ mod tests {
         assert_eq!(g.num_labels(), 2);
         let out0: Vec<_> = g.out_edges(VertexId(0)).collect();
         assert_eq!(out0, vec![(VertexId(1), Label(0)), (VertexId(2), Label(1))]);
-        let in2: Vec<_> = g.in_edges(VertexId(2)).collect();
+        let in2: Vec<_> = g.adjacent(VertexId(2), false).collect();
         assert_eq!(in2, vec![(VertexId(0), Label(1)), (VertexId(1), Label(1))]);
+    }
+
+    #[test]
+    fn search_lists_carry_labels_at_the_same_positions() {
+        let g = two_label_graph();
+        assert_eq!(g.out_neighbors(VertexId(0)), [VertexId(1), VertexId(2)]);
+        assert_eq!(g.lists(VertexId(0), true).1, [Label(0), Label(1)]);
+        assert_eq!(g.in_neighbors(VertexId(2)), [VertexId(0), VertexId(1)]);
+        assert_eq!(g.lists(VertexId(2), false).1, [Label(1), Label(1)]);
+        assert_eq!(Successors::num_vertices(&g), 3);
     }
 
     #[test]

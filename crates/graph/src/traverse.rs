@@ -7,7 +7,7 @@
 //! decides. All traversals use an epoch-stamped [`VisitMap`] so
 //! repeated queries reuse one buffer without an `O(n)` clear per query.
 
-use crate::digraph::DiGraph;
+use crate::digraph::{DiGraph, Successors};
 use crate::vertex::VertexId;
 
 /// A reusable visited-set over `0..n` vertices.
@@ -188,12 +188,7 @@ fn closure_with(
     while head < out.len() {
         let u = out[head];
         head += 1;
-        let neighbors = if forward {
-            g.out_neighbors(u)
-        } else {
-            g.in_neighbors(u)
-        };
-        for &v in neighbors {
+        for &v in g.neighbors(u, forward) {
             if visit.mark(v, Side::Forward) {
                 out.push(v);
             }

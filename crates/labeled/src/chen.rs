@@ -11,21 +11,18 @@
 //! of Jin et al. for a smaller index and more query-time work, which
 //! is precisely the design axis §4.1.1 contrasts.
 
+use crate::forest::LabeledForest;
 use crate::lcr::{
     Completeness, ConstraintClass, Dynamism, InputClass, LabeledIndexMeta, LcrFramework, LcrIndex,
 };
 use reach_graph::traverse::{Side, VisitMap};
-use reach_graph::{Label, LabelSet, LabeledGraph, ScratchPool, VertexId};
+use reach_graph::{LabelSet, LabeledGraph, ScratchPool, VertexId};
 
 /// The Chen & Singh LCR index (one-level decomposition).
 pub struct ChenIndex {
-    start: Vec<u32>,
-    end: Vec<u32>,
-    counts: Vec<Vec<u16>>,
-    /// summary: non-tree edges sorted by the tail's post-order number,
-    /// so the hops available inside a subtree form a contiguous range
-    summary: Vec<(u32, VertexId, Label, VertexId)>,
-    num_labels: usize,
+    /// spanning forest; its non-tree edges are the summary, and the
+    /// hops available inside a subtree form one contiguous slice
+    forest: LabeledForest,
     scratch: ScratchPool<Scratch>,
 }
 
@@ -37,106 +34,15 @@ struct Scratch {
 impl ChenIndex {
     /// Builds the index over a general edge-labeled graph.
     pub fn build(g: &LabeledGraph) -> Self {
-        let n = g.num_vertices();
-        let k = g.num_labels();
-        let mut visited = vec![false; n];
-        let mut start = vec![0u32; n];
-        let mut end = vec![0u32; n];
-        let mut counts: Vec<Vec<u16>> = vec![vec![0; k]; n];
-        let mut non_tree: Vec<(VertexId, Label, VertexId)> = Vec::new();
-        let mut counter = 0u32;
-
-        struct Frame {
-            v: VertexId,
-            edges: Vec<(VertexId, Label)>,
-            cursor: usize,
-            entry: u32,
-        }
-        let mut stack: Vec<Frame> = Vec::new();
-        for root in g.vertices() {
-            if visited[root.index()] {
-                continue;
-            }
-            visited[root.index()] = true;
-            stack.push(Frame {
-                v: root,
-                edges: g.out_edges(root).collect(),
-                cursor: 0,
-                entry: counter,
-            });
-            while let Some(top) = stack.last_mut() {
-                if top.cursor < top.edges.len() {
-                    let (w, l) = top.edges[top.cursor];
-                    let v = top.v;
-                    top.cursor += 1;
-                    if visited[w.index()] {
-                        non_tree.push((v, l, w));
-                    } else {
-                        visited[w.index()] = true;
-                        counts[w.index()] = counts[v.index()].clone();
-                        counts[w.index()][l.index()] += 1;
-                        stack.push(Frame {
-                            v: w,
-                            edges: g.out_edges(w).collect(),
-                            cursor: 0,
-                            entry: counter,
-                        });
-                    }
-                } else {
-                    counter += 1;
-                    start[top.v.index()] = top.entry + 1;
-                    end[top.v.index()] = counter;
-                    stack.pop();
-                }
-            }
-        }
-        let mut summary: Vec<(u32, VertexId, Label, VertexId)> = non_tree
-            .into_iter()
-            .map(|(u, l, v)| (end[u.index()], u, l, v))
-            .collect();
-        summary.sort_unstable_by_key(|&(post, ..)| post);
         ChenIndex {
-            start,
-            end,
-            counts,
-            summary,
-            num_labels: k,
+            forest: LabeledForest::build(g),
             scratch: ScratchPool::new(),
         }
     }
 
-    #[inline]
-    fn tree_contains(&self, s: VertexId, t: VertexId) -> bool {
-        self.start[s.index()] <= self.end[t.index()] && self.end[t.index()] <= self.end[s.index()]
-    }
-
-    /// Tree segment check: `t` in `s`'s subtree with path labels ⊆ allowed.
-    fn tree_segment_ok(&self, s: VertexId, t: VertexId, allowed: LabelSet) -> bool {
-        if !self.tree_contains(s, t) {
-            return false;
-        }
-        for l in 0..self.num_labels {
-            if self.counts[t.index()][l] > self.counts[s.index()][l]
-                && !allowed.contains(Label(l as u8))
-            {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Summary edges whose tail lies in `w`'s subtree.
-    fn summary_in_subtree(&self, w: VertexId) -> &[(u32, VertexId, Label, VertexId)] {
-        let lo = self.start[w.index()];
-        let hi = self.end[w.index()];
-        let a = self.summary.partition_point(|&(post, ..)| post < lo);
-        let b = self.summary.partition_point(|&(post, ..)| post <= hi);
-        &self.summary[a..b]
-    }
-
     /// Number of summary (non-tree) edges.
     pub fn summary_size(&self) -> usize {
-        self.summary.len()
+        self.forest.non_tree.len()
     }
 }
 
@@ -155,8 +61,9 @@ impl LcrIndex for ChenIndex {
         if s == t {
             return true;
         }
+        let forest = &self.forest;
         let scratch = &mut *self.scratch.checkout(|| Scratch {
-            seen: VisitMap::new(self.start.len()),
+            seen: VisitMap::new(forest.num_vertices()),
             stack: Vec::new(),
         });
         scratch.seen.reset();
@@ -164,14 +71,14 @@ impl LcrIndex for ChenIndex {
         scratch.stack.push(s);
         scratch.seen.mark(s, Side::Forward);
         while let Some(x) = scratch.stack.pop() {
-            if self.tree_segment_ok(x, t, allowed) {
+            if forest.segment_ok(x, t, allowed) {
                 return true;
             }
-            for &(_, u, l, v) in self.summary_in_subtree(x) {
+            for &(_, u, l, v) in &forest.non_tree[forest.in_subtree(x)] {
                 if !allowed.contains(l) || scratch.seen.is_marked(v, Side::Forward) {
                     continue;
                 }
-                if self.tree_segment_ok(x, u, allowed) {
+                if forest.path_labels(x, u).is_subset_of(allowed) {
                     scratch.seen.mark(v, Side::Forward);
                     scratch.stack.push(v);
                 }
@@ -185,11 +92,11 @@ impl LcrIndex for ChenIndex {
     }
 
     fn size_bytes(&self) -> usize {
-        8 * self.start.len() + 2 * self.num_labels * self.counts.len() + 16 * self.summary.len()
+        self.forest.size_bytes() + 16 * self.summary_size()
     }
 
     fn size_entries(&self) -> usize {
-        self.counts.len() + self.summary.len()
+        self.forest.num_vertices() + self.summary_size()
     }
 }
 
@@ -253,11 +160,12 @@ mod tests {
         let g = fixtures::figure1b();
         let idx = ChenIndex::build(&g);
         for w in g.vertices() {
-            let slice = idx.summary_in_subtree(w);
+            let slice = idx.forest.in_subtree(w);
             let expect = idx
-                .summary
+                .forest
+                .non_tree
                 .iter()
-                .filter(|&&(_, u, _, _)| idx.tree_contains(w, u))
+                .filter(|&&(_, u, _, _)| idx.forest.contains(w, u))
                 .count();
             assert_eq!(slice.len(), expect);
         }

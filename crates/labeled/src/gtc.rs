@@ -29,8 +29,9 @@ impl GtcIndex {
     /// Builds the GTC by running the single-source computation from
     /// every vertex.
     pub fn build(g: &LabeledGraph) -> Self {
+        let rows = g.vertices().map(|s| single_source_gtc(g, s, true));
         GtcIndex {
-            rows: g.vertices().map(|s| single_source_gtc(g, s)).collect(),
+            rows: rows.collect(),
         }
     }
 

@@ -9,135 +9,49 @@
 //! label set `{l : cnt_l(t) > cnt_l(s)}`. Case (2) is answered by a
 //! partial GTC materialized from the head of every non-tree edge.
 
+use crate::forest::{LabeledForest, NonTreeEdge};
 use crate::lcr::{
     Completeness, ConstraintClass, Dynamism, InputClass, LabeledIndexMeta, LcrFramework, LcrIndex,
 };
 use crate::spls::SplsSet;
 use crate::zou::single_source_gtc;
-use reach_graph::{Label, LabelSet, LabeledGraph, VertexId};
+use reach_graph::{LabelSet, LabeledGraph, VertexId};
 
 /// The Jin et al. LCR index.
 pub struct JinIndex {
-    /// tree intervals: `[start, end]` post-order containment
-    start: Vec<u32>,
-    end: Vec<u32>,
-    /// per-vertex label counts on the root-to-vertex tree path
-    counts: Vec<Vec<u16>>,
-    /// non-tree edges `(u, l, v)`
-    non_tree: Vec<(VertexId, Label, VertexId)>,
-    /// partial GTC: single-source rows from each distinct non-tree head
-    head_rows: Vec<(VertexId, Vec<SplsSet>)>,
-    num_labels: usize,
+    /// spanning forest: intervals, root-path label counts, non-tree edges
+    forest: LabeledForest,
+    /// for each non-tree edge, in the forest's order, its head's row
+    /// in `head_rows`
+    head_row: Vec<u32>,
+    /// partial GTC: one single-source row set per distinct non-tree head
+    head_rows: Vec<Vec<SplsSet>>,
 }
 
 impl JinIndex {
     /// Builds the index over a general edge-labeled graph.
     pub fn build(g: &LabeledGraph) -> Self {
-        let n = g.num_vertices();
-        let k = g.num_labels();
-        // DFS spanning forest over the labeled graph, tracking the
-        // discovery label so root-path counts can be accumulated
-        let mut parent_label: Vec<Option<Label>> = vec![None; n];
-        let mut visited = vec![false; n];
-        let mut start = vec![0u32; n];
-        let mut end = vec![0u32; n];
-        let mut counts: Vec<Vec<u16>> = vec![vec![0; k]; n];
-        let mut non_tree: Vec<(VertexId, Label, VertexId)> = Vec::new();
-        let mut counter = 0u32;
-
-        struct Frame {
-            v: VertexId,
-            edges: Vec<(VertexId, Label)>,
-            cursor: usize,
-            entry: u32,
-        }
-        let mut stack: Vec<Frame> = Vec::new();
-        for root in g.vertices() {
-            if visited[root.index()] {
-                continue;
-            }
-            visited[root.index()] = true;
-            stack.push(Frame {
-                v: root,
-                edges: g.out_edges(root).collect(),
-                cursor: 0,
-                entry: counter,
-            });
-            while let Some(top) = stack.last_mut() {
-                if top.cursor < top.edges.len() {
-                    let (w, l) = top.edges[top.cursor];
-                    let v = top.v;
-                    top.cursor += 1;
-                    if visited[w.index()] {
-                        non_tree.push((v, l, w));
-                    } else {
-                        visited[w.index()] = true;
-                        parent_label[w.index()] = Some(l);
-                        counts[w.index()] = counts[v.index()].clone();
-                        counts[w.index()][l.index()] += 1;
-                        stack.push(Frame {
-                            v: w,
-                            edges: g.out_edges(w).collect(),
-                            cursor: 0,
-                            entry: counter,
-                        });
-                    }
-                } else {
-                    counter += 1;
-                    start[top.v.index()] = top.entry + 1;
-                    end[top.v.index()] = counter;
-                    stack.pop();
-                }
-            }
-        }
-
-        // partial GTC from each distinct non-tree head
-        let mut heads: Vec<VertexId> = non_tree.iter().map(|&(_, _, v)| v).collect();
+        let forest = LabeledForest::build(g);
+        // partial GTC from each distinct non-tree head, in id order
+        let mut heads: Vec<VertexId> = forest.non_tree.iter().map(|e| e.3).collect();
         heads.sort_unstable();
         heads.dedup();
         let head_rows = heads
-            .into_iter()
-            .map(|h| (h, single_source_gtc(g, h)))
+            .iter()
+            .map(|&h| single_source_gtc(g, h, true))
             .collect();
-
+        let row_of = |e: &NonTreeEdge| heads.partition_point(|&h| h < e.3) as u32;
+        let head_row = forest.non_tree.iter().map(row_of).collect();
         JinIndex {
-            start,
-            end,
-            counts,
-            non_tree,
+            forest,
+            head_row,
             head_rows,
-            num_labels: k,
         }
-    }
-
-    /// Whether `t` is in the tree subtree of `s`.
-    #[inline]
-    fn tree_contains(&self, s: VertexId, t: VertexId) -> bool {
-        self.start[s.index()] <= self.end[t.index()] && self.end[t.index()] <= self.end[s.index()]
-    }
-
-    /// Label set of the unique tree path `s → t` (requires
-    /// `tree_contains(s, t)`): the paper's count-subtraction trick.
-    fn tree_path_labels(&self, s: VertexId, t: VertexId) -> LabelSet {
-        let mut set = LabelSet::EMPTY;
-        for l in 0..self.num_labels {
-            if self.counts[t.index()][l] > self.counts[s.index()][l] {
-                set = set.insert(Label(l as u8));
-            }
-        }
-        set
-    }
-
-    fn head_gtc(&self, h: VertexId) -> Option<&Vec<SplsSet>> {
-        self.head_rows
-            .binary_search_by_key(&h, |&(v, _)| v)
-            .ok()
-            .map(|i| &self.head_rows[i].1)
     }
 
     /// Number of non-tree edges (the partial-GTC trigger points).
     pub fn num_non_tree_edges(&self) -> usize {
-        self.non_tree.len()
+        self.forest.non_tree.len()
     }
 }
 
@@ -156,23 +70,23 @@ impl LcrIndex for JinIndex {
         if s == t {
             return true;
         }
+        let forest = &self.forest;
         // case 1: pure tree path
-        if self.tree_contains(s, t) && self.tree_path_labels(s, t).is_subset_of(allowed) {
+        if forest.segment_ok(s, t, allowed) {
             return true;
         }
-        // case 2: tree prefix to the tail of a non-tree edge, then the
-        // head's GTC covers the rest of the graph exactly
-        for &(u, l, v) in &self.non_tree {
-            if !allowed.contains(l) {
-                continue;
-            }
-            let prefix_ok =
-                self.tree_contains(s, u) && self.tree_path_labels(s, u).is_subset_of(allowed);
-            if !prefix_ok {
-                continue;
-            }
-            let rows = self.head_gtc(v).expect("head has a GTC row");
-            if rows[t.index()].satisfies(allowed) {
+        // case 2: tree prefix to the tail of a non-tree edge in s's
+        // subtree, then the head's GTC covers the rest of the graph
+        // exactly
+        let range = forest.in_subtree(s);
+        for (&(_, u, l, _), &row) in forest.non_tree[range.clone()]
+            .iter()
+            .zip(&self.head_row[range])
+        {
+            if allowed.contains(l)
+                && forest.path_labels(s, u).is_subset_of(allowed)
+                && self.head_rows[row as usize][t.index()].satisfies(allowed)
+            {
                 return true;
             }
         }
@@ -184,22 +98,13 @@ impl LcrIndex for JinIndex {
     }
 
     fn size_bytes(&self) -> usize {
-        let gtc: usize = self
-            .head_rows
-            .iter()
-            .flat_map(|(_, rows)| rows.iter())
-            .map(|s| 8 * s.len())
-            .sum();
-        gtc + 2 * self.num_labels * self.counts.len() + 8 * self.start.len()
+        let gtc: usize = self.head_rows.iter().flatten().map(|s| 8 * s.len()).sum();
+        gtc + self.forest.size_bytes()
     }
 
     fn size_entries(&self) -> usize {
-        self.head_rows
-            .iter()
-            .flat_map(|(_, rows)| rows.iter())
-            .map(|s| s.len())
-            .sum::<usize>()
-            + self.counts.len()
+        let gtc: usize = self.head_rows.iter().flatten().map(SplsSet::len).sum();
+        gtc + self.forest.num_vertices()
     }
 }
 
@@ -283,8 +188,8 @@ mod tests {
         // path label set must be exactly {follows} or the edge is
         // non-tree — either way queries stay exact, but when it is a
         // tree path the counts must match
-        if idx.tree_contains(fixtures::A, fixtures::L) {
-            let labels = idx.tree_path_labels(fixtures::A, fixtures::L);
+        if idx.forest.contains(fixtures::A, fixtures::L) {
+            let labels = idx.forest.path_labels(fixtures::A, fixtures::L);
             assert!(labels.is_subset_of(LabelSet::from_labels([
                 fixtures::FOLLOWS,
                 fixtures::FRIEND_OF,

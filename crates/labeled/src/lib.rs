@@ -27,6 +27,7 @@ pub mod audit;
 pub mod chen;
 pub mod constraint;
 pub mod dlcr;
+mod forest;
 pub mod gtc;
 pub mod jin;
 pub mod landmark;

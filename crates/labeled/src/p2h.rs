@@ -95,19 +95,10 @@ impl P2hPlus {
             if !entry_present(self.labels.list(forward, x), r, ls) {
                 continue; // evicted by a smaller set
             }
-            if forward {
-                for (y, l) in g.out_edges(x) {
-                    let nls = ls.insert(l);
-                    if self.try_add(w, y, r, nls, true) {
-                        heap.push(Reverse((nls.len(), nls.0, y.0)));
-                    }
-                }
-            } else {
-                for (y, l) in g.in_edges(x) {
-                    let nls = ls.insert(l);
-                    if self.try_add(w, y, r, nls, false) {
-                        heap.push(Reverse((nls.len(), nls.0, y.0)));
-                    }
+            for (y, l) in g.adjacent(x, forward) {
+                let nls = ls.insert(l);
+                if self.try_add(w, y, r, nls, forward) {
+                    heap.push(Reverse((nls.len(), nls.0, y.0)));
                 }
             }
         }

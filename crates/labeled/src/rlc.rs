@@ -197,23 +197,18 @@ impl RlcIndex {
             if !self.labels.order().passes(r, x) {
                 continue;
             }
-            if forward {
-                let want = unit[q as usize];
-                let nq = ((q as usize + 1) % klen) as u8;
-                for (y, l) in g.out_edges(x) {
-                    if l == want && !seen[y.index() * klen + nq as usize] {
-                        seen[y.index() * klen + nq as usize] = true;
-                        queue.push((y, nq));
-                    }
-                }
+            // forward, an edge reads unit[q] and moves to the next
+            // phase; backward, it reads the previous phase's label
+            let (want, nq) = if forward {
+                (unit[q as usize], ((q as usize + 1) % klen) as u8)
             } else {
-                let nq = ((q as usize + klen - 1) % klen) as u8;
-                let want = unit[nq as usize];
-                for (y, l) in g.in_edges(x) {
-                    if l == want && !seen[y.index() * klen + nq as usize] {
-                        seen[y.index() * klen + nq as usize] = true;
-                        queue.push((y, nq));
-                    }
+                let nq = (q as usize + klen - 1) % klen;
+                (unit[nq], nq as u8)
+            };
+            for (y, l) in g.adjacent(x, forward) {
+                if l == want && !seen[y.index() * klen + nq as usize] {
+                    seen[y.index() * klen + nq as usize] = true;
+                    queue.push((y, nq));
                 }
             }
         }

@@ -38,21 +38,21 @@ use std::collections::BinaryHeap;
 ///
 /// States are expanded in ascending distinct-label count, so every
 /// popped state that survives the dominance check is a genuine SPLS
-/// and redundant label sets are never expanded.
-pub fn single_source_gtc(g: &LabeledGraph, s: VertexId) -> Vec<SplsSet> {
+/// and redundant label sets are never expanded. With `forward` false
+/// it follows in-edges: `rows[v]` then holds the SPLSs of `v`-to-`s` paths.
+pub fn single_source_gtc(g: &LabeledGraph, s: VertexId, forward: bool) -> Vec<SplsSet> {
     let mut rows: Vec<SplsSet> = vec![SplsSet::new(); g.num_vertices()];
     let mut heap: BinaryHeap<Reverse<(usize, u64, u32)>> = BinaryHeap::new();
     rows[s.index()].insert(LabelSet::EMPTY);
     heap.push(Reverse((0, 0, s.0)));
-    while let Some(Reverse((len, bits, v))) = heap.pop() {
+    while let Some(Reverse((_, bits, v))) = heap.pop() {
         let ls = LabelSet(bits);
         let v = VertexId(v);
         // stale heap entry: a smaller set has since dominated this one
         if !rows[v.index()].sets().contains(&ls) {
             continue;
         }
-        let _ = len;
-        for (w, l) in g.out_edges(v) {
+        for (w, l) in g.adjacent(v, forward) {
             let nls = ls.insert(l);
             if rows[w.index()].insert(nls) {
                 heap.push(Reverse((nls.len(), nls.0, w.0)));
@@ -119,7 +119,7 @@ impl ZouIndex {
                 // intra-SCC path cannot leave and return)
                 let local = induced_subgraph(g, group);
                 for (li, &v) in group.iter().enumerate() {
-                    let local_rows = single_source_gtc(&local, VertexId::new(li));
+                    let local_rows = single_source_gtc(&local, VertexId::new(li), true);
                     for (lj, &x) in group.iter().enumerate() {
                         rows[v.index()][x.index()] = local_rows[lj].clone();
                     }
@@ -276,7 +276,7 @@ mod tests {
         // single-source GTC from L must record {worksFor} as the SPLS
         // and ignore the 2-label alternative.
         let g = fixtures::figure1b();
-        let rows = single_source_gtc(&g, L);
+        let rows = single_source_gtc(&g, L, true);
         assert_eq!(rows[H.index()].sets(), &[LabelSet::singleton(WORKS_FOR)]);
         // sanity: direct neighbors
         assert_eq!(rows[C.index()].sets(), &[LabelSet::singleton(WORKS_FOR)]);
@@ -333,7 +333,7 @@ mod tests {
         );
         let idx = ZouIndex::build(&g);
         for s in g.vertices() {
-            let rows = single_source_gtc(&g, s);
+            let rows = single_source_gtc(&g, s, true);
             for t in g.vertices() {
                 assert_eq!(idx.spls(s, t), &rows[t.index()], "row {s:?}->{t:?}");
             }

@@ -100,7 +100,7 @@ fn main() {
         .vertices()
         .max_by_key(|&v| network.out_degree(v))
         .unwrap();
-    let rows = single_source_gtc(&network, hub);
+    let rows = single_source_gtc(&network, hub, true);
     let reach = |allowed: LabelSet| {
         rows.iter().filter(|s| s.satisfies(allowed)).count() - 1 // minus the hub itself
     };

@@ -54,7 +54,7 @@ fn spls_l_to_m_example() {
     let has = |u: VertexId, l: Label, v: VertexId| g.out_edges(u).any(|(w, el)| w == v && el == l);
     assert!(has(L, WORKS_FOR, C) && has(C, WORKS_FOR, M));
     assert!(has(L, FOLLOWS, K) && has(K, WORKS_FOR, M));
-    let rows = single_source_gtc(&g, L);
+    let rows = single_source_gtc(&g, L, true);
     assert_eq!(rows[M.index()].sets(), &[LabelSet::singleton(WORKS_FOR)]);
 }
 
@@ -62,8 +62,8 @@ fn spls_l_to_m_example() {
 fn spls_transitivity_example() {
     // §4.1: SPLS(A→M) = {follows, worksFor} = SPLS(A→L) × SPLS(L→M)
     let g = fixtures::figure1b();
-    let from_a = single_source_gtc(&g, A);
-    let from_l = single_source_gtc(&g, L);
+    let from_a = single_source_gtc(&g, A, true);
+    let from_l = single_source_gtc(&g, L, true);
     assert_eq!(from_a[L.index()].sets(), &[LabelSet::singleton(FOLLOWS)]);
     assert_eq!(from_l[M.index()].sets(), &[LabelSet::singleton(WORKS_FOR)]);
     let product = from_a[L.index()].cross_product(&from_l[M.index()]);
@@ -79,7 +79,7 @@ fn zou_dijkstra_example() {
     // §4.1.2: among p3 = (L,worksFor,C,worksFor,H) (1 distinct label)
     // and p4 = (L,worksFor,D,friendOf,H) (2), p3 wins.
     let g = fixtures::figure1b();
-    let rows = single_source_gtc(&g, L);
+    let rows = single_source_gtc(&g, L, true);
     assert_eq!(rows[H.index()].sets(), &[LabelSet::singleton(WORKS_FOR)]);
     // and the dominated set is genuinely a path label set
     assert!(rows[H.index()].satisfies(LabelSet::from_labels([WORKS_FOR])));
